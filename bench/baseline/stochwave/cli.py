@@ -1,0 +1,821 @@
+"""Batch front door: JSON experiment configs in, CSV/JSON artifacts out.
+
+Configs are strict JSON: unknown keys are rejected and every validation
+message carries a JSON-pointer location.  Outputs are byte-identical
+for identical (config, flags) pairs: floats are written with repr, JSON
+keys are sorted, line endings are LF, and every file is declared in a
+manifest.json carrying the sha256 of the raw config bytes.
+
+Exit codes, so CI can tell failure classes apart:
+
+    0  success
+    2  usage error (bad flags, unknown subcommand)
+    3  config or experiment-setup error (JSON syntax, validation,
+       coupling violations, module preconditions)
+    4  numeric failure (solution blow-up, singular update, weight
+       overflow, degenerate order fit)
+    5  admissibility hard-fail (the weight geometry is wrong for the
+       domain: phi changes sign or the time horizon is too short)
+    6  statistical test failure (identity residual above 1e-10, or the
+       martingale statistic outside its 4-standard-error band)
+
+Mesh admissibility conditions (s*dx and the dt bound) only warn: they
+are resolution knobs, not geometry, and the report records them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import click
+import numpy as np
+
+from .errors import (
+    BlowUpError,
+    CouplingError,
+    DegenerateOrderError,
+    SingularUpdateError,
+    WeightOverflowError,
+)
+from .estimators import carleman_terms, martingale_check, stability_terms
+from .fields import (
+    preset_coefficient,
+    random_field,
+    random_slice,
+    sine_field,
+    sine_slice,
+    zero_field,
+)
+from .grids import GridFunction, build_grid
+from .identities import identity_residuals
+from .solver import ProblemData, SchemeCoefficients, observe, run_ensemble
+from .weights import EXPRESSION_IDS, WeightParams, check_admissible, estimate_order
+
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_CONFIG = 3
+EXIT_NUMERIC = 4
+EXIT_ADMISSIBILITY = 5
+EXIT_STATISTICAL = 6
+
+IDENTITY_GATE = 1e-10
+
+
+class ConfigError(Exception):
+    """Config validation failure with a JSON-pointer location."""
+
+    def __init__(self, pointer: str, message: str):
+        self.pointer = pointer
+        super().__init__(f"{pointer}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# strict config parsing
+
+_SWEEPABLE = (
+    "weight.s",
+    "weight.lambda",
+    "weight.beta",
+    "weight.xstar",
+    "weight.mconst",
+    "weight.epsilon",
+    "weight.dt_multiplier",
+    "weight.kappa",
+)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _need_object(node, ptr):
+    if not isinstance(node, dict):
+        raise ConfigError(ptr, f"expected an object, got {type(node).__name__}")
+    return node
+
+
+def _check_keys(node, allowed, ptr):
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"{ptr}/{key}", "unknown key")
+
+
+def _get(node, key, ptr, required=True, default=None):
+    if key not in node:
+        if required:
+            raise ConfigError(f"{ptr}/{key}", "missing required key")
+        return default
+    return node[key]
+
+
+def _as_int(v, ptr, minimum=None):
+    if not _is_int(v):
+        raise ConfigError(ptr, f"expected an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(ptr, f"must be >= {minimum}, got {v}")
+    return v
+
+
+def _as_num(v, ptr):
+    if not _is_num(v):
+        raise ConfigError(ptr, f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _as_str(v, ptr, choices=None):
+    if not isinstance(v, str):
+        raise ConfigError(ptr, f"expected a string, got {v!r}")
+    if choices is not None and v not in choices:
+        raise ConfigError(ptr, f"must be one of {sorted(choices)}, got {v!r}")
+    return v
+
+
+def _parse_grid(node, ptr):
+    node = _need_object(node, ptr)
+    _check_keys(node, {"M", "N", "T"}, ptr)
+    M = _as_int(_get(node, "M", ptr), f"{ptr}/M", minimum=1)
+    N = _as_int(_get(node, "N", ptr), f"{ptr}/N", minimum=1)
+    T = _as_num(_get(node, "T", ptr), f"{ptr}/T")
+    if T <= 0:
+        raise ConfigError(f"{ptr}/T", f"must be > 0, got {T}")
+    return {"M": M, "N": N, "T": T}
+
+
+def _parse_weight(node, ptr):
+    node = _need_object(node, ptr)
+    allowed = {
+        "s",
+        "lambda",
+        "beta",
+        "xstar",
+        "mconst",
+        "epsilon",
+        "dt_multiplier",
+        "kappa",
+    }
+    _check_keys(node, allowed, ptr)
+    out = {}
+    for key in ("s", "lambda", "beta", "xstar", "mconst"):
+        out[key] = _as_num(_get(node, key, ptr), f"{ptr}/{key}")
+    for key, default in (
+        ("epsilon", 0.5),
+        ("dt_multiplier", 1.0),
+        ("kappa", 0.0),
+    ):
+        v = _get(node, key, ptr, required=False, default=default)
+        out[key] = _as_num(v, f"{ptr}/{key}")
+    return out
+
+
+_COEFF_PRESET_NAMES = {"zero", "one", "ramp_x", "ramp_t", "sine_x"}
+
+
+def _parse_coefficients(node, ptr):
+    node = _need_object(node, ptr)
+    _check_keys(node, {"a", "b", "c", "d"}, ptr)
+    out = {}
+    for sym in ("a", "b", "c", "d"):
+        if sym not in node:
+            out[sym] = ("constant", 0.0)
+            continue
+        spec = _need_object(node[sym], f"{ptr}/{sym}")
+        _check_keys(spec, {"constant", "preset"}, f"{ptr}/{sym}")
+        if len(spec) != 1:
+            raise ConfigError(
+                f"{ptr}/{sym}", "choose exactly one of constant/preset"
+            )
+        if "constant" in spec:
+            out[sym] = (
+                "constant",
+                _as_num(spec["constant"], f"{ptr}/{sym}/constant"),
+            )
+        else:
+            name = _as_str(
+                spec["preset"], f"{ptr}/{sym}/preset", _COEFF_PRESET_NAMES
+            )
+            out[sym] = ("preset", name)
+    return out
+
+
+def _parse_data_spec(node, ptr):
+    if node == "zero":
+        return ("zero",)
+    spec = _need_object(node, ptr)
+    _check_keys(spec, {"zero", "sine", "random"}, ptr)
+    if len(spec) != 1:
+        raise ConfigError(ptr, "choose exactly one of zero/sine/random")
+    if "zero" in spec:
+        sub = _need_object(spec["zero"], f"{ptr}/zero")
+        _check_keys(sub, set(), f"{ptr}/zero")
+        return ("zero",)
+    if "sine" in spec:
+        sub = _need_object(spec["sine"], f"{ptr}/sine")
+        _check_keys(sub, {"mode", "amplitude"}, f"{ptr}/sine")
+        mode = _as_int(_get(sub, "mode", f"{ptr}/sine"), f"{ptr}/sine/mode", 1)
+        amp = _as_num(
+            _get(sub, "amplitude", f"{ptr}/sine"), f"{ptr}/sine/amplitude"
+        )
+        return ("sine", mode, amp)
+    sub = _need_object(spec["random"], f"{ptr}/random")
+    _check_keys(sub, {"seed", "amplitude"}, f"{ptr}/random")
+    seed = _as_int(_get(sub, "seed", f"{ptr}/random"), f"{ptr}/random/seed", 0)
+    amp = _as_num(
+        _get(sub, "amplitude", f"{ptr}/random"), f"{ptr}/random/amplitude"
+    )
+    return ("random", seed, amp)
+
+
+def _parse_data(node, ptr):
+    node = _need_object(node, ptr)
+    _check_keys(node, {"y0", "y1", "g", "f"}, ptr)
+    out = {}
+    for key in ("y0", "y1", "g", "f"):
+        if key in node:
+            out[key] = _parse_data_spec(node[key], f"{ptr}/{key}")
+        else:
+            out[key] = ("zero",)
+    return out
+
+
+def _parse_mc(node, ptr):
+    node = _need_object(node, ptr)
+    _check_keys(node, {"paths", "master_seed", "master_seed_b"}, ptr)
+    paths = _as_int(
+        _get(node, "paths", ptr, required=False, default=1), f"{ptr}/paths", 1
+    )
+    seed = _as_int(
+        _get(node, "master_seed", ptr, required=False, default=0),
+        f"{ptr}/master_seed",
+        0,
+    )
+    seed_b = node.get("master_seed_b")
+    if seed_b is not None:
+        seed_b = _as_int(seed_b, f"{ptr}/master_seed_b", 0)
+    return {"paths": paths, "master_seed": seed, "master_seed_b": seed_b}
+
+
+def _parse_sweep(node, ptr):
+    node = _need_object(node, ptr)
+    _check_keys(node, {"parameter", "values"}, ptr)
+    param = _as_str(_get(node, "parameter", ptr), f"{ptr}/parameter")
+    if param not in _SWEEPABLE:
+        raise ConfigError(
+            f"{ptr}/parameter",
+            f"not a sweepable scalar; choose one of {list(_SWEEPABLE)}",
+        )
+    values = _get(node, "values", ptr)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{ptr}/values", "expected a nonempty array")
+    out = []
+    for i, v in enumerate(values):
+        out.append(_as_num(v, f"{ptr}/values/{i}"))
+    return {"parameter": param, "values": out}
+
+
+class RunConfig:
+    """Validated experiment configuration plus the raw-byte hash."""
+
+    def __init__(self, raw: dict, sha256: str):
+        _check_keys(
+            raw,
+            {
+                "grid",
+                "weight",
+                "coefficients",
+                "data",
+                "data_b",
+                "g_mode",
+                "mc",
+                "sweep",
+                "output_dir",
+            },
+            "",
+        )
+        self.grid = _parse_grid(_get(raw, "grid", ""), "/grid")
+        self.weight = (
+            _parse_weight(raw["weight"], "/weight") if "weight" in raw else None
+        )
+        self.coefficients = _parse_coefficients(
+            raw.get("coefficients", {}), "/coefficients"
+        )
+        self.data = _parse_data(raw.get("data", {}), "/data")
+        self.data_b = (
+            _parse_data(raw["data_b"], "/data_b") if "data_b" in raw else None
+        )
+        self.g_mode = _as_str(
+            raw.get("g_mode", "space_time"),
+            "/g_mode",
+            {"space_time", "space_only"},
+        )
+        self.mc = _parse_mc(raw.get("mc", {}), "/mc")
+        self.sweep = _parse_sweep(raw["sweep"], "/sweep") if "sweep" in raw else None
+        self.output_dir = _as_str(raw.get("output_dir", "out"), "/output_dir")
+        self.sha256 = sha256
+
+
+def parse_config(path) -> RunConfig:
+    """Load and validate a strict-JSON config file."""
+    p = Path(path)
+    try:
+        blob = p.read_bytes()
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config {path!r}: {exc}") from None
+    try:
+        raw = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("", f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("", "top level must be a JSON object")
+    return RunConfig(raw, hashlib.sha256(blob).hexdigest())
+
+
+# ---------------------------------------------------------------------------
+# realization of configured objects
+
+
+def _make_grid(cfg: RunConfig):
+    return build_grid(cfg.grid["M"], cfg.grid["N"], cfg.grid["T"])
+
+
+def _make_weight_params(cfg: RunConfig) -> WeightParams:
+    if cfg.weight is None:
+        raise ConfigError("/weight", "this subcommand needs a weight section")
+    w = cfg.weight
+    return WeightParams(
+        s=w["s"],
+        lam=w["lambda"],
+        beta=w["beta"],
+        xstar=w["xstar"],
+        mconst=w["mconst"],
+        T=cfg.grid["T"],
+        epsilon=w["epsilon"],
+        dt_mult=w["dt_multiplier"],
+    )
+
+
+def _make_coeffs(cfg: RunConfig, grid) -> SchemeCoefficients:
+    made = {}
+    for sym, spec in cfg.coefficients.items():
+        if spec[0] == "constant":
+            made[sym] = spec[1]
+        else:
+            made[sym] = preset_coefficient(grid, spec[1])
+    consts = {k: v for k, v in made.items() if isinstance(v, float)}
+    base = SchemeCoefficients.constant(grid, **consts)
+    fields = {k: getattr(base, k) for k in ("a", "b", "c", "d")}
+    fields.update({k: v for k, v in made.items() if not isinstance(v, float)})
+    return SchemeCoefficients(**fields)
+
+
+def _make_slice(spec, grid):
+    if spec[0] == "zero":
+        return zero_field(grid, "closure", None)
+    if spec[0] == "sine":
+        return sine_slice(grid, spec[1], spec[2])
+    return random_slice(grid, spec[1], spec[2])
+
+
+def _make_interior_field(spec, grid, space_only: bool):
+    if spec[0] == "zero":
+        return zero_field(grid, "primal", "primal")
+    if spec[0] == "sine":
+        return sine_field(grid, spec[1], spec[2])
+    return random_field(grid, spec[1], spec[2], space_only=space_only)
+
+
+def _make_problem(data_spec, cfg: RunConfig, grid) -> ProblemData:
+    space_only = cfg.g_mode == "space_only"
+    f_spec = data_spec["f"]
+    f = None if f_spec == ("zero",) else _make_interior_field(f_spec, grid, False)
+    return ProblemData(
+        y0=_make_slice(data_spec["y0"], grid),
+        y1=_make_slice(data_spec["y1"], grid),
+        g=_make_interior_field(data_spec["g"], grid, space_only),
+        f=f,
+    )
+
+
+# ---------------------------------------------------------------------------
+# deterministic writers
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+class ArtifactWriter:
+    """Writes CSV/JSON under output_dir and records the manifest."""
+
+    def __init__(self, output_dir: str, config_sha256: str, subcommand: str):
+        self.dir = Path(output_dir)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.sha = config_sha256
+        self.subcommand = subcommand
+        self.entries = []
+
+    def csv(self, name: str, header, rows):
+        lines = [",".join(header)]
+        count = 0
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
+            count += 1
+        text = "\n".join(lines) + "\n"
+        (self.dir / name).write_text(text, encoding="utf-8", newline="\n")
+        self.entries.append({"name": name, "rows": count})
+
+    def json(self, name: str, obj):
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        (self.dir / name).write_text(text, encoding="utf-8", newline="\n")
+        self.entries.append({"name": name, "rows": len(text.splitlines())})
+
+    def finish(self):
+        manifest = {
+            "config_sha256": self.sha,
+            "subcommand": self.subcommand,
+            "files": sorted(self.entries, key=lambda e: e["name"]),
+        }
+        text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        (self.dir / "manifest.json").write_text(
+            text, encoding="utf-8", newline="\n"
+        )
+
+
+def _stat_obj(st):
+    return {"mean": st.mean, "stderr": st.stderr, "paths": st.paths}
+
+
+def _admissibility_obj(rep):
+    return {
+        "t_condition": rep.t_condition,
+        "t_margin": rep.t_margin,
+        "sdx_condition": rep.sdx_condition,
+        "sdx_value": rep.sdx_value,
+        "dt_condition": rep.dt_condition,
+        "dt_value": rep.dt_value,
+        "phi_positive": rep.phi_positive,
+        "phi_min": rep.phi_min,
+        "overall": rep.overall,
+    }
+
+
+# ---------------------------------------------------------------------------
+# subcommand bodies
+
+
+def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
+    grid = _make_grid(cfg)
+    seed = cfg.mc["master_seed"]
+    u = random_field(grid, seed, 1.0, space_tag="closure", time_tag="closure")
+    v = random_field(
+        grid, seed + 1, 1.0, space_tag="closure", time_tag="closure"
+    )
+    table = identity_residuals(u, v)
+    rows = [
+        (ident, "" if res is None else res) for ident, res in table.rows()
+    ]
+    out.csv("identities.csv", ("identity", "residual"), rows)
+    worst = table.max_residual()
+    click.echo(f"identities: max residual {worst:.3e} over {len(rows)} rows")
+    return EXIT_OK if worst <= IDENTITY_GATE else EXIT_STATISTICAL
+
+
+def _order_levels(cfg: RunConfig, count=4):
+    M, N, T = cfg.grid["M"], cfg.grid["N"], cfg.grid["T"]
+    levels = []
+    for _ in range(count):
+        levels.append(build_grid(M, N, T))
+        M, N = 2 * M + 1, 2 * N
+    return levels
+
+
+def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
+    params = _make_weight_params(cfg)
+    levels = _order_levels(cfg)
+    summary, residual_rows = [], []
+    for expr in EXPRESSION_IDS:
+        est = estimate_order(expr, params, levels)
+        summary.append((expr, est.order, est.fit_residual))
+        for dx, res in zip(est.dx, est.residuals):
+            residual_rows.append((expr, dx, res))
+        click.echo(f"weights-order: {expr} order {est.order:.3f}")
+    out.csv("weights_order.csv", ("expression", "order", "fit_residual"), summary)
+    out.csv("weights_residuals.csv", ("expression", "dx", "residual"), residual_rows)
+    return EXIT_OK
+
+
+def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
+    grid = _make_grid(cfg)
+    data = _make_problem(cfg.data, cfg, grid)
+    coeffs = _make_coeffs(cfg, grid)
+    ens = run_ensemble(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
+    traj = ens.trajectories[0]
+    if traj.cfl_warning:
+        click.echo("simulate: warning, dt > dx (explicit scheme unstable)", err=True)
+    xs = traj.y.x
+    ts = traj.y.t
+    vals = traj.y.values
+    rows = [
+        (j, xs[j], n, ts[n], vals[j, n])
+        for j in range(vals.shape[0])
+        for n in range(vals.shape[1])
+    ]
+    out.csv("trajectory.csv", ("j", "x", "n", "t", "y"), rows)
+    obs = observe(traj, grid)
+    fx = obs.flux
+    out.csv(
+        "flux.csv",
+        ("n", "t", "flux"),
+        [(n + 1, fx.t[n], fx.values[n]) for n in range(fx.values.shape[0])],
+    )
+    ty, tv = obs.terminal_y, obs.terminal_v
+    out.csv(
+        "terminal.csv",
+        ("j", "x", "terminal_y", "terminal_v"),
+        [
+            (j, ty.x[j], ty.values[j], tv.values[j])
+            for j in range(ty.values.shape[0])
+        ],
+    )
+    click.echo(
+        f"simulate: {ens.paths} path(s), wrote trajectory of path 0, "
+        f"max |y| {np.max(np.abs(vals)):.6g}"
+    )
+    return EXIT_OK
+
+
+def _carleman_once(cfg: RunConfig, grid, data, coeffs, params):
+    ens = run_ensemble(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
+    return carleman_terms(
+        ens, params, data, grid, kappa=cfg.weight["kappa"]
+    )
+
+
+def _carleman_obj(rep):
+    return {
+        "s": rep.s,
+        "lambda": rep.lam,
+        "kappa": rep.kappa,
+        "admissible": rep.admissible,
+        "admissibility": _admissibility_obj(rep.admissibility),
+        "lhs": {k: _stat_obj(v) for k, v in rep.lhs.items()},
+        "rhs": {k: _stat_obj(v) for k, v in rep.rhs.items()},
+        "xt_norm": _stat_obj(rep.xt_norm),
+        "ratio": rep.ratio,
+        "ratio_defined": rep.ratio_defined,
+    }
+
+
+def _term_rows(rep):
+    rows = []
+    for key in ("L1", "L2", "L3", "L4", "L5", "L6", "L7"):
+        rows.append((key, rep.lhs[key].mean, rep.lhs[key].stderr))
+    for key in ("R1", "R2", "R3", "R4"):
+        rows.append((key, rep.rhs[key].mean, rep.rhs[key].stderr))
+    return rows
+
+
+def _hard_fail(rep) -> bool:
+    adm = rep.admissibility
+    return not (adm.t_condition and adm.phi_positive)
+
+
+def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
+    grid = _make_grid(cfg)
+    data = _make_problem(cfg.data, cfg, grid)
+    coeffs = _make_coeffs(cfg, grid)
+    if cfg.sweep is None:
+        rep = _carleman_once(cfg, grid, data, coeffs, _make_weight_params(cfg))
+        out.json("carleman.json", _carleman_obj(rep))
+        out.csv("carleman_terms.csv", ("term", "value", "stderr"), _term_rows(rep))
+        ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
+        click.echo(f"carleman: ratio {ratio}, admissible {rep.admissible}")
+        return EXIT_ADMISSIBILITY if _hard_fail(rep) else EXIT_OK
+    key = cfg.sweep["parameter"].split(".", 1)[1]
+    sweep_rows = []
+    fail = False
+    for i, value in enumerate(cfg.sweep["values"]):
+        cfg.weight[key] = value
+        rep = _carleman_once(cfg, grid, data, coeffs, _make_weight_params(cfg))
+        out.json(f"carleman_{i:02d}.json", _carleman_obj(rep))
+        for term, mean, stderr in _term_rows(rep):
+            sweep_rows.append((value, term, mean, stderr))
+        fail = fail or _hard_fail(rep)
+        ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
+        click.echo(
+            f"carleman: {cfg.sweep['parameter']} = {value}: ratio {ratio}"
+        )
+    out.csv(
+        "carleman_sweep.csv",
+        ("sweep_value", "term", "value", "stderr"),
+        sweep_rows,
+    )
+    return EXIT_ADMISSIBILITY if fail else EXIT_OK
+
+
+def _stability_obj(rep):
+    return {
+        "g_mode": rep.g_mode,
+        "lhs": {k: _stat_obj(v) for k, v in rep.lhs.items()},
+        "rhs": {k: _stat_obj(v) for k, v in rep.rhs.items()},
+        "xt_squared": _stat_obj(rep.xt_squared),
+        "ratio_unsquared": rep.ratio_unsquared,
+        "ratio_unsquared_defined": rep.ratio_unsquared_defined,
+        "ratio_printed": rep.ratio_printed,
+        "ratio_printed_defined": rep.ratio_printed_defined,
+    }
+
+
+def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
+    grid = _make_grid(cfg)
+    data_a = _make_problem(cfg.data, cfg, grid)
+    if cfg.data_b is not None:
+        data_b = _make_problem(cfg.data_b, cfg, grid)
+    else:
+        # default comparison problem: zero data under the same forcing
+        data_b = ProblemData(
+            y0=zero_field(grid, "closure", None),
+            y1=zero_field(grid, "closure", None),
+            g=zero_field(grid, "primal", "primal"),
+            f=data_a.f,
+        )
+    coeffs = _make_coeffs(cfg, grid)
+    seed_a = cfg.mc["master_seed"]
+    seed_b = cfg.mc["master_seed_b"]
+    if seed_b is None:
+        seed_b = seed_a
+    ens_a = run_ensemble(data_a, coeffs, grid, cfg.mc["paths"], seed_a)
+    ens_b = run_ensemble(data_b, coeffs, grid, cfg.mc["paths"], seed_b)
+    rep = stability_terms(ens_a, ens_b, data_a, data_b, grid, g_mode=cfg.g_mode)
+    out.json("stability.json", _stability_obj(rep))
+    rows = []
+    for key in ("G", "Y0", "Y1"):
+        rows.append((key, rep.lhs[key].mean, rep.lhs[key].stderr))
+    for key in ("FLUX", "XT", "DTDX"):
+        rows.append((key, rep.rhs[key].mean, rep.rhs[key].stderr))
+    out.csv("stability_terms.csv", ("term", "value", "stderr"), rows)
+    if rep.ratio_unsquared_defined:
+        click.echo(f"stability: ratio {rep.ratio_unsquared:.6g}")
+    else:
+        click.echo("stability: ratio undefined (all terms zero)")
+    return EXIT_OK
+
+
+def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
+    grid = _make_grid(cfg)
+    data = _make_problem(cfg.data, cfg, grid)
+    coeffs = _make_coeffs(cfg, grid)
+    ens = run_ensemble(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
+    st = martingale_check(ens, grid)
+    bound = 4.0 * st.stderr
+    ok = abs(st.mean) <= bound
+    out.json(
+        "martingale.json",
+        {
+            "mean": st.mean,
+            "stderr": st.stderr,
+            "paths": st.paths,
+            "bound_4se": bound,
+            "pass": ok,
+        },
+    )
+    click.echo(
+        f"martingale: mean {st.mean:+.3e}, stderr {st.stderr:.3e}, "
+        f"{'pass' if ok else 'FAIL'}"
+    )
+    return EXIT_OK if ok else EXIT_STATISTICAL
+
+
+_SUBCOMMANDS = {
+    "identities": _run_identities,
+    "weights-order": _run_weights_order,
+    "simulate": _run_simulate,
+    "carleman": _run_carleman,
+    "stability": _run_stability,
+    "martingale": _run_martingale,
+}
+
+
+def run(subcommand: str, cfg: RunConfig) -> int:
+    """Dispatch one subcommand; returns the process exit code and writes
+    the artifact files plus manifest.json under cfg.output_dir."""
+    if subcommand not in _SUBCOMMANDS:
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    if cfg.sweep is not None and subcommand != "carleman":
+        raise ConfigError(
+            "/sweep", "sweeps are only supported by the carleman subcommand"
+        )
+    out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
+    code = _SUBCOMMANDS[subcommand](cfg, out)
+    out.finish()
+    return code
+
+
+def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
+    try:
+        cfg = parse_config(config_path)
+        if output_dir is not None:
+            cfg.output_dir = output_dir
+        if paths is not None:
+            if paths < 1:
+                raise ConfigError("/mc/paths", f"must be >= 1, got {paths}")
+            cfg.mc["paths"] = paths
+        if seed is not None:
+            if seed < 0:
+                raise ConfigError("/mc/master_seed", f"must be >= 0, got {seed}")
+            cfg.mc["master_seed"] = seed
+        return run(subcommand, cfg)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        return EXIT_CONFIG
+    except (BlowUpError, WeightOverflowError) as exc:
+        click.echo(f"numeric failure: {exc}", err=True)
+        return EXIT_NUMERIC
+    except (SingularUpdateError, DegenerateOrderError) as exc:
+        click.echo(f"numeric failure: {exc}", err=True)
+        return EXIT_NUMERIC
+    except CouplingError as exc:
+        click.echo(f"coupling error: {exc}", err=True)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        click.echo(f"invalid experiment: {exc}", err=True)
+        return EXIT_CONFIG
+    except FloatingPointError as exc:
+        click.echo(f"numeric failure: {exc}", err=True)
+        return EXIT_NUMERIC
+
+
+def _common_options(fn):
+    fn = click.option(
+        "--seed", type=click.IntRange(min=0), default=None,
+        help="Override mc.master_seed.",
+    )(fn)
+    fn = click.option(
+        "--paths", type=click.IntRange(min=1), default=None,
+        help="Override mc.paths.",
+    )(fn)
+    fn = click.option(
+        "--output-dir", type=click.Path(), default=None,
+        help="Override output_dir.",
+    )(fn)
+    fn = click.option(
+        "--config", "config_path", type=click.Path(), required=True,
+        help="Path to the JSON experiment config.",
+    )(fn)
+    return fn
+
+
+@click.group(
+    help=__doc__,
+    context_settings={"help_option_names": ["-h", "--help"]},
+)
+def main():
+    pass
+
+
+def _register(name, doc):
+    @main.command(name=name, help=doc)
+    @_common_options
+    def _cmd(config_path, output_dir, paths, seed, _name=name):
+        sys.exit(_execute(_name, config_path, output_dir, paths, seed))
+
+    return _cmd
+
+
+_register("identities", "Summation-by-parts residual table on random data.")
+_register(
+    "weights-order",
+    "Mesh-refinement order of the discrete weight derivative residuals.",
+)
+_register("simulate", "Solve the scheme and write trajectory/observation CSVs.")
+_register(
+    "carleman",
+    "Monte Carlo weighted-energy terms and their ratio (supports sweep).",
+)
+_register(
+    "stability",
+    "Data-difference vs observation-difference norms for a coupled pair.",
+)
+_register("martingale", "Zero-mean test of the adapted Ito-sum statistic.")
+
+
+if __name__ == "__main__":
+    main()

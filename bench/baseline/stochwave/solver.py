@@ -1,0 +1,442 @@
+"""Explicit leapfrog stepping of the stochastic wave scheme.
+
+The interior update for n = 1..N, j = 1..M reads
+
+    y[n+1] (1 - c dt) = 2 y[n] - y[n-1]
+                        + dt^2 (Dx2 y[n] + a y[n] + b AxDx y[n])
+                        - c dt y[n]
+                        + dt ((d y[n] + g) dB[n] + f dt)
+
+with Dx2 the three-point second difference, AxDx the wide central
+difference over 2 dx, dB[n] = B(t^{n+1}) - B(t^n), homogeneous Dirichlet
+values pinned exactly to zero at j = 0 and j = M+1 for every stored
+level, and start values y[0] = y0, y[1] = y0 + dt y1 (interior; the
+boundary of y1 is overridden by the pinning).  Stepping runs to n = N
+so the stored trajectory covers levels 0..N+1; the one-past-T level is
+what makes forward time differences available at t = T.
+
+The division by (1 - c dt) resolves the single-node implicitness of the
+c-term in closed form; it is exact, and a zero denominator anywhere is
+rejected up front as SingularUpdateError.  dt > dx sets a CFL warning
+flag on the trajectory instead of failing, since the explicit scheme's
+stability limit is a modeling concern, not an API violation.
+
+Reproducibility: Brownian increments come from a counter-based
+generator (Philox) keyed by a 64-bit seed, and ensemble path seeds are
+derived from (master_seed, path_index) by the splitmix64-style mixer
+`path_seed`, whose constants are part of the package interface.  Same
+seeds, same inputs: bitwise-identical results on every backend and
+schedule.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ._kernels import step_paths
+from .errors import (
+    BlowUpError,
+    IncompleteTrajectoryError,
+    MeshMismatchError,
+    SingularUpdateError,
+)
+from .grids import Grid, GridFunction, trace
+from .operators import diff_x
+
+# splitmix64 mixing constants; part of the reproducibility interface
+SEED_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """splitmix64 finalizer: a 64-bit bijection with good avalanche."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def path_seed(master_seed: int, path_index: int) -> int:
+    """Per-path seed: output path_index of the splitmix64 stream seeded
+    by master_seed.  Injective in path_index for a fixed master seed
+    (distinct mix64 inputs, and mix64 is bijective)."""
+    if path_index < 0:
+        raise ValueError(f"path_index must be >= 0, got {path_index}")
+    return mix64((master_seed + (path_index + 1) * SEED_GAMMA) & _MASK64)
+
+
+@dataclass(frozen=True)
+class BrownianPath:
+    """Increments dB[n] = B(t^{n+1}) - B(t^n) for n = 0..N.
+
+    The scheme consumes n = 1..N (entry 0 is a same-distribution guard
+    so the array aligns with time indexing); entry N reaches B(T+dt).
+    """
+
+    increments: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        inc = np.asarray(self.increments, dtype=np.float64)
+        if inc.ndim != 1 or inc.shape[0] < 2:
+            raise ValueError(
+                f"increments must be 1-D of length N+1 >= 2, got shape "
+                f"{inc.shape}"
+            )
+        object.__setattr__(self, "increments", inc)
+
+
+def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
+    """N+1 i.i.d. Normal(0, dt) increments from a Philox stream keyed
+    by seed.  Same (N, dt, seed) gives the same array bit for bit."""
+    if not (isinstance(N, (int, np.integer)) and N >= 1):
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
+    inc = rng.standard_normal(N + 1) * np.sqrt(dt)
+    return BrownianPath(increments=inc, seed=int(seed & _MASK64))
+
+
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise MeshMismatchError(msg)
+
+
+@dataclass(frozen=True)
+class ProblemData:
+    """Initial data and sources: y0, y1 on the space closure; g (and the
+    optional deterministic forcing f) on the interior M x N frame.  The
+    compatibility condition y0(0) = y0(1) = 0 is enforced exactly."""
+
+    y0: GridFunction
+    y1: GridFunction
+    g: GridFunction
+    f: GridFunction = None
+
+    def __post_init__(self):
+        grid = self.y0.grid
+        for name, u, stag, ttag in (
+            ("y0", self.y0, "closure", None),
+            ("y1", self.y1, "closure", None),
+            ("g", self.g, "primal", "primal"),
+        ):
+            _require(u.grid == grid, f"{name} lives on a different grid")
+            _require(
+                u.space_tag == stag,
+                f"{name} must carry space tag {stag!r}, got {u.space_tag!r}",
+            )
+            want_t = ttag if ttag is not None else "slice"
+            _require(
+                u.time_tag == want_t,
+                f"{name} must carry time tag {want_t!r}, got {u.time_tag!r}",
+            )
+        if self.f is not None:
+            _require(self.f.grid == grid, "f lives on a different grid")
+            _require(
+                self.f.space_tag == "primal" and self.f.time_tag == "primal",
+                "f must live on the interior M x N frame",
+            )
+        if self.y0.values[0] != 0.0 or self.y0.values[-1] != 0.0:
+            raise ValueError(
+                "y0 must vanish exactly at both boundary nodes, got "
+                f"({self.y0.values[0]!r}, {self.y0.values[-1]!r})"
+            )
+
+    @property
+    def grid(self) -> Grid:
+        return self.y0.grid
+
+
+@dataclass(frozen=True)
+class SchemeCoefficients:
+    """Lower-order and noise coefficients a, b, c, d on closure x nbar."""
+
+    a: GridFunction
+    b: GridFunction
+    c: GridFunction
+    d: GridFunction
+
+    def __post_init__(self):
+        grid = self.a.grid
+        for name, u in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
+            _require(u.grid == grid, f"{name} lives on a different grid")
+            _require(
+                u.space_tag == "closure" and u.time_tag == "nbar",
+                f"{name} must live on closure x nbar, got "
+                f"({u.space_tag}, {u.time_tag})",
+            )
+            if not np.isfinite(u.values).all():
+                raise ValueError(f"coefficient {name} contains non-finite values")
+
+    @classmethod
+    def constant(cls, grid: Grid, a=0.0, b=0.0, c=0.0, d=0.0):
+        from .fields import constant_coefficient
+
+        return cls(
+            a=constant_coefficient(grid, a),
+            b=constant_coefficient(grid, b),
+            c=constant_coefficient(grid, c),
+            d=constant_coefficient(grid, d),
+        )
+
+    @property
+    def grid(self) -> Grid:
+        return self.a.grid
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Solved path: y on closure x closure plus its driving noise."""
+
+    y: GridFunction
+    path: BrownianPath
+    cfl_warning: bool = False
+
+    def __post_init__(self):
+        _require(
+            self.y.space_tag == "closure" and self.y.time_tag == "closure",
+            "trajectory must live on closure x closure, got "
+            f"({self.y.space_tag}, {self.y.time_tag})",
+        )
+        v = self.y.values
+        if np.any(v[0] != 0.0) or np.any(v[-1] != 0.0):
+            raise ValueError("trajectory boundary rows must be exactly zero")
+
+    @property
+    def grid(self) -> Grid:
+        return self.y.grid
+
+
+@dataclass(frozen=True)
+class Observation:
+    """Boundary flux over interior times plus the terminal pair."""
+
+    flux: GridFunction
+    terminal_y: GridFunction
+    terminal_v: GridFunction
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Solved trajectories under per-path seeds derived from master_seed.
+
+    coeffs is carried along so coupled-ensemble consumers can verify
+    that two ensembles were driven by the same coefficient fields."""
+
+    trajectories: tuple
+    master_seed: int
+    coeffs: SchemeCoefficients = None
+
+    def __post_init__(self):
+        if len(self.trajectories) < 1:
+            raise ValueError("ensemble needs at least one trajectory")
+        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+
+    @property
+    def paths(self) -> int:
+        return len(self.trajectories)
+
+    @property
+    def grid(self) -> Grid:
+        return self.trajectories[0].grid
+
+    def values(self) -> np.ndarray:
+        """(paths, M+2, N+2) array view of all trajectories."""
+        return np.stack([t.y.values for t in self.trajectories])
+
+    def mean_values(self) -> np.ndarray:
+        return self.values().mean(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# stepping
+
+
+def _prepare_arrays(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
+    M, N = grid.M, grid.N
+    dt = grid.dt
+
+    cvals = coeffs.c.values
+    if np.any(1.0 - cvals * dt == 0.0):
+        raise SingularUpdateError(
+            "c*dt equals 1 somewhere, the update denominator vanishes"
+        )
+
+    def tm(u):
+        return np.ascontiguousarray(u.values.T)
+
+    A, B, C, D = tm(coeffs.a), tm(coeffs.b), tm(coeffs.c), tm(coeffs.d)
+
+    G = np.zeros((N + 1, M + 2))
+    G[1 : N + 1, 1 : M + 1] = data.g.values.T
+    F = np.zeros((N + 1, M + 2))
+    if data.f is not None:
+        F[1 : N + 1, 1 : M + 1] = data.f.values.T
+    return A, B, C, D, G, F
+
+
+def _init_slices(Y: np.ndarray, data: ProblemData, grid: Grid):
+    M = grid.M
+    Y[:, 0, :] = data.y0.values
+    Y[:, 1, 1 : M + 1] = (
+        data.y0.values[1 : M + 1] + grid.dt * data.y1.values[1 : M + 1]
+    )
+
+
+def _check_match(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
+    if data.grid != grid:
+        raise MeshMismatchError("problem data lives on a different grid")
+    if coeffs.grid != grid:
+        raise MeshMismatchError("coefficients live on a different grid")
+
+
+def solve(
+    data: ProblemData,
+    coeffs: SchemeCoefficients,
+    path: BrownianPath,
+    grid: Grid,
+) -> Trajectory:
+    """Advance one path of the scheme; see the module docstring for the
+    update.  Raises SingularUpdateError / BlowUpError; dt > dx only
+    flags cfl_warning on the result."""
+    _check_match(data, coeffs, grid)
+    N, M = grid.N, grid.M
+    if path.increments.shape[0] != N + 1:
+        raise ValueError(
+            f"path holds {path.increments.shape[0]} increments, "
+            f"need N+1 = {N + 1}"
+        )
+    A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
+    Y = np.zeros((1, N + 2, M + 2))
+    _init_slices(Y, data, grid)
+    dB = path.increments[None, :]
+    blown, bn, bp, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
+    if blown:
+        raise BlowUpError(j=bj, n=bn, path=bp)
+    return Trajectory(
+        y=GridFunction(
+            grid, Y[0].T, grid.space_axis("closure"), grid.time_axis("closure")
+        ),
+        path=path,
+        cfl_warning=grid.dt > grid.dx,
+    )
+
+
+def run_ensemble(
+    data: ProblemData,
+    coeffs: SchemeCoefficients,
+    grid: Grid,
+    paths: int,
+    master_seed: int,
+) -> Ensemble:
+    """Solve `paths` independent paths with seeds path_seed(master, k).
+
+    All paths advance in one kernel call; results are a pure function of
+    the inputs and master_seed, independent of backend and schedule."""
+    _check_match(data, coeffs, grid)
+    if not (isinstance(paths, (int, np.integer)) and paths >= 1):
+        raise ValueError(f"paths must be a positive integer, got {paths!r}")
+    N, M = grid.N, grid.M
+    bps = [
+        sample_brownian(N, grid.dt, path_seed(master_seed, k))
+        for k in range(paths)
+    ]
+    A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
+    Y = np.zeros((paths, N + 2, M + 2))
+    _init_slices(Y, data, grid)
+    dB = np.stack([bp.increments for bp in bps])
+    blown, bn, bp_, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
+    if blown:
+        raise BlowUpError(j=bj, n=bn, path=bp_)
+    cfl = grid.dt > grid.dx
+    sax = grid.space_axis("closure")
+    tax = grid.time_axis("closure")
+    trajs = tuple(
+        Trajectory(
+            y=GridFunction(grid, Y[k].T, sax, tax),
+            path=bps[k],
+            cfl_warning=cfl,
+        )
+        for k in range(paths)
+    )
+    return Ensemble(
+        trajectories=trajs, master_seed=int(master_seed), coeffs=coeffs
+    )
+
+
+# ---------------------------------------------------------------------------
+# observation and residual
+
+
+def observe(traj: Trajectory, grid: Grid) -> Observation:
+    """Extract the inverse-problem observation: the left boundary flux
+    over interior times, the terminal slice y(T), and the forward
+    terminal velocity (y^{N+1} - y^N)/dt."""
+    if traj.grid != grid:
+        raise MeshMismatchError("trajectory lives on a different grid")
+    y = traj.y
+    if y.time_axis != grid.time_axis("closure"):
+        raise IncompleteTrajectoryError(
+            "observation needs the full time closure through t^{N+1}"
+        )
+    N = grid.N
+    flux = trace(diff_x(y), "left").restrict(time="primal")
+    sax = grid.space_axis("closure")
+    terminal_y = GridFunction(grid, y.values[:, N].copy(), sax, None)
+    terminal_v = GridFunction(
+        grid, (y.values[:, N + 1] - y.values[:, N]) / grid.dt, sax, None
+    )
+    return Observation(flux=flux, terminal_y=terminal_y, terminal_v=terminal_v)
+
+
+def scheme_residual(
+    y: GridFunction,
+    coeffs: SchemeCoefficients,
+    g: GridFunction,
+    f: GridFunction,
+    path: BrownianPath,
+    grid: Grid,
+) -> float:
+    """Max interior defect of the update, normalized by max(1, |y|_inf).
+
+    Recomputes the right-hand side at every interior node from the
+    stored trajectory values and compares with y[n+1] (1 - c dt); a
+    trajectory produced by solve satisfies this to rounding, and so
+    does the path-wise difference of two solves driven by the same
+    noise with differenced data."""
+    if y.grid != grid:
+        raise MeshMismatchError("trajectory lives on a different grid")
+    _require(
+        y.space_tag == "closure" and y.time_tag == "closure",
+        "scheme_residual needs a closure x closure trajectory",
+    )
+    M, N = grid.M, grid.N
+    dt, dx = grid.dt, grid.dx
+    v = y.values
+    yc = v[1 : M + 1, 1 : N + 1]
+    ym = v[1 : M + 1, 0:N]
+    yp = v[1 : M + 1, 2 : N + 2]
+    ypl = v[2 : M + 2, 1 : N + 1]
+    ymn = v[0:M, 1 : N + 1]
+    a = coeffs.a.values[1 : M + 1, 1 : N + 1]
+    b = coeffs.b.values[1 : M + 1, 1 : N + 1]
+    c = coeffs.c.values[1 : M + 1, 1 : N + 1]
+    d = coeffs.d.values[1 : M + 1, 1 : N + 1]
+    gv = g.values if g is not None else 0.0
+    fv = f.values if f is not None else 0.0
+    db = path.increments[1 : N + 1][None, :]
+    num = (
+        2.0 * yc
+        - ym
+        + dt * dt * ((ypl - 2.0 * yc + ymn) / (dx * dx) + a * yc + b * (ypl - ymn) / (2.0 * dx))
+        - (c * dt) * yc
+        + dt * ((d * yc + gv) * db + fv * dt)
+    )
+    defect = yp * (1.0 - c * dt) - num
+    scale = max(1.0, float(np.max(np.abs(v))))
+    return float(np.max(np.abs(defect)) / scale)
