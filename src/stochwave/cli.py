@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -333,7 +334,25 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be a JSON object")
+    _reject_non_finite(raw, "")
     return RunConfig(raw, hashlib.sha256(blob).hexdigest())
+
+
+def _reject_non_finite(node, ptr):
+    """Strict JSON has no NaN or Infinity: json.loads accepts those
+    literals (and turns out-of-range numbers such as 1e999 into inf),
+    so refuse any non-finite number, at its JSON pointer."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(ptr, f"non-finite number {node!r} is not allowed")
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        token = str(key).replace("~", "~0").replace("/", "~1")
+        _reject_non_finite(child, f"{ptr}/{token}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +363,13 @@ def _make_grid(cfg: RunConfig):
     return build_grid(cfg.grid["M"], cfg.grid["N"], cfg.grid["T"])
 
 
-def _make_weight_params(cfg: RunConfig) -> WeightParams:
+def _weight_section(cfg: RunConfig) -> dict:
     if cfg.weight is None:
         raise ConfigError("/weight", "this subcommand needs a weight section")
-    w = cfg.weight
+    return cfg.weight
+
+
+def _make_weight_params(w: dict, cfg: RunConfig) -> WeightParams:
     return WeightParams(
         s=w["s"],
         lam=w["lambda"],
@@ -502,7 +524,7 @@ def _order_levels(cfg: RunConfig, count=4):
 
 
 def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
-    params = _make_weight_params(cfg)
+    params = _make_weight_params(_weight_section(cfg), cfg)
     levels = _order_levels(cfg)
     summary, residual_rows = [], []
     for expr in EXPRESSION_IDS:
@@ -523,8 +545,8 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
-    traj = ens.trajectories[0]
-    if traj.cfl_warning:
+    traj = ens.trajectory(0)
+    if ens.cfl_warning:
         click.echo("simulate: warning, dt > dx (explicit scheme unstable)", err=True)
     xs = traj.y.x
     ts = traj.y.t
@@ -556,15 +578,6 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
         f"max |y| {np.max(np.abs(vals)):.6g}"
     )
     return EXIT_OK
-
-
-def _carleman_once(cfg: RunConfig, grid, data, coeffs, params):
-    ens = run_ensemble(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    )
-    return carleman_terms(
-        ens, params, data, grid, kappa=cfg.weight["kappa"]
-    )
 
 
 def _carleman_obj(rep):
@@ -600,19 +613,31 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     grid = _make_grid(cfg)
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
+    weight = _weight_section(cfg)
     if cfg.sweep is None:
-        rep = _carleman_once(cfg, grid, data, coeffs, _make_weight_params(cfg))
+        weights = [weight]
+    else:
+        # one weight section per sweep value; cfg.weight stays as parsed
+        key = cfg.sweep["parameter"].split(".", 1)[1]
+        weights = [{**weight, key: v} for v in cfg.sweep["values"]]
+    params = [_make_weight_params(w, cfg) for w in weights]
+    # the weights do not enter the trajectories: one ensemble serves all
+    ens = run_ensemble(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
+    reps = carleman_terms(
+        ens, params, data, grid, kappa=[w["kappa"] for w in weights]
+    )
+    if cfg.sweep is None:
+        rep = reps[0]
         out.json("carleman.json", _carleman_obj(rep))
         out.csv("carleman_terms.csv", ("term", "value", "stderr"), _term_rows(rep))
         ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
         click.echo(f"carleman: ratio {ratio}, admissible {rep.admissible}")
         return EXIT_ADMISSIBILITY if _hard_fail(rep) else EXIT_OK
-    key = cfg.sweep["parameter"].split(".", 1)[1]
     sweep_rows = []
     fail = False
-    for i, value in enumerate(cfg.sweep["values"]):
-        cfg.weight[key] = value
-        rep = _carleman_once(cfg, grid, data, coeffs, _make_weight_params(cfg))
+    for i, (value, rep) in enumerate(zip(cfg.sweep["values"], reps)):
         out.json(f"carleman_{i:02d}.json", _carleman_obj(rep))
         for term, mean, stderr in _term_rows(rep):
             sweep_rows.append((value, term, mean, stderr))

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingError, MeshMismatchError
-from .grids import Grid, GridFunction, integrate, norm, trace
-from .operators import diff_t, diff_x, t_plus
-from .solver import Ensemble, ProblemData, observe
+from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
+from .operators import diff_x
+from .solver import Ensemble, ProblemData
+from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
 from .weights import (
     WeightParams,
     check_admissible,
@@ -104,20 +105,10 @@ def _weight_gf(grid, factor, space_tag, time_tag) -> GridFunction:
     return GridFunction(grid, factor, sax, tax)
 
 
-def carleman_terms(
-    ens: Ensemble,
-    w: WeightParams,
-    data: ProblemData,
-    grid: Grid,
-    kappa: float = 0.0,
-) -> CarlemanReport:
-    """Assemble the seven weighted interior/initial terms and the four
-    observation-side terms.  An inadmissible configuration still
-    computes everything; only the report flag records the violation."""
-    if ens.grid != grid or data.grid != grid:
-        raise MeshMismatchError("ensemble/data live on a different grid")
-    rep = check_admissible(w, grid)
-
+def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
+    """Weight factors of the per-path terms L1, L2, L3, R2, R3, as
+    (space, time) arrays at the mesh points where each integrand lives,
+    and the data terms L4..L7, R1, which are equal on every path."""
     s, lam = w.s, w.lam
     xp = grid.space_primal[:, None]
     xd = grid.space_dual[:, None]
@@ -127,13 +118,17 @@ def carleman_terms(
     def w1(x, t):
         return s * lam * eval_weights(w, x, t).varphi
 
-    # interior factors
+    # dual-space factors first: their evaluation temporaries are then
+    # freed before the primal ones are made, which keeps the peak low
+    f = {
+        "L3": w1(xd, tp) * r_squared(w, xd, tp),
+        # mixed factor, no r^2, following the printed term
+        "R3": s * lam * lam * eval_weights(w, xd, td).varphi,
+    }
     w1_pp = w1(xp, tp)
     r2_pp = r_squared(w, xp, tp)
-    f_L1 = _weight_gf(grid, w1_pp**3 * r2_pp, "primal", "primal")
-    f_L2 = _weight_gf(grid, w1_pp * r2_pp, "primal", "primal")
-    f_L3 = _weight_gf(grid, w1(xd, tp) * r_squared(w, xd, tp), "dual", "primal")
-    f_R1 = _weight_gf(grid, r2_pp, "primal", "primal")
+    f["L1"] = w1_pp**3 * r2_pp
+    f["L2"] = w1_pp * r2_pp
     # initial-time factors
     w1_p0 = w1(grid.space_primal, 0.0)
     r2_p0 = r_squared(w, grid.space_primal, 0.0)
@@ -145,101 +140,141 @@ def carleman_terms(
         "dual",
         None,
     )
-    # boundary and mixed factors (no r^2, following the printed terms)
-    f_R2 = _weight_gf(
-        grid, w1(0.5 * grid.dx, tp).ravel(), None, "primal"
-    )
-    f_R3 = _weight_gf(
-        grid, s * lam * lam * eval_weights(w, xd, td).varphi, "dual", "dual"
-    )
+    # boundary factor (no r^2, following the printed term)
+    f["R2"] = w1(0.5 * grid.dx, tp).ravel()
 
-    if kappa * s > _MAX_EXP:
-        raise FloatingPointError(
-            f"e^(kappa*s) overflows float64 for kappa*s = {kappa * s}"
-        )
-    r4_scale = s**3 * math.exp(kappa * s)
-
-    # data terms, identical on every path
-    P = ens.paths
     gp = data.g
-    L4 = integrate(f_L2 * (gp * gp), "MxN")
     y0p = data.y0.restrict(space="primal")
     dxy0 = diff_x(data.y0)
     y1p = data.y1.restrict(space="primal")
-    L5 = integrate(f_L5 * (y0p * y0p), "M")
-    L6 = integrate(f_L6 * (dxy0 * dxy0), "M*")
-    L7 = integrate(f_L7 * (y1p * y1p), "M")
-    if data.f is not None:
-        R1 = integrate(f_R1 * (data.f * data.f), "MxN")
-    else:
-        R1 = 0.0
-
-    per = {
-        key: [] for key in ("L1", "L2", "L3", "R2", "R3", "R4", "XT", "XT2")
+    f_L2 = _weight_gf(grid, f["L2"], "primal", "primal")
+    d = {
+        "L4": integrate(f_L2 * (gp * gp), "MxN"),
+        "L5": integrate(f_L5 * (y0p * y0p), "M"),
+        "L6": integrate(f_L6 * (dxy0 * dxy0), "M*"),
+        "L7": integrate(f_L7 * (y1p * y1p), "M"),
+        "R1": 0.0,
     }
-    for traj in ens.trajectories:
-        y = traj.y
-        ypp = y.restrict(space="primal", time="primal")
-        per["L1"].append(integrate(f_L1 * (ypp * ypp), "MxN"))
+    if data.f is not None:
+        f_R1 = _weight_gf(grid, r2_pp, "primal", "primal")
+        d["R1"] = integrate(f_R1 * (data.f * data.f), "MxN")
+    return f, d
 
-        dty = diff_t(y)
-        fwd = t_plus(dty * dty).restrict(space="primal", time="primal")
-        per["L2"].append(integrate(f_L2 * fwd, "MxN"))
 
-        dxy = diff_x(y)
-        dxy2 = (dxy * dxy).restrict(time="primal")
-        per["L3"].append(integrate(f_L3 * dxy2, "M*xN"))
+def carleman_terms(
+    ens: Ensemble,
+    w,
+    data: ProblemData,
+    grid: Grid,
+    kappa=0.0,
+):
+    """Assemble the seven weighted interior/initial terms and the four
+    observation-side terms.  An inadmissible configuration still
+    computes everything; only the report flag records the violation.
 
-        obs = observe(traj, grid)
-        fl = obs.flux
-        per["R2"].append(integrate(f_R2 * (fl * fl), "N"))
-
-        dtdx = diff_t(dxy).restrict(time="dual")
-        per["R3"].append(
-            grid.dx**2 * integrate(f_R3 * (dtdx * dtdx), "M*xN*")
+    w is one WeightParams, giving one CarlemanReport, or a sequence of
+    them, giving a list of reports in the same order; kappa is then a
+    float for all of them or a sequence of the same length.  Each
+    path's squared fields do not depend on the weights, so they are
+    computed once per path and reduced against every weight set."""
+    if ens.grid != grid or data.grid != grid:
+        raise MeshMismatchError("ensemble/data live on a different grid")
+    single = isinstance(w, WeightParams)
+    ws = [w] if single else list(w)
+    kappas = [kappa] * len(ws) if np.ndim(kappa) == 0 else list(kappa)
+    if len(kappas) != len(ws):
+        raise ValueError(
+            f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
         )
 
-        xt = norm((obs.terminal_y, obs.terminal_v), "XT")
-        per["XT"].append(xt)
-        per["XT2"].append(xt * xt)
-        per["R4"].append(r4_scale * xt * xt)
+    reps, factors, data_terms, r4_scales = [], [], [], []
+    for wk, kap in zip(ws, kappas):
+        reps.append(check_admissible(wk, grid))
+        f, d = _weight_set(wk, data, grid)
+        factors.append(f)
+        data_terms.append(d)
+        if kap * wk.s > _MAX_EXP:
+            raise FloatingPointError(
+                f"e^(kappa*s) overflows float64 for kappa*s = {kap * wk.s}"
+            )
+        r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
 
-    lhs = {
-        "L1": _stat(per["L1"]),
-        "L2": _stat(per["L2"]),
-        "L3": _stat(per["L3"]),
-        "L4": _const_stat(L4, P),
-        "L5": _const_stat(L5, P),
-        "L6": _const_stat(L6, P),
-        "L7": _const_stat(L7, P),
+    # per-path fields, each computed once: ensemble arrays and fields
+    # are indexed [n, j], the weight factors (space, time)
+    N, M = grid.N, grid.M
+    dx, dt = grid.dx, grid.dt
+    dxdt = dx * dt
+    P = ens.paths
+    per = {
+        key: np.empty((len(ws), P)) for key in ("L1", "L2", "L3", "R2", "R3")
     }
-    rhs = {
-        "R1": _const_stat(R1, P),
-        "R2": _stat(per["R2"]),
-        "R3": _stat(per["R3"]),
-        "R4": _stat(per["R4"]),
-    }
-    _check_nonnegative(lhs, "lhs")
-    _check_nonnegative(rhs, "rhs")
-    den = (
-        rhs["R1"].mean
-        + rhs["R2"].mean
-        + rhs["R3"].mean
-        + s**3 * float(np.mean(per["XT2"]))
-    )
-    ratio, defined = _ratio(sum(t.mean for t in lhs.values()), den)
-    return CarlemanReport(
-        lhs=lhs,
-        rhs=rhs,
-        xt_norm=_stat(per["XT"]),
-        ratio=ratio,
-        ratio_defined=defined,
-        admissible=rep.overall,
-        admissibility=rep,
-        s=s,
-        lam=lam,
-        kappa=kappa,
-    )
+    xts = np.empty(P)
+    for p in range(P):
+        y = ens.Y[p]
+        ypp = y[1 : N + 1, 1 : M + 1]
+        y2 = ypp * ypp
+        dty2 = (y[2 : N + 2, 1 : M + 1] - ypp) / dt  # forward Dt, t^1..t^N
+        dty2 *= dty2
+        dxy = (y[:, 1:] - y[:, :-1]) / dx
+        dxy_p = dxy[1 : N + 1]
+        dxy2 = dxy_p * dxy_p
+        fl = dxy_p[:, 0]  # boundary flux at x = dx/2
+        fl2 = fl * fl
+        dtdx2 = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx y at dual times
+        dtdx2 *= dtdx2
+        xts[p] = xt_norm_values(y[N], (y[N + 1] - y[N]) / dt, dx)
+        for k, f in enumerate(factors):
+            per["L1"][k, p] = float(np.sum(f["L1"] * y2.T) * dxdt)
+            per["L2"][k, p] = float(np.sum(f["L2"] * dty2.T) * dxdt)
+            per["L3"][k, p] = float(np.sum(f["L3"] * dxy2.T) * dxdt)
+            per["R2"][k, p] = float(np.sum(f["R2"] * fl2) * dt)
+            per["R3"][k, p] = dx**2 * float(
+                np.sum(f["R3"] * dtdx2.T) * dxdt
+            )
+    xt2 = xts * xts
+    xt_stat = _stat(xts)
+
+    out = []
+    for k, (wk, kap, rep, d) in enumerate(zip(ws, kappas, reps, data_terms)):
+        lhs = {
+            "L1": _stat(per["L1"][k]),
+            "L2": _stat(per["L2"][k]),
+            "L3": _stat(per["L3"][k]),
+            "L4": _const_stat(d["L4"], P),
+            "L5": _const_stat(d["L5"], P),
+            "L6": _const_stat(d["L6"], P),
+            "L7": _const_stat(d["L7"], P),
+        }
+        rhs = {
+            "R1": _const_stat(d["R1"], P),
+            "R2": _stat(per["R2"][k]),
+            "R3": _stat(per["R3"][k]),
+            "R4": _stat(r4_scales[k] * xts * xts),
+        }
+        _check_nonnegative(lhs, "lhs")
+        _check_nonnegative(rhs, "rhs")
+        den = (
+            rhs["R1"].mean
+            + rhs["R2"].mean
+            + rhs["R3"].mean
+            + wk.s**3 * float(np.mean(xt2))
+        )
+        ratio, defined = _ratio(sum(t.mean for t in lhs.values()), den)
+        out.append(
+            CarlemanReport(
+                lhs=lhs,
+                rhs=rhs,
+                xt_norm=xt_stat,
+                ratio=ratio,
+                ratio_defined=defined,
+                admissible=rep.overall,
+                admissibility=rep,
+                s=wk.s,
+                lam=wk.lam,
+                kappa=kap,
+            )
+        )
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +307,14 @@ def _check_coupled(ensA: Ensemble, ensB: Ensemble, grid: Grid):
         raise CouplingError(
             f"path counts differ: {ensA.paths} vs {ensB.paths}"
         )
-    for k, (ta, tb) in enumerate(zip(ensA.trajectories, ensB.trajectories)):
-        if ta.path.seed != tb.path.seed:
-            raise CouplingError(
-                f"path {k} seeds differ ({ta.path.seed} vs {tb.path.seed}); "
-                "the difference system needs common noise"
-            )
+    differ = np.flatnonzero(ensA.seeds != ensB.seeds)
+    if differ.size:
+        k = int(differ[0])
+        sa, sb = int(ensA.seeds[k]), int(ensB.seeds[k])
+        raise CouplingError(
+            f"path {k} seeds differ ({sa} vs {sb}); "
+            "the difference system needs common noise"
+        )
     ca, cb = ensA.coeffs, ensB.coeffs
     if (ca is None) != (cb is None):
         raise CouplingError("only one ensemble carries its coefficients")
@@ -327,29 +364,21 @@ def stability_terms(
         "L2",
     )
 
-    sax = grid.space_axis("closure")
     N = grid.N
-    per = {key: [] for key in ("FLUX", "XT", "XT2", "DTDX")}
-    for ta, tb in zip(ensA.trajectories, ensB.trajectories):
-        ydiff = GridFunction(
-            grid, ta.y.values - tb.y.values, sax, grid.time_axis("closure")
+    dx, dt = grid.dx, grid.dt
+    per = {key: np.empty(P) for key in ("FLUX", "XT", "DTDX")}
+    for p in range(P):
+        ydiff = ensA.Y[p] - ensB.Y[p]  # [n, j]
+        dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
+        fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
+        per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
+        per["XT"][p] = xt_norm_values(
+            ydiff[N], (ydiff[N + 1] - ydiff[N]) / dt, dx
         )
-        fl = trace(diff_x(ydiff), "left").restrict(time="primal")
-        per["FLUX"].append(norm(fl, "L2"))
-
-        ty = GridFunction(grid, ydiff.values[:, N].copy(), sax, None)
-        tv = GridFunction(
-            grid,
-            (ydiff.values[:, N + 1] - ydiff.values[:, N]) / grid.dt,
-            sax,
-            None,
+        dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx at dual times
+        per["DTDX"][p] = dx * float(
+            np.sqrt(float(np.sum(dtdx * dtdx) * (dx * dt)))
         )
-        xt = norm((ty, tv), "XT")
-        per["XT"].append(xt)
-        per["XT2"].append(xt * xt)
-
-        dtdx = diff_t(diff_x(ydiff)).restrict(time="dual")
-        per["DTDX"].append(grid.dx * norm(dtdx, "L2"))
 
     lhs = {
         "G": _const_stat(G, P),
@@ -361,7 +390,7 @@ def stability_terms(
         "XT": _stat(per["XT"]),
         "DTDX": _stat(per["DTDX"]),
     }
-    xt2 = _stat(per["XT2"])
+    xt2 = _stat(per["XT"] * per["XT"])
     _check_nonnegative(lhs, "lhs")
     _check_nonnegative(rhs, "rhs")
     num = sum(t.mean for t in lhs.values())
@@ -398,9 +427,9 @@ def martingale_check(ens: Ensemble, grid: Grid) -> MCStatistic:
         )
     M, N = grid.M, grid.N
     factor = grid.dx * grid.dt
-    vals = []
-    for traj in ens.trajectories:
-        v = traj.y.values[1 : M + 1, 1 : N + 1]
-        inc = traj.path.increments[1 : N + 1]
-        vals.append(float(np.sum(v * inc[None, :])) * factor)
+    vals = np.empty(ens.paths)
+    for p in range(ens.paths):
+        y = ens.Y[p, 1 : N + 1, 1 : M + 1]
+        inc = ens.dB[p, 1 : N + 1]
+        vals[p] = float(np.sum(y * inc[:, None])) * factor
     return _stat(vals)

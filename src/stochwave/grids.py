@@ -20,6 +20,7 @@ product region multiplies the factors of its parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,27 +70,19 @@ class Grid:
         self.T = T
         self.dx = 1.0 / (self.M + 1)
         self.dt = T / self.N
-
-    # canonical axes -----------------------------------------------------
-
-    @property
-    def space_axes(self) -> dict:
-        M = self.M
-        return {
+        # canonical axes, built once: tag lookups are on every hot path
+        M, N = self.M, self.N
+        self.space_axes = MappingProxyType({
             "primal": Axis("int", 1, M),
             "dual": Axis("half", 0, M + 1),
             "closure": Axis("int", 0, M + 2),
-        }
-
-    @property
-    def time_axes(self) -> dict:
-        N = self.N
-        return {
+        })
+        self.time_axes = MappingProxyType({
             "primal": Axis("int", 1, N),
             "dual": Axis("half", 0, N),
             "closure": Axis("int", 0, N + 2),
             "nbar": Axis("int", 0, N + 1),
-        }
+        })
 
     def space_axis(self, tag: str) -> Axis:
         try:
@@ -480,13 +473,23 @@ def _h1(u: GridFunction) -> float:
             "H1 norm needs a spatial slice on the space closure, got "
             f"({u.space_tag}, {u.time_tag})"
         )
-    dx = u.grid.dx
-    v = u.values
+    return _h1_values(u.values, u.grid.dx)
+
+
+def _h1_values(v: np.ndarray, dx: float) -> float:
     du = (v[1:] - v[:-1]) / dx          # all M+1 dual differences
     grad_sq = float(np.sum(du * du) * dx)
     interior = v[1:-1]
     val_sq = float(np.sum(interior * interior) * dx)
     return float(np.sqrt(grad_sq + val_sq))
+
+
+def xt_norm_values(y_T: np.ndarray, v_T: np.ndarray, dx: float) -> float:
+    """The XT norm of `norm` for a terminal pair given as two arrays of
+    space-closure values (the boundary entries of v_T are not used);
+    equal bit for bit to norm((y, v), "XT") on the same values."""
+    v = v_T[1:-1]
+    return _h1_values(y_T, dx) + float(np.sqrt(float(np.sum(v * v) * dx)))
 
 
 def _dt_norm(u: GridFunction) -> float:

@@ -90,16 +90,37 @@ class BrownianPath:
         object.__setattr__(self, "increments", inc)
 
 
+def _philox_normals(seeds, out: np.ndarray) -> np.ndarray:
+    """Fill row k of `out` with the leading standard normals of the
+    Philox stream keyed by seeds[k].
+
+    One generator serves every row: resetting its key to [seed, 0],
+    its counter to zero and its output buffer to empty gives exactly
+    the stream of a fresh Philox(key=seed) (a counter-based generator's
+    state is its key and counter).  Returns `out`."""
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh: zero counter, empty buffer
+    key = state["state"]["key"]
+    for row, seed in zip(out, seeds):
+        key[0] = seed
+        bitgen.state = state
+        rng.standard_normal(out=row)
+    return out
+
+
 def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
     """N+1 i.i.d. Normal(0, dt) increments from a Philox stream keyed
-    by seed.  Same (N, dt, seed) gives the same array bit for bit."""
+    by seed.  Same (N, dt, seed) gives the same array bit for bit, and
+    the same array as row k of run_ensemble's dB for seed = seeds[k]."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError(f"N must be a positive integer, got {N!r}")
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
-    inc = rng.standard_normal(N + 1) * np.sqrt(dt)
-    return BrownianPath(increments=inc, seed=int(seed & _MASK64))
+    seed = int(seed) & _MASK64
+    inc = _philox_normals([seed], np.empty((1, N + 1)))[0]
+    inc *= np.sqrt(dt)
+    return BrownianPath(increments=inc, seed=seed)
 
 
 def _require(cond: bool, msg: str):
@@ -223,31 +244,79 @@ class Observation:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Solved trajectories under per-path seeds derived from master_seed.
+    """Solved paths held as the stepping kernel's arrays.
+
+    Y (P, N+2, M+2) is the array step_paths fills: Y[p, n, j] is path
+    p at time level n and node j.  dB (P, N+1) holds each path's
+    Brownian increments and seeds (P,) the uint64 Philox keys they were
+    drawn with, seeds[p] = path_seed(master_seed, p) for run_ensemble
+    output.  Estimators read these arrays directly; `trajectory(k)` and
+    `trajectories` build Trajectory views on demand, which share memory
+    with Y and dB.
 
     coeffs is carried along so coupled-ensemble consumers can verify
     that two ensembles were driven by the same coefficient fields."""
 
-    trajectories: tuple
+    grid: Grid
+    Y: np.ndarray
+    dB: np.ndarray
+    seeds: np.ndarray
     master_seed: int
     coeffs: SchemeCoefficients = None
 
     def __post_init__(self):
-        if len(self.trajectories) < 1:
-            raise ValueError("ensemble needs at least one trajectory")
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        N, M = self.grid.N, self.grid.M
+        Y = np.asarray(self.Y, dtype=np.float64)
+        dB = np.asarray(self.dB, dtype=np.float64)
+        seeds = np.asarray(self.seeds, dtype=np.uint64)
+        P = Y.shape[0] if Y.ndim == 3 else 0
+        if P < 1 or Y.shape != (P, N + 2, M + 2):
+            raise ValueError(
+                f"Y must have shape (paths >= 1, N+2, M+2) = (P, {N + 2}, "
+                f"{M + 2}), got {Y.shape}"
+            )
+        if dB.shape != (P, N + 1) or seeds.shape != (P,):
+            raise ValueError(
+                f"dB and seeds must have shapes ({P}, {N + 1}) and ({P},), "
+                f"got {dB.shape} and {seeds.shape}"
+            )
+        if np.any(Y[:, :, 0] != 0.0) or np.any(Y[:, :, -1] != 0.0):
+            raise ValueError("trajectory boundary rows must be exactly zero")
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "dB", dB)
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def paths(self) -> int:
-        return len(self.trajectories)
+        return self.Y.shape[0]
 
     @property
-    def grid(self) -> Grid:
-        return self.trajectories[0].grid
+    def cfl_warning(self) -> bool:
+        """dt > dx: the explicit scheme's stability limit is exceeded."""
+        return self.grid.dt > self.grid.dx
+
+    def trajectory(self, k: int) -> Trajectory:
+        """View of path k as a Trajectory on closure x closure."""
+        grid = self.grid
+        return Trajectory(
+            y=GridFunction(
+                grid,
+                self.Y[k].T,
+                grid.space_axis("closure"),
+                grid.time_axis("closure"),
+            ),
+            path=BrownianPath(self.dB[k], int(self.seeds[k])),
+            cfl_warning=self.cfl_warning,
+        )
+
+    @property
+    def trajectories(self) -> tuple:
+        """Views of every path, built on each access."""
+        return tuple(self.trajectory(k) for k in range(self.paths))
 
     def values(self) -> np.ndarray:
-        """(paths, M+2, N+2) array view of all trajectories."""
-        return np.stack([t.y.values for t in self.trajectories])
+        """(paths, M+2, N+2) view of all trajectories."""
+        return self.Y.transpose(0, 2, 1)
 
     def mean_values(self) -> np.ndarray:
         return self.values().mean(axis=0)
@@ -342,30 +411,24 @@ def run_ensemble(
     if not (isinstance(paths, (int, np.integer)) and paths >= 1):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
     N, M = grid.N, grid.M
-    bps = [
-        sample_brownian(N, grid.dt, path_seed(master_seed, k))
-        for k in range(paths)
-    ]
+    seeds = np.array(
+        [path_seed(master_seed, k) for k in range(paths)], dtype=np.uint64
+    )
+    dB = _philox_normals(seeds, np.empty((paths, N + 1)))
+    dB *= np.sqrt(grid.dt)
     A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
     Y = np.zeros((paths, N + 2, M + 2))
     _init_slices(Y, data, grid)
-    dB = np.stack([bp.increments for bp in bps])
-    blown, bn, bp_, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
+    blown, bn, bp, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
     if blown:
-        raise BlowUpError(j=bj, n=bn, path=bp_)
-    cfl = grid.dt > grid.dx
-    sax = grid.space_axis("closure")
-    tax = grid.time_axis("closure")
-    trajs = tuple(
-        Trajectory(
-            y=GridFunction(grid, Y[k].T, sax, tax),
-            path=bps[k],
-            cfl_warning=cfl,
-        )
-        for k in range(paths)
-    )
+        raise BlowUpError(j=bj, n=bn, path=bp)
     return Ensemble(
-        trajectories=trajs, master_seed=int(master_seed), coeffs=coeffs
+        grid=grid,
+        Y=Y,
+        dB=dB,
+        seeds=seeds,
+        master_seed=int(master_seed),
+        coeffs=coeffs,
     )
 
 

@@ -1,0 +1,73 @@
+"""The benchmark's tracer (bench/tracer.py) wraps package functions on
+the module attributes callers look them up by.  A refactor that drops
+or rebinds one of those names silently breaks `bench/run.py --trace 1`,
+so these tests resolve every wrapped name and run one traced sweep."""
+
+import json
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+from stochwave import _kernels, cli, estimators, fields, grids, solver
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+MODULES = {
+    "cli": cli,
+    "solver": solver,
+    "estimators": estimators,
+    "fields": fields,
+    "grids": grids,
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # executed from source so that nothing is written under bench/
+    mod = ModuleType("bench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
+         mod.__dict__)
+    return mod
+
+
+def test_traced_names_resolve(tracing):
+    for mod, attr, _ in tracing.SPANNED + tracing.COUNTED:
+        assert callable(getattr(MODULES[mod], attr, None)), f"{mod}.{attr}"
+    assert callable(solver.step_paths)
+    for method in ("csv", "json", "finish"):
+        assert callable(getattr(cli.ArtifactWriter, method)), method
+    assert callable(grids.GridFunction.__init__)
+
+
+def test_traced_sweep_simulates_once(tracing, tmp_path):
+    raw = {
+        "grid": {"M": 3, "N": 64, "T": 3.5},
+        "weight": {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
+                   "mconst": 10.0},
+        "coefficients": {"d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "mc": {"paths": 4, "master_seed": 3},
+        "sweep": {"parameter": "weight.s", "values": [2.0, 4.0, 8.0]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = cli.parse_config(p)
+    tracer = tracing.Tracer()
+    tracer.begin_run()
+    tracer.install(MODULES)
+    try:
+        code = cli.run("carleman", cfg)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    m = tracer.run_metrics(0, trajectories=4 * 3)
+    assert m["kernel.step_paths.calls"] == 1
+    assert m["kernel.paths_stepped"] == 4
+    assert m["kernel.useful_ratio"] == 1.0
+    assert m["solver.run_ensemble.calls"] == 1
+    assert m["estimators.carleman_terms.busy_s"] > 0.0
+    assert m["cli.write.bytes"] > 0
+    # uninstall restored every wrapped name
+    assert solver.step_paths is _kernels.step_paths
+    assert cli.run_ensemble is solver.run_ensemble

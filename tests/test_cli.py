@@ -87,6 +87,20 @@ def test_parse_sha256_of_raw_bytes(tmp_path):
             lambda c: c.__setitem__("data", {"y0": {"sine": {"mode": 0}}}),
             "/data/y0/sine/mode",
         ),
+        (   # json.dumps writes the non-standard NaN / -Infinity literals
+            lambda c: c.__setitem__(
+                "data",
+                {"y0": {"sine": {"mode": 1, "amplitude": float("nan")}}},
+            ),
+            "/data/y0/sine/amplitude",
+        ),
+        (
+            lambda c: c.__setitem__(
+                "sweep",
+                {"parameter": "weight.s", "values": [1.0, float("-inf")]},
+            ),
+            "/sweep/values/1",
+        ),
     ],
 )
 def test_parse_pointer_errors(tmp_path, mangle, pointer):
@@ -109,6 +123,22 @@ def test_parse_rejects_non_object(tmp_path):
     p.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="top level"):
         parse_config(p)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_exit_config_non_finite_literal(tmp_path, literal):
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        '{"grid": {"M": 4, "N": 4, "T": 1.0}, "data": {"y0": '
+        f'{{"sine": {{"mode": 1, "amplitude": {literal}}}}}}}}}',
+        encoding="utf-8",
+    )
+    res = invoke(
+        ["simulate", "--config", str(p), "--output-dir", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 3
+    assert "/data/y0/sine/amplitude" in res.stderr
+    assert "non-finite" in res.stderr
 
 
 def test_parse_missing_file():
@@ -276,6 +306,42 @@ def test_carleman_sweep_artifacts(tmp_path):
     rep1 = json.loads((out / "carleman_01.json").read_text())
     assert rep0["s"] == 2.0 and rep1["s"] == 4.0
     assert rep0["admissible"] is True
+
+
+def test_carleman_sweep_leaves_config_unchanged(tmp_path):
+    raw = dict(GOOD_CARLEMAN)
+    raw["sweep"] = {"parameter": "weight.s", "values": [2.0, 4.0]}
+    cfg = parse_config(write_cfg(tmp_path, raw))
+    weight = dict(cfg.weight)
+    cfg.output_dir = str(tmp_path / "run")
+    assert cli_mod.run("carleman", cfg) == 0
+    assert cfg.weight == weight and cfg.weight["s"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "parameter,values",
+    [("weight.s", [2.0, 4.0, 8.0]), ("weight.kappa", [0.0, 0.5])],
+)
+def test_carleman_sweep_points_equal_single_runs(tmp_path, parameter, values):
+    key = parameter.split(".", 1)[1]
+    raw = dict(GOOD_CARLEMAN)
+    raw["sweep"] = {"parameter": parameter, "values": values}
+    sweep = tmp_path / "sweep"
+    res = invoke(
+        ["carleman", "--config", str(write_cfg(tmp_path, raw)),
+         "--output-dir", str(sweep)]
+    )
+    assert res.exit_code == 0, res.output
+    for i, value in enumerate(values):
+        single = dict(GOOD_CARLEMAN)
+        single["weight"] = dict(GOOD_CARLEMAN["weight"], **{key: value})
+        out = tmp_path / f"single{i}"
+        p = write_cfg(tmp_path, single, name=f"single{i}.json")
+        res = invoke(["carleman", "--config", str(p), "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        assert (sweep / f"carleman_{i:02d}.json").read_bytes() == (
+            out / "carleman.json"
+        ).read_bytes()
 
 
 def test_sweep_rejected_for_other_subcommands(tmp_path):

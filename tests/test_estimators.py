@@ -9,13 +9,10 @@ import pytest
 
 import oracles
 from stochwave import (
-    BrownianPath,
     CouplingError,
     Ensemble,
-    GridFunction,
     ProblemData,
     SchemeCoefficients,
-    Trajectory,
     WeightParams,
     build_grid,
     carleman_terms,
@@ -32,8 +29,8 @@ from stochwave import (
 W = dict(s=0.7, lam=0.9, beta=0.3, xstar=1.3, mconst=0.25)
 
 
-def manufactured_trajectory(grid, seed, scale=1.0):
-    """Smooth closure field with pinned boundary, zero noise path."""
+def manufactured_ensemble(grid, seed, scale=1.0):
+    """One path: smooth closure field with pinned boundary, zero noise."""
     rng = np.random.default_rng(seed)
     vals = np.zeros((grid.M + 2, grid.N + 2))
     x = grid.space_closure
@@ -42,9 +39,13 @@ def manufactured_trajectory(grid, seed, scale=1.0):
         vals += np.sin(np.pi * m * x)[:, None] * amp[None, :]
     vals[0] = 0.0
     vals[-1] = 0.0
-    y = GridFunction(grid, vals, grid.space_axis("closure"), grid.time_axis("closure"))
-    path = BrownianPath(np.zeros(grid.N + 1), seed)
-    return Trajectory(y=y, path=path, cfl_warning=False)
+    return Ensemble(
+        grid=grid,
+        Y=vals.T[None],
+        dB=np.zeros((1, grid.N + 1)),
+        seeds=[seed],
+        master_seed=0,
+    )
 
 
 def small_problem(grid, seed=0, with_f=True):
@@ -81,6 +82,24 @@ def test_carleman_matches_brute_force_single_path():
         assert got[key] == pytest.approx(expected, rel=1e-12), key
 
 
+def test_carleman_weight_list_equals_single_calls():
+    # one ensemble, several weight sets: the same reports as one call each
+    grid = build_grid(5, 12, 1.0)
+    data = small_problem(grid)
+    coeffs = SchemeCoefficients.constant(grid, a=-0.2, d=0.6)
+    ens = run_ensemble(data, coeffs, grid, paths=4, master_seed=8)
+    ws = [WeightParams(**dict(W, s=s), T=grid.T) for s in (0.3, 0.7, 1.4)]
+    kappas = [0.0, 0.4, 1.1]
+    reps = carleman_terms(ens, ws, data, grid, kappa=kappas)
+    assert [r.kappa for r in reps] == kappas
+    for w, kappa, rep in zip(ws, kappas, reps):
+        assert rep == carleman_terms(ens, w, data, grid, kappa=kappa)
+    shared = carleman_terms(ens, ws, data, grid, kappa=0.4)
+    assert shared[1] == reps[1]
+    with pytest.raises(ValueError):
+        carleman_terms(ens, ws, data, grid, kappa=[0.0, 0.4])
+
+
 def test_carleman_zero_everything():
     grid = build_grid(4, 4, 1.0)
     data = ProblemData(
@@ -103,8 +122,7 @@ def test_carleman_term_locality():
         y1=zero_field(grid),
         g=zero_field(grid, "primal", "primal"),
     )
-    traj = manufactured_trajectory(grid, 3)
-    ens = Ensemble(trajectories=(traj,), master_seed=0)
+    ens = manufactured_ensemble(grid, 3)
     rep = carleman_terms(ens, WeightParams(**W, T=grid.T), data, grid)
     assert rep.lhs["L1"].mean > 0.0
     for key in ("L4", "L5", "L6", "L7"):
@@ -271,15 +289,14 @@ def test_coupling_validation():
 
 def test_martingale_zero_ensemble_exact():
     grid = build_grid(3, 4, 1.0)
-    trajs = tuple(
-        Trajectory(
-            y=zero_field(grid, "closure", "closure"),
-            path=BrownianPath(np.zeros(grid.N + 1), k),
-            cfl_warning=False,
-        )
-        for k in range(100)
+    ens = Ensemble(
+        grid=grid,
+        Y=np.zeros((100, grid.N + 2, grid.M + 2)),
+        dB=np.zeros((100, grid.N + 1)),
+        seeds=np.arange(100),
+        master_seed=0,
     )
-    st = martingale_check(Ensemble(trajectories=trajs, master_seed=0), grid)
+    st = martingale_check(ens, grid)
     assert st.mean == 0.0 and st.stderr == 0.0 and st.paths == 100
 
 

@@ -30,6 +30,16 @@ def test_grid_spacing():
     assert g.time_axis("nbar").count == 5
 
 
+def test_canonical_axes_built_once_and_read_only():
+    g = build_grid(3, 4, 2.0)
+    assert g.space_axes is g.space_axes and g.time_axes is g.time_axes
+    assert g.space_axis("closure") is g.space_axis("closure")
+    with pytest.raises(TypeError):
+        g.space_axes["primal"] = g.space_axes["dual"]
+    with pytest.raises(TypeError):
+        g.time_axes["nbar"] = g.time_axes["dual"]
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         build_grid(0, 4, 1.0)

@@ -7,6 +7,7 @@ import oracles
 from stochwave import (
     BlowUpError,
     BrownianPath,
+    Ensemble,
     GridFunction,
     ProblemData,
     SchemeCoefficients,
@@ -209,6 +210,83 @@ def test_run_ensemble_reproducible_and_decorrelated():
     direct = solve(data, coeffs, sample_brownian(grid.N, grid.dt, path_seed(13, 0)), grid)
     np.testing.assert_array_equal(e3.trajectories[0].y.values, direct.y.values)
     np.testing.assert_array_equal(e3.mean_values(), direct.y.values)
+
+
+def fresh_philox_increments(N, dt, seed):
+    """The frozen per-path stream: a new Philox generator keyed by seed."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return rng.standard_normal(N + 1) * np.sqrt(dt)
+
+
+def test_reused_philox_sampler_matches_fresh_generators():
+    grid = build_grid(3, 40, 1.0)
+    ens = run_ensemble(
+        wave_data(grid), SchemeCoefficients.constant(grid, d=0.5), grid,
+        paths=16, master_seed=99,
+    )
+    assert ens.seeds.dtype == np.uint64
+    assert any(int(sd) >= 2**63 for sd in ens.seeds)
+    for k, sd in enumerate(ens.seeds):
+        assert int(sd) == path_seed(99, k)
+        expected = fresh_philox_increments(grid.N, grid.dt, int(sd))
+        assert ens.dB[k].tobytes() == expected.tobytes()
+    for sd in (0, 2**63, 2**64 - 1):
+        got = sample_brownian(grid.N, grid.dt, sd)
+        assert got.seed == sd
+        expected = fresh_philox_increments(grid.N, grid.dt, sd)
+        assert got.increments.tobytes() == expected.tobytes()
+
+
+def test_ensemble_views_equal_solve():
+    grid = build_grid(5, 30, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0),
+        y1=random_slice(grid, 2, 1.0),
+        g=random_field(grid, 3, 1.0),
+        f=random_field(grid, 4, 1.0),
+    )
+    coeffs = SchemeCoefficients.constant(grid, a=-0.3, b=0.2, c=0.1, d=0.6)
+    ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=21)
+    assert ens.paths == 5 and ens.Y.shape == (5, grid.N + 2, grid.M + 2)
+    assert not ens.cfl_warning
+    views = ens.trajectories
+    assert len(views) == 5
+    for k in range(ens.paths):
+        path = sample_brownian(grid.N, grid.dt, path_seed(21, k))
+        direct = solve(data, coeffs, path, grid)
+        view = ens.trajectory(k)
+        np.testing.assert_array_equal(view.y.values, direct.y.values)
+        np.testing.assert_array_equal(views[k].y.values, direct.y.values)
+        np.testing.assert_array_equal(view.path.increments, path.increments)
+        assert view.path.seed == path.seed
+        assert view.cfl_warning == direct.cfl_warning
+        np.testing.assert_array_equal(ens.values()[k], direct.y.values)
+
+
+def test_ensemble_validation():
+    grid = build_grid(3, 2, 1.0)           # dt = 0.5 > dx = 0.25
+    good = dict(
+        grid=grid,
+        Y=np.zeros((2, grid.N + 2, grid.M + 2)),
+        dB=np.zeros((2, grid.N + 1)),
+        seeds=[1, 2],
+        master_seed=0,
+    )
+    ens = Ensemble(**good)
+    assert ens.paths == 2 and ens.cfl_warning
+    assert all(t.cfl_warning for t in ens.trajectories)
+    for key, bad in (
+        ("Y", np.zeros((2, grid.N + 2, grid.M + 1))),
+        ("Y", np.zeros((0, grid.N + 2, grid.M + 2))),
+        ("dB", np.zeros((2, grid.N))),
+        ("seeds", [1, 2, 3]),
+    ):
+        with pytest.raises(ValueError):
+            Ensemble(**dict(good, **{key: bad}))
+    pinned = np.zeros((2, grid.N + 2, grid.M + 2))
+    pinned[1, 3, -1] = 1.0
+    with pytest.raises(ValueError, match="boundary"):
+        Ensemble(**dict(good, Y=pinned))
 
 
 def test_observe_flux_and_terminal():
