@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def _get(node, key, ptr, required=True, default=None):
 
 def _as_int(v, ptr, minimum=None):
     if not _is_int(v):
-        raise ConfigError(ptr, f"expected an integer, got {v!r}")
+        raise ConfigError(ptr, f"expected an integer, got {reprlib.repr(v)}")
     if minimum is not None and v < minimum:
         raise ConfigError(ptr, f"must be >= {minimum}, got {v}")
     return v
@@ -126,13 +127,13 @@ def _as_int(v, ptr, minimum=None):
 
 def _as_num(v, ptr):
     if not _is_num(v):
-        raise ConfigError(ptr, f"expected a number, got {v!r}")
+        raise ConfigError(ptr, f"expected a number, got {reprlib.repr(v)}")
     return float(v)
 
 
 def _as_str(v, ptr, choices=None):
     if not isinstance(v, str):
-        raise ConfigError(ptr, f"expected a string, got {v!r}")
+        raise ConfigError(ptr, f"expected a string, got {reprlib.repr(v)}")
     if choices is not None and v not in choices:
         raise ConfigError(ptr, f"must be one of {sorted(choices)}, got {v!r}")
     return v
@@ -332,27 +333,38 @@ def parse_config(path) -> RunConfig:
         raw = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(
+            "", "invalid JSON: arrays or objects nested too deeply to parse"
+        ) from None
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be a JSON object")
-    _reject_non_finite(raw, "")
+    _reject_non_finite(raw)
     return RunConfig(raw, hashlib.sha256(blob).hexdigest())
 
 
-def _reject_non_finite(node, ptr):
+def _reject_non_finite(root):
     """Strict JSON has no NaN or Infinity: json.loads accepts those
     literals (and turns out-of-range numbers such as 1e999 into inf),
-    so refuse any non-finite number, at its JSON pointer."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(ptr, f"non-finite number {node!r} is not allowed")
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, child in items:
-        token = str(key).replace("~", "~0").replace("/", "~1")
-        _reject_non_finite(child, f"{ptr}/{token}")
+    so refuse any non-finite number, at its JSON pointer.  The walk
+    keeps its own stack, so any depth json.loads accepted is fine, and
+    visits nodes in document order, so the first offender is reported."""
+    stack = [(root, "")]
+    while stack:
+        node, ptr = stack.pop()
+        if isinstance(node, float) and not math.isfinite(node):
+            raise ConfigError(ptr, f"non-finite number {node!r} is not allowed")
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            continue
+        children = [
+            (child, ptr + "/" + str(key).replace("~", "~0").replace("/", "~1"))
+            for key, child in items
+        ]
+        stack.extend(reversed(children))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +450,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _column_text(col) -> np.ndarray:
+    """The CSV text of every cell of one column, as an object array of
+    the column's shape.  A float or integer array is converted with one
+    `tolist` and formatted by `repr` or `str`, which is what `_fmt` gives
+    each of its cells; any other column goes through `_fmt` cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        fmt = repr if col.dtype.kind == "f" else str
+        cells, shape = list(map(fmt, col.ravel().tolist())), col.shape
+    else:
+        cells = [_fmt(v) for v in col]
+        shape = (len(cells),)
+    return np.array(cells, dtype=object).reshape(shape)
+
+
+def _columns(rows, width):
+    """The columns of a small table given as a list of row tuples."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+# rows joined and handed to the file per write
+_ROWS_PER_WRITE = 1 << 14
+
+
 class ArtifactWriter:
     """Writes CSV/JSON under output_dir and records the manifest."""
 
@@ -448,14 +483,21 @@ class ArtifactWriter:
         self.subcommand = subcommand
         self.entries = []
 
-    def csv(self, name: str, header, rows):
-        lines = [",".join(header)]
-        count = 0
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-            count += 1
-        text = "\n".join(lines) + "\n"
-        (self.dir / name).write_text(text, encoding="utf-8", newline="\n")
+    def csv(self, name: str, header, columns):
+        """Write one table, given column by column: each entry of
+        `columns` is a NumPy array or a sequence of cells.  The columns
+        broadcast against each other and the rows run over the broadcast
+        shape in C order, so a (J, 1) column beside a (K,) column repeats
+        each of its J values K times while formatting each once."""
+        texts = [_column_text(c) for c in columns]
+        shape = np.broadcast_shapes(*(t.shape for t in texts))
+        flat = [np.broadcast_to(t, shape).ravel().tolist() for t in texts]
+        count = math.prod(shape)
+        with open(self.dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(0, count, _ROWS_PER_WRITE):
+                block = [c[i : i + _ROWS_PER_WRITE] for c in flat]
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
         self.entries.append({"name": name, "rows": count})
 
     def json(self, name: str, obj):
@@ -472,6 +514,16 @@ class ArtifactWriter:
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         (self.dir / "manifest.json").write_text(
             text, encoding="utf-8", newline="\n"
+        )
+
+
+def _warn_cfl(out: ArtifactWriter, ens) -> None:
+    """Say on stderr, once per run, that dt > dx: the explicit scheme is
+    outside its stability limit.  The artifacts do not record it."""
+    if ens.cfl_warning:
+        click.echo(
+            f"{out.subcommand}: warning, dt > dx (explicit scheme unstable)",
+            err=True,
         )
 
 
@@ -508,7 +560,7 @@ def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
     rows = [
         (ident, "" if res is None else res) for ident, res in table.rows()
     ]
-    out.csv("identities.csv", ("identity", "residual"), rows)
+    out.csv("identities.csv", ("identity", "residual"), _columns(rows, 2))
     worst = table.max_residual()
     click.echo(f"identities: max residual {worst:.3e} over {len(rows)} rows")
     return EXIT_OK if worst <= IDENTITY_GATE else EXIT_STATISTICAL
@@ -533,8 +585,16 @@ def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
         for dx, res in zip(est.dx, est.residuals):
             residual_rows.append((expr, dx, res))
         click.echo(f"weights-order: {expr} order {est.order:.3f}")
-    out.csv("weights_order.csv", ("expression", "order", "fit_residual"), summary)
-    out.csv("weights_residuals.csv", ("expression", "dx", "residual"), residual_rows)
+    out.csv(
+        "weights_order.csv",
+        ("expression", "order", "fit_residual"),
+        _columns(summary, 3),
+    )
+    out.csv(
+        "weights_residuals.csv",
+        ("expression", "dx", "residual"),
+        _columns(residual_rows, 3),
+    )
     return EXIT_OK
 
 
@@ -545,33 +605,29 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
+    _warn_cfl(out, ens)
     traj = ens.trajectory(0)
-    if ens.cfl_warning:
-        click.echo("simulate: warning, dt > dx (explicit scheme unstable)", err=True)
-    xs = traj.y.x
-    ts = traj.y.t
-    vals = traj.y.values
-    rows = [
-        (j, xs[j], n, ts[n], vals[j, n])
-        for j in range(vals.shape[0])
-        for n in range(vals.shape[1])
-    ]
-    out.csv("trajectory.csv", ("j", "x", "n", "t", "y"), rows)
+    y = traj.y
+    vals = y.values
+    J, K = vals.shape
+    # one row per (j, n), space-major: the axes broadcast against vals
+    out.csv(
+        "trajectory.csv",
+        ("j", "x", "n", "t", "y"),
+        (np.arange(J)[:, None], y.x[:, None], np.arange(K), y.t, vals),
+    )
     obs = observe(traj, grid)
     fx = obs.flux
     out.csv(
         "flux.csv",
         ("n", "t", "flux"),
-        [(n + 1, fx.t[n], fx.values[n]) for n in range(fx.values.shape[0])],
+        (np.arange(1, fx.values.shape[0] + 1), fx.t, fx.values),
     )
     ty, tv = obs.terminal_y, obs.terminal_v
     out.csv(
         "terminal.csv",
         ("j", "x", "terminal_y", "terminal_v"),
-        [
-            (j, ty.x[j], ty.values[j], tv.values[j])
-            for j in range(ty.values.shape[0])
-        ],
+        (np.arange(J), ty.x, ty.values, tv.values),
     )
     click.echo(
         f"simulate: {ens.paths} path(s), wrote trajectory of path 0, "
@@ -625,13 +681,18 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
+    _warn_cfl(out, ens)
     reps = carleman_terms(
         ens, params, data, grid, kappa=[w["kappa"] for w in weights]
     )
     if cfg.sweep is None:
         rep = reps[0]
         out.json("carleman.json", _carleman_obj(rep))
-        out.csv("carleman_terms.csv", ("term", "value", "stderr"), _term_rows(rep))
+        out.csv(
+            "carleman_terms.csv",
+            ("term", "value", "stderr"),
+            _columns(_term_rows(rep), 3),
+        )
         ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
         click.echo(f"carleman: ratio {ratio}, admissible {rep.admissible}")
         return EXIT_ADMISSIBILITY if _hard_fail(rep) else EXIT_OK
@@ -649,7 +710,7 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     out.csv(
         "carleman_sweep.csv",
         ("sweep_value", "term", "value", "stderr"),
-        sweep_rows,
+        _columns(sweep_rows, 4),
     )
     return EXIT_ADMISSIBILITY if fail else EXIT_OK
 
@@ -687,6 +748,7 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
         seed_b = seed_a
     ens_a = run_ensemble(data_a, coeffs, grid, cfg.mc["paths"], seed_a)
     ens_b = run_ensemble(data_b, coeffs, grid, cfg.mc["paths"], seed_b)
+    _warn_cfl(out, ens_a)  # both legs share the grid
     rep = stability_terms(ens_a, ens_b, data_a, data_b, grid, g_mode=cfg.g_mode)
     out.json("stability.json", _stability_obj(rep))
     rows = []
@@ -694,7 +756,7 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
         rows.append((key, rep.lhs[key].mean, rep.lhs[key].stderr))
     for key in ("FLUX", "XT", "DTDX"):
         rows.append((key, rep.rhs[key].mean, rep.rhs[key].stderr))
-    out.csv("stability_terms.csv", ("term", "value", "stderr"), rows)
+    out.csv("stability_terms.csv", ("term", "value", "stderr"), _columns(rows, 3))
     if rep.ratio_unsquared_defined:
         click.echo(f"stability: ratio {rep.ratio_unsquared:.6g}")
     else:
@@ -709,6 +771,7 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
+    _warn_cfl(out, ens)
     st = martingale_check(ens, grid)
     bound = 4.0 * st.stderr
     ok = abs(st.mean) <= bound

@@ -39,6 +39,23 @@ def test_traced_names_resolve(tracing):
     assert callable(grids.GridFunction.__init__)
 
 
+def traced_run(tracing, subcommand, raw, tmp_path, trajectories):
+    """Run one subcommand under the benchmark's tracer; returns the exit
+    code and the run's per-layer metrics."""
+    raw = dict(raw, output_dir=str(tmp_path / "out"))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = cli.parse_config(p)
+    tracer = tracing.Tracer()
+    tracer.begin_run()
+    tracer.install(MODULES)
+    try:
+        code = cli.run(subcommand, cfg)
+    finally:
+        tracer.uninstall()
+    return code, tracer.run_metrics(0, trajectories=trajectories)
+
+
 def test_traced_sweep_simulates_once(tracing, tmp_path):
     raw = {
         "grid": {"M": 3, "N": 64, "T": 3.5},
@@ -48,20 +65,9 @@ def test_traced_sweep_simulates_once(tracing, tmp_path):
         "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
         "mc": {"paths": 4, "master_seed": 3},
         "sweep": {"parameter": "weight.s", "values": [2.0, 4.0, 8.0]},
-        "output_dir": str(tmp_path / "out"),
     }
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw), encoding="utf-8")
-    cfg = cli.parse_config(p)
-    tracer = tracing.Tracer()
-    tracer.begin_run()
-    tracer.install(MODULES)
-    try:
-        code = cli.run("carleman", cfg)
-    finally:
-        tracer.uninstall()
+    code, m = traced_run(tracing, "carleman", raw, tmp_path, trajectories=4 * 3)
     assert code == 0
-    m = tracer.run_metrics(0, trajectories=4 * 3)
     assert m["kernel.step_paths.calls"] == 1
     assert m["kernel.paths_stepped"] == 4
     assert m["kernel.useful_ratio"] == 1.0
@@ -71,3 +77,20 @@ def test_traced_sweep_simulates_once(tracing, tmp_path):
     # uninstall restored every wrapped name
     assert solver.step_paths is _kernels.step_paths
     assert cli.run_ensemble is solver.run_ensemble
+
+
+def test_traced_simulate_counts_written_rows_and_bytes(tracing, tmp_path):
+    raw = {
+        "grid": {"M": 7, "N": 32, "T": 1.0},
+        "coefficients": {"d": {"constant": 0.6}},
+        "data": {"y0": {"random": {"seed": 1, "amplitude": 1.0}}},
+        "mc": {"paths": 1, "master_seed": 5},
+    }
+    code, m = traced_run(tracing, "simulate", raw, tmp_path, trajectories=1)
+    assert code == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert m["cli.write.rows"] == sum(e["rows"] for e in manifest["files"])
+    assert m["cli.write.rows"] == 9 * 34 + 32 + 9
+    assert m["cli.write.bytes"] == sum(f.stat().st_size for f in out.iterdir())
+    assert m["cli.write.busy_s"] > 0.0

@@ -4,11 +4,13 @@ determinism, flag overrides, and the exit-code contract."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import stochwave.cli as cli_mod
-from stochwave.cli import ConfigError, main, parse_config
+from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
+from stochwave.solver import observe, run_ensemble
 
 GRID = {"M": 4, "N": 4, "T": 1.0}
 WEIGHT = {"s": 0.7, "lambda": 0.9, "beta": 0.3, "xstar": 1.3, "mconst": 0.25}
@@ -139,6 +141,30 @@ def test_exit_config_non_finite_literal(tmp_path, literal):
     assert res.exit_code == 3
     assert "/data/y0/sine/amplitude" in res.stderr
     assert "non-finite" in res.stderr
+
+
+@pytest.mark.parametrize("depth", [995, 100_000])
+def test_exit_config_deep_nesting(tmp_path, depth):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"grid": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    res = invoke(
+        ["simulate", "--config", str(p), "--output-dir", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 3
+    assert "nested too deeply" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_parse_deep_value_message_is_bounded(tmp_path):
+    # deep enough to reach the value check, but parsed by json.loads
+    deep = "[" * 500 + "]" * 500
+    p = tmp_path / "cfg.json"
+    p.write_text('{"grid": {"M": ' + deep + ', "N": 4, "T": 1.0}}',
+                 encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(p)
+    assert "/grid/M" in str(exc.value)
+    assert len(str(exc.value)) < 100
 
 
 def test_parse_missing_file():
@@ -437,6 +463,32 @@ def test_exit_config_coupling_seed_b(tmp_path):
     assert "coupling error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "subcommand", ["simulate", "carleman", "stability", "martingale"]
+)
+def test_cfl_warning_once_per_subcommand(tmp_path, subcommand):
+    raw = {
+        "grid": {"M": 15, "N": 4, "T": 1.0},   # dt = 0.25 > dx = 1/16
+        "weight": dict(WEIGHT),
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 0.01}}},
+        "mc": {"paths": 120, "master_seed": 1},
+    }
+    res = invoke(
+        [subcommand, "--config", str(write_cfg(tmp_path, raw)),
+         "--output-dir", str(tmp_path / "o")]
+    )
+    assert res.exit_code in (0, 5, 6), res.output   # no crash
+    warning = f"{subcommand}: warning, dt > dx (explicit scheme unstable)"
+    assert res.stderr.count(warning) == 1
+    # a stable grid gives no warning
+    raw["grid"] = {"M": 3, "N": 8, "T": 1.0}
+    res = invoke(
+        [subcommand, "--config", str(write_cfg(tmp_path, raw)),
+         "--output-dir", str(tmp_path / "o2")]
+    )
+    assert "warning, dt > dx" not in res.stderr
+
+
 def test_cfl_warning_on_stderr(tmp_path):
     p = write_cfg(
         tmp_path,
@@ -449,3 +501,112 @@ def test_cfl_warning_on_stderr(tmp_path):
         ["simulate", "--config", str(p), "--output-dir", str(tmp_path / "o")]
     )
     assert "warning" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# artifact writer against the per-row formatter it replaced
+
+
+def ref_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def ref_csv(header, rows) -> bytes:
+    lines = [",".join(header)]
+    lines += [",".join(ref_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# the switch points of float repr: signed zero, subnormals, the fixed /
+# exponent boundaries at 1e-5 and 1e16, a non-shortest sum, non-finite
+EDGE_FLOATS = np.array(
+    [-0.0, 5e-324, 1e-5, 1.5e-4, 1e16, 9999999999999998.0, 0.1 + 0.2,
+     np.nan, np.inf, -np.inf, 2.0 ** 70, -1.25]
+)
+
+
+def write_table(tmp_path, header, columns):
+    writer = ArtifactWriter(str(tmp_path / "w"), "0" * 64, "test")
+    writer.csv("t.csv", header, columns)
+    return (tmp_path / "w" / "t.csv").read_bytes(), writer.entries
+
+
+def test_writer_matches_row_formatter(tmp_path):
+    n = len(EDGE_FLOATS)
+    ints = np.arange(n, dtype=np.int64) * -(2 ** 40)
+    seeds = np.arange(n, dtype=np.uint64) + np.uint64(2 ** 63)
+    singles = EDGE_FLOATS.astype(np.float32)
+    mixed = ["", True, False, "L1", 3, 2.5, np.float64(1e-7), np.int64(-7),
+             1e22, "a b", 0, -0.0]
+    header = ("f", "i", "u", "f32", "mixed")
+    text, entries = write_table(
+        tmp_path, header, (EDGE_FLOATS, ints, seeds, singles, mixed)
+    )
+    rows = list(zip(EDGE_FLOATS, ints, seeds, singles, mixed))
+    assert text == ref_csv(header, rows)
+    assert entries == [{"name": "t.csv", "rows": n}]
+
+
+def test_writer_broadcast_rows(tmp_path):
+    J, K = 3, 5
+    x = EDGE_FLOATS[:J]
+    t = EDGE_FLOATS[J:J + K]
+    vals = np.arange(J * K, dtype=np.float64).reshape(J, K) / 7.0
+    header = ("j", "x", "n", "t", "y")
+    text, entries = write_table(
+        tmp_path, header,
+        (np.arange(J)[:, None], x[:, None], np.arange(K), t, vals),
+    )
+    rows = [(j, x[j], n, t[n], vals[j, n]) for j in range(J) for n in range(K)]
+    assert text == ref_csv(header, rows)
+    assert entries[0]["rows"] == J * K
+
+
+def test_writer_empty_table(tmp_path):
+    text, entries = write_table(tmp_path, ("a", "b"), ((), ()))
+    assert text == b"a,b\n"
+    assert entries[0]["rows"] == 0
+
+
+def test_simulate_csvs_match_row_formatter(tmp_path):
+    p = write_cfg(
+        tmp_path,
+        {
+            "grid": {"M": 6, "N": 11, "T": 1.0},
+            "data": {"y0": {"random": {"seed": 2, "amplitude": 1.0}},
+                     "g": {"random": {"seed": 3, "amplitude": 0.5}}},
+            "coefficients": {"a": {"constant": -0.4}, "d": {"constant": 0.6}},
+            "mc": {"paths": 2, "master_seed": 9},
+        },
+    )
+    out = tmp_path / "run"
+    res = invoke(["simulate", "--config", str(p), "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    # rebuild path 0 and its observation, and format it row by row
+    cfg = parse_config(p)
+    grid = cli_mod._make_grid(cfg)
+    data = cli_mod._make_problem(cfg.data, cfg, grid)
+    coeffs = cli_mod._make_coeffs(cfg, grid)
+    traj = run_ensemble(data, coeffs, grid, 2, 9).trajectory(0)
+    y = traj.y
+    J, K = y.values.shape
+    rows = [(j, y.x[j], n, y.t[n], y.values[j, n])
+            for j in range(J) for n in range(K)]
+    assert (out / "trajectory.csv").read_bytes() == ref_csv(
+        ("j", "x", "n", "t", "y"), rows
+    )
+    obs = observe(traj, grid)
+    fx = obs.flux
+    rows = [(n + 1, fx.t[n], fx.values[n]) for n in range(fx.values.shape[0])]
+    assert (out / "flux.csv").read_bytes() == ref_csv(("n", "t", "flux"), rows)
+    ty, tv = obs.terminal_y, obs.terminal_v
+    rows = [(j, ty.x[j], ty.values[j], tv.values[j]) for j in range(J)]
+    assert (out / "terminal.csv").read_bytes() == ref_csv(
+        ("j", "x", "terminal_y", "terminal_v"), rows
+    )
