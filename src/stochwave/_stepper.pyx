@@ -9,6 +9,11 @@ trajectories.  Per path, each computed value is checked for finiteness
 and the path stops at its first offence; the reported offence is the
 lexicographic minimum over (n, p, j), which matches the row-scan order
 of the NumPy kernel.
+
+The NumPy side steps rolling time levels held path-minor, (M+2, P), with
+reused scratch; this loop runs path by path over Y directly.  Parity
+rests on the element-wise grouping of the update alone, which is the
+same on both sides, not on the loop order or the memory layout.
 """
 
 from libc.math cimport isfinite

@@ -517,10 +517,12 @@ class ArtifactWriter:
         )
 
 
-def _warn_cfl(out: ArtifactWriter, ens) -> None:
-    """Say on stderr, once per run, that dt > dx: the explicit scheme is
-    outside its stability limit.  The artifacts do not record it."""
-    if ens.cfl_warning:
+def _warn_cfl(out: ArtifactWriter, grid) -> None:
+    """Say on stderr, once per run and before stepping, that dt > dx:
+    the explicit scheme is outside its stability limit, so the warning
+    also precedes the blow-up it explains.  The artifacts do not record
+    it."""
+    if grid.cfl_warning:
         click.echo(
             f"{out.subcommand}: warning, dt > dx (explicit scheme unstable)",
             err=True,
@@ -602,10 +604,10 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     grid = _make_grid(cfg)
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
+    _warn_cfl(out, grid)
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
-    _warn_cfl(out, ens)
     traj = ens.trajectory(0)
     y = traj.y
     vals = y.values
@@ -677,11 +679,11 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
         key = cfg.sweep["parameter"].split(".", 1)[1]
         weights = [{**weight, key: v} for v in cfg.sweep["values"]]
     params = [_make_weight_params(w, cfg) for w in weights]
+    _warn_cfl(out, grid)
     # the weights do not enter the trajectories: one ensemble serves all
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
-    _warn_cfl(out, ens)
     reps = carleman_terms(
         ens, params, data, grid, kappa=[w["kappa"] for w in weights]
     )
@@ -746,9 +748,9 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     seed_b = cfg.mc["master_seed_b"]
     if seed_b is None:
         seed_b = seed_a
+    _warn_cfl(out, grid)
     ens_a = run_ensemble(data_a, coeffs, grid, cfg.mc["paths"], seed_a)
     ens_b = run_ensemble(data_b, coeffs, grid, cfg.mc["paths"], seed_b)
-    _warn_cfl(out, ens_a)  # both legs share the grid
     rep = stability_terms(ens_a, ens_b, data_a, data_b, grid, g_mode=cfg.g_mode)
     out.json("stability.json", _stability_obj(rep))
     rows = []
@@ -768,10 +770,10 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     grid = _make_grid(cfg)
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
+    _warn_cfl(out, grid)
     ens = run_ensemble(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
-    _warn_cfl(out, ens)
     st = martingale_check(ens, grid)
     bound = 4.0 * st.stderr
     ok = abs(st.mean) <= bound

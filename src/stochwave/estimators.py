@@ -37,6 +37,9 @@ from .weights import (
 
 _MAX_EXP = math.log(np.finfo(np.float64).max)
 
+# node products per path block of martingale_check (512 KB of scratch)
+_MARTINGALE_BLOCK_NODES = 1 << 16
+
 
 @dataclass(frozen=True)
 class MCStatistic:
@@ -426,10 +429,14 @@ def martingale_check(ens: Ensemble, grid: Grid) -> MCStatistic:
             f"martingale check needs >= 100 paths, got {ens.paths}"
         )
     M, N = grid.M, grid.N
-    factor = grid.dx * grid.dt
+    # each path's N x M products are one contiguous run of the block's
+    # product array, so its sum is that of the path alone: the result
+    # does not depend on the block size
+    block = max(1, _MARTINGALE_BLOCK_NODES // (N * M))
     vals = np.empty(ens.paths)
-    for p in range(ens.paths):
-        y = ens.Y[p, 1 : N + 1, 1 : M + 1]
-        inc = ens.dB[p, 1 : N + 1]
-        vals[p] = float(np.sum(y * inc[:, None])) * factor
+    for p in range(0, ens.paths, block):
+        y = ens.Y[p : p + block, 1 : N + 1, 1 : M + 1]
+        inc = ens.dB[p : p + block, 1 : N + 1, None]
+        vals[p : p + block] = (y * inc).sum(axis=(1, 2))
+    vals *= grid.dx * grid.dt
     return _stat(vals)

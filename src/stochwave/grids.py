@@ -96,6 +96,11 @@ class Grid:
         except KeyError:
             raise ValueError(f"unknown time tag {tag!r}") from None
 
+    @property
+    def cfl_warning(self) -> bool:
+        """dt > dx: the explicit scheme's stability limit is exceeded."""
+        return self.dt > self.dx
+
     # coordinate arrays --------------------------------------------------
 
     @property

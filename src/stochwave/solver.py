@@ -292,8 +292,8 @@ class Ensemble:
 
     @property
     def cfl_warning(self) -> bool:
-        """dt > dx: the explicit scheme's stability limit is exceeded."""
-        return self.grid.dt > self.grid.dx
+        """The grid's dt > dx flag (Grid.cfl_warning)."""
+        return self.grid.cfl_warning
 
     def trajectory(self, k: int) -> Trajectory:
         """View of path k as a Trajectory on closure x closure."""
@@ -392,7 +392,7 @@ def solve(
             grid, Y[0].T, grid.space_axis("closure"), grid.time_axis("closure")
         ),
         path=path,
-        cfl_warning=grid.dt > grid.dx,
+        cfl_warning=grid.cfl_warning,
     )
 
 

@@ -94,3 +94,19 @@ def test_traced_simulate_counts_written_rows_and_bytes(tracing, tmp_path):
     assert m["cli.write.rows"] == 9 * 34 + 32 + 9
     assert m["cli.write.bytes"] == sum(f.stat().st_size for f in out.iterdir())
     assert m["cli.write.busy_s"] > 0.0
+
+
+def test_traced_martingale_counts_kernel_and_estimator(tracing, tmp_path):
+    P, M, N = 100, 3, 8
+    raw = {
+        "grid": {"M": M, "N": N, "T": 1.0},
+        "coefficients": {"d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "mc": {"paths": P, "master_seed": 2},
+    }
+    code, m = traced_run(tracing, "martingale", raw, tmp_path, trajectories=P)
+    assert code == 0
+    assert m["kernel.step_paths.calls"] == 1
+    assert m["kernel.node_updates"] == P * N * M
+    assert m["kernel.paths_stepped"] == P
+    assert m["estimators.martingale_check.busy_s"] > 0.0

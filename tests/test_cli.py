@@ -489,6 +489,28 @@ def test_cfl_warning_once_per_subcommand(tmp_path, subcommand):
     assert "warning, dt > dx" not in res.stderr
 
 
+def test_cfl_warning_precedes_blow_up(tmp_path):
+    # dt = 0.25 > dx = 1/64: the run blows up, and the warning that
+    # explains it must be printed before stepping
+    raw = {
+        "grid": {"M": 63, "N": 512, "T": 128.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+    }
+    res = invoke(
+        ["simulate", "--config", str(write_cfg(tmp_path, raw)),
+         "--output-dir", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 4
+    warning = "simulate: warning, dt > dx (explicit scheme unstable)"
+    failure = (
+        "numeric failure: non-finite value at space index j=14, "
+        "time level n=109, path 0"
+    )
+    assert res.stderr.count(warning) == 1
+    assert failure in res.stderr
+    assert res.stderr.index(warning) < res.stderr.index(failure)
+
+
 def test_cfl_warning_on_stderr(tmp_path):
     p = write_cfg(
         tmp_path,

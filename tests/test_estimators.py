@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from stochwave import estimators
 from stochwave import (
     CouplingError,
     Ensemble,
@@ -330,3 +331,25 @@ def test_martingale_statistic_definition():
     assert st.stderr == pytest.approx(
         np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("block_paths", [1, 3, 7, 200])
+def test_martingale_blocks_equal_per_path_sums(monkeypatch, block_paths):
+    # 101 paths: no block size but 1 divides the path count
+    grid = build_grid(5, 9, 1.0)
+    data = small_problem(grid, 3)
+    ens = run_ensemble(
+        data, SchemeCoefficients.constant(grid, a=-0.2, d=0.6), grid, 101, 5
+    )
+    vals = np.empty(ens.paths)
+    for p in range(ens.paths):
+        y = ens.Y[p, 1 : grid.N + 1, 1 : grid.M + 1]
+        inc = ens.dB[p, 1 : grid.N + 1]
+        vals[p] = float(np.sum(y * inc[:, None])) * (grid.dx * grid.dt)
+    monkeypatch.setattr(
+        estimators, "_MARTINGALE_BLOCK_NODES", block_paths * grid.N * grid.M
+    )
+    st = martingale_check(ens, grid)
+    assert st.paths == 101
+    assert st.mean == float(np.mean(vals))
+    assert st.stderr == float(np.std(vals, ddof=1) / np.sqrt(101))

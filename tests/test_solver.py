@@ -1,9 +1,12 @@
 """Explicit leapfrog scheme: exactness, reproducibility, and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
+from stochwave import _stepper_np
 from stochwave import (
     BlowUpError,
     BrownianPath,
@@ -316,3 +319,135 @@ def test_brownian_path_validation():
         BrownianPath(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
         BrownianPath(np.zeros(1), 0)
+
+
+# ---------------------------------------------------------------------------
+# NumPy kernel against a per-node scalar reference
+
+
+def scalar_step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
+    """The update of the _stepper_np docstring, one node at a time in
+    Python floats, in the docstring's grouping.  Levels advance for all
+    paths together; after the first level holding a non-finite value,
+    stepping stops and the first offence in (p, j) order is reported."""
+    P, Nt, Mf = Y.shape
+    N, M = Nt - 2, Mf - 2
+    inv_dx2 = 1.0 / (dx * dx)
+    inv_2dx = 1.0 / (2.0 * dx)
+    dt2 = dt * dt
+    for n in range(1, N + 1):
+        first = None
+        for p in range(P):
+            db = float(dB[p, n])
+            for j in range(1, M + 1):
+                yc = float(Y[p, n, j])
+                ym = float(Y[p, n - 1, j])
+                ypl = float(Y[p, n, j + 1])
+                ymn = float(Y[p, n, j - 1])
+                a, b, c = float(A[n, j]), float(B[n, j]), float(C[n, j])
+                d, g, f = float(D[n, j]), float(G[n, j]), float(F[n, j])
+                lap = (ypl - 2.0 * yc + ymn) * inv_dx2
+                cen = (ypl - ymn) * inv_2dx
+                num = (
+                    2.0 * yc
+                    - ym
+                    + dt2 * (lap + a * yc + b * cen)
+                    - (c * dt) * yc
+                    + dt * ((d * yc + g) * db + f * dt)
+                )
+                val = num / (1.0 - c * dt)
+                Y[p, n + 1, j] = val
+                if first is None and not math.isfinite(val):
+                    first = (n + 1, p, j)
+        if first is not None:
+            return (True,) + first
+    return False, -1, -1, -1
+
+
+def kernel_inputs(P, N, M, seed):
+    """Y with slices 0 and 1 filled and NaN in the levels to be written;
+    coefficient and source tables varying in both n and j."""
+    rng = np.random.default_rng(seed)
+    Y = np.full((P, N + 2, M + 2), np.nan)
+    Y[:, :, 0] = Y[:, :, -1] = 0.0
+    Y[:, 0:2, 1 : M + 1] = rng.uniform(-1.0, 1.0, (P, 2, M))
+    tables = [rng.uniform(-0.5, 0.5, (N + 1, M + 2)) for _ in range(6)]
+    dB = rng.normal(0.0, 0.2, (P, N + 1))
+    return Y, tables, dB
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    assert np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes()
+
+
+def run_both(Y, tables, dB, dt, dx):
+    """Run the NumPy kernel and the scalar reference on copies; check
+    that the kernel left its inputs and the prefilled data untouched."""
+    inputs = [t.copy() for t in tables] + [dB.copy()]
+    Yk, Yr = Y.copy(), Y.copy()
+    got = _stepper_np.step_paths(Yk, *tables, dB, dt, dx)
+    want = scalar_step_paths(Yr, *tables, dB, dt, dx)
+    for before, after in zip(inputs, list(tables) + [dB]):
+        assert before.tobytes() == after.tobytes()
+    assert Yk[:, 0:2].tobytes() == Y[:, 0:2].tobytes()
+    assert Yk[:, :, [0, -1]].tobytes() == Y[:, :, [0, -1]].tobytes()
+    return got, want, Yk, Yr
+
+
+@pytest.mark.parametrize("P", [1, 3, 7])
+def test_numpy_kernel_matches_scalar_reference_bitwise(P):
+    N, M = 12, 6
+    Y, tables, dB = kernel_inputs(P, N, M, seed=40 + P)
+    assert np.all(tables[4][1:, 1:-1] != 0.0)       # G
+    assert np.all(tables[5][1:, 1:-1] != 0.0)       # F
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
+    assert got == want == (False, -1, -1, -1)
+    assert np.isfinite(Yk).all()                     # every level written
+    assert_same_bits(Yk, Yr)
+
+
+def test_numpy_kernel_blow_up_report_is_lexicographic():
+    # (d y + g) dB overflows where dB = 1e308 meets |g| = 5: path 2 at
+    # nodes 5 and 2 of level 4, path 0 at node 1 of level 6.  The earlier
+    # level wins over the smaller path, the smaller node within a level.
+    P, N, M = 3, 8, 6
+    Y, tables, dB = kernel_inputs(P, N, M, seed=7)
+    G = tables[4]
+    G[3, 5] = G[3, 2] = 5.0
+    G[5, 1] = -5.0
+    dB[2, 3] = dB[0, 5] = 1e308
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
+    assert got == want == (True, 4, 2, 2)
+    assert np.isinf(Yk[2, 4, [2, 5]]).all()
+    assert np.isnan(Yk[:, 5:, 1:-1]).all()           # stepping stopped
+    assert_same_bits(Yk, Yr)
+    # without path 2's spike, path 0's later blow-up is the report
+    dB[2, 3] = 0.0
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
+    assert got == want == (True, 6, 0, 1)
+    assert_same_bits(Yk, Yr)
+    # two paths at one level: path 1 overflows at nodes 4..6, path 2 at
+    # nodes 1..3; the smaller path wins over the smaller node
+    Y, tables, dB = kernel_inputs(P, N, M, seed=8)
+    Y[1, 1, 5] = Y[2, 1, 2] = 1e308
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
+    assert got == want == (True, 2, 1, 4)
+    assert np.isinf(Yk[2, 2, 1])
+    assert_same_bits(Yk, Yr)
+
+
+def test_numpy_kernel_finite_slice_with_overflowing_sum_not_reported():
+    # every value is near 6e307: each is finite, their sum is not
+    P, N, M = 2, 3, 4
+    Y = np.zeros((P, N + 2, M + 2))
+    Y[:, 0:2, 1 : M + 1] = 6e307
+    tables = [np.zeros((N + 1, M + 2)) for _ in range(6)]
+    dB = np.zeros((P, N + 1))
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=1e-3, dx=1.0)
+    assert got == want == (False, -1, -1, -1)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(Yk[:, N + 1]))
+    assert_same_bits(Yk, Yr)
