@@ -11,7 +11,8 @@ Exit codes, so CI can tell failure classes apart:
     0  success
     2  usage error (bad flags, unknown subcommand)
     3  config or experiment-setup error (JSON syntax, validation,
-       coupling violations, module preconditions)
+       coupling violations, module preconditions, a path block that
+       does not fit in memory)
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -53,7 +54,14 @@ from .fields import (
 )
 from .grids import GridFunction, build_grid
 from .identities import identity_residuals
-from .solver import ProblemData, SchemeCoefficients, observe, run_ensemble
+from .solver import (
+    Ensemble,
+    ProblemData,
+    SchemeCoefficients,
+    block_paths,
+    observe,
+    run_ensemble,
+)
 from .weights import EXPRESSION_IDS, WeightParams, check_admissible, estimate_order
 
 EXIT_OK = 0
@@ -529,6 +537,34 @@ def _warn_cfl(out: ArtifactWriter, grid) -> None:
         )
 
 
+def _blocks(data, coeffs, grid, paths: int, master_seed: int):
+    """The path family as consecutive blocks of block_paths(grid) paths,
+    each stepped only when the consumer asks for the next one, so memory
+    holds one block whatever `paths` is.
+
+    A block that blows up ends the stream, but the remaining blocks are
+    still stepped: the BlowUpError raised is the lexicographic minimum
+    over (n, path, j) of all paths, the one a single-block run reports."""
+    size = block_paths(grid)
+    blown = None
+    for first in range(0, paths, size):
+        try:
+            block = run_ensemble(
+                data, coeffs, grid, min(size, paths - first), master_seed,
+                first=first,
+            )
+        except BlowUpError as exc:
+            # later blocks hold later paths: only an earlier level wins
+            if blown is None or exc.n < blown.n:
+                blown = exc
+            continue
+        if blown is None:
+            yield block
+        del block
+    if blown is not None:
+        raise blown
+
+
 def _stat_obj(st):
     return {"mean": st.mean, "stderr": st.stderr, "paths": st.paths}
 
@@ -605,10 +641,17 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     _warn_cfl(out, grid)
-    ens = run_ensemble(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    )
-    traj = ens.trajectory(0)
+    paths = cfg.mc["paths"]
+    blocks = _blocks(data, coeffs, grid, paths, cfg.mc["master_seed"])
+    # keep a copy of path 0 only; every block is still stepped and checked
+    head = next(blocks)
+    traj = Ensemble(
+        grid, head.Y[:1].copy(), head.dB[:1].copy(), head.seeds[:1].copy(),
+        head.master_seed, coeffs,
+    ).trajectory(0)
+    del head
+    for _ in blocks:
+        pass
     y = traj.y
     vals = y.values
     J, K = vals.shape
@@ -632,7 +675,7 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
         (np.arange(J), ty.x, ty.values, tv.values),
     )
     click.echo(
-        f"simulate: {ens.paths} path(s), wrote trajectory of path 0, "
+        f"simulate: {paths} path(s), wrote trajectory of path 0, "
         f"max |y| {np.max(np.abs(vals)):.6g}"
     )
     return EXIT_OK
@@ -681,11 +724,9 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     params = [_make_weight_params(w, cfg) for w in weights]
     _warn_cfl(out, grid)
     # the weights do not enter the trajectories: one ensemble serves all
-    ens = run_ensemble(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    )
     reps = carleman_terms(
-        ens, params, data, grid, kappa=[w["kappa"] for w in weights]
+        _blocks(data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
+        params, data, grid, kappa=[w["kappa"] for w in weights],
     )
     if cfg.sweep is None:
         rep = reps[0]
@@ -749,9 +790,12 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     if seed_b is None:
         seed_b = seed_a
     _warn_cfl(out, grid)
-    ens_a = run_ensemble(data_a, coeffs, grid, cfg.mc["paths"], seed_a)
-    ens_b = run_ensemble(data_b, coeffs, grid, cfg.mc["paths"], seed_b)
-    rep = stability_terms(ens_a, ens_b, data_a, data_b, grid, g_mode=cfg.g_mode)
+    paths = cfg.mc["paths"]
+    rep = stability_terms(
+        _blocks(data_a, coeffs, grid, paths, seed_a),
+        _blocks(data_b, coeffs, grid, paths, seed_b),
+        data_a, data_b, grid, g_mode=cfg.g_mode,
+    )
     out.json("stability.json", _stability_obj(rep))
     rows = []
     for key in ("G", "Y0", "Y1"):
@@ -771,10 +815,10 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     _warn_cfl(out, grid)
-    ens = run_ensemble(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    st = martingale_check(
+        _blocks(data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
+        grid,
     )
-    st = martingale_check(ens, grid)
     bound = 4.0 * st.stderr
     ok = abs(st.mean) <= bound
     out.json(
@@ -851,6 +895,10 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
     except FloatingPointError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # NumPy's message names the size of the array it could not make
+        click.echo(f"out of memory: {exc or 'an allocation failed'}", err=True)
+        return EXIT_CONFIG
 
 
 def _common_options(fn):

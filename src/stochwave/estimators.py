@@ -9,6 +9,12 @@ points for the mixed second difference.  Data terms (initial data,
 sources) do not vary across paths, so their standard error is zero by
 construction.
 
+Each estimator takes one Ensemble or an iterable of Ensembles, the
+consecutive path blocks of one path family (stochwave.cli streams every
+stepping subcommand this way).  A block is reduced to per-path scalars
+before the next one is drawn, and the statistics are taken once over
+all paths, so the results do not depend on the block size.
+
 Both reports flag an undefined ratio instead of dividing by zero, and
 the stability report carries the terminal norm under the two readings
 of the printed estimate (terminal norm squared vs unsquared); the
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CouplingError, MeshMismatchError
+from .errors import BlowUpError, CouplingError, MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
 from .solver import Ensemble, ProblemData
@@ -37,7 +43,7 @@ from .weights import (
 
 _MAX_EXP = math.log(np.finfo(np.float64).max)
 
-# node products per path block of martingale_check (512 KB of scratch)
+# node products per reduction of martingale_check (512 KB of scratch)
 _MARTINGALE_BLOCK_NODES = 1 << 16
 
 
@@ -48,6 +54,24 @@ class MCStatistic:
     mean: float
     stderr: float
     paths: int
+
+
+def _as_blocks(ens):
+    """One Ensemble as a single block; anything else is taken to be an
+    iterable of blocks."""
+    return (ens,) if isinstance(ens, Ensemble) else ens
+
+
+def _reduce_blocks(ens, grid: Grid, reduce) -> list:
+    """[reduce(block) for each block of ens], holding no block once it
+    is reduced: the next block is drawn only after this one is freed."""
+    parts = []
+    for block in _as_blocks(ens):
+        if block.grid != grid:
+            raise MeshMismatchError("ensemble lives on a different grid")
+        parts.append(reduce(block))
+        del block
+    return parts
 
 
 def _stat(per_path) -> MCStatistic:
@@ -164,53 +188,19 @@ def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
     return f, d
 
 
-def carleman_terms(
-    ens: Ensemble,
-    w,
-    data: ProblemData,
-    grid: Grid,
-    kappa=0.0,
-):
-    """Assemble the seven weighted interior/initial terms and the four
-    observation-side terms.  An inadmissible configuration still
-    computes everything; only the report flag records the violation.
+_PATH_TERMS = ("L1", "L2", "L3", "R2", "R3")
 
-    w is one WeightParams, giving one CarlemanReport, or a sequence of
-    them, giving a list of reports in the same order; kappa is then a
-    float for all of them or a sequence of the same length.  Each
-    path's squared fields do not depend on the weights, so they are
-    computed once per path and reduced against every weight set."""
-    if ens.grid != grid or data.grid != grid:
-        raise MeshMismatchError("ensemble/data live on a different grid")
-    single = isinstance(w, WeightParams)
-    ws = [w] if single else list(w)
-    kappas = [kappa] * len(ws) if np.ndim(kappa) == 0 else list(kappa)
-    if len(kappas) != len(ws):
-        raise ValueError(
-            f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
-        )
 
-    reps, factors, data_terms, r4_scales = [], [], [], []
-    for wk, kap in zip(ws, kappas):
-        reps.append(check_admissible(wk, grid))
-        f, d = _weight_set(wk, data, grid)
-        factors.append(f)
-        data_terms.append(d)
-        if kap * wk.s > _MAX_EXP:
-            raise FloatingPointError(
-                f"e^(kappa*s) overflows float64 for kappa*s = {kap * wk.s}"
-            )
-        r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
-
-    # per-path fields, each computed once: ensemble arrays and fields
-    # are indexed [n, j], the weight factors (space, time)
+def _carleman_block(ens: Ensemble, factors, grid: Grid):
+    """Per-path terms of one block against every weight set: a dict of
+    (weight sets, paths) arrays and the paths' XT norms.  Each path's
+    fields are computed once; ensemble arrays and fields are indexed
+    [n, j], the weight factors (space, time)."""
     N, M = grid.N, grid.M
     dx, dt = grid.dx, grid.dt
     dxdt = dx * dt
     P = ens.paths
-    per = {
-        key: np.empty((len(ws), P)) for key in ("L1", "L2", "L3", "R2", "R3")
-    }
+    per = {key: np.empty((len(factors), P)) for key in _PATH_TERMS}
     xts = np.empty(P)
     for p in range(P):
         y = ens.Y[p]
@@ -234,6 +224,57 @@ def carleman_terms(
             per["R3"][k, p] = dx**2 * float(
                 np.sum(f["R3"] * dtdx2.T) * dxdt
             )
+    return per, xts
+
+
+def carleman_terms(
+    ens,
+    w,
+    data: ProblemData,
+    grid: Grid,
+    kappa=0.0,
+):
+    """Assemble the seven weighted interior/initial terms and the four
+    observation-side terms.  An inadmissible configuration still
+    computes everything; only the report flag records the violation.
+    ens is one Ensemble or an iterable of path blocks.
+
+    w is one WeightParams, giving one CarlemanReport, or a sequence of
+    them, giving a list of reports in the same order; kappa is then a
+    float for all of them or a sequence of the same length.  Each
+    path's squared fields do not depend on the weights, so they are
+    computed once per path and reduced against every weight set."""
+    if data.grid != grid:
+        raise MeshMismatchError("problem data lives on a different grid")
+    single = isinstance(w, WeightParams)
+    ws = [w] if single else list(w)
+    kappas = [kappa] * len(ws) if np.ndim(kappa) == 0 else list(kappa)
+    if len(kappas) != len(ws):
+        raise ValueError(
+            f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
+        )
+
+    reps, factors, data_terms, r4_scales = [], [], [], []
+    for wk, kap in zip(ws, kappas):
+        reps.append(check_admissible(wk, grid))
+        f, d = _weight_set(wk, data, grid)
+        factors.append(f)
+        data_terms.append(d)
+        if kap * wk.s > _MAX_EXP:
+            raise FloatingPointError(
+                f"e^(kappa*s) overflows float64 for kappa*s = {kap * wk.s}"
+            )
+        r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
+
+    parts = _reduce_blocks(
+        ens, grid, lambda block: _carleman_block(block, factors, grid)
+    )
+    per = {
+        key: np.concatenate([part[0][key] for part in parts], axis=1)
+        for key in _PATH_TERMS
+    }
+    xts = np.concatenate([part[1] for part in parts])
+    P = xts.shape[0]
     xt2 = xts * xts
     xt_stat = _stat(xts)
 
@@ -303,19 +344,20 @@ class StabilityReport:
     g_mode: str
 
 
-def _check_coupled(ensA: Ensemble, ensB: Ensemble, grid: Grid):
+def _check_coupled(ensA: Ensemble, ensB: Ensemble, grid: Grid, first=0):
+    """Coupling of two blocks that start at global path `first`."""
     if ensA.grid != grid or ensB.grid != grid:
         raise CouplingError("ensembles live on different grids")
     if ensA.paths != ensB.paths:
         raise CouplingError(
-            f"path counts differ: {ensA.paths} vs {ensB.paths}"
+            f"path counts differ: {first + ensA.paths} vs {first + ensB.paths}"
         )
     differ = np.flatnonzero(ensA.seeds != ensB.seeds)
     if differ.size:
         k = int(differ[0])
         sa, sb = int(ensA.seeds[k]), int(ensB.seeds[k])
         raise CouplingError(
-            f"path {k} seeds differ ({sa} vs {sb}); "
+            f"path {first + k} seeds differ ({sa} vs {sb}); "
             "the difference system needs common noise"
         )
     ca, cb = ensA.coeffs, ensB.coeffs
@@ -331,23 +373,85 @@ def _check_coupled(ensA: Ensemble, ensB: Ensemble, grid: Grid):
                 )
 
 
+def _paired_blocks(ensA, ensB, grid: Grid):
+    """The blocks of the two legs side by side, as (block of A, block
+    of B) pairs, each pair checked for coupling.  A whole-leg run
+    steps all of leg A before leg B, so when leg B blows up the rest of
+    leg A is stepped before the error goes up: a blow-up of A wins."""
+    itA, itB = iter(_as_blocks(ensA)), iter(_as_blocks(ensB))
+    first = 0
+    while True:
+        a = next(itA, None)
+        try:
+            b = next(itB, None)
+        except BlowUpError:
+            for _ in itA:
+                pass
+            raise
+        if a is None or b is None:
+            if a is not b:
+                longer = "A" if b is None else "B"
+                raise CouplingError(
+                    f"path counts differ: leg {longer} has more than "
+                    f"{first} paths, the other {first}"
+                )
+            return
+        _check_coupled(a, b, grid, first)
+        first += a.paths
+        yield a, b
+        del a, b
+
+
+def _stability_block(ensA: Ensemble, ensB: Ensemble, grid: Grid):
+    """Per-path FLUX, XT and DTDX norms of the difference of two
+    coupled blocks."""
+    N = grid.N
+    dx, dt = grid.dx, grid.dt
+    P = ensA.paths
+    per = {key: np.empty(P) for key in ("FLUX", "XT", "DTDX")}
+    for p in range(P):
+        ydiff = ensA.Y[p] - ensB.Y[p]  # [n, j]
+        dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
+        fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
+        per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
+        per["XT"][p] = xt_norm_values(
+            ydiff[N], (ydiff[N + 1] - ydiff[N]) / dt, dx
+        )
+        dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx at dual times
+        per["DTDX"][p] = dx * float(
+            np.sqrt(float(np.sum(dtdx * dtdx) * (dx * dt)))
+        )
+    return per
+
+
 def stability_terms(
-    ensA: Ensemble,
-    ensB: Ensemble,
+    ensA,
+    ensB,
     dataA: ProblemData,
     dataB: ProblemData,
     grid: Grid,
     g_mode: str = "space_time",
 ) -> StabilityReport:
     """Norms of the data differences vs the observation differences of
-    two ensembles driven by identical noise and coefficients."""
+    two ensembles driven by identical noise and coefficients.  ensA and
+    ensB are two Ensembles or two iterables of path blocks, paired in
+    order; "path k" in a coupling error is the global path index."""
     if g_mode not in ("space_time", "space_only"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
     if dataA.grid != grid or dataB.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
-    _check_coupled(ensA, ensB, grid)
-    P = ensA.paths
 
+    parts = []
+    for a, b in _paired_blocks(ensA, ensB, grid):
+        parts.append(_stability_block(a, b, grid))
+        del a, b  # the next pair is drawn only after this one is freed
+    per = {
+        key: np.concatenate([part[key] for part in parts])
+        for key in ("FLUX", "XT", "DTDX")
+    }
+    # data terms after the stepping, in the order of a whole-leg run:
+    # computed first, their 2 MB temporaries (127 x 2048 mesh) left the
+    # heap about 2 MB larger under the two resident blocks
     gdiff = dataA.g - dataB.g
     if g_mode == "space_only":
         cols = gdiff.values
@@ -366,22 +470,7 @@ def stability_terms(
         dataA.y1.restrict(space="primal") - dataB.y1.restrict(space="primal"),
         "L2",
     )
-
-    N = grid.N
-    dx, dt = grid.dx, grid.dt
-    per = {key: np.empty(P) for key in ("FLUX", "XT", "DTDX")}
-    for p in range(P):
-        ydiff = ensA.Y[p] - ensB.Y[p]  # [n, j]
-        dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
-        fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
-        per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
-        per["XT"][p] = xt_norm_values(
-            ydiff[N], (ydiff[N + 1] - ydiff[N]) / dt, dx
-        )
-        dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx at dual times
-        per["DTDX"][p] = dx * float(
-            np.sqrt(float(np.sum(dtdx * dtdx) * (dx * dt)))
-        )
+    P = per["XT"].shape[0]
 
     lhs = {
         "G": _const_stat(G, P),
@@ -415,28 +504,37 @@ def stability_terms(
 # martingale statistic
 
 
-def martingale_check(ens: Ensemble, grid: Grid) -> MCStatistic:
+def _martingale_sums(ens: Ensemble, grid: Grid) -> np.ndarray:
+    """Per-path sums of y^n_j dB^n over the interior, one reduction per
+    run of _MARTINGALE_BLOCK_NODES node products.  Each path's N x M
+    products are one contiguous run of the product array, so its sum is
+    that of the path alone: the result does not depend on the run
+    length."""
+    M, N = grid.M, grid.N
+    step = max(1, _MARTINGALE_BLOCK_NODES // (N * M))
+    vals = np.empty(ens.paths)
+    for p in range(0, ens.paths, step):
+        y = ens.Y[p : p + step, 1 : N + 1, 1 : M + 1]
+        inc = ens.dB[p : p + step, 1 : N + 1, None]
+        vals[p : p + step] = (y * inc).sum(axis=(1, 2))
+    return vals
+
+
+def martingale_check(ens, grid: Grid) -> MCStatistic:
     """Mean and standard error of the adapted Ito-type sum
 
         sum_{j=1..M, n=1..N} y^n_j dB^n dx dt
 
     whose expectation vanishes because y^n depends only on increments
-    before n.  Needs at least 100 paths for a meaningful error bar."""
-    if ens.grid != grid:
-        raise MeshMismatchError("ensemble lives on a different grid")
-    if ens.paths < 100:
+    before n.  ens is one Ensemble or an iterable of path blocks.
+    Needs at least 100 paths for a meaningful error bar."""
+    parts = _reduce_blocks(
+        ens, grid, lambda block: _martingale_sums(block, grid)
+    )
+    vals = np.concatenate(parts) if parts else np.empty(0)
+    if vals.shape[0] < 100:
         raise ValueError(
-            f"martingale check needs >= 100 paths, got {ens.paths}"
+            f"martingale check needs >= 100 paths, got {vals.shape[0]}"
         )
-    M, N = grid.M, grid.N
-    # each path's N x M products are one contiguous run of the block's
-    # product array, so its sum is that of the path alone: the result
-    # does not depend on the block size
-    block = max(1, _MARTINGALE_BLOCK_NODES // (N * M))
-    vals = np.empty(ens.paths)
-    for p in range(0, ens.paths, block):
-        y = ens.Y[p : p + block, 1 : N + 1, 1 : M + 1]
-        inc = ens.dB[p : p + block, 1 : N + 1, None]
-        vals[p : p + block] = (y * inc).sum(axis=(1, 2))
     vals *= grid.dx * grid.dt
     return _stat(vals)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, intersect
+from .grids import GridFunction, integrate, intersect
 from .operators import (
     avg_t,
     avg_x,
@@ -104,6 +104,15 @@ def _aligned_prod(a: GridFunction, b: GridFunction) -> GridFunction:
     """Pointwise product on the common index range."""
     a, b = intersect(a, b)
     return a * b
+
+
+def _time_integrals(u: GridFunction, region: str) -> np.ndarray:
+    """integrate() over a time region, once per space row of u."""
+    rows = np.atleast_2d(u.values)
+    return np.array([
+        integrate(GridFunction(u.grid, row, None, u.time_axis), region)
+        for row in rows
+    ])
 
 
 def identity_residuals(u: GridFunction, v: GridFunction) -> ResidualTable:
@@ -233,14 +242,20 @@ def identity_residuals(u: GridFunction, v: GridFunction) -> ResidualTable:
         # column n of f holds level t^n, column k of a dual array t^{k+1/2}
         f = np.atleast_2d(ut.values)
         g = np.atleast_2d(vt.values)
-        gd = np.atleast_2d(avg_t(vt).values)  # dual levels 1/2 .. N+1/2
+        g_dual = avg_t(vt)
+        gd = np.atleast_2d(g_dual.values)  # dual levels 1/2 .. N+1/2
         fd = np.atleast_2d(avg_t(ut).values)
 
-        # int_N f t-g = int_N* t+f g is a pure reindexing n = k+1 of the
-        # same products; assembling each side by its own definition still
-        # yields structurally identical sums.
-        lhs = np.sum(f[:, 1 : N + 1] * gd[:, 0:N], axis=1) * dt
-        rhs = np.sum(f[:, 1 : N + 1] * gd[:, 0:N], axis=1) * dt
+        # int_N f t-g = int_N* t+f g, each side assembled by its own
+        # definition: the translations relabel the same values, so the
+        # two sums agree bit for bit exactly when t+ and t- land on the
+        # right levels; a wrong shift gives a residual of order one
+        lhs = _time_integrals(
+            _aligned_prod(ut.restrict(time="primal"), t_minus(g_dual)), "N"
+        )
+        rhs = _time_integrals(
+            _aligned_prod(t_plus(ut), g_dual.restrict(time="dual")), "N*"
+        )
         table.residuals["2.11a"] = _nres(lhs, rhs)
 
         lhs = np.sum(f[:, 1 : N + 1] * gd[:, 1 : N + 1], axis=1) * dt

@@ -31,6 +31,7 @@ schedule.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ SEED_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+
+# nodes per time level of one path block: the kernel's rolling (M+2, B)
+# levels stay cache-resident, and a block's Y takes B (N+2)(M+2) 8 bytes
+# whatever the path count
+_BLOCK_NODES = 1 << 14
 
 
 def mix64(z: int) -> int:
@@ -249,10 +255,10 @@ class Ensemble:
     Y (P, N+2, M+2) is the array step_paths fills: Y[p, n, j] is path
     p at time level n and node j.  dB (P, N+1) holds each path's
     Brownian increments and seeds (P,) the uint64 Philox keys they were
-    drawn with, seeds[p] = path_seed(master_seed, p) for run_ensemble
-    output.  Estimators read these arrays directly; `trajectory(k)` and
-    `trajectories` build Trajectory views on demand, which share memory
-    with Y and dB.
+    drawn with, seeds[p] = path_seed(master_seed, first + p) for the
+    run_ensemble block that starts at path `first`.  Estimators read
+    these arrays directly; `trajectory(k)` and `trajectories` build
+    Trajectory views on demand, which share memory with Y and dB.
 
     coeffs is carried along so coupled-ensemble consumers can verify
     that two ensembles were driven by the same coefficient fields."""
@@ -396,23 +402,53 @@ def solve(
     )
 
 
+def block_paths(grid: Grid) -> int:
+    """Paths per block of a streamed ensemble: _BLOCK_NODES nodes per
+    time level, at least one path.  Reads only the mesh."""
+    return max(1, _BLOCK_NODES // grid.M)
+
+
+def _physical_bytes():
+    """Installed memory in bytes, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def run_ensemble(
     data: ProblemData,
     coeffs: SchemeCoefficients,
     grid: Grid,
     paths: int,
     master_seed: int,
+    first: int = 0,
 ) -> Ensemble:
-    """Solve `paths` independent paths with seeds path_seed(master, k).
+    """Solve paths first .. first+paths-1 of the family seeded by
+    master_seed, path k with seed path_seed(master_seed, k).
 
     All paths advance in one kernel call; results are a pure function of
-    the inputs and master_seed, independent of backend and schedule."""
+    the inputs and master_seed, independent of backend, schedule and of
+    how the family is split into blocks.  A BlowUpError names the global
+    path index.  A block whose Y alone exceeds physical memory is refused
+    with MemoryError before anything is allocated."""
     _check_match(data, coeffs, grid)
     if not (isinstance(paths, (int, np.integer)) and paths >= 1):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
+    if not (isinstance(first, (int, np.integer)) and first >= 0):
+        raise ValueError(f"first must be an integer >= 0, got {first!r}")
     N, M = grid.N, grid.M
+    need = paths * (N + 2) * (M + 2) * 8
+    phys = _physical_bytes()
+    if phys is not None and need > phys:
+        raise MemoryError(
+            f"a block of {paths} path(s) on a {M} x {N} mesh needs {need} "
+            f"bytes for its trajectories alone, more than the {phys} bytes "
+            "of physical memory"
+        )
     seeds = np.array(
-        [path_seed(master_seed, k) for k in range(paths)], dtype=np.uint64
+        [path_seed(master_seed, first + k) for k in range(paths)],
+        dtype=np.uint64,
     )
     dB = _philox_normals(seeds, np.empty((paths, N + 1)))
     dB *= np.sqrt(grid.dt)
@@ -421,7 +457,7 @@ def run_ensemble(
     _init_slices(Y, data, grid)
     blown, bn, bp, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
     if blown:
-        raise BlowUpError(j=bj, n=bn, path=bp)
+        raise BlowUpError(j=bj, n=bn, path=first + bp)
     return Ensemble(
         grid=grid,
         Y=Y,

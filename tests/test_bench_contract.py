@@ -110,3 +110,25 @@ def test_traced_martingale_counts_kernel_and_estimator(tracing, tmp_path):
     assert m["kernel.node_updates"] == P * N * M
     assert m["kernel.paths_stepped"] == P
     assert m["estimators.martingale_check.busy_s"] > 0.0
+
+
+def test_traced_blocks_step_through_the_cli_binding(tracing, tmp_path,
+                                                    monkeypatch):
+    # 7 paths per block: 101 paths are 15 blocks, the last one of 3 paths
+    P, M, N = 101, 3, 8
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 7 * M)
+    raw = {
+        "grid": {"M": M, "N": N, "T": 1.0},
+        "coefficients": {"d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "mc": {"paths": P, "master_seed": 2},
+    }
+    code, m = traced_run(tracing, "martingale", raw, tmp_path, trajectories=P)
+    assert code == 0
+    assert m["kernel.step_paths.calls"] == 15
+    assert m["solver.run_ensemble.calls"] == 15
+    assert m["solver.path_seed.calls"] == P
+    assert m["kernel.node_updates"] == P * N * M
+    assert m["kernel.paths_stepped"] == P
+    assert m["kernel.useful_ratio"] == 1.0
+    assert m["kernel.ensemble_bytes"] == P * (N + 2) * (M + 2) * 8

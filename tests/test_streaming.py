@@ -1,0 +1,259 @@
+"""Path-block streaming: every stepping subcommand steps its paths as
+consecutive blocks of solver.block_paths(grid) paths and reduces each
+block before the next is drawn.  Results must not depend on the block
+size, a blow-up must be the one a single-block run reports, and a block
+that cannot fit in memory must end in exit 3, not a traceback."""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stochwave import cli, solver
+from stochwave.errors import BlowUpError, CouplingError
+from stochwave.estimators import stability_terms
+from stochwave.fields import random_field, random_slice
+from stochwave.grids import build_grid
+from stochwave.solver import (
+    ProblemData,
+    SchemeCoefficients,
+    block_paths,
+    path_seed,
+    run_ensemble,
+    sample_brownian,
+)
+
+M = 3
+WEIGHT = {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
+          "mconst": 10.0}
+DATA = {
+    "y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+    "y1": {"sine": {"mode": 2, "amplitude": 0.3}},
+    "g": {"random": {"seed": 21, "amplitude": 0.5}},
+    "f": {"random": {"seed": 22, "amplitude": 2.0}},
+}
+RUNS = {
+    "martingale": {
+        "grid": {"M": M, "N": 8, "T": 1.0},
+        "coefficients": {"a": {"constant": -0.5}, "d": {"constant": 0.5}},
+        "data": DATA,
+        "mc": {"paths": 101, "master_seed": 7},
+    },
+    "carleman": {
+        "grid": {"M": M, "N": 64, "T": 3.5},
+        "weight": WEIGHT,
+        "coefficients": {"d": {"constant": 0.5}},
+        "data": DATA,
+        "mc": {"paths": 10, "master_seed": 3},
+        "sweep": {"parameter": "weight.s", "values": [2.0, 4.0]},
+    },
+    "stability": {
+        "grid": {"M": M, "N": 16, "T": 1.0},
+        "coefficients": {"c": {"constant": 0.3}, "d": {"constant": 0.6}},
+        "data": DATA,
+        "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}}},
+        "mc": {"paths": 10, "master_seed": 5},
+    },
+    "simulate": {
+        "grid": {"M": M, "N": 8, "T": 1.0},
+        "coefficients": {"d": {"constant": 0.5}},
+        "data": DATA,
+        "mc": {"paths": 5, "master_seed": 9},
+    },
+}
+
+
+def run_cli(subcommand, raw, out_dir):
+    # the same config bytes for every run, so the manifests can match
+    p = out_dir.parent / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = cli.parse_config(p)
+    cfg.output_dir = str(out_dir)
+    return cli.run(subcommand, cfg)
+
+
+def artifacts(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+
+def set_block(monkeypatch, paths_per_block):
+    monkeypatch.setattr(solver, "_BLOCK_NODES", paths_per_block * M)
+
+
+@pytest.mark.parametrize("subcommand", sorted(RUNS))
+def test_artifacts_independent_of_block_size(monkeypatch, tmp_path,
+                                             subcommand):
+    raw = RUNS[subcommand]
+    seen = {}
+    for size in (1, 3, 7, 1000):
+        set_block(monkeypatch, size)
+        assert block_paths(build_grid(M, 8, 1.0)) == size
+        out = tmp_path / f"b{size}"
+        seen[size] = (run_cli(subcommand, raw, out), artifacts(out))
+    assert seen[1][0] in (0, 6)
+    for size in (3, 7, 1000):
+        assert seen[size] == seen[1], size
+
+
+def test_block_rule_reads_only_the_mesh():
+    assert block_paths(build_grid(15, 225, 1.0)) == 1092
+    assert block_paths(build_grid(127, 2048, 1.0)) == 129
+    assert block_paths(build_grid(1 << 15, 4, 1.0)) == 1
+
+
+def test_first_offset_gives_the_rows_of_the_whole_family():
+    grid = build_grid(4, 6, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 1.0),
+        g=random_field(grid, 3, 1.0),
+    )
+    coeffs = SchemeCoefficients.constant(grid, d=0.5)
+    whole = run_ensemble(data, coeffs, grid, 7, 11)
+    part = run_ensemble(data, coeffs, grid, 3, 11, first=4)
+    assert part.Y.tobytes() == whole.Y[4:].tobytes()
+    assert part.dB.tobytes() == whole.dB[4:].tobytes()
+    assert list(part.seeds) == [path_seed(11, k) for k in (4, 5, 6)]
+    with pytest.raises(ValueError):
+        run_ensemble(data, coeffs, grid, 3, 11, first=-1)
+
+
+def test_stability_coupling_errors_name_global_paths():
+    grid = build_grid(4, 6, 1.0)
+    coeffs = SchemeCoefficients.constant(grid, d=0.5)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 1.0),
+        g=random_field(grid, 3, 1.0),
+    )
+    zero = ProblemData(
+        y0=random_slice(grid, 4, 0.0), y1=random_slice(grid, 5, 0.0),
+        g=random_field(grid, 6, 0.0),
+    )
+
+    def blocks(d, paths=6):
+        return [run_ensemble(d, coeffs, grid, 3, 7, first=k)
+                for k in range(0, paths, 3)]
+
+    whole = stability_terms(
+        run_ensemble(data, coeffs, grid, 6, 7),
+        run_ensemble(zero, coeffs, grid, 6, 7), data, zero, grid,
+    )
+    assert stability_terms(blocks(data), blocks(zero), data, zero,
+                           grid) == whole
+    bad = blocks(zero)
+    seeds = bad[1].seeds.copy()
+    seeds[1] += np.uint64(1)
+    bad[1] = replace(bad[1], seeds=seeds)
+    with pytest.raises(CouplingError, match="path 4 seeds differ"):
+        stability_terms(blocks(data), bad, data, zero, grid)
+    with pytest.raises(CouplingError, match="path counts differ"):
+        stability_terms(blocks(data), blocks(zero, 3), data, zero, grid)
+
+
+def poisoned_kernel(monkeypatch, grid, master_seed, poison):
+    """Wrap the kernel so that path k of leg `leg` gets an infinite
+    increment at dB level poison[leg, k]: it blows up at time level
+    poison[leg, k] + 1, whichever block it is stepped in.  Legs are
+    told apart by their start slice; leg 0 is the first one stepped."""
+    rows = {
+        (leg, sample_brownian(grid.N, grid.dt, path_seed(master_seed, k))
+         .increments.tobytes()): level
+        for (leg, k), level in poison.items()
+    }
+    kernel = solver.step_paths
+    legs = []
+
+    def wrapper(Y, A, B, C, D, G, F, dB, dt, dx):
+        start = Y[0, 0].tobytes()
+        if start not in legs:
+            legs.append(start)
+        leg = legs.index(start)
+        for p in range(dB.shape[0]):
+            level = rows.get((leg, dB[p].tobytes()))
+            if level is not None:
+                dB[p, level] = np.inf
+        return kernel(Y, A, B, C, D, G, F, dB, dt, dx)
+
+    monkeypatch.setattr(solver, "step_paths", wrapper)
+
+
+@pytest.mark.parametrize(
+    "subcommand,poison,expect",
+    [
+        # a later block blows up at an earlier level
+        ("martingale", {(0, 1): 6, (0, 7): 3, (0, 8): 3}, (4, 7)),
+        # same level: the lower path wins
+        ("martingale", {(0, 2): 3, (0, 7): 3}, (4, 2)),
+        # only the short last block blows up
+        ("martingale", {(0, 9): 2}, (3, 9)),
+        ("stability", {(0, 1): 6, (0, 7): 3, (1, 4): 2}, (4, 7)),
+        # leg B fails in the first block pair, leg A only later: a
+        # whole-leg run steps all of leg A first, so leg A's error wins
+        ("stability", {(1, 1): 2, (0, 7): 5}, (6, 7)),
+        ("stability", {(1, 1): 2, (1, 5): 1}, (2, 5)),
+    ],
+)
+def test_blow_up_is_the_single_block_minimum(monkeypatch, tmp_path,
+                                             subcommand, poison, expect):
+    raw = dict(RUNS[subcommand], mc={"paths": 10, "master_seed": 5})
+    grid = build_grid(M, raw["grid"]["N"], raw["grid"]["T"])
+    errors = []
+    for size in (1000, 3):
+        poisoned_kernel(monkeypatch, grid, 5, poison)
+        set_block(monkeypatch, size)
+        with pytest.raises(BlowUpError) as exc:
+            run_cli(subcommand, raw, tmp_path / f"b{size}")
+        errors.append((exc.value.n, exc.value.path, exc.value.j,
+                       str(exc.value)))
+        monkeypatch.undo()
+    assert errors[0][:3] == expect + (1,)
+    assert errors[1] == errors[0]
+
+
+def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
+    # a block's Y (3 paths x 10 levels x 5 nodes x 8 B = 1200 B) exceeds
+    # the physical memory reported: refused before anything is stepped
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 1000)
+    raw = dict(RUNS["martingale"], output_dir=str(tmp_path / "o"))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    set_block(monkeypatch, 3)
+    assert cli._execute("martingale", str(p), None, None, None) == 3
+    with pytest.raises(MemoryError, match="needs 1200 bytes"):
+        run_cli("martingale", RUNS["martingale"], tmp_path / "again")
+
+
+def _cap_address_space():
+    limit = 1 << 30  # 1 GiB of address space, in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_in_a_capped_child_is_exit_3(tmp_path):
+    # 546 paths per block: one block's Y is 546 * 11002 * 32 * 8 B, about
+    # 1.5 GB, which cannot be allocated under the child's 1 GiB cap
+    raw = {
+        "grid": {"M": 30, "N": 11000, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "mc": {"paths": 1000, "master_seed": 1},
+        "output_dir": str(tmp_path / "o"),
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    res = subprocess.run(
+        [sys.executable, "-m", "stochwave.cli", "martingale", "--config",
+         str(p)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "out of memory: " in res.stderr
