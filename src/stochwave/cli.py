@@ -268,7 +268,21 @@ def _parse_mc(node, ptr):
     seed_b = node.get("master_seed_b")
     if seed_b is not None:
         seed_b = _as_int(seed_b, f"{ptr}/master_seed_b", 0)
-    return {"paths": paths, "master_seed": seed, "master_seed_b": seed_b}
+    mc = {"paths": paths, "master_seed": seed, "master_seed_b": seed_b}
+    _check_common_noise(mc)
+    return mc
+
+
+def _check_common_noise(mc):
+    """master_seed_b may only repeat master_seed: the stability pair is
+    stepped as one difference system, which needs common noise."""
+    seed_b = mc["master_seed_b"]
+    if seed_b is not None and seed_b != mc["master_seed"]:
+        raise ConfigError(
+            "/mc/master_seed_b",
+            f"must equal master_seed ({mc['master_seed']}), got {seed_b} "
+            "(coupling error: the difference system needs common noise)",
+        )
 
 
 def _parse_sweep(node, ptr):
@@ -785,16 +799,14 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
             f=data_a.f,
         )
     coeffs = _make_coeffs(cfg, grid)
-    seed_a = cfg.mc["master_seed"]
-    seed_b = cfg.mc["master_seed_b"]
-    if seed_b is None:
-        seed_b = seed_a
+    # a --seed override is applied after parsing
+    _check_common_noise(cfg.mc)
+    # one stepped family: the difference system of the coupled pair
+    diff = data_a.difference(data_b)
     _warn_cfl(out, grid)
-    paths = cfg.mc["paths"]
     rep = stability_terms(
-        _blocks(data_a, coeffs, grid, paths, seed_a),
-        _blocks(data_b, coeffs, grid, paths, seed_b),
-        data_a, data_b, grid, g_mode=cfg.g_mode,
+        _blocks(diff, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
+        diff, grid, g_mode=cfg.g_mode,
     )
     out.json("stability.json", _stability_obj(rep))
     rows = []

@@ -402,15 +402,13 @@ def _paired_blocks(ensA, ensB, grid: Grid):
         del a, b
 
 
-def _stability_block(ensA: Ensemble, ensB: Ensemble, grid: Grid):
-    """Per-path FLUX, XT and DTDX norms of the difference of two
-    coupled blocks."""
+def _stability_block(diffs, paths: int, grid: Grid):
+    """Per-path FLUX, XT and DTDX norms of a block of the difference
+    system: diffs yields each path's yA - yB as an [n, j] array."""
     N = grid.N
     dx, dt = grid.dx, grid.dt
-    P = ensA.paths
-    per = {key: np.empty(P) for key in ("FLUX", "XT", "DTDX")}
-    for p in range(P):
-        ydiff = ensA.Y[p] - ensB.Y[p]  # [n, j]
+    per = {key: np.empty(paths) for key in ("FLUX", "XT", "DTDX")}
+    for p, ydiff in enumerate(diffs):
         dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
         fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
         per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
@@ -424,37 +422,57 @@ def _stability_block(ensA: Ensemble, ensB: Ensemble, grid: Grid):
     return per
 
 
-def stability_terms(
-    ensA,
-    ensB,
-    dataA: ProblemData,
-    dataB: ProblemData,
-    grid: Grid,
-    g_mode: str = "space_time",
-) -> StabilityReport:
+def stability_terms(*args, g_mode: str = "space_time") -> StabilityReport:
     """Norms of the data differences vs the observation differences of
-    two ensembles driven by identical noise and coefficients.  ensA and
-    ensB are two Ensembles or two iterables of path blocks, paired in
-    order; "path k" in a coupling error is the global path index."""
+    two problems driven by identical noise and coefficients, in one of
+    two forms:
+
+        stability_terms(ens, diff, grid)
+        stability_terms(ensA, ensB, dataA, dataB, grid)
+
+    The first takes the difference system itself: ens holds the paths
+    z = yA - yB stepped from diff = dataA.difference(dataB) (the scheme
+    is linear in its data, so one stepped family replaces two).  The
+    second takes the two coupled legs and reduces a.Y[p] - b.Y[p] path
+    by path, checking the coupling of every block pair; "path k" in a
+    coupling error is the global path index.  Each ensemble argument is
+    one Ensemble or an iterable of path blocks, and both forms reduce
+    the same per-path difference arrays."""
+    if len(args) not in (3, 5):
+        raise TypeError(
+            "stability_terms takes (ens, diff, grid) or "
+            f"(ensA, ensB, dataA, dataB, grid), got {len(args)} arguments"
+        )
     if g_mode not in ("space_time", "space_only"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
-    if dataA.grid != grid or dataB.grid != grid:
+    grid = args[-1]
+    datas = args[1:2] if len(args) == 3 else args[2:4]
+    if any(data.grid != grid for data in datas):
         raise MeshMismatchError("problem data lives on a different grid")
 
-    parts = []
-    for a, b in _paired_blocks(ensA, ensB, grid):
-        parts.append(_stability_block(a, b, grid))
-        del a, b  # the next pair is drawn only after this one is freed
+    if len(args) == 5:
+        ensA, ensB, dataA, dataB, _ = args
+        parts = []
+        for a, b in _paired_blocks(ensA, ensB, grid):
+            zs = (a.Y[p] - b.Y[p] for p in range(a.paths))
+            parts.append(_stability_block(zs, a.paths, grid))
+            del a, b, zs  # the next pair is drawn only after this one is freed
+        diff = dataA.difference(dataB)
+    else:
+        ens, diff, _ = args
+        parts = _reduce_blocks(
+            ens, grid,
+            lambda block: _stability_block(block.Y, block.paths, grid),
+        )
     per = {
         key: np.concatenate([part[key] for part in parts])
         for key in ("FLUX", "XT", "DTDX")
     }
-    # data terms after the stepping, in the order of a whole-leg run:
-    # computed first, their 2 MB temporaries (127 x 2048 mesh) left the
-    # heap about 2 MB larger under the two resident blocks
-    gdiff = dataA.g - dataB.g
+    # data terms after the stepping: computed first, their 2 MB
+    # temporaries (127 x 2048 mesh) left the heap about 2 MB larger
+    # under the resident block
     if g_mode == "space_only":
-        cols = gdiff.values
+        cols = diff.g.values
         if not np.all(cols == cols[:, :1]):
             raise ValueError(
                 "g_mode='space_only' but the g difference varies in time"
@@ -464,12 +482,9 @@ def stability_terms(
         )
         G = norm(gslice, "L2")
     else:
-        G = norm(gdiff, "L2")
-    Y0 = norm(dataA.y0 - dataB.y0, "H1")
-    Y1 = norm(
-        dataA.y1.restrict(space="primal") - dataB.y1.restrict(space="primal"),
-        "L2",
-    )
+        G = norm(diff.g, "L2")
+    Y0 = norm(diff.y0, "H1")
+    Y1 = norm(diff.y1.restrict(space="primal"), "L2")
     P = per["XT"].shape[0]
 
     lhs = {

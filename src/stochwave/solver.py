@@ -178,6 +178,24 @@ class ProblemData:
     def grid(self) -> Grid:
         return self.y0.grid
 
+    def difference(self, other: ProblemData) -> ProblemData:
+        """Data of the difference system y_self - y_other: every field
+        minus the other's, a missing f counting as zero (None when
+        neither side has one).  The scheme is linear in (y0, y1, g, f),
+        so under common noise and coefficients stepping this data gives
+        the path-wise difference of the two solutions, to rounding."""
+        _require(other.grid == self.grid, "problem data live on different grids")
+        if self.f is None:
+            f = None if other.f is None else -other.f
+        else:
+            f = self.f if other.f is None else self.f - other.f
+        return ProblemData(
+            y0=self.y0 - other.y0,
+            y1=self.y1 - other.y1,
+            g=self.g - other.g,
+            f=f,
+        )
+
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
@@ -430,21 +448,24 @@ def run_ensemble(
     All paths advance in one kernel call; results are a pure function of
     the inputs and master_seed, independent of backend, schedule and of
     how the family is split into blocks.  A BlowUpError names the global
-    path index.  A block whose Y alone exceeds physical memory is refused
-    with MemoryError before anything is allocated."""
+    path index.  A block whose arrays (Y, dB and the six coefficient and
+    data tables) exceed physical memory is refused with MemoryError
+    before anything is allocated."""
     _check_match(data, coeffs, grid)
     if not (isinstance(paths, (int, np.integer)) and paths >= 1):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
     if not (isinstance(first, (int, np.integer)) and first >= 0):
         raise ValueError(f"first must be an integer >= 0, got {first!r}")
     N, M = grid.N, grid.M
-    need = paths * (N + 2) * (M + 2) * 8
+    need_y = paths * (N + 2) * (M + 2) * 8
+    need = need_y + (paths + 6 * (M + 2)) * (N + 1) * 8
     phys = _physical_bytes()
     if phys is not None and need > phys:
         raise MemoryError(
-            f"a block of {paths} path(s) on a {M} x {N} mesh needs {need} "
-            f"bytes for its trajectories alone, more than the {phys} bytes "
-            "of physical memory"
+            f"a block of {paths} path(s) on a {M} x {N} mesh needs {need_y} "
+            f"bytes for its trajectories and {need} bytes with its noise "
+            f"and coefficient tables, more than the {phys} bytes of "
+            "physical memory"
         )
     seeds = np.array(
         [path_seed(master_seed, first + k) for k in range(paths)],

@@ -463,6 +463,81 @@ def test_exit_config_coupling_seed_b(tmp_path):
     assert "coupling error" in res.stderr
 
 
+SEED_B = {
+    "grid": {"M": 4, "N": 6, "T": 1.0},
+    "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+    "coefficients": {"d": {"constant": 0.5}},
+    "mc": {"paths": 2, "master_seed": 1},
+}
+
+
+def test_master_seed_b_refused_at_parse_time(tmp_path, monkeypatch):
+    raw = dict(SEED_B, mc={"paths": 2, "master_seed": 1, "master_seed_b": 2})
+    p = write_cfg(tmp_path, raw)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(p)
+    assert exc.value.pointer == "/mc/master_seed_b"
+    stepped = []
+    monkeypatch.setattr(cli_mod, "run_ensemble",
+                        lambda *a, **k: stepped.append(a))
+    res = invoke(
+        ["stability", "--config", str(p), "--output-dir", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 3
+    assert "config error: /mc/master_seed_b: must equal master_seed" in res.stderr
+    assert stepped == []
+
+
+def test_master_seed_b_equal_is_accepted(tmp_path):
+    outs = {}
+    for name, mc in (
+        ("plain", SEED_B["mc"]),
+        ("same", dict(SEED_B["mc"], master_seed_b=1)),
+    ):
+        p = write_cfg(tmp_path, dict(SEED_B, mc=mc), f"{name}.json")
+        assert parse_config(p).mc["master_seed_b"] == mc.get("master_seed_b")
+        out = tmp_path / name
+        res = invoke(["stability", "--config", str(p), "--output-dir",
+                      str(out)])
+        assert res.exit_code == 0, res.output
+        outs[name] = (out / "stability.json").read_bytes()
+    assert outs["same"] == outs["plain"]
+
+
+def test_seed_override_must_keep_master_seed_b(tmp_path):
+    raw = dict(SEED_B, mc=dict(SEED_B["mc"], master_seed_b=1))
+    p = write_cfg(tmp_path, raw)
+    res = invoke(["stability", "--config", str(p), "--seed", "4",
+                  "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert "/mc/master_seed_b: must equal master_seed (4), got 1" in res.stderr
+    res = invoke(["stability", "--config", str(p), "--seed", "1",
+                  "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+
+
+def test_stability_shared_forcing_cancels(tmp_path):
+    # each leg alone overflows through the forcing both share, so a
+    # two-leg run exits 4; in the difference system it cancels exactly
+    raw = {
+        "grid": {"M": 7, "N": 32, "T": 1.0},
+        "coefficients": {"a": {"constant": 400.0}, "d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "f": {"random": {"seed": 3, "amplitude": 1e306}}},
+        "mc": {"paths": 3, "master_seed": 1},
+    }
+    unforced = dict(raw, data={"y0": raw["data"]["y0"]})
+    outs = []
+    for name, cfg in (("forced", raw), ("unforced", unforced)):
+        out = tmp_path / name
+        res = invoke(["stability", "--config",
+                      str(write_cfg(tmp_path, cfg, f"{name}.json")),
+                      "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        outs.append((out / "stability.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "subcommand", ["simulate", "carleman", "stability", "martingale"]
 )

@@ -12,6 +12,7 @@ from stochwave import estimators
 from stochwave import (
     CouplingError,
     Ensemble,
+    MeshMismatchError,
     ProblemData,
     SchemeCoefficients,
     WeightParams,
@@ -174,6 +175,120 @@ def test_stability_matches_brute_force():
     for key in ("FLUX", "XT", "DTDX"):
         assert rep.rhs[key].mean == pytest.approx(ref[key], rel=1e-12), key
     assert rep.xt_squared.mean == pytest.approx(ref["XT"] ** 2, rel=1e-12)
+
+
+def leg_difference_reference(ensA, ensB, dataA, dataB, grid):
+    """The two-leg reduction written out: per-path norms of
+    ensA.Y[p] - ensB.Y[p] and data norms of the leg differences, in the
+    arithmetic the two-ensemble form must reproduce bit for bit."""
+    N, dx, dt = grid.N, grid.dx, grid.dt
+    per = {key: [] for key in ("FLUX", "XT", "DTDX")}
+    for p in range(ensA.paths):
+        ydiff = ensA.Y[p] - ensB.Y[p]
+        dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
+        fl = dxy[1 : N + 1, 0]
+        per["FLUX"].append(float(np.sqrt(float(np.sum(fl * fl) * dt))))
+        per["XT"].append(estimators.xt_norm_values(
+            ydiff[N], (ydiff[N + 1] - ydiff[N]) / dt, dx
+        ))
+        dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt
+        per["DTDX"].append(dx * float(
+            np.sqrt(float(np.sum(dtdx * dtdx) * (dx * dt)))
+        ))
+    data = {
+        "G": estimators.norm(dataA.g - dataB.g, "L2"),
+        "Y0": estimators.norm(dataA.y0 - dataB.y0, "H1"),
+        "Y1": estimators.norm(
+            dataA.y1.restrict(space="primal")
+            - dataB.y1.restrict(space="primal"),
+            "L2",
+        ),
+    }
+    return {key: np.array(v) for key, v in per.items()}, data
+
+
+def coupled_pair(grid, paths, seed=33):
+    coeffs = SchemeCoefficients.constant(grid, a=0.2, b=0.1, c=0.3, d=0.5)
+    dataA = small_problem(grid, seed=10)
+    dataB = small_problem(grid, seed=20)
+    ensA = run_ensemble(dataA, coeffs, grid, paths, seed)
+    ensB = run_ensemble(dataB, coeffs, grid, paths, seed)
+    return coeffs, dataA, dataB, ensA, ensB
+
+
+def test_stability_two_ensemble_form_is_the_leg_difference():
+    grid = build_grid(5, 12, 1.0)
+    _, dataA, dataB, ensA, ensB = coupled_pair(grid, 7)
+    per, data = leg_difference_reference(ensA, ensB, dataA, dataB, grid)
+
+    def blocks(ens):
+        return [replace(ens, Y=ens.Y[k : k + 3], dB=ens.dB[k : k + 3],
+                        seeds=ens.seeds[k : k + 3]) for k in range(0, 7, 3)]
+
+    for a, b in ((ensA, ensB), (blocks(ensA), blocks(ensB))):
+        rep = stability_terms(a, b, dataA, dataB, grid)
+        for key in ("FLUX", "XT", "DTDX"):
+            assert rep.rhs[key] == estimators._stat(per[key]), key
+        assert rep.xt_squared == estimators._stat(per["XT"] * per["XT"])
+        for key in ("G", "Y0", "Y1"):
+            assert rep.lhs[key].mean == data[key], key
+
+
+def test_stability_one_ensemble_form_agrees_per_path():
+    # the difference system stepped once against the two legs, path by
+    # path: equal to rounding (the scheme is linear in its data)
+    grid = build_grid(5, 12, 1.0)
+    P, seed = 6, 33
+    coeffs, dataA, dataB, ensA, ensB = coupled_pair(grid, P, seed)
+    diff = dataA.difference(dataB)
+    ens = run_ensemble(diff, coeffs, grid, P, seed)
+    per, data = leg_difference_reference(ensA, ensB, dataA, dataB, grid)
+    for k in range(P):
+        one = stability_terms(
+            run_ensemble(diff, coeffs, grid, 1, seed, first=k), diff, grid
+        )
+        for key in ("FLUX", "XT", "DTDX"):
+            assert per[key][k] > 0.0
+            assert one.rhs[key].mean == pytest.approx(
+                per[key][k], rel=1e-12, abs=0.0
+            ), (k, key)
+    whole = stability_terms(ens, diff, grid)
+    two = stability_terms(ensA, ensB, dataA, dataB, grid)
+    assert whole.lhs == two.lhs   # data terms bit for bit
+    for key in ("G", "Y0", "Y1"):
+        assert whole.lhs[key].mean == data[key]
+    assert whole.ratio_unsquared == pytest.approx(
+        two.ratio_unsquared, rel=1e-12
+    )
+
+
+def test_problem_difference_forcing():
+    grid = build_grid(4, 6, 1.0)
+    a = small_problem(grid, seed=1)
+    b = small_problem(grid, seed=2)
+    bare_a, bare_b = replace(a, f=None), replace(b, f=None)
+    assert bare_a.difference(bare_b).f is None
+    d = a.difference(b)
+    assert np.array_equal(d.f.values, a.f.values - b.f.values)
+    assert np.array_equal(d.y0.values, a.y0.values - b.y0.values)
+    assert np.array_equal(d.y1.values, a.y1.values - b.y1.values)
+    assert np.array_equal(d.g.values, a.g.values - b.g.values)
+    assert np.array_equal(bare_a.difference(b).f.values, -b.f.values)
+    assert np.array_equal(a.difference(bare_b).f.values, a.f.values)
+    # forcing shared by both sides cancels exactly
+    assert not np.any(a.difference(replace(bare_b, f=a.f)).f.values)
+
+
+def test_stability_terms_argument_forms():
+    grid = build_grid(4, 6, 1.0)
+    coeffs, dataA, dataB, ensA, ensB = coupled_pair(grid, 2)
+    with pytest.raises(TypeError, match="got 4 arguments"):
+        stability_terms(ensA, ensB, dataA, grid)
+    other = build_grid(4, 8, 1.0)
+    with pytest.raises(MeshMismatchError):
+        stability_terms(ensA, small_problem(other), grid)
+    with pytest.raises(ValueError, match="g_mode"):
+        stability_terms(ensA, dataA, grid, g_mode="bogus")
 
 
 def test_stability_identical_pair_flagged_undefined():

@@ -155,26 +155,54 @@ def test_stability_coupling_errors_name_global_paths():
         stability_terms(blocks(data), blocks(zero, 3), data, zero, grid)
 
 
+def test_two_leg_form_lets_leg_a_blow_up_win():
+    # stability_terms(ensA, ensB, ...) pulls the legs' blocks in pairs;
+    # when leg B fails first the rest of leg A is drawn, so leg A's
+    # error wins, as in a run that steps all of leg A first
+    grid = build_grid(4, 6, 1.0)
+    coeffs = SchemeCoefficients.constant(grid, d=0.5)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 1.0),
+        g=random_field(grid, 3, 1.0),
+    )
+    zero = data.difference(data)
+    drawn = []
+
+    def leg(name, d, fail_at=None, error=None):
+        for i, k in enumerate(range(0, 9, 3)):
+            if i == fail_at:
+                raise error
+            drawn.append((name, k))
+            yield run_ensemble(d, coeffs, grid, 3, 7, first=k)
+
+    err_a, err_b = BlowUpError(1, 5, 4), BlowUpError(1, 2, 1)
+    with pytest.raises(BlowUpError) as exc:
+        stability_terms(leg("A", data, 2, err_a), leg("B", zero, 0, err_b),
+                        data, zero, grid)
+    assert exc.value is err_a
+    assert drawn == [("A", 0), ("A", 3)]
+    drawn.clear()
+    with pytest.raises(BlowUpError) as exc:
+        stability_terms(leg("A", data), leg("B", zero, 1, err_b),
+                        data, zero, grid)
+    assert exc.value is err_b
+    assert drawn == [("A", 0), ("B", 0), ("A", 3), ("A", 6)]
+
+
 def poisoned_kernel(monkeypatch, grid, master_seed, poison):
-    """Wrap the kernel so that path k of leg `leg` gets an infinite
-    increment at dB level poison[leg, k]: it blows up at time level
-    poison[leg, k] + 1, whichever block it is stepped in.  Legs are
-    told apart by their start slice; leg 0 is the first one stepped."""
+    """Wrap the kernel so that path k gets an infinite increment at dB
+    level poison[k]: it blows up at time level poison[k] + 1, whichever
+    block it is stepped in."""
     rows = {
-        (leg, sample_brownian(grid.N, grid.dt, path_seed(master_seed, k))
-         .increments.tobytes()): level
-        for (leg, k), level in poison.items()
+        sample_brownian(grid.N, grid.dt, path_seed(master_seed, k))
+        .increments.tobytes(): level
+        for k, level in poison.items()
     }
     kernel = solver.step_paths
-    legs = []
 
     def wrapper(Y, A, B, C, D, G, F, dB, dt, dx):
-        start = Y[0, 0].tobytes()
-        if start not in legs:
-            legs.append(start)
-        leg = legs.index(start)
         for p in range(dB.shape[0]):
-            level = rows.get((leg, dB[p].tobytes()))
+            level = rows.get(dB[p].tobytes())
             if level is not None:
                 dB[p, level] = np.inf
         return kernel(Y, A, B, C, D, G, F, dB, dt, dx)
@@ -186,16 +214,19 @@ def poisoned_kernel(monkeypatch, grid, master_seed, poison):
     "subcommand,poison,expect",
     [
         # a later block blows up at an earlier level
-        ("martingale", {(0, 1): 6, (0, 7): 3, (0, 8): 3}, (4, 7)),
+        ("martingale", {1: 6, 7: 3, 8: 3}, (4, 7)),
         # same level: the lower path wins
-        ("martingale", {(0, 2): 3, (0, 7): 3}, (4, 2)),
+        ("martingale", {2: 3, 7: 3}, (4, 2)),
         # only the short last block blows up
-        ("martingale", {(0, 9): 2}, (3, 9)),
-        ("stability", {(0, 1): 6, (0, 7): 3, (1, 4): 2}, (4, 7)),
-        # leg B fails in the first block pair, leg A only later: a
-        # whole-leg run steps all of leg A first, so leg A's error wins
-        ("stability", {(1, 1): 2, (0, 7): 5}, (6, 7)),
-        ("stability", {(1, 1): 2, (1, 5): 1}, (2, 5)),
+        ("martingale", {9: 2}, (3, 9)),
+        # stability steps one family, the difference system, so its
+        # blow-up is that family's minimum as for any other subcommand
+        ("stability", {1: 6, 7: 3}, (4, 7)),
+        # the first block fails first: a later block failing at a later
+        # level, after it, does not replace its error
+        ("stability", {1: 2, 7: 5}, (3, 1)),
+        # the second block fails at an earlier level than the first
+        ("stability", {1: 2, 5: 1}, (2, 5)),
     ],
 )
 def test_blow_up_is_the_single_block_minimum(monkeypatch, tmp_path,
@@ -226,6 +257,23 @@ def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
     assert cli._execute("martingale", str(p), None, None, None) == 3
     with pytest.raises(MemoryError, match="needs 1200 bytes"):
         run_cli("martingale", RUNS["martingale"], tmp_path / "again")
+
+
+def test_memory_refusal_counts_noise_and_tables(monkeypatch, tmp_path):
+    # the same 3-path block: its Y (1200 B) fits in 2000 B, but with dB
+    # (3 x 9 x 8 B = 216 B) and the six 9 x 5 coefficient and data
+    # tables (2160 B) it needs 3576 B
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 2000)
+    raw = dict(RUNS["martingale"], output_dir=str(tmp_path / "o"))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    set_block(monkeypatch, 3)
+    assert cli._execute("martingale", str(p), None, None, None) == 3
+    with pytest.raises(MemoryError, match="1200 bytes for its trajectories "
+                       "and 3576 bytes with"):
+        run_cli("martingale", RUNS["martingale"], tmp_path / "again")
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 3576)
+    assert run_cli("martingale", RUNS["martingale"], tmp_path / "fits") in (0, 6)
 
 
 def _cap_address_space():
