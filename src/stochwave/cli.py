@@ -10,9 +10,10 @@ Exit codes, so CI can tell failure classes apart:
 
     0  success
     2  usage error (bad flags, unknown subcommand)
-    3  config or experiment-setup error (JSON syntax, validation,
-       coupling violations, module preconditions, a path block that
-       does not fit in memory)
+    3  config or experiment-setup error (JSON syntax, validation, a
+       master_seed_b that differs from master_seed, module
+       preconditions, an output_dir that cannot be written, a path
+       block that does not fit in memory)
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -36,13 +37,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import (
-    BlowUpError,
-    CouplingError,
-    DegenerateOrderError,
-    SingularUpdateError,
-    WeightOverflowError,
-)
+from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import carleman_terms, martingale_check, stability_terms
 from .fields import (
     preset_coefficient,
@@ -72,6 +67,10 @@ EXIT_ADMISSIBILITY = 5
 EXIT_STATISTICAL = 6
 
 IDENTITY_GATE = 1e-10
+
+# largest mesh size, path count or sine mode, and largest random-data seed
+_MAX_COUNT = 2**63 - 1
+_MAX_SEED = 2**64 - 1
 
 
 class ConfigError(Exception):
@@ -125,11 +124,13 @@ def _get(node, key, ptr, required=True, default=None):
     return node[key]
 
 
-def _as_int(v, ptr, minimum=None):
+def _as_int(v, ptr, minimum=None, maximum=None):
     if not _is_int(v):
         raise ConfigError(ptr, f"expected an integer, got {reprlib.repr(v)}")
     if minimum is not None and v < minimum:
         raise ConfigError(ptr, f"must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(ptr, f"must be <= {maximum}, got {reprlib.repr(v)}")
     return v
 
 
@@ -150,8 +151,8 @@ def _as_str(v, ptr, choices=None):
 def _parse_grid(node, ptr):
     node = _need_object(node, ptr)
     _check_keys(node, {"M", "N", "T"}, ptr)
-    M = _as_int(_get(node, "M", ptr), f"{ptr}/M", minimum=1)
-    N = _as_int(_get(node, "N", ptr), f"{ptr}/N", minimum=1)
+    M = _as_int(_get(node, "M", ptr), f"{ptr}/M", 1, _MAX_COUNT)
+    N = _as_int(_get(node, "N", ptr), f"{ptr}/N", 1, _MAX_COUNT)
     T = _as_num(_get(node, "T", ptr), f"{ptr}/T")
     if T <= 0:
         raise ConfigError(f"{ptr}/T", f"must be > 0, got {T}")
@@ -228,14 +229,18 @@ def _parse_data_spec(node, ptr):
     if "sine" in spec:
         sub = _need_object(spec["sine"], f"{ptr}/sine")
         _check_keys(sub, {"mode", "amplitude"}, f"{ptr}/sine")
-        mode = _as_int(_get(sub, "mode", f"{ptr}/sine"), f"{ptr}/sine/mode", 1)
+        mode = _as_int(
+            _get(sub, "mode", f"{ptr}/sine"), f"{ptr}/sine/mode", 1, _MAX_COUNT
+        )
         amp = _as_num(
             _get(sub, "amplitude", f"{ptr}/sine"), f"{ptr}/sine/amplitude"
         )
         return ("sine", mode, amp)
     sub = _need_object(spec["random"], f"{ptr}/random")
     _check_keys(sub, {"seed", "amplitude"}, f"{ptr}/random")
-    seed = _as_int(_get(sub, "seed", f"{ptr}/random"), f"{ptr}/random/seed", 0)
+    seed = _as_int(
+        _get(sub, "seed", f"{ptr}/random"), f"{ptr}/random/seed", 0, _MAX_SEED
+    )
     amp = _as_num(
         _get(sub, "amplitude", f"{ptr}/random"), f"{ptr}/random/amplitude"
     )
@@ -258,7 +263,8 @@ def _parse_mc(node, ptr):
     node = _need_object(node, ptr)
     _check_keys(node, {"paths", "master_seed", "master_seed_b"}, ptr)
     paths = _as_int(
-        _get(node, "paths", ptr, required=False, default=1), f"{ptr}/paths", 1
+        _get(node, "paths", ptr, required=False, default=1), f"{ptr}/paths",
+        1, _MAX_COUNT,
     )
     seed = _as_int(
         _get(node, "master_seed", ptr, required=False, default=0),
@@ -603,11 +609,10 @@ def _admissibility_obj(rep):
 
 def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
     grid = _make_grid(cfg)
+    # field seeds reduced to 64 bits, as path_seed reduces its input
     seed = cfg.mc["master_seed"]
-    u = random_field(grid, seed, 1.0, space_tag="closure", time_tag="closure")
-    v = random_field(
-        grid, seed + 1, 1.0, space_tag="closure", time_tag="closure"
-    )
+    u = random_field(grid, seed % 2**64, 1.0, "closure", "closure")
+    v = random_field(grid, (seed + 1) % 2**64, 1.0, "closure", "closure")
     table = identity_residuals(u, v)
     rows = [
         (ident, "" if res is None else res) for ident, res in table.rows()
@@ -661,7 +666,7 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     head = next(blocks)
     traj = Ensemble(
         grid, head.Y[:1].copy(), head.dB[:1].copy(), head.seeds[:1].copy(),
-        head.master_seed, coeffs,
+        head.master_seed,
     ).trajectory(0)
     del head
     for _ in blocks:
@@ -881,32 +886,28 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
         if output_dir is not None:
             cfg.output_dir = output_dir
         if paths is not None:
-            if paths < 1:
-                raise ConfigError("/mc/paths", f"must be >= 1, got {paths}")
-            cfg.mc["paths"] = paths
+            cfg.mc["paths"] = _as_int(paths, "/mc/paths", 1, _MAX_COUNT)
         if seed is not None:
-            if seed < 0:
-                raise ConfigError("/mc/master_seed", f"must be >= 0, got {seed}")
-            cfg.mc["master_seed"] = seed
+            cfg.mc["master_seed"] = _as_int(seed, "/mc/master_seed", 0)
         return run(subcommand, cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
-    except (BlowUpError, WeightOverflowError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        return EXIT_NUMERIC
     except (SingularUpdateError, DegenerateOrderError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return EXIT_NUMERIC
-    except CouplingError as exc:
-        click.echo(f"coupling error: {exc}", err=True)
-        return EXIT_CONFIG
     except ValueError as exc:
         click.echo(f"invalid experiment: {exc}", err=True)
         return EXIT_CONFIG
-    except FloatingPointError as exc:
+    except FloatingPointError as exc:  # BlowUpError, WeightOverflowError
         click.echo(f"numeric failure: {exc}", err=True)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # an unreadable config is a ConfigError: this failed writing output
+        where = exc.filename or cfg.output_dir
+        msg = exc.strerror or exc
+        click.echo(f"cannot write output: {where}: {msg}", err=True)
+        return EXIT_CONFIG
     except MemoryError as exc:
         # NumPy's message names the size of the array it could not make
         click.echo(f"out of memory: {exc or 'an allocation failed'}", err=True)

@@ -44,7 +44,3 @@ class BlowUpError(FloatingPointError):
             f"non-finite value at space index j={self.j}, "
             f"time level n={self.n}, path {self.path}"
         )
-
-
-class CouplingError(ValueError):
-    """Two ensembles that must share noise/coefficients do not."""

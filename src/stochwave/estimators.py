@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, CouplingError, MeshMismatchError
+from .errors import MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
 from .solver import Ensemble, ProblemData
@@ -42,6 +42,7 @@ from .weights import (
 )
 
 _MAX_EXP = math.log(np.finfo(np.float64).max)
+_MAX_CUBE_ROOT = float(np.finfo(np.float64).max) ** (1 / 3)
 
 # node products per reduction of martingale_check (512 KB of scratch)
 _MARTINGALE_BLOCK_NODES = 1 << 16
@@ -56,17 +57,13 @@ class MCStatistic:
     paths: int
 
 
-def _as_blocks(ens):
-    """One Ensemble as a single block; anything else is taken to be an
-    iterable of blocks."""
-    return (ens,) if isinstance(ens, Ensemble) else ens
-
-
 def _reduce_blocks(ens, grid: Grid, reduce) -> list:
     """[reduce(block) for each block of ens], holding no block once it
-    is reduced: the next block is drawn only after this one is freed."""
+    is reduced: the next block is drawn only after this one is freed.
+    One Ensemble is a single block; anything else is an iterable of
+    blocks."""
     parts = []
-    for block in _as_blocks(ens):
+    for block in (ens,) if isinstance(ens, Ensemble) else ens:
         if block.grid != grid:
             raise MeshMismatchError("ensemble lives on a different grid")
         parts.append(reduce(block))
@@ -260,9 +257,10 @@ def carleman_terms(
         f, d = _weight_set(wk, data, grid)
         factors.append(f)
         data_terms.append(d)
-        if kap * wk.s > _MAX_EXP:
+        if kap * wk.s > _MAX_EXP or wk.s > _MAX_CUBE_ROOT:
             raise FloatingPointError(
-                f"e^(kappa*s) overflows float64 for kappa*s = {kap * wk.s}"
+                f"s^3 e^(kappa*s) overflows float64 for s = {wk.s}, "
+                f"kappa*s = {kap * wk.s}"
             )
         r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
 
@@ -344,71 +342,13 @@ class StabilityReport:
     g_mode: str
 
 
-def _check_coupled(ensA: Ensemble, ensB: Ensemble, grid: Grid, first=0):
-    """Coupling of two blocks that start at global path `first`."""
-    if ensA.grid != grid or ensB.grid != grid:
-        raise CouplingError("ensembles live on different grids")
-    if ensA.paths != ensB.paths:
-        raise CouplingError(
-            f"path counts differ: {first + ensA.paths} vs {first + ensB.paths}"
-        )
-    differ = np.flatnonzero(ensA.seeds != ensB.seeds)
-    if differ.size:
-        k = int(differ[0])
-        sa, sb = int(ensA.seeds[k]), int(ensB.seeds[k])
-        raise CouplingError(
-            f"path {first + k} seeds differ ({sa} vs {sb}); "
-            "the difference system needs common noise"
-        )
-    ca, cb = ensA.coeffs, ensB.coeffs
-    if (ca is None) != (cb is None):
-        raise CouplingError("only one ensemble carries its coefficients")
-    if ca is not None:
-        for name in ("a", "b", "c", "d"):
-            if not np.array_equal(
-                getattr(ca, name).values, getattr(cb, name).values
-            ):
-                raise CouplingError(
-                    f"coefficient {name} differs between the ensembles"
-                )
-
-
-def _paired_blocks(ensA, ensB, grid: Grid):
-    """The blocks of the two legs side by side, as (block of A, block
-    of B) pairs, each pair checked for coupling.  A whole-leg run
-    steps all of leg A before leg B, so when leg B blows up the rest of
-    leg A is stepped before the error goes up: a blow-up of A wins."""
-    itA, itB = iter(_as_blocks(ensA)), iter(_as_blocks(ensB))
-    first = 0
-    while True:
-        a = next(itA, None)
-        try:
-            b = next(itB, None)
-        except BlowUpError:
-            for _ in itA:
-                pass
-            raise
-        if a is None or b is None:
-            if a is not b:
-                longer = "A" if b is None else "B"
-                raise CouplingError(
-                    f"path counts differ: leg {longer} has more than "
-                    f"{first} paths, the other {first}"
-                )
-            return
-        _check_coupled(a, b, grid, first)
-        first += a.paths
-        yield a, b
-        del a, b
-
-
-def _stability_block(diffs, paths: int, grid: Grid):
+def _stability_block(Y, grid: Grid):
     """Per-path FLUX, XT and DTDX norms of a block of the difference
-    system: diffs yields each path's yA - yB as an [n, j] array."""
+    system: Y[p] is path p's z = yA - yB as an [n, j] array."""
     N = grid.N
     dx, dt = grid.dx, grid.dt
-    per = {key: np.empty(paths) for key in ("FLUX", "XT", "DTDX")}
-    for p, ydiff in enumerate(diffs):
+    per = {key: np.empty(Y.shape[0]) for key in ("FLUX", "XT", "DTDX")}
+    for p, ydiff in enumerate(Y):
         dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
         fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
         per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
@@ -422,48 +362,24 @@ def _stability_block(diffs, paths: int, grid: Grid):
     return per
 
 
-def stability_terms(*args, g_mode: str = "space_time") -> StabilityReport:
+def stability_terms(
+    ens, diff: ProblemData, grid: Grid, *, g_mode: str = "space_time"
+) -> StabilityReport:
     """Norms of the data differences vs the observation differences of
-    two problems driven by identical noise and coefficients, in one of
-    two forms:
+    two problems driven by identical noise and coefficients.
 
-        stability_terms(ens, diff, grid)
-        stability_terms(ensA, ensB, dataA, dataB, grid)
-
-    The first takes the difference system itself: ens holds the paths
-    z = yA - yB stepped from diff = dataA.difference(dataB) (the scheme
-    is linear in its data, so one stepped family replaces two).  The
-    second takes the two coupled legs and reduces a.Y[p] - b.Y[p] path
-    by path, checking the coupling of every block pair; "path k" in a
-    coupling error is the global path index.  Each ensemble argument is
-    one Ensemble or an iterable of path blocks, and both forms reduce
-    the same per-path difference arrays."""
-    if len(args) not in (3, 5):
-        raise TypeError(
-            "stability_terms takes (ens, diff, grid) or "
-            f"(ensA, ensB, dataA, dataB, grid), got {len(args)} arguments"
-        )
+    ens is the difference system itself: the paths z = yA - yB stepped
+    from diff = dataA.difference(dataB) with the pair's coefficients
+    and master seed (the scheme is linear in its data, so one stepped
+    family gives the path-wise difference of the two solutions).  ens
+    is one Ensemble or an iterable of path blocks."""
     if g_mode not in ("space_time", "space_only"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
-    grid = args[-1]
-    datas = args[1:2] if len(args) == 3 else args[2:4]
-    if any(data.grid != grid for data in datas):
+    if diff.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
-
-    if len(args) == 5:
-        ensA, ensB, dataA, dataB, _ = args
-        parts = []
-        for a, b in _paired_blocks(ensA, ensB, grid):
-            zs = (a.Y[p] - b.Y[p] for p in range(a.paths))
-            parts.append(_stability_block(zs, a.paths, grid))
-            del a, b, zs  # the next pair is drawn only after this one is freed
-        diff = dataA.difference(dataB)
-    else:
-        ens, diff, _ = args
-        parts = _reduce_blocks(
-            ens, grid,
-            lambda block: _stability_block(block.Y, block.paths, grid),
-        )
+    parts = _reduce_blocks(
+        ens, grid, lambda block: _stability_block(block.Y, grid)
+    )
     per = {
         key: np.concatenate([part[key] for part in parts])
         for key in ("FLUX", "XT", "DTDX")

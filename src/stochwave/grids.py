@@ -70,6 +70,8 @@ class Grid:
         self.T = T
         self.dx = 1.0 / (self.M + 1)
         self.dt = T / self.N
+        if self.dt == 0.0:
+            raise ValueError(f"dt = T/N underflows to zero for T = {T!r}")
         # canonical axes, built once: tag lookups are on every hot path
         M, N = self.M, self.N
         self.space_axes = MappingProxyType({

@@ -276,17 +276,13 @@ class Ensemble:
     drawn with, seeds[p] = path_seed(master_seed, first + p) for the
     run_ensemble block that starts at path `first`.  Estimators read
     these arrays directly; `trajectory(k)` and `trajectories` build
-    Trajectory views on demand, which share memory with Y and dB.
-
-    coeffs is carried along so coupled-ensemble consumers can verify
-    that two ensembles were driven by the same coefficient fields."""
+    Trajectory views on demand, which share memory with Y and dB."""
 
     grid: Grid
     Y: np.ndarray
     dB: np.ndarray
     seeds: np.ndarray
     master_seed: int
-    coeffs: SchemeCoefficients = None
 
     def __post_init__(self):
         N, M = self.grid.N, self.grid.M
@@ -485,7 +481,6 @@ def run_ensemble(
         dB=dB,
         seeds=seeds,
         master_seed=int(master_seed),
-        coeffs=coeffs,
     )
 
 

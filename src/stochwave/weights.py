@@ -271,7 +271,9 @@ def check_admissible(params: WeightParams, grid: Grid) -> AdmissibilityReport:
     sdx_value = params.s * grid.dx
     sdx_condition = sdx_value <= params.epsilon
 
-    dt_value = grid.dt / (params.epsilon * grid.dx * grid.dx)
+    # epsilon * dx^2 may underflow to zero: dt_value is then infinite
+    den = params.epsilon * grid.dx * grid.dx
+    dt_value = grid.dt / den if den > 0.0 else math.inf
     dt_condition = dt_value <= params.dt_mult
 
     X = grid.space_closure[:, None]

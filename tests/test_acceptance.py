@@ -230,7 +230,8 @@ def test_criterion_6_brute_force_equivalence():
     dataA = ProblemData(y0=data.y0, y1=data.y1, g=data.g)
     ensA = run_ensemble(dataA, coeffs, grid, 1, 33)
     ensB = run_ensemble(dataB, coeffs, grid, 1, 33)
-    rep2 = stability_terms(ensA, ensB, dataA, dataB, grid)
+    diff = dataA.difference(dataB)
+    rep2 = stability_terms(run_ensemble(diff, coeffs, grid, 1, 33), diff, grid)
     ref2 = oracles.brute_stability_terms(
         ensA.trajectories[0].y.values, ensB.trajectories[0].y.values,
         dataA.y0.values, dataB.y0.values,
@@ -289,7 +290,7 @@ def test_criterion_7_carleman_ratio_sweep():
     )
 
 
-def _coupled_pair(grid, coeffs, k: int, paths: int):
+def _pair_data(grid, k: int):
     dataA = ProblemData(
         y0=random_slice(grid, 1000 + k, 1.0),
         y1=random_slice(grid, 2000 + k, 1.0),
@@ -300,9 +301,7 @@ def _coupled_pair(grid, coeffs, k: int, paths: int):
         y1=random_slice(grid, 7000 + k, 1.0),
         g=random_field(grid, 8000 + k, 1.0),
     )
-    ensA = run_ensemble(dataA, coeffs, grid, paths, 5000 + k)
-    ensB = run_ensemble(dataB, coeffs, grid, paths, 5000 + k)
-    return dataA, dataB, ensA, ensB
+    return dataA, dataB
 
 
 def _level_max_ratio(M: int, N: int, pairs: int, paths: int) -> float:
@@ -310,8 +309,10 @@ def _level_max_ratio(M: int, N: int, pairs: int, paths: int) -> float:
     coeffs = SchemeCoefficients.constant(grid, a=-0.5, b=0.3, c=0.2, d=0.5)
     worst = 0.0
     for k in range(pairs):
-        dataA, dataB, ensA, ensB = _coupled_pair(grid, coeffs, k, paths)
-        rep = stability_terms(ensA, ensB, dataA, dataB, grid)
+        dataA, dataB = _pair_data(grid, k)
+        diff = dataA.difference(dataB)
+        ens = run_ensemble(diff, coeffs, grid, paths, 5000 + k)
+        rep = stability_terms(ens, diff, grid)
         assert rep.ratio_unsquared_defined
         worst = max(worst, rep.ratio_unsquared)
     return worst
@@ -339,7 +340,9 @@ def test_criterion_9_difference_system_residual():
     coeffs = SchemeCoefficients.constant(grid, a=-0.5, b=0.3, c=0.2, d=0.5)
     worst = 0.0
     for k in range(5):
-        dataA, dataB, ensA, ensB = _coupled_pair(grid, coeffs, k, 2)
+        dataA, dataB = _pair_data(grid, k)
+        ensA = run_ensemble(dataA, coeffs, grid, 2, 5000 + k)
+        ensB = run_ensemble(dataB, coeffs, grid, 2, 5000 + k)
         gdiff = GridFunction(
             grid,
             dataA.g.values - dataB.g.values,

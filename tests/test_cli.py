@@ -538,6 +538,72 @@ def test_stability_shared_forcing_cancels(tmp_path):
     assert outs[0] == outs[1]
 
 
+SINE_MODE = {"y0": {"sine": {"mode": 10**400, "amplitude": 1.0}}}
+RANDOM_SEED = {"y1": {"random": {"seed": 2**64, "amplitude": 1.0}}}
+
+
+@pytest.mark.parametrize(
+    "subcommand, raw, pointer",
+    [
+        ("identities", {"grid": dict(GRID, M=10**400)}, "/grid/M"),
+        ("simulate", {"grid": dict(GRID, N=10**400)}, "/grid/N"),
+        ("identities", {"grid": GRID, "mc": {"paths": 2**63}}, "/mc/paths"),
+        ("simulate", {"grid": GRID, "data": SINE_MODE},
+         "/data/y0/sine/mode"),
+        ("stability", {"grid": GRID, "data_b": RANDOM_SEED},
+         "/data_b/y1/random/seed"),
+        # accepted: its two field seeds are reduced to 64 bits
+        ("identities", {"grid": GRID, "mc": {"master_seed": 2**64 - 1}},
+         None),
+    ],
+)
+def test_out_of_range_integers(tmp_path, subcommand, raw, pointer):
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(tmp_path / "o")])
+    assert not isinstance(res.exception, OverflowError)
+    if pointer is None:
+        assert res.exit_code == 0, res.output
+    else:
+        assert res.exit_code == 3, res.output
+        assert f"config error: {pointer}: must be <= " in res.stderr
+
+
+def test_paths_flag_has_the_config_bound(tmp_path):
+    res = invoke(["identities", "--config",
+                  str(write_cfg(tmp_path, {"grid": GRID})),
+                  "--paths", str(2**63), "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert "config error: /mc/paths: must be <= " in res.stderr
+
+
+def test_underflowing_dt_is_refused(tmp_path):
+    # T / N is 0.0: terminal_v = (y^{N+1} - y^N) / dt was written as nan
+    raw = {"grid": {"M": 3, "N": 4, "T": 5e-324}}
+    res = invoke(["simulate", "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert "dt = T/N underflows to zero" in res.stderr
+
+
+@pytest.mark.parametrize("blocked", ["output_dir", "artifact"])
+def test_unwritable_output_is_exit_3(tmp_path, blocked):
+    if blocked == "output_dir":
+        # a regular file where a parent directory should be
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        where = out
+    else:
+        # a directory where the artifact file should be
+        out = tmp_path / "o"
+        where = out / "identities.csv"
+        where.mkdir(parents=True)
+    res = invoke(["identities", "--config",
+                  str(write_cfg(tmp_path, {"grid": GRID})),
+                  "--output-dir", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"cannot write output: {where}: " in res.stderr
+
+
 @pytest.mark.parametrize(
     "subcommand", ["simulate", "carleman", "stability", "martingale"]
 )

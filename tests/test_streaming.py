@@ -9,15 +9,13 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochwave import cli, solver
-from stochwave.errors import BlowUpError, CouplingError
-from stochwave.estimators import stability_terms
+from stochwave.errors import BlowUpError
 from stochwave.fields import random_field, random_slice
 from stochwave.grids import build_grid
 from stochwave.solver import (
@@ -121,72 +119,6 @@ def test_first_offset_gives_the_rows_of_the_whole_family():
     assert list(part.seeds) == [path_seed(11, k) for k in (4, 5, 6)]
     with pytest.raises(ValueError):
         run_ensemble(data, coeffs, grid, 3, 11, first=-1)
-
-
-def test_stability_coupling_errors_name_global_paths():
-    grid = build_grid(4, 6, 1.0)
-    coeffs = SchemeCoefficients.constant(grid, d=0.5)
-    data = ProblemData(
-        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 1.0),
-        g=random_field(grid, 3, 1.0),
-    )
-    zero = ProblemData(
-        y0=random_slice(grid, 4, 0.0), y1=random_slice(grid, 5, 0.0),
-        g=random_field(grid, 6, 0.0),
-    )
-
-    def blocks(d, paths=6):
-        return [run_ensemble(d, coeffs, grid, 3, 7, first=k)
-                for k in range(0, paths, 3)]
-
-    whole = stability_terms(
-        run_ensemble(data, coeffs, grid, 6, 7),
-        run_ensemble(zero, coeffs, grid, 6, 7), data, zero, grid,
-    )
-    assert stability_terms(blocks(data), blocks(zero), data, zero,
-                           grid) == whole
-    bad = blocks(zero)
-    seeds = bad[1].seeds.copy()
-    seeds[1] += np.uint64(1)
-    bad[1] = replace(bad[1], seeds=seeds)
-    with pytest.raises(CouplingError, match="path 4 seeds differ"):
-        stability_terms(blocks(data), bad, data, zero, grid)
-    with pytest.raises(CouplingError, match="path counts differ"):
-        stability_terms(blocks(data), blocks(zero, 3), data, zero, grid)
-
-
-def test_two_leg_form_lets_leg_a_blow_up_win():
-    # stability_terms(ensA, ensB, ...) pulls the legs' blocks in pairs;
-    # when leg B fails first the rest of leg A is drawn, so leg A's
-    # error wins, as in a run that steps all of leg A first
-    grid = build_grid(4, 6, 1.0)
-    coeffs = SchemeCoefficients.constant(grid, d=0.5)
-    data = ProblemData(
-        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 1.0),
-        g=random_field(grid, 3, 1.0),
-    )
-    zero = data.difference(data)
-    drawn = []
-
-    def leg(name, d, fail_at=None, error=None):
-        for i, k in enumerate(range(0, 9, 3)):
-            if i == fail_at:
-                raise error
-            drawn.append((name, k))
-            yield run_ensemble(d, coeffs, grid, 3, 7, first=k)
-
-    err_a, err_b = BlowUpError(1, 5, 4), BlowUpError(1, 2, 1)
-    with pytest.raises(BlowUpError) as exc:
-        stability_terms(leg("A", data, 2, err_a), leg("B", zero, 0, err_b),
-                        data, zero, grid)
-    assert exc.value is err_a
-    assert drawn == [("A", 0), ("A", 3)]
-    drawn.clear()
-    with pytest.raises(BlowUpError) as exc:
-        stability_terms(leg("A", data), leg("B", zero, 1, err_b),
-                        data, zero, grid)
-    assert exc.value is err_b
-    assert drawn == [("A", 0), ("B", 0), ("A", 3), ("A", 6)]
 
 
 def poisoned_kernel(monkeypatch, grid, master_seed, poison):

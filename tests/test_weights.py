@@ -123,6 +123,16 @@ def test_admissibility_report():
     assert rep2.phi_positive and rep2.phi_min > 0.0
 
 
+def test_admissibility_dt_bound_with_underflowing_epsilon():
+    # epsilon * dx^2 underflows to zero: the dt ratio is infinite
+    grid = build_grid(15, 8, 0.5)
+    p = WeightParams(s=1.0, lam=1.0, beta=0.10, xstar=1.05, mconst=0.3,
+                     T=0.5, epsilon=5e-324)
+    rep = check_admissible(p, grid)
+    assert rep.dt_value == math.inf
+    assert not rep.dt_condition and not rep.overall
+
+
 def test_admissibility_requires_matching_horizon():
     grid = build_grid(7, 4, 1.0)
     p = WeightParams(**SAFE)      # T = 0.8 != 1.0
