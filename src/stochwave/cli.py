@@ -50,13 +50,15 @@ from .fields import (
 from .grids import GridFunction, build_grid
 from .identities import identity_residuals
 from .solver import (
-    Ensemble,
+    BrownianPath,
     ProblemData,
     SchemeCoefficients,
-    block_paths,
+    Trajectory,
     observe,
-    run_ensemble,
+    path_seed,
+    stream_windows,
 )
+from .solver import run_ensemble  # noqa: F401  (bound for bench/tracer.py)
 from .weights import EXPRESSION_IDS, WeightParams, check_admissible, estimate_order
 
 EXIT_OK = 0
@@ -529,7 +531,11 @@ class ArtifactWriter:
         self.entries.append({"name": name, "rows": count})
 
     def json(self, name: str, obj):
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        """Write one standard-JSON document; a non-finite float in obj
+        raises FloatingPointError naming the file and its JSON pointer,
+        since standard JSON has no NaN or Infinity."""
+        _check_json_finite(name, obj)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
         (self.dir / name).write_text(text, encoding="utf-8", newline="\n")
         self.entries.append({"name": name, "rows": len(text.splitlines())})
 
@@ -545,6 +551,20 @@ class ArtifactWriter:
         )
 
 
+def _check_json_finite(name: str, obj, ptr: str = ""):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise FloatingPointError(
+            f"{name}: {ptr or '/'} is {obj!r}, which standard JSON cannot "
+            "hold"
+        )
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _check_json_finite(name, value, f"{ptr}/{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _check_json_finite(name, value, f"{ptr}/{i}")
+
+
 def _warn_cfl(out: ArtifactWriter, grid) -> None:
     """Say on stderr, once per run and before stepping, that dt > dx:
     the explicit scheme is outside its stability limit, so the warning
@@ -555,34 +575,6 @@ def _warn_cfl(out: ArtifactWriter, grid) -> None:
             f"{out.subcommand}: warning, dt > dx (explicit scheme unstable)",
             err=True,
         )
-
-
-def _blocks(data, coeffs, grid, paths: int, master_seed: int):
-    """The path family as consecutive blocks of block_paths(grid) paths,
-    each stepped only when the consumer asks for the next one, so memory
-    holds one block whatever `paths` is.
-
-    A block that blows up ends the stream, but the remaining blocks are
-    still stepped: the BlowUpError raised is the lexicographic minimum
-    over (n, path, j) of all paths, the one a single-block run reports."""
-    size = block_paths(grid)
-    blown = None
-    for first in range(0, paths, size):
-        try:
-            block = run_ensemble(
-                data, coeffs, grid, min(size, paths - first), master_seed,
-                first=first,
-            )
-        except BlowUpError as exc:
-            # later blocks hold later paths: only an earlier level wins
-            if blown is None or exc.n < blown.n:
-                blown = exc
-            continue
-        if blown is None:
-            yield block
-        del block
-    if blown is not None:
-        raise blown
 
 
 def _stat_obj(st):
@@ -660,17 +652,24 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     _warn_cfl(out, grid)
-    paths = cfg.mc["paths"]
-    blocks = _blocks(data, coeffs, grid, paths, cfg.mc["master_seed"])
-    # keep a copy of path 0 only; every block is still stepped and checked
-    head = next(blocks)
-    traj = Ensemble(
-        grid, head.Y[:1].copy(), head.dB[:1].copy(), head.seeds[:1].copy(),
-        head.master_seed,
-    ).trajectory(0)
-    del head
-    for _ in blocks:
-        pass
+    paths, master_seed = cfg.mc["paths"], cfg.mc["master_seed"]
+    # keep a copy of path 0 only (the first block's windows come first);
+    # every path is still stepped and checked
+    head = np.empty((grid.N + 2, grid.M + 2))
+    block = -1
+    for win in stream_windows(data, coeffs, grid, paths, master_seed):
+        block += win.n0 == 0
+        if block == 0:
+            head[win.n0 : win.n0 + win.levels + 2] = win.Y[0]
+            if win.last:
+                dB = win.dB[0].copy()
+    traj = Trajectory(
+        y=GridFunction(
+            grid, head.T, grid.space_axis("closure"), grid.time_axis("closure")
+        ),
+        path=BrownianPath(dB, path_seed(master_seed, 0)),
+        cfl_warning=grid.cfl_warning,
+    )
     y = traj.y
     vals = y.values
     J, K = vals.shape
@@ -743,9 +742,11 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     params = [_make_weight_params(w, cfg) for w in weights]
     _warn_cfl(out, grid)
     # the weights do not enter the trajectories: one ensemble serves all
+    windows = stream_windows(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
     reps = carleman_terms(
-        _blocks(data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
-        params, data, grid, kappa=[w["kappa"] for w in weights],
+        windows, params, data, grid, kappa=[w["kappa"] for w in weights]
     )
     if cfg.sweep is None:
         rep = reps[0]
@@ -809,10 +810,10 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     # one stepped family: the difference system of the coupled pair
     diff = data_a.difference(data_b)
     _warn_cfl(out, grid)
-    rep = stability_terms(
-        _blocks(diff, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
-        diff, grid, g_mode=cfg.g_mode,
+    windows = stream_windows(
+        diff, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
+    rep = stability_terms(windows, diff, grid, g_mode=cfg.g_mode)
     out.json("stability.json", _stability_obj(rep))
     rows = []
     for key in ("G", "Y0", "Y1"):
@@ -832,10 +833,10 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     _warn_cfl(out, grid)
-    st = martingale_check(
-        _blocks(data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]),
-        grid,
+    windows = stream_windows(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
     )
+    st = martingale_check(windows, grid)
     bound = 4.0 * st.stderr
     ok = abs(st.mean) <= bound
     out.json(

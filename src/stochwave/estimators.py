@@ -9,11 +9,21 @@ points for the mixed second difference.  Data terms (initial data,
 sources) do not vary across paths, so their standard error is zero by
 construction.
 
-Each estimator takes one Ensemble or an iterable of Ensembles, the
-consecutive path blocks of one path family (stochwave.cli streams every
-stepping subcommand this way).  A block is reduced to per-path scalars
-before the next one is drawn, and the statistics are taken once over
-all paths, so the results do not depend on the block size.
+Each estimator takes one Ensemble, or an iterable of Ensembles and
+Windows: the consecutive path blocks of one path family, or the window
+stream of solver.stream_windows (stochwave.cli streams every stepping
+subcommand this way).  Every term is a sum over time levels, so it is
+folded window by window into per-path accumulators, vectorized over the
+paths of a window; an Ensemble is reduced through the same windows, as
+views of its history.  A path's sums read only its own rows, through
+element-wise NumPy operations, row sums and einsum dot products (never
+BLAS, whose rounding can depend on the row count), and the statistics
+are taken once over all paths, so the results do not depend on the
+block size.
+
+Every term must come out finite: a term that overflows raises
+FloatingPointError naming it, instead of reaching a report as inf or
+nan.
 
 Both reports flag an undefined ratio instead of dividing by zero, and
 the stability report carries the terminal norm under the two readings
@@ -32,7 +42,7 @@ import numpy as np
 from .errors import MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
-from .solver import Ensemble, ProblemData
+from .solver import Ensemble, ProblemData, Window
 from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
 from .weights import (
     WeightParams,
@@ -44,8 +54,9 @@ from .weights import (
 _MAX_EXP = math.log(np.finfo(np.float64).max)
 _MAX_CUBE_ROOT = float(np.finfo(np.float64).max) ** (1 / 3)
 
-# node products per reduction of martingale_check (512 KB of scratch)
-_MARTINGALE_BLOCK_NODES = 1 << 16
+# the estimators report an overflow through their finite checks, as one
+# FloatingPointError naming the term, not as NumPy warnings on the way
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -57,18 +68,42 @@ class MCStatistic:
     paths: int
 
 
-def _reduce_blocks(ens, grid: Grid, reduce) -> list:
-    """[reduce(block) for each block of ens], holding no block once it
-    is reduced: the next block is drawn only after this one is freed.
-    One Ensemble is a single block; anything else is an iterable of
-    blocks."""
-    parts = []
-    for block in (ens,) if isinstance(ens, Ensemble) else ens:
-        if block.grid != grid:
+def _windows(ens, grid: Grid):
+    """The Windows of ens in stream order.  One Ensemble is a single
+    block; anything else is an iterable of Ensembles and Windows."""
+    for item in (ens,) if isinstance(ens, Ensemble) else ens:
+        if item.grid != grid:
             raise MeshMismatchError("ensemble lives on a different grid")
-        parts.append(reduce(block))
-        del block
-    return parts
+        if isinstance(item, Window):
+            yield item
+        else:
+            yield from item.windows()
+
+
+def _dx_fields(Y: np.ndarray, grid: Grid):
+    """Dx y, its boundary flux squared and (Dt Dx y)^2 at the levels
+    n = 1 .. L of a window's Y (P, L+2, M+2); the flux is Dx y at
+    x = dx/2 and Dt Dx y is taken at the dual times n - 1/2."""
+    L = Y.shape[1] - 2
+    dxy = np.subtract(Y[:, :, 1:], Y[:, :, :-1])
+    dxy /= grid.dx
+    fl = dxy[:, 1 : L + 1, 0]
+    dtdx2 = np.subtract(dxy[:, 1 : L + 1], dxy[:, :L])
+    dtdx2 /= grid.dt
+    dtdx2 *= dtdx2
+    return dxy[:, 1 : L + 1], fl * fl, dtdx2
+
+
+def _terminal_xt(Y: np.ndarray, grid: Grid) -> np.ndarray:
+    """Per-path XT norms of the terminal pair held by a block's last
+    window: levels N and N+1 are its last two."""
+    yN = Y[:, -2]
+    return xt_norm_values(yN, (Y[:, -1] - yN) / grid.dt, grid.dx)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each path's entries of x (P, ...)."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
 
 
 def _stat(per_path) -> MCStatistic:
@@ -84,14 +119,29 @@ def _const_stat(value: float, paths: int) -> MCStatistic:
 
 def _ratio(num: float, den: float):
     """(ratio, defined) with zero denominators flagged, not propagated."""
+    ratio = num / den if den != 0.0 else 0.0
+    if not (math.isfinite(num) and math.isfinite(den)
+            and math.isfinite(ratio)):
+        raise FloatingPointError(f"ratio {num!r} / {den!r} is not finite")
     if den == 0.0:
         return None, False
-    return num / den, True
+    return ratio, True
 
 
-def _check_nonnegative(terms: dict, label: str):
+def _check_finite(terms: dict, label: str):
     for key, stat in terms.items():
-        if not (stat.mean >= 0.0):
+        if not (math.isfinite(stat.mean) and math.isfinite(stat.stderr)):
+            raise FloatingPointError(
+                f"{label} term {key} is not finite: mean {stat.mean!r}, "
+                f"stderr {stat.stderr!r}"
+            )
+
+
+def _check_terms(terms: dict, label: str):
+    """Every term's mean is finite and >= 0 and its error finite."""
+    _check_finite(terms, label)
+    for key, stat in terms.items():
+        if stat.mean < 0.0:
             raise FloatingPointError(
                 f"{label} term {key} is negative: {stat.mean!r}"
             )
@@ -188,42 +238,55 @@ def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
 _PATH_TERMS = ("L1", "L2", "L3", "R2", "R3")
 
 
-def _carleman_block(ens: Ensemble, factors, grid: Grid):
-    """Per-path terms of one block against every weight set: a dict of
-    (weight sets, paths) arrays and the paths' XT norms.  Each path's
-    fields are computed once; ensemble arrays and fields are indexed
-    [n, j], the weight factors (space, time)."""
-    N, M = grid.N, grid.M
-    dx, dt = grid.dx, grid.dt
-    dxdt = dx * dt
-    P = ens.paths
-    per = {key: np.empty((len(factors), P)) for key in _PATH_TERMS}
-    xts = np.empty(P)
-    for p in range(P):
-        y = ens.Y[p]
-        ypp = y[1 : N + 1, 1 : M + 1]
-        y2 = ypp * ypp
-        dty2 = (y[2 : N + 2, 1 : M + 1] - ypp) / dt  # forward Dt, t^1..t^N
-        dty2 *= dty2
-        dxy = (y[:, 1:] - y[:, :-1]) / dx
-        dxy_p = dxy[1 : N + 1]
-        dxy2 = dxy_p * dxy_p
-        fl = dxy_p[:, 0]  # boundary flux at x = dx/2
-        fl2 = fl * fl
-        dtdx2 = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx y at dual times
-        dtdx2 *= dtdx2
-        xts[p] = xt_norm_values(y[N], (y[N + 1] - y[N]) / dt, dx)
-        for k, f in enumerate(factors):
-            per["L1"][k, p] = float(np.sum(f["L1"] * y2.T) * dxdt)
-            per["L2"][k, p] = float(np.sum(f["L2"] * dty2.T) * dxdt)
-            per["L3"][k, p] = float(np.sum(f["L3"] * dxy2.T) * dxdt)
-            per["R2"][k, p] = float(np.sum(f["R2"] * fl2) * dt)
-            per["R3"][k, p] = dx**2 * float(
-                np.sum(f["R3"] * dtdx2.T) * dxdt
-            )
-    return per, xts
+def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
+    """(P, K) sums of a window's field x (P, L, ...) against the rows
+    n0 .. n0+L-1 of every weight set's factor F (K, N, ...): one einsum
+    dot product of each path's row with each factor row."""
+    P, K, L = x.shape[0], F.shape[0], x.shape[1]
+    return np.einsum(
+        "pk,wk->pw", x.reshape(P, -1), F[:, n0 : n0 + L].reshape(K, -1)
+    )
 
 
+def _carleman_sums(ens, factors, grid: Grid):
+    """Per-path terms against every weight set, a dict of (weight sets,
+    paths) arrays, and the paths' XT norms.  Each window's squared
+    fields are computed once and reduced against every weight set's
+    factors, stacked time-major as contiguous (K, N, ...) rows."""
+    M, dx, dt = grid.M, grid.dx, grid.dt
+    stacks = {
+        key: np.stack([f[key].T for f in factors])
+        for key in _PATH_TERMS
+    }
+    parts, xts = [], []
+    for win in _windows(ens, grid):
+        Y, L = win.Y, win.levels
+        if win.n0 == 0:
+            acc = {key: 0.0 for key in _PATH_TERMS}
+        yc = Y[:, 1 : L + 1, 1 : M + 1]
+        dty = (Y[:, 2 : L + 2, 1 : M + 1] - yc) / dt  # forward Dt
+        dxy, fl2, dtdx2 = _dx_fields(Y, grid)
+        fields = {
+            "L1": yc * yc, "L2": dty * dty, "L3": dxy * dxy,
+            "R2": fl2, "R3": dtdx2,
+        }
+        for key in _PATH_TERMS:
+            acc[key] = acc[key] + _weighted(fields[key], stacks[key], win.n0)
+        if win.last:
+            parts.append(acc)
+            xts.append(_terminal_xt(Y, grid))
+    per = {
+        key: np.concatenate([part[key] for part in parts]).T.copy()
+        for key in _PATH_TERMS
+    }
+    for key in ("L1", "L2", "L3", "R3"):
+        per[key] *= dx * dt
+    per["R2"] *= dt
+    per["R3"] *= dx**2
+    return per, np.concatenate(xts)
+
+
+@_quiet_overflow
 def carleman_terms(
     ens,
     w,
@@ -234,13 +297,13 @@ def carleman_terms(
     """Assemble the seven weighted interior/initial terms and the four
     observation-side terms.  An inadmissible configuration still
     computes everything; only the report flag records the violation.
-    ens is one Ensemble or an iterable of path blocks.
+    ens is one Ensemble or an iterable of path blocks or windows.
 
     w is one WeightParams, giving one CarlemanReport, or a sequence of
     them, giving a list of reports in the same order; kappa is then a
-    float for all of them or a sequence of the same length.  Each
-    path's squared fields do not depend on the weights, so they are
-    computed once per path and reduced against every weight set."""
+    float for all of them or a sequence of the same length.  The
+    squared fields do not depend on the weights, so they are computed
+    once per window and reduced against every weight set."""
     if data.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
     single = isinstance(w, WeightParams)
@@ -264,14 +327,7 @@ def carleman_terms(
             )
         r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
 
-    parts = _reduce_blocks(
-        ens, grid, lambda block: _carleman_block(block, factors, grid)
-    )
-    per = {
-        key: np.concatenate([part[0][key] for part in parts], axis=1)
-        for key in _PATH_TERMS
-    }
-    xts = np.concatenate([part[1] for part in parts])
+    per, xts = _carleman_sums(ens, factors, grid)
     P = xts.shape[0]
     xt2 = xts * xts
     xt_stat = _stat(xts)
@@ -293,8 +349,8 @@ def carleman_terms(
             "R3": _stat(per["R3"][k]),
             "R4": _stat(r4_scales[k] * xts * xts),
         }
-        _check_nonnegative(lhs, "lhs")
-        _check_nonnegative(rhs, "rhs")
+        _check_terms(lhs, "lhs")
+        _check_terms(rhs, "rhs")
         den = (
             rhs["R1"].mean
             + rhs["R2"].mean
@@ -342,26 +398,29 @@ class StabilityReport:
     g_mode: str
 
 
-def _stability_block(Y, grid: Grid):
-    """Per-path FLUX, XT and DTDX norms of a block of the difference
-    system: Y[p] is path p's z = yA - yB as an [n, j] array."""
-    N = grid.N
+def _stability_sums(ens, grid: Grid):
+    """Per-path FLUX, XT and DTDX norms of the difference system's paths
+    z = yA - yB, folded window by window."""
     dx, dt = grid.dx, grid.dt
-    per = {key: np.empty(Y.shape[0]) for key in ("FLUX", "XT", "DTDX")}
-    for p, ydiff in enumerate(Y):
-        dxy = (ydiff[:, 1:] - ydiff[:, :-1]) / dx
-        fl = dxy[1 : N + 1, 0]  # boundary flux at x = dx/2
-        per["FLUX"][p] = float(np.sqrt(float(np.sum(fl * fl) * dt)))
-        per["XT"][p] = xt_norm_values(
-            ydiff[N], (ydiff[N + 1] - ydiff[N]) / dt, dx
-        )
-        dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt  # Dt Dx at dual times
-        per["DTDX"][p] = dx * float(
-            np.sqrt(float(np.sum(dtdx * dtdx) * (dx * dt)))
-        )
-    return per
+    parts, xts = [], []
+    for win in _windows(ens, grid):
+        if win.n0 == 0:
+            acc = np.zeros((2, win.paths))
+        _, fl2, dtdx2 = _dx_fields(win.Y, grid)
+        acc[0] += _row_sums(fl2)
+        acc[1] += _row_sums(dtdx2)
+        if win.last:
+            parts.append(acc)
+            xts.append(_terminal_xt(win.Y, grid))
+    fl, dtdx = np.concatenate(parts, axis=1)
+    return {
+        "FLUX": np.sqrt(fl * dt),
+        "XT": np.concatenate(xts),
+        "DTDX": dx * np.sqrt(dtdx * (dx * dt)),
+    }
 
 
+@_quiet_overflow
 def stability_terms(
     ens, diff: ProblemData, grid: Grid, *, g_mode: str = "space_time"
 ) -> StabilityReport:
@@ -372,21 +431,12 @@ def stability_terms(
     from diff = dataA.difference(dataB) with the pair's coefficients
     and master seed (the scheme is linear in its data, so one stepped
     family gives the path-wise difference of the two solutions).  ens
-    is one Ensemble or an iterable of path blocks."""
+    is one Ensemble or an iterable of path blocks or windows."""
     if g_mode not in ("space_time", "space_only"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
     if diff.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
-    parts = _reduce_blocks(
-        ens, grid, lambda block: _stability_block(block.Y, grid)
-    )
-    per = {
-        key: np.concatenate([part[key] for part in parts])
-        for key in ("FLUX", "XT", "DTDX")
-    }
-    # data terms after the stepping: computed first, their 2 MB
-    # temporaries (127 x 2048 mesh) left the heap about 2 MB larger
-    # under the resident block
+    per = _stability_sums(ens, grid)
     if g_mode == "space_only":
         cols = diff.g.values
         if not np.all(cols == cols[:, :1]):
@@ -414,8 +464,8 @@ def stability_terms(
         "DTDX": _stat(per["DTDX"]),
     }
     xt2 = _stat(per["XT"] * per["XT"])
-    _check_nonnegative(lhs, "lhs")
-    _check_nonnegative(rhs, "rhs")
+    _check_terms(lhs, "lhs")
+    _check_terms(dict(rhs, XT_squared=xt2), "rhs")
     num = sum(t.mean for t in lhs.values())
     r_u, d_u = _ratio(num, rhs["FLUX"].mean + rhs["XT"].mean + rhs["DTDX"].mean)
     r_p, d_p = _ratio(num, rhs["FLUX"].mean + xt2.mean + rhs["DTDX"].mean)
@@ -435,37 +485,33 @@ def stability_terms(
 # martingale statistic
 
 
-def _martingale_sums(ens: Ensemble, grid: Grid) -> np.ndarray:
-    """Per-path sums of y^n_j dB^n over the interior, one reduction per
-    run of _MARTINGALE_BLOCK_NODES node products.  Each path's N x M
-    products are one contiguous run of the product array, so its sum is
-    that of the path alone: the result does not depend on the run
-    length."""
-    M, N = grid.M, grid.N
-    step = max(1, _MARTINGALE_BLOCK_NODES // (N * M))
-    vals = np.empty(ens.paths)
-    for p in range(0, ens.paths, step):
-        y = ens.Y[p : p + step, 1 : N + 1, 1 : M + 1]
-        inc = ens.dB[p : p + step, 1 : N + 1, None]
-        vals[p : p + step] = (y * inc).sum(axis=(1, 2))
-    return vals
-
-
+@_quiet_overflow
 def martingale_check(ens, grid: Grid) -> MCStatistic:
     """Mean and standard error of the adapted Ito-type sum
 
         sum_{j=1..M, n=1..N} y^n_j dB^n dx dt
 
     whose expectation vanishes because y^n depends only on increments
-    before n.  ens is one Ensemble or an iterable of path blocks.
-    Needs at least 100 paths for a meaningful error bar."""
-    parts = _reduce_blocks(
-        ens, grid, lambda block: _martingale_sums(block, grid)
-    )
+    before n.  ens is one Ensemble or an iterable of path blocks or
+    windows.  Needs at least 100 paths for a meaningful error bar."""
+    M = grid.M
+    parts = []
+    for win in _windows(ens, grid):
+        if win.n0 == 0:
+            acc = np.zeros(win.paths)
+        n0, L = win.n0, win.levels
+        acc += _row_sums(
+            win.Y[:, 1 : L + 1, 1 : M + 1]
+            * win.dB[:, n0 + 1 : n0 + L + 1, None]
+        )
+        if win.last:
+            parts.append(acc)
     vals = np.concatenate(parts) if parts else np.empty(0)
     if vals.shape[0] < 100:
         raise ValueError(
             f"martingale check needs >= 100 paths, got {vals.shape[0]}"
         )
     vals *= grid.dx * grid.dt
-    return _stat(vals)
+    st = _stat(vals)
+    _check_finite({"sum": st}, "martingale")
+    return st

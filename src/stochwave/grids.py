@@ -480,23 +480,26 @@ def _h1(u: GridFunction) -> float:
             "H1 norm needs a spatial slice on the space closure, got "
             f"({u.space_tag}, {u.time_tag})"
         )
-    return _h1_values(u.values, u.grid.dx)
+    return float(_h1_values(u.values, u.grid.dx))
 
 
-def _h1_values(v: np.ndarray, dx: float) -> float:
-    du = (v[1:] - v[:-1]) / dx          # all M+1 dual differences
-    grad_sq = float(np.sum(du * du) * dx)
-    interior = v[1:-1]
-    val_sq = float(np.sum(interior * interior) * dx)
-    return float(np.sqrt(grad_sq + val_sq))
+def _h1_values(v: np.ndarray, dx: float):
+    """H1 norm of space-closure values along the last axis of v: one
+    norm per slice, each summed as if it stood alone."""
+    du = (v[..., 1:] - v[..., :-1]) / dx    # all M+1 dual differences
+    grad_sq = np.sum(du * du, axis=-1) * dx
+    interior = v[..., 1:-1]
+    val_sq = np.sum(interior * interior, axis=-1) * dx
+    return np.sqrt(grad_sq + val_sq)
 
 
-def xt_norm_values(y_T: np.ndarray, v_T: np.ndarray, dx: float) -> float:
-    """The XT norm of `norm` for a terminal pair given as two arrays of
-    space-closure values (the boundary entries of v_T are not used);
-    equal bit for bit to norm((y, v), "XT") on the same values."""
-    v = v_T[1:-1]
-    return _h1_values(y_T, dx) + float(np.sqrt(float(np.sum(v * v) * dx)))
+def xt_norm_values(y_T: np.ndarray, v_T: np.ndarray, dx: float):
+    """The XT norm of `norm` for terminal pairs given as arrays of
+    space-closure values along the last axis (the boundary entries of
+    v_T are not used): a float for one pair, an array for a stack of
+    them, each equal bit for bit to norm((y, v), "XT") on its values."""
+    v = v_T[..., 1:-1]
+    return _h1_values(y_T, dx) + np.sqrt(np.sum(v * v, axis=-1) * dx)
 
 
 def _dt_norm(u: GridFunction) -> float:

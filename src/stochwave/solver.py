@@ -53,9 +53,14 @@ _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 # nodes per time level of one path block: the kernel's rolling (M+2, B)
-# levels stay cache-resident, and a block's Y takes B (N+2)(M+2) 8 bytes
-# whatever the path count
+# levels stay cache-resident
 _BLOCK_NODES = 1 << 14
+
+# time levels a streamed block is stepped and reduced per window: a
+# (B, 18, M+2) window is still in cache while the estimators read it.
+# Fixed, not derived from B or the mesh, so that every path's sums run
+# over the same windows whatever the block size.
+_WINDOW_LEVELS = 16
 
 
 def mix64(z: int) -> int:
@@ -275,8 +280,8 @@ class Ensemble:
     Brownian increments and seeds (P,) the uint64 Philox keys they were
     drawn with, seeds[p] = path_seed(master_seed, first + p) for the
     run_ensemble block that starts at path `first`.  Estimators read
-    these arrays directly; `trajectory(k)` and `trajectories` build
-    Trajectory views on demand, which share memory with Y and dB."""
+    these arrays through `windows()`; `trajectory(k)` and `trajectories`
+    build Trajectory views on demand, which share memory with Y and dB."""
 
     grid: Grid
     Y: np.ndarray
@@ -334,12 +339,58 @@ class Ensemble:
         """Views of every path, built on each access."""
         return tuple(self.trajectory(k) for k in range(self.paths))
 
+    def windows(self):
+        """The Windows of stream_windows over this block, as views of Y,
+        so that a whole ensemble is reduced exactly as a stream is."""
+        return (
+            Window(self.grid, self.Y[:, n0 : n0 + L + 2], self.dB, n0)
+            for n0, L in _window_spans(self.grid.N)
+        )
+
     def values(self) -> np.ndarray:
         """(paths, M+2, N+2) view of all trajectories."""
         return self.Y.transpose(0, 2, 1)
 
     def mean_values(self) -> np.ndarray:
         return self.values().mean(axis=0)
+
+
+@dataclass(frozen=True)
+class Window:
+    """Time levels n0 .. n0+L+1 of one block of paths.
+
+    Y (P, L+2, M+2) holds them, Y[p, i] being path p at level n0 + i,
+    and dB (P, N+1) is the block's whole increment array.  A window
+    serves the reductions of levels n = n0+1 .. n0+L, each of which
+    reads its neighbours n-1 and n+1; the windows of a block start at
+    n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
+    (n0 + L = N) also holds the terminal pair N, N+1."""
+
+    grid: Grid
+    Y: np.ndarray
+    dB: np.ndarray
+    n0: int
+
+    @property
+    def paths(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def levels(self) -> int:
+        """L, the number of levels n this window serves."""
+        return self.Y.shape[1] - 2
+
+    @property
+    def last(self) -> bool:
+        return self.n0 + self.levels == self.grid.N
+
+
+def _window_spans(N: int):
+    """(n0, L) of every window of a block on N steps."""
+    return [
+        (n0, min(_WINDOW_LEVELS, N - n0))
+        for n0 in range(0, N, _WINDOW_LEVELS)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +420,19 @@ def _prepare_arrays(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
     return A, B, C, D, G, F
 
 
-def _init_slices(Y: np.ndarray, data: ProblemData, grid: Grid):
+def _start_levels(data: ProblemData, grid: Grid) -> np.ndarray:
+    """Levels 0 and 1 shared by every path, (2, M+2), boundary zero."""
     M = grid.M
-    Y[:, 0, :] = data.y0.values
-    Y[:, 1, 1 : M + 1] = (
+    start = np.zeros((2, M + 2))
+    start[0] = data.y0.values
+    start[1, 1 : M + 1] = (
         data.y0.values[1 : M + 1] + grid.dt * data.y1.values[1 : M + 1]
     )
+    return start
+
+
+def _init_slices(Y: np.ndarray, data: ProblemData, grid: Grid):
+    Y[:, :2] = _start_levels(data, grid)
 
 
 def _check_match(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
@@ -430,6 +488,40 @@ def _physical_bytes():
         return None
 
 
+def _check_paths(paths):
+    if not (isinstance(paths, (int, np.integer)) and paths >= 1):
+        raise ValueError(f"paths must be a positive integer, got {paths!r}")
+
+
+def _check_memory(paths: int, levels: int, grid: Grid):
+    """Refuse, with MemoryError, a block of `paths` paths holding
+    `levels` + 2 time levels at a time whose levels, increments and six
+    coefficient and data tables together exceed physical memory."""
+    N, M = grid.N, grid.M
+    need_y = paths * (levels + 2) * (M + 2) * 8
+    need = need_y + (paths + 6 * (M + 2)) * (N + 1) * 8
+    phys = _physical_bytes()
+    if phys is not None and need > phys:
+        raise MemoryError(
+            f"a block of {paths} path(s) holding {levels + 2} of the "
+            f"{N + 2} time levels of a {M} x {N} mesh needs {need_y} "
+            f"bytes for its trajectories and {need} bytes with its noise "
+            f"and coefficient tables, more than the {phys} bytes of "
+            "physical memory"
+        )
+
+
+def _sample_block(master_seed: int, first: int, dB: np.ndarray, dt: float):
+    """Fill row k of dB with the increments of path first + k."""
+    seeds = np.array(
+        [path_seed(master_seed, first + k) for k in range(dB.shape[0])],
+        dtype=np.uint64,
+    )
+    _philox_normals(seeds, dB)
+    dB *= np.sqrt(dt)
+    return seeds
+
+
 def run_ensemble(
     data: ProblemData,
     coeffs: SchemeCoefficients,
@@ -439,36 +531,24 @@ def run_ensemble(
     first: int = 0,
 ) -> Ensemble:
     """Solve paths first .. first+paths-1 of the family seeded by
-    master_seed, path k with seed path_seed(master_seed, k).
+    master_seed, path k with seed path_seed(master_seed, k), and keep
+    their whole history.
 
     All paths advance in one kernel call; results are a pure function of
     the inputs and master_seed, independent of backend, schedule and of
     how the family is split into blocks.  A BlowUpError names the global
     path index.  A block whose arrays (Y, dB and the six coefficient and
     data tables) exceed physical memory is refused with MemoryError
-    before anything is allocated."""
+    before anything is allocated.  stream_windows steps the same paths
+    without holding their history."""
     _check_match(data, coeffs, grid)
-    if not (isinstance(paths, (int, np.integer)) and paths >= 1):
-        raise ValueError(f"paths must be a positive integer, got {paths!r}")
+    _check_paths(paths)
     if not (isinstance(first, (int, np.integer)) and first >= 0):
         raise ValueError(f"first must be an integer >= 0, got {first!r}")
     N, M = grid.N, grid.M
-    need_y = paths * (N + 2) * (M + 2) * 8
-    need = need_y + (paths + 6 * (M + 2)) * (N + 1) * 8
-    phys = _physical_bytes()
-    if phys is not None and need > phys:
-        raise MemoryError(
-            f"a block of {paths} path(s) on a {M} x {N} mesh needs {need_y} "
-            f"bytes for its trajectories and {need} bytes with its noise "
-            f"and coefficient tables, more than the {phys} bytes of "
-            "physical memory"
-        )
-    seeds = np.array(
-        [path_seed(master_seed, first + k) for k in range(paths)],
-        dtype=np.uint64,
-    )
-    dB = _philox_normals(seeds, np.empty((paths, N + 1)))
-    dB *= np.sqrt(grid.dt)
+    _check_memory(paths, N, grid)
+    dB = np.empty((paths, N + 1))
+    seeds = _sample_block(master_seed, first, dB, grid.dt)
     A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
     Y = np.zeros((paths, N + 2, M + 2))
     _init_slices(Y, data, grid)
@@ -482,6 +562,68 @@ def run_ensemble(
         seeds=seeds,
         master_seed=int(master_seed),
     )
+
+
+def stream_windows(
+    data: ProblemData,
+    coeffs: SchemeCoefficients,
+    grid: Grid,
+    paths: int,
+    master_seed: int,
+):
+    """Step paths 0 .. paths-1 of the family seeded by master_seed and
+    yield them as Windows: block after block of block_paths(grid) paths,
+    and within a block window after window of _WINDOW_LEVELS levels.
+
+    The grid-wide setup is done once per run: the six tables, the start
+    levels, one (B, L+2, M+2) window buffer and one (B, N+1) increment
+    buffer, reused by every block.  After each window its last two
+    levels roll to the front, so a yielded window is valid only until
+    the next one is drawn.  Memory is one window, one block's
+    increments and the tables, whatever the path count and N; a run
+    whose share exceeds physical memory is refused with MemoryError
+    before anything is allocated.
+
+    Each window is one step_paths call on the matching row slices of
+    the tables and increments, so the levels are run_ensemble's bit for
+    bit.  A blow-up ends the yields, but the remaining blocks are still
+    stepped as far as an earlier level could fail: the BlowUpError
+    raised is the lexicographic minimum over (n, path, j) of all paths,
+    the one a single run_ensemble call reports."""
+    _check_match(data, coeffs, grid)
+    _check_paths(paths)
+    N, M = grid.N, grid.M
+    size = min(block_paths(grid), paths)
+    spans = _window_spans(N)
+    _check_memory(size, spans[0][1], grid)
+    tables = _prepare_arrays(data, coeffs, grid)
+    start = _start_levels(data, grid)
+    window = np.zeros((size, spans[0][1] + 2, M + 2))
+    noise = np.empty((size, N + 1))
+    blown = None
+    for first in range(0, paths, size):
+        Y, dB = window[: paths - first], noise[: paths - first]
+        _sample_block(master_seed, first, dB, grid.dt)
+        Y[:, :2] = start
+        for n0, L in spans:
+            # levels n0+2 .. n0+L+1 come next: only an earlier level than
+            # a blow-up already found can replace it
+            if blown is not None and n0 + 2 >= blown.n:
+                break
+            rows = slice(n0, n0 + L + 1)
+            hit, bn, bp, bj = step_paths(
+                Y[:, : L + 2], *(t[rows] for t in tables), dB[:, rows],
+                grid.dt, grid.dx,
+            )
+            if hit:
+                if blown is None or n0 + bn < blown.n:
+                    blown = BlowUpError(j=bj, n=n0 + bn, path=first + bp)
+                break
+            if blown is None:
+                yield Window(grid, Y[:, : L + 2], dB, n0)
+            Y[:, :2] = Y[:, L : L + 2]
+    if blown is not None:
+        raise blown
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,14 @@ def test_traced_sweep_simulates_once(tracing, tmp_path):
     }
     code, m = traced_run(tracing, "carleman", raw, tmp_path, trajectories=4 * 3)
     assert code == 0
-    assert m["kernel.step_paths.calls"] == 1
-    assert m["kernel.paths_stepped"] == 4
+    # one kernel call per 16-level window of the 64 steps, each over the
+    # 4 paths once, for all three sweep values
+    assert m["kernel.step_paths.calls"] == 64 // 16
+    assert m["kernel.node_updates"] == 4 * 64 * 3
+    assert m["kernel.paths_stepped"] == 4 * (64 // 16)
     assert m["kernel.useful_ratio"] == 1.0
-    assert m["solver.run_ensemble.calls"] == 1
+    # the CLI streams windows (solver.stream_windows), not run_ensemble
+    assert m["solver.run_ensemble.calls"] == 0
     assert m["estimators.carleman_terms.busy_s"] > 0.0
     assert m["cli.write.bytes"] > 0
     # uninstall restored every wrapped name
@@ -112,10 +116,11 @@ def test_traced_martingale_counts_kernel_and_estimator(tracing, tmp_path):
     assert m["estimators.martingale_check.busy_s"] > 0.0
 
 
-def test_traced_blocks_step_through_the_cli_binding(tracing, tmp_path,
-                                                    monkeypatch):
-    # 7 paths per block: 101 paths are 15 blocks, the last one of 3 paths
-    P, M, N = 101, 3, 8
+def test_traced_blocks_step_one_kernel_call_per_window(tracing, tmp_path,
+                                                       monkeypatch):
+    # 7 paths per block: 101 paths are 15 blocks, the last one of 3 paths;
+    # 40 steps are windows of 16, 16 and 8 levels
+    P, M, N = 101, 3, 40
     monkeypatch.setattr(solver, "_BLOCK_NODES", 7 * M)
     raw = {
         "grid": {"M": M, "N": N, "T": 1.0},
@@ -125,10 +130,11 @@ def test_traced_blocks_step_through_the_cli_binding(tracing, tmp_path,
     }
     code, m = traced_run(tracing, "martingale", raw, tmp_path, trajectories=P)
     assert code == 0
-    assert m["kernel.step_paths.calls"] == 15
-    assert m["solver.run_ensemble.calls"] == 15
+    assert m["kernel.step_paths.calls"] == 15 * 3
+    assert m["solver.run_ensemble.calls"] == 0
     assert m["solver.path_seed.calls"] == P
     assert m["kernel.node_updates"] == P * N * M
-    assert m["kernel.paths_stepped"] == P
+    assert m["kernel.paths_stepped"] == P * 3
     assert m["kernel.useful_ratio"] == 1.0
-    assert m["kernel.ensemble_bytes"] == P * (N + 2) * (M + 2) * 8
+    # each call is handed exactly its window's levels, never N+2 of them
+    assert m["kernel.ensemble_bytes"] == P * (18 + 18 + 10) * (M + 2) * 8

@@ -3,6 +3,7 @@ determinism, flag overrides, and the exit-code contract."""
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -583,6 +584,48 @@ def test_underflowing_dt_is_refused(tmp_path):
                   "--output-dir", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
     assert "dt = T/N underflows to zero" in res.stderr
+
+
+def test_overflowing_estimator_terms_are_exit_4(tmp_path):
+    # the squares of 1e300 data overflow: the run exited 0 after NumPy
+    # overflow warnings, printed "ratio nan" and wrote inf to the CSV
+    raw = {"grid": {"M": 3, "N": 4, "T": 1.0},
+           "data": {"y0": {"sine": {"mode": 1, "amplitude": 1e300}}}}
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = invoke(["stability", "--config", str(write_cfg(tmp_path, raw)),
+                      "--output-dir", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "numeric failure: lhs term Y0 is not finite: mean inf" in res.stderr
+    assert not (out / "stability_terms.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key,pointer",
+    [("epsilon", "/admissibility/dt_value"),
+     ("beta", "/admissibility/t_margin")],
+)
+def test_non_finite_json_value_is_exit_4(tmp_path, key, pointer):
+    # dt_value was written as Infinity (exit 0) and t_margin as
+    # -Infinity (exit 5): neither is standard JSON
+    raw = dict(GOOD_CARLEMAN, weight={**GOOD_CARLEMAN["weight"], key: 5e-324})
+    out = tmp_path / "o"
+    res = invoke(["carleman", "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(out)])
+    assert res.exit_code == 4, res.output
+    assert f"numeric failure: carleman.json: {pointer} is " in res.stderr
+    assert not (out / "carleman.json").exists()
+
+
+def test_json_writer_names_the_non_finite_key(tmp_path):
+    writer = ArtifactWriter(str(tmp_path / "w"), "0" * 64, "test")
+    with pytest.raises(FloatingPointError, match=r"x\.json: /a/1 is nan"):
+        writer.json("x.json", {"a": [1.0, float("nan")], "b": 2.0})
+    writer.json("y.json", {"a": [1.0, 1e308]})
+    assert json.loads((tmp_path / "w" / "y.json").read_text()) == {
+        "a": [1.0, 1e308]
+    }
 
 
 @pytest.mark.parametrize("blocked", ["output_dir", "artifact"])

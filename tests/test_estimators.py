@@ -408,8 +408,9 @@ def test_martingale_statistic_definition():
 
 
 @pytest.mark.parametrize("block_paths", [1, 3, 7, 200])
-def test_martingale_blocks_equal_per_path_sums(monkeypatch, block_paths):
-    # 101 paths: no block size but 1 divides the path count
+def test_martingale_blocks_equal_per_path_sums(block_paths):
+    # 101 paths: no block size but 1 divides the path count; the family
+    # is handed over as consecutive Ensemble blocks
     grid = build_grid(5, 9, 1.0)
     data = small_problem(grid, 3)
     ens = run_ensemble(
@@ -420,10 +421,12 @@ def test_martingale_blocks_equal_per_path_sums(monkeypatch, block_paths):
         y = ens.Y[p, 1 : grid.N + 1, 1 : grid.M + 1]
         inc = ens.dB[p, 1 : grid.N + 1]
         vals[p] = float(np.sum(y * inc[:, None])) * (grid.dx * grid.dt)
-    monkeypatch.setattr(
-        estimators, "_MARTINGALE_BLOCK_NODES", block_paths * grid.N * grid.M
-    )
-    st = martingale_check(ens, grid)
+    blocks = [
+        Ensemble(grid, ens.Y[k : k + block_paths], ens.dB[k : k + block_paths],
+                 ens.seeds[k : k + block_paths], ens.master_seed)
+        for k in range(0, ens.paths, block_paths)
+    ]
+    st = martingale_check(blocks, grid)
     assert st.paths == 101
     assert st.mean == float(np.mean(vals))
     assert st.stderr == float(np.std(vals, ddof=1) / np.sqrt(101))

@@ -1,8 +1,10 @@
 """Backend parity: the compiled stepper and the NumPy fallback must be
 interchangeable bit for bit, including blow-up reporting."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,12 +86,16 @@ def test_backend_env_selection():
     code = (
         "import stochwave; print(stochwave.backend_name)"
     )
+    # the package under test, installed or not
+    src = str(Path(stochwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for forced in ("numpy", "cython"):
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"STOCHWAVE_BACKEND": forced, "PATH": "/usr/bin:/bin"},
+            env={"STOCHWAVE_BACKEND": forced, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": path},
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == forced
@@ -97,7 +103,8 @@ def test_backend_env_selection():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"STOCHWAVE_BACKEND": "fortran", "PATH": "/usr/bin:/bin"},
+        env={"STOCHWAVE_BACKEND": "fortran", "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": path},
     )
     assert out.returncode != 0
     assert "STOCHWAVE_BACKEND" in out.stderr

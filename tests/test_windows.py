@@ -1,0 +1,243 @@
+"""Time-windowed stepping: every stream steps a path block through
+windows of solver._WINDOW_LEVELS levels in one reused buffer, and the
+estimators fold each window into per-path sums.  Per-path terms must
+agree with exactly rounded full-history sums, a whole Ensemble must
+reduce to the same bits as the CLI's stream, and a blow-up in a later
+window must name its global level."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from stochwave import cli, estimators, solver
+from stochwave.errors import BlowUpError
+from stochwave.fields import random_field, random_slice, zero_field
+from stochwave.grids import build_grid
+from stochwave.solver import (
+    ProblemData,
+    SchemeCoefficients,
+    run_ensemble,
+    stream_windows,
+)
+from stochwave.weights import WeightParams
+
+L = solver._WINDOW_LEVELS
+M, P, SEED = 4, 5, 17
+WEIGHT = {"s": 2.0, "lam": 0.05, "beta": 0.5, "xstar": 1.5, "mconst": 10.0}
+
+# N < L, N = L, N % L != 0 over several windows, and a single step
+STEPS = [5, L, 2 * L + 5, 1]
+
+
+def family(N, paths=P):
+    grid = build_grid(M, N, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8), f=random_field(grid, 4, 0.3),
+    )
+    coeffs = SchemeCoefficients.constant(grid, a=-0.4, b=0.2, c=0.3, d=0.6)
+    return grid, data, coeffs, run_ensemble(data, coeffs, grid, paths, SEED)
+
+
+def fsum_sq(values, weights=None):
+    """Exactly rounded sum of w * v**2 over all entries."""
+    v = np.asarray(values, dtype=float).ravel()
+    w = np.ones_like(v) if weights is None else np.asarray(weights).ravel()
+    return math.fsum((w * v * v).tolist())
+
+
+def full_history_terms(Y, grid, factors):
+    """Per-path terms of one path's whole (N+2, M+2) history, each sum
+    taken with math.fsum; factors are (space, time) arrays."""
+    N, dx, dt = grid.N, grid.dx, grid.dt
+    y = Y[1 : N + 1, 1 : M + 1]
+    dty = (Y[2 : N + 2, 1 : M + 1] - y) / dt
+    dxy = (Y[:, 1:] - Y[:, :-1]) / dx
+    fl = dxy[1 : N + 1, 0]
+    dtdx = (dxy[1 : N + 1] - dxy[:N]) / dt
+    yN, vN = Y[N], (Y[N + 1] - Y[N]) / dt
+    xt = math.sqrt(fsum_sq(np.diff(yN) / dx) * dx + fsum_sq(yN[1:-1]) * dx)
+    xt += math.sqrt(fsum_sq(vN[1:-1]) * dx)
+    out = {
+        "FLUX": math.sqrt(fsum_sq(fl) * dt),
+        "DTDX": dx * math.sqrt(fsum_sq(dtdx) * (dx * dt)),
+        "XT": xt,
+    }
+    if factors is not None:
+        out.update({
+            "L1": fsum_sq(y, factors["L1"].T) * (dx * dt),
+            "L2": fsum_sq(dty, factors["L2"].T) * (dx * dt),
+            "L3": fsum_sq(dxy[1 : N + 1], factors["L3"].T) * (dx * dt),
+            "R2": fsum_sq(fl, factors["R2"]) * dt,
+            "R3": dx**2 * (fsum_sq(dtdx, factors["R3"].T) * (dx * dt)),
+        })
+    return out
+
+
+@pytest.mark.parametrize("N", STEPS)
+def test_window_spans_cover_every_level_once(N):
+    spans = solver._window_spans(N)
+    served = [n0 + k for n0, levels in spans for k in range(1, levels + 1)]
+    assert served == list(range(1, N + 1))
+    assert all(levels == L for _, levels in spans[:-1])
+
+
+@pytest.mark.parametrize("N", STEPS)
+def test_per_path_terms_match_full_history_fsum(N):
+    grid, data, coeffs, ens = family(N)
+    w = WeightParams(**WEIGHT, T=grid.T)
+    factors, _ = estimators._weight_set(w, data, grid)
+    carleman, xts = estimators._carleman_sums(ens, [factors], grid)
+    stability = estimators._stability_sums(ens, grid)
+    for p in range(P):
+        ref = full_history_terms(ens.Y[p], grid, factors)
+        for key in estimators._PATH_TERMS:
+            assert carleman[key][0, p] == pytest.approx(
+                ref[key], rel=1e-13, abs=0.0), (p, key)
+        for key in ("FLUX", "XT", "DTDX"):
+            assert stability[key][p] == pytest.approx(
+                ref[key], rel=1e-13, abs=0.0), (p, key)
+        assert xts[p] == stability["XT"][p]
+
+
+@pytest.mark.parametrize("N", STEPS)
+def test_martingale_sums_match_full_history_fsum(N):
+    grid, data, coeffs, ens = family(N, paths=100)
+    st = estimators.martingale_check(ens, grid)
+    vals, scale = [], []
+    for p in range(ens.paths):
+        prod = (ens.Y[p, 1 : N + 1, 1 : M + 1]
+                * ens.dB[p, 1 : N + 1, None]).ravel().tolist()
+        vals.append(math.fsum(prod) * (grid.dx * grid.dt))
+        scale.append(math.fsum(map(abs, prod)) * (grid.dx * grid.dt))
+    # signed sums: the error is relative to the sum of magnitudes
+    assert abs(st.mean - math.fsum(vals) / len(vals)) <= 1e-13 * max(scale)
+    assert st.stderr == pytest.approx(
+        np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", STEPS)
+def test_stream_levels_equal_run_ensemble(monkeypatch, N):
+    # blocks of 2 paths: the buffer is reused by three blocks
+    grid, data, coeffs, ens = family(N)
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 2 * M)
+    got = np.full_like(ens.Y, np.nan)
+    block = -1
+    for win in stream_windows(data, coeffs, grid, P, SEED):
+        block += win.n0 == 0
+        rows = slice(2 * block, 2 * block + win.paths)
+        got[rows, win.n0 : win.n0 + win.levels + 2] = win.Y
+        assert win.dB.tobytes() == ens.dB[rows].tobytes()
+    assert got.tobytes() == ens.Y.tobytes()
+
+
+STEPPED = {
+    "grid": {"M": M, "N": 2 * L + 5, "T": 3.5},
+    "coefficients": {"a": {"constant": -0.4}, "c": {"constant": 0.3},
+                     "d": {"constant": 0.6}},
+    "data": {
+        "y0": {"random": {"seed": 1, "amplitude": 1.0}},
+        "y1": {"random": {"seed": 2, "amplitude": 0.5}},
+        "g": {"random": {"seed": 3, "amplitude": 0.8}},
+        "f": {"random": {"seed": 4, "amplitude": 0.3}},
+    },
+    "weight": {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
+               "mconst": 10.0},
+    "mc": {"paths": 101, "master_seed": SEED},
+}
+
+
+def run_cli(monkeypatch, tmp_path, subcommand, raw):
+    # 7 paths per block: 101 paths are 15 blocks of 3 windows each
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 7 * M)
+    tmp_path.mkdir()
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(raw, output_dir=str(tmp_path / "o"))),
+                 encoding="utf-8")
+    assert cli.run(subcommand, cli.parse_config(p)) in (0, 6)
+    name = {"stability": "stability.json", "martingale": "martingale.json",
+            "carleman": "carleman.json"}[subcommand]
+    return json.loads((tmp_path / "o" / name).read_text(encoding="utf-8"))
+
+
+def library_inputs(raw):
+    cfg = cli.RunConfig(raw, "")
+    grid = cli._make_grid(cfg)
+    data = cli._make_problem(cfg.data, cfg, grid)
+    return cfg, grid, data, cli._make_coeffs(cfg, grid)
+
+
+def test_whole_ensemble_reduces_to_the_streamed_bits(monkeypatch, tmp_path):
+    cfg, grid, data, coeffs = library_inputs(STEPPED)
+    ens = run_ensemble(data, coeffs, grid, 101, SEED)
+
+    got = run_cli(monkeypatch, tmp_path / "m", "martingale", STEPPED)
+    st = estimators.martingale_check(ens, grid)
+    assert (got["mean"], got["stderr"]) == (st.mean, st.stderr)
+
+    got = run_cli(monkeypatch, tmp_path / "c", "carleman", STEPPED)
+    w = cli._make_weight_params(cfg.weight, cfg)
+    rep = estimators.carleman_terms(ens, w, data, grid)
+    assert got == cli._carleman_obj(rep)
+
+    # the default comparison problem: zero data under the same forcing
+    got = run_cli(monkeypatch, tmp_path / "s", "stability", STEPPED)
+    zero = ProblemData(
+        y0=zero_field(grid, "closure", None),
+        y1=zero_field(grid, "closure", None),
+        g=zero_field(grid, "primal", "primal"), f=data.f,
+    )
+    diff = data.difference(zero)
+    rep = estimators.stability_terms(
+        run_ensemble(diff, coeffs, grid, 101, SEED), diff, grid
+    )
+    assert got == cli._stability_obj(rep)
+
+
+def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
+    # path 7 (third block of 3) gets an infinite increment at level 40
+    # (its third window), path 1 at level 50: the earlier level wins
+    N, paths = 4 * L, 10
+    grid, data, coeffs, _ = family(N, paths=1)
+    sample = solver._sample_block
+
+    def poisoned(master_seed, first, dB, dt):
+        seeds = sample(master_seed, first, dB, dt)
+        for path, level in ((7, 40), (1, 50)):
+            if first <= path < first + dB.shape[0]:
+                dB[path - first, level] = np.inf
+        return seeds
+
+    monkeypatch.setattr(solver, "_sample_block", poisoned)
+    with pytest.raises(BlowUpError) as whole:
+        run_ensemble(data, coeffs, grid, paths, SEED)
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * M)
+    with pytest.raises(BlowUpError) as streamed:
+        for _ in stream_windows(data, coeffs, grid, paths, SEED):
+            pass
+    assert (streamed.value.n, streamed.value.path, streamed.value.j) == (
+        41, 7, 1)
+    assert str(streamed.value) == str(whole.value)
+
+
+def test_memory_budget_is_one_window_not_the_history(monkeypatch):
+    # 3 paths on 3 x 64: a window of 18 levels (2160 B), the increments
+    # (1560 B) and the six 65 x 5 tables (15600 B) need 19320 B; the
+    # whole history would need 3 * 66 * 5 * 8 = 7920 B for Y alone
+    grid = build_grid(3, 64, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8),
+    )
+    coeffs = SchemeCoefficients.constant(grid, d=0.5)
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * 3)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 19319)
+    with pytest.raises(MemoryError, match="needs 2160 bytes for its "
+                       "trajectories and 19320 bytes with"):
+        next(stream_windows(data, coeffs, grid, 3, 1))
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 19320)
+    assert sum(1 for _ in stream_windows(data, coeffs, grid, 3, 1)) == 4
+    with pytest.raises(MemoryError, match="needs 7920 bytes"):
+        run_ensemble(data, coeffs, grid, 3, 1)
