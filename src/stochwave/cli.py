@@ -482,16 +482,27 @@ def _fmt(v) -> str:
 
 def _column_text(col) -> np.ndarray:
     """The CSV text of every cell of one column, as an object array of
-    the column's shape.  A float or integer array is converted with one
-    `tolist` and formatted by `repr` or `str`, which is what `_fmt` gives
-    each of its cells; any other column goes through `_fmt` cell by cell."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
-        fmt = repr if col.dtype.kind == "f" else str
-        cells, shape = list(map(fmt, col.ravel().tolist())), col.shape
-    else:
-        cells = [_fmt(v) for v in col]
-        shape = (len(cells),)
-    return np.array(cells, dtype=object).reshape(shape)
+    the column's shape.  A float or integer array is formatted by
+    `_cell_text`; any other column goes through `_fmt` cell by cell."""
+    if _is_numeric(col):
+        return np.array(_cell_text(col), dtype=object).reshape(col.shape)
+    cells = [_fmt(v) for v in col]
+    return np.array(cells, dtype=object).reshape(len(cells))
+
+
+def _is_numeric(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind in "fiu"
+
+
+def _cell_text(cells: np.ndarray) -> list:
+    """The CSV text of the cells of an array, in C order: a float or
+    integer array is converted with one `tolist` and formatted by `repr`
+    or `str`, which is what `_fmt` gives each of its cells; an object
+    array already holds text."""
+    values = cells.ravel().tolist()
+    if cells.dtype.kind == "O":
+        return values
+    return list(map(repr if cells.dtype.kind == "f" else str, values))
 
 
 def _columns(rows, width):
@@ -499,7 +510,7 @@ def _columns(rows, width):
     return list(zip(*rows)) if rows else [()] * width
 
 
-# rows joined and handed to the file per write
+# rows formatted, joined and handed to the file per write
 _ROWS_PER_WRITE = 1 << 14
 
 
@@ -518,15 +529,25 @@ class ArtifactWriter:
         `columns` is a NumPy array or a sequence of cells.  The columns
         broadcast against each other and the rows run over the broadcast
         shape in C order, so a (J, 1) column beside a (K,) column repeats
-        each of its J values K times while formatting each once."""
-        texts = [_column_text(c) for c in columns]
-        shape = np.broadcast_shapes(*(t.shape for t in texts))
-        flat = [np.broadcast_to(t, shape).ravel().tolist() for t in texts]
+        each of its J values K times while formatting each once.
+
+        A numeric column with a cell for every row is formatted one
+        block of _ROWS_PER_WRITE rows at a time, so the text held at
+        once is one block's whatever the table's length; a sequence
+        column, or one that broadcasts (fewer cells than rows), is
+        formatted whole, once per cell."""
+        cols = [c if _is_numeric(c) else _column_text(c) for c in columns]
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
         count = math.prod(shape)
+        cols = [
+            _column_text(c) if _is_numeric(c) and c.size < count else c
+            for c in cols
+        ]
+        flats = [np.broadcast_to(c, shape).flat for c in cols]
         with open(self.dir / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(0, count, _ROWS_PER_WRITE):
-                block = [c[i : i + _ROWS_PER_WRITE] for c in flat]
+                block = [_cell_text(f[i : i + _ROWS_PER_WRITE]) for f in flats]
                 fh.write("\n".join(map(",".join, zip(*block))) + "\n")
         self.entries.append({"name": name, "rows": count})
 

@@ -117,11 +117,15 @@ def random_field(
 
 def constant_coefficient(grid: Grid, value: float) -> GridFunction:
     """Constant field on the closure x nbar carrier used by scheme
-    coefficients."""
+    coefficients.  Its values are a read-only, zero-stride broadcast of
+    the one value: no memory grows with the mesh."""
     sax = grid.space_axis("closure")
     tax = grid.time_axis("nbar")
     return GridFunction(
-        grid, np.full((sax.count, tax.count), float(value)), sax, tax
+        grid,
+        np.broadcast_to(np.float64(value), (sax.count, tax.count)),
+        sax,
+        tax,
     )
 
 

@@ -186,12 +186,15 @@ class ProblemData:
     def difference(self, other: ProblemData) -> ProblemData:
         """Data of the difference system y_self - y_other: every field
         minus the other's, a missing f counting as zero (None when
-        neither side has one).  The scheme is linear in (y0, y1, g, f),
-        so under common noise and coefficients stepping this data gives
-        the path-wise difference of the two solutions, to rounding."""
+        neither side has one, or both hold the same f object, which
+        cancels exactly).  The scheme is linear in (y0, y1, g, f), so
+        under common noise and coefficients stepping this data gives the
+        path-wise difference of the two solutions, to rounding."""
         _require(other.grid == self.grid, "problem data live on different grids")
-        if self.f is None:
-            f = None if other.f is None else -other.f
+        if self.f is other.f:
+            f = None
+        elif self.f is None:
+            f = -other.f
         else:
             f = self.f if other.f is None else self.f - other.f
         return ProblemData(
@@ -397,27 +400,35 @@ def _window_spans(N: int):
 # stepping
 
 
-def _prepare_arrays(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
-    M, N = grid.M, grid.N
-    dt = grid.dt
-
-    cvals = coeffs.c.values
-    if np.any(1.0 - cvals * dt == 0.0):
+def _check_singular(coeffs: SchemeCoefficients, grid: Grid):
+    if np.any(1.0 - coeffs.c.values * grid.dt == 0.0):
         raise SingularUpdateError(
             "c*dt equals 1 somewhere, the update denominator vanishes"
         )
 
-    def tm(u):
-        return np.ascontiguousarray(u.values.T)
 
-    A, B, C, D = tm(coeffs.a), tm(coeffs.b), tm(coeffs.c), tm(coeffs.d)
+def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
+                n0: int, L: int) -> np.ndarray:
+    """Rows n = n0 .. n0+L of the kernel's six tables A, B, C, D, G, F,
+    as one (6, L+1, M+2) array: the coefficients at level n, and g and
+    f padded onto the same (n, j) frame, zero at n = 0, at the boundary
+    nodes and where f is None."""
+    M = grid.M
+    rows = np.zeros((6, L + 1, M + 2))
+    for table, u in zip(rows, (coeffs.a, coeffs.b, coeffs.c, coeffs.d)):
+        table[:] = u.values[:, n0 : n0 + L + 1].T
+    # g and f hold levels 1..N in columns 0..N-1
+    lo = max(n0, 1)
+    for table, u in zip(rows[4:], (data.g, data.f)):
+        if u is not None:
+            table[lo - n0 :, 1 : M + 1] = u.values[:, lo - 1 : n0 + L].T
+    return rows
 
-    G = np.zeros((N + 1, M + 2))
-    G[1 : N + 1, 1 : M + 1] = data.g.values.T
-    F = np.zeros((N + 1, M + 2))
-    if data.f is not None:
-        F[1 : N + 1, 1 : M + 1] = data.f.values.T
-    return A, B, C, D, G, F
+
+def _prepare_arrays(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
+    """All N+1 rows of the six tables, after the singular-update check."""
+    _check_singular(coeffs, grid)
+    return _table_rows(data, coeffs, grid, 0, grid.N)
 
 
 def _start_levels(data: ProblemData, grid: Grid) -> np.ndarray:
@@ -494,20 +505,22 @@ def _check_paths(paths):
 
 
 def _check_memory(paths: int, levels: int, grid: Grid):
-    """Refuse, with MemoryError, a block of `paths` paths holding
-    `levels` + 2 time levels at a time whose levels, increments and six
-    coefficient and data tables together exceed physical memory."""
+    """Refuse, with MemoryError, a block of `paths` paths stepped
+    `levels` levels per kernel call when its arrays together exceed
+    physical memory: levels + 2 time levels and N+1 increments per path,
+    and levels + 1 rows of the six coefficient and data tables."""
     N, M = grid.N, grid.M
     need_y = paths * (levels + 2) * (M + 2) * 8
-    need = need_y + (paths + 6 * (M + 2)) * (N + 1) * 8
+    need = need_y + (paths * (N + 1) + 6 * (levels + 1) * (M + 2)) * 8
     phys = _physical_bytes()
     if phys is not None and need > phys:
         raise MemoryError(
             f"a block of {paths} path(s) holding {levels + 2} of the "
             f"{N + 2} time levels of a {M} x {N} mesh needs {need_y} "
-            f"bytes for its trajectories and {need} bytes with its noise "
-            f"and coefficient tables, more than the {phys} bytes of "
-            "physical memory"
+            f"bytes for its trajectories and {need} bytes with its "
+            f"{N + 1} increments per path and {levels + 1} rows of the "
+            f"six coefficient and data tables, more than the {phys} "
+            "bytes of physical memory"
         )
 
 
@@ -537,10 +550,10 @@ def run_ensemble(
     All paths advance in one kernel call; results are a pure function of
     the inputs and master_seed, independent of backend, schedule and of
     how the family is split into blocks.  A BlowUpError names the global
-    path index.  A block whose arrays (Y, dB and the six coefficient and
-    data tables) exceed physical memory is refused with MemoryError
-    before anything is allocated.  stream_windows steps the same paths
-    without holding their history."""
+    path index.  A block whose arrays (Y, dB and all N+1 rows of the six
+    coefficient and data tables) exceed physical memory is refused with
+    MemoryError before anything is allocated.  stream_windows steps the
+    same paths without holding their history."""
     _check_match(data, coeffs, grid)
     _check_paths(paths)
     if not (isinstance(first, (int, np.integer)) and first >= 0):
@@ -575,28 +588,31 @@ def stream_windows(
     yield them as Windows: block after block of block_paths(grid) paths,
     and within a block window after window of _WINDOW_LEVELS levels.
 
-    The grid-wide setup is done once per run: the six tables, the start
-    levels, one (B, L+2, M+2) window buffer and one (B, N+1) increment
-    buffer, reused by every block.  After each window its last two
-    levels roll to the front, so a yielded window is valid only until
-    the next one is drawn.  Memory is one window, one block's
-    increments and the tables, whatever the path count and N; a run
+    The grid-wide setup is done once per run: the singular-update
+    check, the start levels, one (B, L+2, M+2) window buffer and one
+    (B, N+1) increment buffer, reused by every block.  After each
+    window its last two levels roll to the front, so a yielded window
+    is valid only until the next one is drawn.  Memory is one window,
+    one block's increments and the window's rows of the six tables,
+    whatever the path count; only the increments grow with N.  A run
     whose share exceeds physical memory is refused with MemoryError
     before anything is allocated.
 
-    Each window is one step_paths call on the matching row slices of
-    the tables and increments, so the levels are run_ensemble's bit for
-    bit.  A blow-up ends the yields, but the remaining blocks are still
-    stepped as far as an earlier level could fail: the BlowUpError
-    raised is the lexicographic minimum over (n, path, j) of all paths,
-    the one a single run_ensemble call reports."""
+    Each window is one step_paths call on its own (L+1, M+2) rows of
+    the six tables, built from the coefficient and data fields when the
+    window is stepped (_table_rows), and on the matching slice of the
+    increments, so the levels are run_ensemble's bit for bit.  A
+    blow-up ends the yields, but the remaining blocks are still stepped
+    as far as an earlier level could fail: the BlowUpError raised is
+    the lexicographic minimum over (n, path, j) of all paths, the one a
+    single run_ensemble call reports."""
     _check_match(data, coeffs, grid)
     _check_paths(paths)
     N, M = grid.N, grid.M
     size = min(block_paths(grid), paths)
     spans = _window_spans(N)
     _check_memory(size, spans[0][1], grid)
-    tables = _prepare_arrays(data, coeffs, grid)
+    _check_singular(coeffs, grid)
     start = _start_levels(data, grid)
     window = np.zeros((size, spans[0][1] + 2, M + 2))
     noise = np.empty((size, N + 1))
@@ -610,10 +626,9 @@ def stream_windows(
             # a blow-up already found can replace it
             if blown is not None and n0 + 2 >= blown.n:
                 break
-            rows = slice(n0, n0 + L + 1)
             hit, bn, bp, bj = step_paths(
-                Y[:, : L + 2], *(t[rows] for t in tables), dB[:, rows],
-                grid.dt, grid.dx,
+                Y[:, : L + 2], *_table_rows(data, coeffs, grid, n0, L),
+                dB[:, n0 : n0 + L + 1], grid.dt, grid.dx,
             )
             if hit:
                 if blown is None or n0 + bn < blown.n:

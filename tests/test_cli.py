@@ -3,6 +3,8 @@ determinism, flag overrides, and the exit-code contract."""
 
 import hashlib
 import json
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -778,6 +780,100 @@ def test_writer_empty_table(tmp_path):
     text, entries = write_table(tmp_path, ("a", "b"), ((), ()))
     assert text == b"a,b\n"
     assert entries[0]["rows"] == 0
+
+
+@pytest.mark.parametrize("per_write", [1, 4, 7])
+def test_writer_tables_span_several_write_blocks(tmp_path, monkeypatch,
+                                                 per_write):
+    # 12 rows in blocks of 1, 4 and 7: block edges inside and at the end
+    monkeypatch.setattr(cli_mod, "_ROWS_PER_WRITE", per_write)
+    n = len(EDGE_FLOATS)
+    ints = np.arange(n, dtype=np.int64) - 5
+    mixed = ["", True, False, "L1", 3, 2.5, np.float64(1e-7), np.int64(-7),
+             1e22, "a b", 0, -0.0]
+    header = ("f", "i", "mixed", "tuple")
+    tup = tuple(EDGE_FLOATS[::-1].tolist())
+    text, entries = write_table(
+        tmp_path, header, (EDGE_FLOATS, ints, mixed, tup)
+    )
+    rows = list(zip(EDGE_FLOATS, ints, mixed, tup))
+    assert text == ref_csv(header, rows)
+    assert entries == [{"name": "t.csv", "rows": n}]
+
+
+def test_writer_full_size_blocks(tmp_path):
+    # the writer's own block size: two full blocks and a partial third
+    n = 2 * cli_mod._ROWS_PER_WRITE + 3
+    vals = np.sin(np.arange(n, dtype=np.float64)) * 1e-3
+    vals[::1000] = EDGE_FLOATS[np.arange(0, n, 1000) % len(EDGE_FLOATS)]
+    text, entries = write_table(
+        tmp_path, ("k", "v"), (np.arange(n), vals)
+    )
+    assert text == ref_csv(("k", "v"), list(zip(range(n), vals)))
+    assert entries[0]["rows"] == n
+
+
+@pytest.mark.parametrize("per_write", [4, None])
+def test_writer_broadcast_rows_longer_than_a_block(tmp_path, monkeypatch,
+                                                   per_write):
+    # a (J, 1) column beside (K,) columns with K larger than one block
+    if per_write is not None:
+        monkeypatch.setattr(cli_mod, "_ROWS_PER_WRITE", per_write)
+    J, K = 2, 2 * cli_mod._ROWS_PER_WRITE + 5
+    x = EDGE_FLOATS[:J]
+    t = np.arange(K) / 7.0
+    vals = np.arange(J * K, dtype=np.float64).reshape(K, J).T / 3.0
+    header = ("j", "x", "n", "t", "y")
+    text, entries = write_table(
+        tmp_path, header,
+        (np.arange(J)[:, None], x[:, None], np.arange(K), t, vals),
+    )
+    rows = [(j, x[j], n, t[n], vals[j, n]) for j in range(J) for n in range(K)]
+    assert text == ref_csv(header, rows)
+    assert entries[0]["rows"] == J * K
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [(np.empty(0), np.empty(0, dtype=np.int64)),
+     (np.arange(0)[:, None], np.arange(3)),
+     ([], np.empty(0))],
+)
+def test_writer_zero_row_tables(tmp_path, columns):
+    text, entries = write_table(tmp_path, ("a", "b"), columns)
+    assert text == b"a,b\n"
+    assert entries[0]["rows"] == 0
+
+
+def test_writer_one_row_tables(tmp_path):
+    for k, columns in enumerate([
+        (np.array([0.1 + 0.2]), np.array([-3]), ["x"]),
+        (np.array([[2.5]]), np.array([7]), (True,)),
+    ]):
+        writer = ArtifactWriter(str(tmp_path / "w"), "0" * 64, "test")
+        writer.csv(f"t{k}.csv", ("a", "b", "c"), columns)
+        row = tuple(np.ravel(c)[0] if isinstance(c, np.ndarray) else c[0]
+                    for c in columns)
+        assert (tmp_path / "w" / f"t{k}.csv").read_bytes() == ref_csv(
+            ("a", "b", "c"), [row]
+        )
+        assert writer.entries == [{"name": f"t{k}.csv", "rows": 1}]
+
+
+def test_writer_holds_one_block_of_text(tmp_path):
+    n = 200_000
+    vals = np.random.default_rng(3).standard_normal(n)
+    text_bytes = sum(sys.getsizeof(repr(v)) for v in vals.tolist())
+    writer = ArtifactWriter(str(tmp_path / "w"), "0" * 64, "test")
+    tracemalloc.start()
+    try:
+        writer.csv("t.csv", ("v",), (vals,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the formatted strings take about 14 MB; one block's about 1.1 MB
+    assert peak < text_bytes / 4, (peak, text_bytes)
+    assert writer.entries == [{"name": "t.csv", "rows": n}]
 
 
 def test_simulate_csvs_match_row_formatter(tmp_path):

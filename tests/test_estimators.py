@@ -1,6 +1,7 @@
 """Estimator reports against the brute-force quadrature oracle, plus
 statistical plumbing, and scale covariance."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -265,8 +266,10 @@ def test_problem_difference_forcing():
     assert np.array_equal(d.g.values, a.g.values - b.g.values)
     assert np.array_equal(bare_a.difference(b).f.values, -b.f.values)
     assert np.array_equal(a.difference(bare_b).f.values, a.f.values)
-    # forcing shared by both sides cancels exactly
-    assert not np.any(a.difference(replace(bare_b, f=a.f)).f.values)
+    # forcing shared by both sides cancels exactly: the same object
+    # leaves no forcing at all, an equal copy a zero field
+    assert a.difference(replace(bare_b, f=a.f)).f is None
+    assert not np.any(a.difference(replace(bare_b, f=copy.copy(a.f))).f.values)
 
 
 def test_stability_terms_argument_forms():

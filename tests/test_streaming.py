@@ -193,8 +193,9 @@ def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
 
 def test_memory_refusal_counts_noise_and_tables(monkeypatch, tmp_path):
     # the same 3-path block: its Y (1200 B) fits in 2000 B, but with dB
-    # (3 x 9 x 8 B = 216 B) and the six 9 x 5 coefficient and data
-    # tables (2160 B) it needs 3576 B
+    # (3 x 9 x 8 B = 216 B) and the six tables' rows (N = 8 is below one
+    # 16-level window, so its 9 rows are all of them: 6 x 9 x 5 x 8 B =
+    # 2160 B) it needs 3576 B
     monkeypatch.setattr(solver, "_physical_bytes", lambda: 2000)
     raw = dict(RUNS["martingale"], output_dir=str(tmp_path / "o"))
     p = tmp_path / "cfg.json"
@@ -202,7 +203,8 @@ def test_memory_refusal_counts_noise_and_tables(monkeypatch, tmp_path):
     set_block(monkeypatch, 3)
     assert cli._execute("martingale", str(p), None, None, None) == 3
     with pytest.raises(MemoryError, match="1200 bytes for its trajectories "
-                       "and 3576 bytes with"):
+                       "and 3576 bytes with its 9 increments per path and "
+                       "9 rows of the six"):
         run_cli("martingale", RUNS["martingale"], tmp_path / "again")
     monkeypatch.setattr(solver, "_physical_bytes", lambda: 3576)
     assert run_cli("martingale", RUNS["martingale"], tmp_path / "fits") in (0, 6)

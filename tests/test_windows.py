@@ -1,5 +1,6 @@
 """Time-windowed stepping: every stream steps a path block through
-windows of solver._WINDOW_LEVELS levels in one reused buffer, and the
+windows of solver._WINDOW_LEVELS levels in one reused buffer, on the
+window's own rows of the coefficient and data tables, and the
 estimators fold each window into per-path sums.  Per-path terms must
 agree with exactly rounded full-history sums, a whole Ensemble must
 reduce to the same bits as the CLI's stream, and a blow-up in a later
@@ -12,13 +13,20 @@ import numpy as np
 import pytest
 
 from stochwave import cli, estimators, solver
-from stochwave.errors import BlowUpError
-from stochwave.fields import random_field, random_slice, zero_field
-from stochwave.grids import build_grid
+from stochwave.errors import BlowUpError, SingularUpdateError
+from stochwave.fields import (
+    constant_coefficient,
+    preset_coefficient,
+    random_field,
+    random_slice,
+    zero_field,
+)
+from stochwave.grids import GridFunction, build_grid
 from stochwave.solver import (
     ProblemData,
     SchemeCoefficients,
     run_ensemble,
+    scheme_residual,
     stream_windows,
 )
 from stochwave.weights import WeightParams
@@ -118,10 +126,8 @@ def test_martingale_sums_match_full_history_fsum(N):
         np.std(vals, ddof=1) / math.sqrt(len(vals)), rel=1e-10)
 
 
-@pytest.mark.parametrize("N", STEPS)
-def test_stream_levels_equal_run_ensemble(monkeypatch, N):
+def assert_stream_equals(monkeypatch, data, coeffs, grid, ens):
     # blocks of 2 paths: the buffer is reused by three blocks
-    grid, data, coeffs, ens = family(N)
     monkeypatch.setattr(solver, "_BLOCK_NODES", 2 * M)
     got = np.full_like(ens.Y, np.nan)
     block = -1
@@ -131,6 +137,12 @@ def test_stream_levels_equal_run_ensemble(monkeypatch, N):
         got[rows, win.n0 : win.n0 + win.levels + 2] = win.Y
         assert win.dB.tobytes() == ens.dB[rows].tobytes()
     assert got.tobytes() == ens.Y.tobytes()
+
+
+@pytest.mark.parametrize("N", STEPS)
+def test_stream_levels_equal_run_ensemble(monkeypatch, N):
+    grid, data, coeffs, ens = family(N)
+    assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
 
 
 STEPPED = {
@@ -224,8 +236,9 @@ def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
 
 def test_memory_budget_is_one_window_not_the_history(monkeypatch):
     # 3 paths on 3 x 64: a window of 18 levels (2160 B), the increments
-    # (1560 B) and the six 65 x 5 tables (15600 B) need 19320 B; the
-    # whole history would need 3 * 66 * 5 * 8 = 7920 B for Y alone
+    # (1560 B) and the window's 17 rows of the six tables (6 x 17 x 5 x
+    # 8 B = 4080 B) need 7800 B; the whole history would need
+    # 3 * 66 * 5 * 8 = 7920 B for Y alone
     grid = build_grid(3, 64, 1.0)
     data = ProblemData(
         y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
@@ -233,11 +246,112 @@ def test_memory_budget_is_one_window_not_the_history(monkeypatch):
     )
     coeffs = SchemeCoefficients.constant(grid, d=0.5)
     monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * 3)
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 19319)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 7799)
     with pytest.raises(MemoryError, match="needs 2160 bytes for its "
-                       "trajectories and 19320 bytes with"):
+                       "trajectories and 7800 bytes with its 65 increments "
+                       "per path and 17 rows of the six"):
         next(stream_windows(data, coeffs, grid, 3, 1))
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 19320)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 7800)
     assert sum(1 for _ in stream_windows(data, coeffs, grid, 3, 1)) == 4
     with pytest.raises(MemoryError, match="needs 7920 bytes"):
         run_ensemble(data, coeffs, grid, 3, 1)
+
+
+def preset_family(N, forced):
+    # varying coefficients in x and t, so every window's rows differ
+    grid = build_grid(M, N, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8),
+        f=random_field(grid, 4, 0.3) if forced else None,
+    )
+    coeffs = SchemeCoefficients(
+        a=preset_coefficient(grid, "ramp_t"),
+        b=constant_coefficient(grid, 0.2),
+        c=preset_coefficient(grid, "sine_x"),
+        d=preset_coefficient(grid, "ramp_x"),
+    )
+    return grid, data, coeffs
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("N", [5, L, 2 * L + 5])
+def test_window_rows_equal_the_full_tables(monkeypatch, N, forced):
+    grid, data, coeffs = preset_family(N, forced)
+    full = solver._prepare_arrays(data, coeffs, grid)
+    # the kernel's frame: coefficients at n = 0..N, sources at n = 1..N
+    # on the interior nodes, zero elsewhere and for a missing f
+    ref = np.zeros((6, N + 1, M + 2))
+    for table, u in zip(ref, (coeffs.a, coeffs.b, coeffs.c, coeffs.d)):
+        table[:] = u.values.T
+    ref[4, 1:, 1 : M + 1] = data.g.values.T
+    if forced:
+        ref[5, 1:, 1 : M + 1] = data.f.values.T
+    assert full.tobytes() == ref.tobytes()
+    for n0, levels in solver._window_spans(N):
+        rows = solver._table_rows(data, coeffs, grid, n0, levels)
+        assert rows.tobytes() == full[:, n0 : n0 + levels + 1].tobytes()
+        assert all(table.flags.c_contiguous for table in rows)
+    # and the stream built from them steps run_ensemble's levels
+    ens = run_ensemble(data, coeffs, grid, P, SEED)
+    assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
+
+
+def test_constant_coefficient_is_a_zero_stride_read_only_view():
+    grid = build_grid(M, 2 * L + 5, 1.0)
+    values = constant_coefficient(grid, 0.3).values
+    assert values.shape == (M + 2, grid.N + 1)
+    assert values.strides == (0, 0)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[1, 1] = 1.0
+    assert np.all(values == 0.3)
+
+
+def test_zero_stride_coefficients_step_like_dense_ones():
+    N = 2 * L + 5
+    grid = build_grid(M, N, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8), f=random_field(grid, 4, 0.3),
+    )
+    views = SchemeCoefficients.constant(grid, a=-0.4, b=0.2, c=0.3, d=0.6)
+    dense = SchemeCoefficients(*(
+        GridFunction(grid, np.array(u.values), u.space_axis, u.time_axis)
+        for u in (views.a, views.b, views.c, views.d)
+    ))
+    assert dense.a.values.strides != (0, 0)
+    ens = run_ensemble(data, views, grid, P, SEED)
+    assert ens.Y.tobytes() == run_ensemble(data, dense, grid, P,
+                                           SEED).Y.tobytes()
+    traj = ens.trajectory(P - 1)
+    res = scheme_residual(traj.y, views, data.g, data.f, traj.path, grid)
+    assert res == scheme_residual(traj.y, dense, data.g, data.f, traj.path,
+                                  grid)
+    assert res < 1e-12
+
+
+def test_singular_level_in_a_later_window_is_refused_before_stepping(
+        monkeypatch):
+    # dt = 1/64 and c = 64 at level 40 only (the third window): the
+    # update is singular there, and nothing may be stepped first
+    grid = build_grid(M, 64, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8),
+    )
+    c = np.zeros((M + 2, grid.N + 1))
+    c[2, 40] = 64.0
+    zero = constant_coefficient(grid, 0.0)
+    coeffs = SchemeCoefficients(
+        a=zero, b=zero, d=zero,
+        c=GridFunction(grid, c, zero.space_axis, zero.time_axis),
+    )
+    calls = []
+    monkeypatch.setattr(solver, "step_paths",
+                        lambda *args: calls.append(args))
+    with pytest.raises(SingularUpdateError):
+        next(stream_windows(data, coeffs, grid, P, SEED))
+    with pytest.raises(SingularUpdateError):
+        run_ensemble(data, coeffs, grid, P, SEED)
+    assert calls == []
