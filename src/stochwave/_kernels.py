@@ -1,10 +1,13 @@
 """Selects the time-stepping backend at import.
 
-The compiled extension is preferred when present; the NumPy kernel is
-the fallback.  Both honor the same contract and produce bitwise-equal
-trajectories (see _stepper_np).  Set STOCHWAVE_BACKEND=numpy or
-=cython to force a choice; forcing cython without the built extension
-raises at import so misconfiguration cannot silently degrade.
+The NumPy kernel (_stepper_np) is the only backend that ships: the
+Cython kernel was removed because it encoded an older grouping of the
+update and, if built, would have disagreed with NumPy in the last bits.
+A compiled kernel must reproduce _stepper_np's weight form bit for bit.
+STOCHWAVE_BACKEND=numpy (or unset) selects the NumPy kernel;
+STOCHWAVE_BACKEND=cython raises ImportError at import, since no
+compiled kernel exists, so a request for one cannot silently run
+another; any other value raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,31 +16,19 @@ import os
 
 from . import _stepper_np
 
-try:
-    from . import _stepper as _ext
-except ImportError:
-    _ext = None
-
 
 def _choose():
     want = os.environ.get("STOCHWAVE_BACKEND", "").strip().lower()
-    if want == "numpy":
+    if want in ("", "numpy"):
         return "numpy", _stepper_np.step_paths
     if want == "cython":
-        if _ext is None:
-            raise ImportError(
-                "STOCHWAVE_BACKEND=cython but the compiled stepper "
-                "extension is not built"
-            )
-        return "cython", _ext.step_paths
-    if want:
-        raise ValueError(
-            f"unknown STOCHWAVE_BACKEND value {want!r}; "
-            "use 'numpy' or 'cython'"
+        raise ImportError(
+            "STOCHWAVE_BACKEND=cython but no compiled stepper ships with "
+            "stochwave; unset it or use 'numpy'"
         )
-    if _ext is not None:
-        return "cython", _ext.step_paths
-    return "numpy", _stepper_np.step_paths
+    raise ValueError(
+        f"unknown STOCHWAVE_BACKEND value {want!r}; use 'numpy'"
+    )
 
 
 backend_name, step_paths = _choose()

@@ -1,12 +1,13 @@
 """Pure-NumPy time-stepping kernel, vectorized across paths.
 
-This is the fallback for (and the reference of) the compiled kernel in
-_stepper.pyx.  The two must stay expression-for-expression identical:
-elementwise NumPy arithmetic performs no reassociation and the compiled
-side is built with FP contraction off, so matching groupings give
-bitwise-equal trajectories.  Any change here must be mirrored there.
+This is the reference implementation of the kernel contract; a
+compiled kernel must reproduce it bit for bit by evaluating the same
+weights and the same update in the same grouping, with FP contraction
+off.  Element-wise NumPy arithmetic performs no reassociation, so the
+grouping written below, not the loop order or the memory layout, is
+what fixes every bit of the result.
 
-Contract shared by both backends:
+Contract:
 
   step_paths(Y, A, B, C, D, G, F, dB, dt, dx) -> (blown, n, p, j)
 
@@ -23,7 +24,7 @@ a time window of global levels n0 .. n0+N+1 passes that window as Y and
 rows n0 .. n0+N of the tables and increments (solver.stream_windows
 builds the table rows per window), and adds n0 to a reported n.
 
-The update for n = 1..N, j = 1..M is
+The scheme's update for n = 1..N, j = 1..M is
 
   y[n+1, j] = ( 2 y[n,j] - y[n-1,j]
                 + dt^2 ((y[n,j+1] - 2 y[n,j] + y[n,j-1]) / dx^2
@@ -31,18 +32,36 @@ The update for n = 1..N, j = 1..M is
                 - c dt y[n,j]
                 + dt ((d y[n,j] + g) dB[n] + f dt) ) / (1 - c dt)
 
-with boundary values pinned to zero.  Each new slice is scanned for
-non-finite entries; the first offence is reported as (n, p, j) with n
-the produced time level, and stepping stops.
+with boundary values pinned to zero.  The kernel evaluates it in weight
+form: once per call it folds the constants into per-node weights, with
+the Python floats dt^2 = dt*dt, lam = dt^2 / (dx*dx) and h = dt^2 /
+(2*dx), cdt = C dt, and each line rounded one operation after another,
+left to right as the parentheses say:
 
-Layout: the NumPy side steps three rolling time levels held path-minor,
+  kap = 1 / (1 - cdt)
+  alp = (((2 - cdt) + dt^2 A) - 2 lam) kap
+  bp  = (lam + h B) kap,   bm = (lam - h B) kap
+  dl  = (dt D) kap,  gh = (dt G) kap,  fh = (dt^2 F) kap
+
+and each level is
+
+  y[n+1, j] = ((((alp y[n,j] + bp y[n,j+1]) + bm y[n,j-1])
+               - kap y[n-1,j]) + (dl y[n,j] + gh) dB[n]) + fh
+
+with every weight taken at [n, j].  This differs from the update above
+in rounding only.  Each new slice is scanned for non-finite entries;
+the first offence is reported as (n, p, j) with n the produced time
+level, and stepping stops.
+
+Layout: the kernel steps three rolling time levels held path-minor,
 lev[j, p] of shape (M+2, P), so every stencil operand is one contiguous
-(M, P) slab and the per-node coefficient rows broadcast across paths.
-The formula is evaluated one element-wise operation at a time, with
-out= into the new level and two scratch slabs allocated once per call,
-in exactly the grouping above; that grouping, not the layout, is what
-keeps the two backends bitwise equal.  Each finished level is written
-back into Y.  Extra memory is O(P M): no scratch grows with N.
+(M, P) slab and each weight row broadcasts across paths; dB is
+transposed once per call so the increments of a level are one
+contiguous row.  A level is 12 element-wise operations with out= into
+the new level and one scratch slab allocated once per call, and each
+finished level is written back into Y.  Extra memory is the levels
+and scratch, O(P M), plus the seven weight tables and the transposed
+dB, the size of the inputs.
 """
 
 from __future__ import annotations
@@ -55,60 +74,56 @@ def step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
         return _step_paths(Y, A, B, C, D, G, F, dB, dt, dx)
 
 
+def _weights(A, B, C, D, G, F, dt, dx):
+    """The per-node weights (alp, bp, bm, kap, dl, gh, fh) of the
+    module docstring on the interior columns 1..M, each (N+1, M, 1) so
+    that a row broadcasts across the paths of a level."""
+    inner = slice(1, A.shape[1] - 1)
+    A, B, C, D, G, F = (t[:, inner, None] for t in (A, B, C, D, G, F))
+    dt2 = dt * dt
+    lam = dt2 / (dx * dx)
+    h = dt2 / (2.0 * dx)
+    cdt = C * dt
+    kap = 1.0 / (1.0 - cdt)
+    alp = (((2.0 - cdt) + dt2 * A) - 2.0 * lam) * kap
+    hb = h * B
+    bp = (lam + hb) * kap
+    bm = (lam - hb) * kap
+    dl = (dt * D) * kap
+    gh = (dt * G) * kap
+    fh = (dt2 * F) * kap
+    return alp, bp, bm, kap, dl, gh, fh
+
+
 def _step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
     P, Nt, Mf = Y.shape
     N = Nt - 2
     M = Mf - 2
-    inv_dx2 = 1.0 / (dx * dx)
-    inv_2dx = 1.0 / (2.0 * dx)
-    dt2 = dt * dt
+    alp, bp, bm, kap, dl, gh, fh = _weights(A, B, C, D, G, F, dt, dx)
+    dbt = np.ascontiguousarray(dB.T)
 
     # levels n-1, n, n+1; boundary rows stay zero (the contract's pinning)
     prev, cur, nxt = np.zeros((3, M + 2, P))
     prev[:] = Y[:, 0, :].T
     cur[:] = Y[:, 1, :].T
-    acc, tmp = np.empty((2, M, P))
-    dbn = np.empty(P)
+    tmp = np.empty((M, P))
     mul, add, sub = np.multiply, np.add, np.subtract
 
     for n in range(1, N + 1):
         yc = cur[1 : M + 1]
-        ypl = cur[2 : M + 2]
-        ymn = cur[0:M]
-        an = A[n, 1 : M + 1, None]
-        bn = B[n, 1 : M + 1, None]
-        cdt = C[n, 1 : M + 1, None] * dt
-        dn = D[n, 1 : M + 1, None]
-        gn = G[n, 1 : M + 1, None]
-        fdt = F[n, 1 : M + 1, None] * dt
-        dbn[:] = dB[:, n]
-        out = nxt[1 : M + 1]  # accumulates the numerator, starting at 2 yc
-
-        mul(yc, 2.0, out=out)
-        # acc = dt2 * (lap + a yc + b cen), lap = ((ypl - 2 yc) + ymn) / dx^2
-        sub(ypl, out, out=acc)
-        add(acc, ymn, out=acc)
-        mul(acc, inv_dx2, out=acc)
-        mul(an, yc, out=tmp)
-        add(acc, tmp, out=acc)
-        sub(ypl, ymn, out=tmp)
-        mul(tmp, inv_2dx, out=tmp)
-        mul(bn, tmp, out=tmp)
-        add(acc, tmp, out=acc)
-        mul(dt2, acc, out=acc)
-        sub(out, prev[1 : M + 1], out=out)
-        add(out, acc, out=out)
-        # tmp = dt ((d yc + g) dB + f dt)
-        mul(dn, yc, out=tmp)
-        add(tmp, gn, out=tmp)
-        mul(tmp, dbn, out=tmp)
-        add(tmp, fdt, out=tmp)
-        mul(dt, tmp, out=tmp)
-        # ((((2 yc - ym) + acc) - (c dt) yc) + tmp) / (1 - c dt)
-        mul(cdt, yc, out=acc)
-        sub(out, acc, out=out)
+        out = nxt[1 : M + 1]
+        mul(alp[n], yc, out=out)
+        mul(bp[n], cur[2 : M + 2], out=tmp)
         add(out, tmp, out=out)
-        np.divide(out, 1.0 - cdt, out=out)
+        mul(bm[n], cur[0:M], out=tmp)
+        add(out, tmp, out=out)
+        mul(kap[n], prev[1 : M + 1], out=tmp)
+        sub(out, tmp, out=out)
+        mul(dl[n], yc, out=tmp)
+        add(tmp, gh[n], out=tmp)
+        mul(tmp, dbt[n], out=tmp)
+        add(out, tmp, out=out)
+        add(out, fh[n], out=out)
         Y[:, n + 1, 1 : M + 1] = out.T
 
         # one pass: a non-finite entry makes the sum non-finite; a finite

@@ -500,9 +500,10 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
         if win.n0 == 0:
             acc = np.zeros(win.paths)
         n0, L = win.n0, win.levels
-        acc += _row_sums(
-            win.Y[:, 1 : L + 1, 1 : M + 1]
-            * win.dB[:, n0 + 1 : n0 + L + 1, None]
+        acc += np.einsum(
+            "pnj,pn->p",
+            win.Y[:, 1 : L + 1, 1 : M + 1],
+            win.dB[:, n0 + 1 : n0 + L + 1],
         )
         if win.last:
             parts.append(acc)

@@ -16,8 +16,12 @@ so the stored trajectory covers levels 0..N+1; the one-past-T level is
 what makes forward time differences available at t = T.
 
 The division by (1 - c dt) resolves the single-node implicitness of the
-c-term in closed form; it is exact, and a zero denominator anywhere is
-rejected up front as SingularUpdateError.  dt > dx sets a CFL warning
+c-term in closed form, and a zero denominator anywhere is rejected up
+front as SingularUpdateError.  The stepping kernel (_stepper_np) folds
+the constants into per-node weights, kap = 1 / (1 - c dt) and the
+stencil, noise and source weights scaled by it, and evaluates each
+level as a weighted sum; this equals the update above up to rounding,
+which scheme_residual checks.  dt > dx sets a CFL warning
 flag on the trajectory instead of failing, since the explicit scheme's
 stability limit is a modeling concern, not an API violation.
 
@@ -401,10 +405,15 @@ def _window_spans(N: int):
 
 
 def _check_singular(coeffs: SchemeCoefficients, grid: Grid):
-    if np.any(1.0 - coeffs.c.values * grid.dt == 0.0):
-        raise SingularUpdateError(
-            "c*dt equals 1 somewhere, the update denominator vanishes"
-        )
+    """Refuse a vanishing 1 - c dt at any node, walking c in blocks of
+    _WINDOW_LEVELS time columns so that the temporaries stay one block
+    in size, also for a zero-stride constant coefficient."""
+    c = coeffs.c.values
+    for n0 in range(0, c.shape[1], _WINDOW_LEVELS):
+        if np.any(1.0 - c[:, n0 : n0 + _WINDOW_LEVELS] * grid.dt == 0.0):
+            raise SingularUpdateError(
+                "c*dt equals 1 somewhere, the update denominator vanishes"
+            )
 
 
 def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,

@@ -689,8 +689,8 @@ def test_cfl_warning_precedes_blow_up(tmp_path):
     assert res.exit_code == 4
     warning = "simulate: warning, dt > dx (explicit scheme unstable)"
     failure = (
-        "numeric failure: non-finite value at space index j=14, "
-        "time level n=109, path 0"
+        "numeric failure: non-finite value at space index j=1, "
+        "time level n=110, path 0"
     )
     assert res.stderr.count(warning) == 1
     assert failure in res.stderr

@@ -419,11 +419,20 @@ def test_martingale_blocks_equal_per_path_sums(block_paths):
     ens = run_ensemble(
         data, SchemeCoefficients.constant(grid, a=-0.2, d=0.6), grid, 101, 5
     )
-    vals = np.empty(ens.paths)
-    for p in range(ens.paths):
-        y = ens.Y[p, 1 : grid.N + 1, 1 : grid.M + 1]
-        inc = ens.dB[p, 1 : grid.N + 1]
-        vals[p] = float(np.sum(y * inc[:, None])) * (grid.dx * grid.dt)
+    # each path's sum as a block of its own: exact across block sizes
+    y = ens.Y[:, 1 : grid.N + 1, 1 : grid.M + 1]
+    inc = ens.dB[:, 1 : grid.N + 1]
+    vals = np.array(
+        [np.einsum("pnj,pn->p", y[p : p + 1], inc[p : p + 1])[0]
+         for p in range(ens.paths)]
+    ) * (grid.dx * grid.dt)
+    # and the plain product sum to rounding
+    prod = y * inc[:, :, None]
+    tol = prod[0].size * np.finfo(np.float64).eps * np.abs(prod).max()
+    np.testing.assert_allclose(
+        vals, prod.sum(axis=(1, 2)) * (grid.dx * grid.dt), rtol=0,
+        atol=tol * grid.dx * grid.dt,
+    )
     blocks = [
         Ensemble(grid, ens.Y[k : k + block_paths], ens.dB[k : k + block_paths],
                  ens.seeds[k : k + block_paths], ens.master_seed)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from stochwave import _stepper_np
@@ -16,8 +18,10 @@ from stochwave import (
     SchemeCoefficients,
     SingularUpdateError,
     build_grid,
+    constant_coefficient,
     observe,
     path_seed,
+    preset_coefficient,
     random_field,
     random_slice,
     run_ensemble,
@@ -159,6 +163,46 @@ def test_scheme_residual_of_solution_is_rounding():
     traj = solve(data, coeffs, path, grid)
     res = scheme_residual(traj.y, coeffs, data.g, data.f, path, grid)
     assert res < 1e-12
+
+
+COEFF = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(["zero", "one", "ramp_x", "ramp_t", "sine_x"]),
+)
+
+
+# derandomized: the same examples on every run
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    M=st.integers(1, 10),
+    N=st.integers(1, 40),
+    cfl=st.floats(0.05, 1.0),
+    cdt=st.floats(-0.95, 0.95),
+    abd=st.tuples(COEFF, COEFF, COEFF),
+    seed=st.integers(0, 2**32),
+)
+def test_scheme_residual_of_solution_is_rounding_on_random_grids(
+        M, N, cfl, cdt, abd, seed):
+    # dt = cfl dx <= dx and |c dt| < 1: the update is regular, and the
+    # weight form must satisfy the paper's update to rounding
+    grid = build_grid(M, N, N * cfl / (M + 1))
+    a, b, d = (
+        preset_coefficient(grid, v) if isinstance(v, str)
+        else constant_coefficient(grid, v)
+        for v in abd
+    )
+    coeffs = SchemeCoefficients(
+        a=a, b=b, c=constant_coefficient(grid, cdt / grid.dt), d=d
+    )
+    data = ProblemData(
+        y0=random_slice(grid, seed, 1.0),
+        y1=random_slice(grid, seed + 1, 1.0),
+        g=random_field(grid, seed + 2, 1.0),
+        f=random_field(grid, seed + 3, 1.0),
+    )
+    path = sample_brownian(grid.N, grid.dt, seed)
+    traj = solve(data, coeffs, path, grid)
+    assert scheme_residual(traj.y, coeffs, data.g, data.f, path, grid) < 1e-12
 
 
 def test_singular_update_detected_upfront():
@@ -326,42 +370,69 @@ def test_brownian_path_validation():
 
 
 def scalar_step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
-    """The update of the _stepper_np docstring, one node at a time in
-    Python floats, in the docstring's grouping.  Levels advance for all
-    paths together; after the first level holding a non-finite value,
-    stepping stops and the first offence in (p, j) order is reported."""
+    """The weight form of the _stepper_np docstring, one node at a time
+    in Python floats, in the docstring's grouping.  Levels advance for
+    all paths together; after the first level holding a non-finite
+    value, stepping stops and the first offence in (p, j) order is
+    reported."""
     P, Nt, Mf = Y.shape
     N, M = Nt - 2, Mf - 2
-    inv_dx2 = 1.0 / (dx * dx)
-    inv_2dx = 1.0 / (2.0 * dx)
     dt2 = dt * dt
+    lam = dt2 / (dx * dx)
+    h = dt2 / (2.0 * dx)
     for n in range(1, N + 1):
         first = None
         for p in range(P):
             db = float(dB[p, n])
             for j in range(1, M + 1):
-                yc = float(Y[p, n, j])
-                ym = float(Y[p, n - 1, j])
-                ypl = float(Y[p, n, j + 1])
-                ymn = float(Y[p, n, j - 1])
-                a, b, c = float(A[n, j]), float(B[n, j]), float(C[n, j])
-                d, g, f = float(D[n, j]), float(G[n, j]), float(F[n, j])
-                lap = (ypl - 2.0 * yc + ymn) * inv_dx2
-                cen = (ypl - ymn) * inv_2dx
-                num = (
-                    2.0 * yc
-                    - ym
-                    + dt2 * (lap + a * yc + b * cen)
-                    - (c * dt) * yc
-                    + dt * ((d * yc + g) * db + f * dt)
-                )
-                val = num / (1.0 - c * dt)
+                cdt = float(C[n, j]) * dt
+                kap = 1.0 / (1.0 - cdt)
+                alp = (((2.0 - cdt) + dt2 * float(A[n, j])) - 2.0 * lam) * kap
+                hb = h * float(B[n, j])
+                bp = (lam + hb) * kap
+                bm = (lam - hb) * kap
+                dl = (dt * float(D[n, j])) * kap
+                gh = (dt * float(G[n, j])) * kap
+                fh = (dt2 * float(F[n, j])) * kap
+                val = (
+                    (
+                        alp * float(Y[p, n, j])
+                        + bp * float(Y[p, n, j + 1])
+                        + bm * float(Y[p, n, j - 1])
+                        - kap * float(Y[p, n - 1, j])
+                    )
+                    + (dl * float(Y[p, n, j]) + gh) * db
+                ) + fh
                 Y[p, n + 1, j] = val
                 if first is None and not math.isfinite(val):
                     first = (n + 1, p, j)
         if first is not None:
             return (True,) + first
     return False, -1, -1, -1
+
+
+def paper_step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
+    """The scheme's update as the paper writes it, numerator over
+    (1 - c dt), one node at a time: the oracle the weight form must
+    match to rounding.  Finite inputs only; returns nothing."""
+    P, Nt, Mf = Y.shape
+    N, M = Nt - 2, Mf - 2
+    for n in range(1, N + 1):
+        for p in range(P):
+            for j in range(1, M + 1):
+                yc, ym = Y[p, n, j], Y[p, n - 1, j]
+                ypl, ymn = Y[p, n, j + 1], Y[p, n, j - 1]
+                c = C[n, j]
+                num = (
+                    2.0 * yc
+                    - ym
+                    + dt * dt * ((ypl - 2.0 * yc + ymn) / (dx * dx)
+                                 + A[n, j] * yc
+                                 + B[n, j] * (ypl - ymn) / (2.0 * dx))
+                    - c * dt * yc
+                    + dt * ((D[n, j] * yc + G[n, j]) * dB[p, n] + F[n, j] * dt)
+                )
+                Y[p, n + 1, j] = num / (1.0 - c * dt)
 
 
 def kernel_inputs(P, N, M, seed):
@@ -409,15 +480,29 @@ def test_numpy_kernel_matches_scalar_reference_bitwise(P):
     assert_same_bits(Yk, Yr)
 
 
+@pytest.mark.parametrize("P,N,M,dt", [(3, 12, 6, 0.05), (2, 40, 15, 0.02)])
+def test_numpy_kernel_matches_paper_form_to_rounding(P, N, M, dt):
+    # the weight form regroups the paper's update, so the two agree to
+    # a few roundings per level, set from the dtype beforehand
+    Y, tables, dB = kernel_inputs(P, N, M, seed=90 + N)
+    Yk, Yp = Y.copy(), Y.copy()
+    assert _stepper_np.step_paths(Yk, *tables, dB, dt, 1.0 / (M + 1))[0] is False
+    paper_step_paths(Yp, *tables, dB, dt, 1.0 / (M + 1))
+    scale = max(1.0, float(np.max(np.abs(Yp))))
+    tol = 16 * N * np.finfo(np.float64).eps * scale
+    assert np.max(np.abs(Yk - Yp)) <= tol
+
+
 def test_numpy_kernel_blow_up_report_is_lexicographic():
-    # (d y + g) dB overflows where dB = 1e308 meets |g| = 5: path 2 at
-    # nodes 5 and 2 of level 4, path 0 at node 1 of level 6.  The earlier
-    # level wins over the smaller path, the smaller node within a level.
+    # the noise term gh dB, gh = dt g / (1 - c dt), overflows where
+    # dB = 1e308 meets |g| = 100 (|gh| near 5): path 2 at nodes 5 and 2
+    # of level 4, path 0 at node 1 of level 6.  The earlier level wins
+    # over the smaller path, the smaller node within a level.
     P, N, M = 3, 8, 6
     Y, tables, dB = kernel_inputs(P, N, M, seed=7)
     G = tables[4]
-    G[3, 5] = G[3, 2] = 5.0
-    G[5, 1] = -5.0
+    G[3, 5] = G[3, 2] = 100.0
+    G[5, 1] = -100.0
     dB[2, 3] = dB[0, 5] = 1e308
     got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
     assert got == want == (True, 4, 2, 2)
@@ -429,13 +514,14 @@ def test_numpy_kernel_blow_up_report_is_lexicographic():
     got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
     assert got == want == (True, 6, 0, 1)
     assert_same_bits(Yk, Yr)
-    # two paths at one level: path 1 overflows at nodes 4..6, path 2 at
-    # nodes 1..3; the smaller path wins over the smaller node
+    # two paths at one level: alp y overflows (alp near 1.75) at path 1's
+    # nodes 4..6 and path 2's nodes 1..3; the smaller path wins over the
+    # smaller node
     Y, tables, dB = kernel_inputs(P, N, M, seed=8)
-    Y[1, 1, 5] = Y[2, 1, 2] = 1e308
+    Y[1, 1, 4:7] = Y[2, 1, 1:4] = 1.7e308
     got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
     assert got == want == (True, 2, 1, 4)
-    assert np.isinf(Yk[2, 2, 1])
+    assert np.isinf(Yk[1, 2, 4:7]).all() and np.isinf(Yk[2, 2, 1:4]).all()
     assert_same_bits(Yk, Yr)
 
 

@@ -8,6 +8,7 @@ window must name its global level."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +356,34 @@ def test_singular_level_in_a_later_window_is_refused_before_stepping(
     with pytest.raises(SingularUpdateError):
         run_ensemble(data, coeffs, grid, P, SEED)
     assert calls == []
+
+
+def test_singular_check_walks_constant_c_in_blocks():
+    # a zero-stride constant c over a 127 x 2048 mesh: the check's
+    # temporaries are one block of L time columns, not the whole mesh
+    # (two (129, 2049) arrays, 4.2 MB)
+    grid = build_grid(127, 2048, 1.0)     # dt = 1/2048
+    coeffs = SchemeCoefficients.constant(grid, c=0.3)
+    tracemalloc.start()
+    try:
+        solver._check_singular(coeffs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (grid.M + 2) * L * 8
+    with pytest.raises(SingularUpdateError):
+        solver._check_singular(SchemeCoefficients.constant(grid, c=2048.0),
+                               grid)
+    # the last time column, N, is checked too
+    small = build_grid(M, 2 * L, 1.0)
+    c = np.zeros((M + 2, small.N + 1))
+    c[1, small.N] = 2.0 * L
+    zero = constant_coefficient(small, 0.0)
+    with pytest.raises(SingularUpdateError):
+        solver._check_singular(
+            SchemeCoefficients(
+                a=zero, b=zero, d=zero,
+                c=GridFunction(small, c, zero.space_axis, zero.time_axis),
+            ),
+            small,
+        )
