@@ -13,7 +13,8 @@ Exit codes, so CI can tell failure classes apart:
     3  config or experiment-setup error (JSON syntax, validation, a
        master_seed_b that differs from master_seed, module
        preconditions, an output_dir that cannot be written, a path
-       block that does not fit in memory)
+       block that does not fit in memory, an unknown
+       STOCHWAVE_BACKEND, which ends every invocation, --help too)
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -37,6 +38,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from ._kernels import backend_error
 from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import carleman_terms, martingale_check, stability_terms
 from .fields import (
@@ -511,7 +513,7 @@ def _columns(rows, width):
 
 
 # rows formatted, joined and handed to the file per write
-_ROWS_PER_WRITE = 1 << 14
+_ROWS_PER_WRITE = 1 << 11
 
 
 class ArtifactWriter:
@@ -668,22 +670,37 @@ def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
     return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = _make_grid(cfg)
+def _step_path_zero(cfg: RunConfig, grid, out: ArtifactWriter):
+    """Step every path of the configured family and keep a copy of path
+    0 only (the first block's windows come first): its levels 0..N+1,
+    (N+2, M+2), and its N+1 increments.  The problem data, the
+    coefficients and the stream's buffers are dropped on return."""
+    # the kept copy first: the data made after it, and freed before the
+    # writer runs, then leave the top of the heap free for the writer
+    head = np.empty((grid.N + 2, grid.M + 2))
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     _warn_cfl(out, grid)
-    paths, master_seed = cfg.mc["paths"], cfg.mc["master_seed"]
-    # keep a copy of path 0 only (the first block's windows come first);
-    # every path is still stepped and checked
-    head = np.empty((grid.N + 2, grid.M + 2))
     block = -1
-    for win in stream_windows(data, coeffs, grid, paths, master_seed):
+    for win in stream_windows(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    ):
         block += win.n0 == 0
         if block == 0:
             head[win.n0 : win.n0 + win.levels + 2] = win.Y[0]
             if win.last:
                 dB = win.dB[0].copy()
+    return head, dB
+
+
+def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
+    """Step the family, then observe and write path 0.  Only path 0's
+    levels and increments are held from the end of the stream on: the
+    observation and the CSV writer run without the problem data, and
+    the writer formats _ROWS_PER_WRITE rows at a time."""
+    grid = _make_grid(cfg)
+    paths, master_seed = cfg.mc["paths"], cfg.mc["master_seed"]
+    head, dB = _step_path_zero(cfg, grid, out)
     traj = Trajectory(
         y=GridFunction(
             grid, head.T, grid.space_axis("closure"), grid.time_axis("closure")
@@ -812,8 +829,11 @@ def _stability_obj(rep):
     }
 
 
-def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = _make_grid(cfg)
+def _difference_system(cfg: RunConfig, grid):
+    """The data and coefficients of the one family stability steps: the
+    difference system of the coupled pair, data minus data_b.  The two
+    problems are dropped on return, so only the difference is resident
+    while the paths are stepped."""
     data_a = _make_problem(cfg.data, cfg, grid)
     if cfg.data_b is not None:
         data_b = _make_problem(cfg.data_b, cfg, grid)
@@ -828,8 +848,16 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     coeffs = _make_coeffs(cfg, grid)
     # a --seed override is applied after parsing
     _check_common_noise(cfg.mc)
-    # one stepped family: the difference system of the coupled pair
-    diff = data_a.difference(data_b)
+    return data_a.difference(data_b), coeffs
+
+
+def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
+    """Step the difference system and reduce it window by window.  The
+    stream holds the difference data, one window, one block's
+    increments and the window's table rows; neither problem of the pair
+    is resident."""
+    grid = _make_grid(cfg)
+    diff, coeffs = _difference_system(cfg, grid)
     _warn_cfl(out, grid)
     windows = stream_windows(
         diff, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
@@ -956,7 +984,20 @@ def _common_options(fn):
     return fn
 
 
+class _Group(click.Group):
+    """The command group; a refused STOCHWAVE_BACKEND (see _kernels)
+    ends every invocation with one exit-3 line before click parses the
+    command line."""
+
+    def main(self, *args, **kwargs):
+        if backend_error is not None:
+            click.echo(f"config error: {backend_error}", err=True)
+            sys.exit(EXIT_CONFIG)
+        return super().main(*args, **kwargs)
+
+
 @click.group(
+    cls=_Group,
     help=__doc__,
     context_settings={"help_option_names": ["-h", "--help"]},
 )

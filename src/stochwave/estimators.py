@@ -248,16 +248,13 @@ def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
     )
 
 
-def _carleman_sums(ens, factors, grid: Grid):
+def _carleman_sums(ens, stacks: dict, grid: Grid):
     """Per-path terms against every weight set, a dict of (weight sets,
     paths) arrays, and the paths' XT norms.  Each window's squared
-    fields are computed once and reduced against every weight set's
-    factors, stacked time-major as contiguous (K, N, ...) rows."""
+    fields are computed once and reduced against stacks[key], the
+    factors of every weight set stacked time-major as contiguous
+    (K, N, ...) rows."""
     M, dx, dt = grid.M, grid.dx, grid.dt
-    stacks = {
-        key: np.stack([f[key].T for f in factors])
-        for key in _PATH_TERMS
-    }
     parts, xts = [], []
     for win in _windows(ens, grid):
         Y, L = win.Y, win.levels
@@ -303,7 +300,13 @@ def carleman_terms(
     them, giving a list of reports in the same order; kappa is then a
     float for all of them or a sequence of the same length.  The
     squared fields do not depend on the weights, so they are computed
-    once per window and reduced against every weight set."""
+    once per window and reduced against every weight set.
+
+    Each weight set's factors are moved into one time-major (K, N, ...)
+    stack per term as soon as the set is evaluated, so the stacks are
+    the only copy of the factors while the paths are stepped.  The
+    stacks are allocated once the first set's evaluation temporaries
+    are freed."""
     if data.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
     single = isinstance(w, WeightParams)
@@ -314,11 +317,15 @@ def carleman_terms(
             f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
         )
 
-    reps, factors, data_terms, r4_scales = [], [], [], []
-    for wk, kap in zip(ws, kappas):
+    stacks, reps, data_terms, r4_scales = {}, [], [], []
+    for k, (wk, kap) in enumerate(zip(ws, kappas)):
         reps.append(check_admissible(wk, grid))
         f, d = _weight_set(wk, data, grid)
-        factors.append(f)
+        for key in _PATH_TERMS:
+            row = f.pop(key).T
+            if k == 0:
+                stacks[key] = np.empty((len(ws),) + row.shape)
+            stacks[key][k] = row
         data_terms.append(d)
         if kap * wk.s > _MAX_EXP or wk.s > _MAX_CUBE_ROOT:
             raise FloatingPointError(
@@ -327,7 +334,7 @@ def carleman_terms(
             )
         r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
 
-    per, xts = _carleman_sums(ens, factors, grid)
+    per, xts = _carleman_sums(ens, stacks, grid)
     P = xts.shape[0]
     xt2 = xts * xts
     xt_stat = _stat(xts)

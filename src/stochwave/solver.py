@@ -143,6 +143,16 @@ def _require(cond: bool, msg: str):
         raise MeshMismatchError(msg)
 
 
+def _time_blocks(values: np.ndarray):
+    """A (space, time) array in blocks of _WINDOW_LEVELS time columns:
+    a check walked over them keeps its temporaries one block in size,
+    also on a zero-stride constant coefficient."""
+    return (
+        values[:, n0 : n0 + _WINDOW_LEVELS]
+        for n0 in range(0, values.shape[1], _WINDOW_LEVELS)
+    )
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """Initial data and sources: y0, y1 on the space closure; g (and the
@@ -227,7 +237,7 @@ class SchemeCoefficients:
                 f"{name} must live on closure x nbar, got "
                 f"({u.space_tag}, {u.time_tag})",
             )
-            if not np.isfinite(u.values).all():
+            if not all(np.isfinite(b).all() for b in _time_blocks(u.values)):
                 raise ValueError(f"coefficient {name} contains non-finite values")
 
     @classmethod
@@ -405,12 +415,9 @@ def _window_spans(N: int):
 
 
 def _check_singular(coeffs: SchemeCoefficients, grid: Grid):
-    """Refuse a vanishing 1 - c dt at any node, walking c in blocks of
-    _WINDOW_LEVELS time columns so that the temporaries stay one block
-    in size, also for a zero-stride constant coefficient."""
-    c = coeffs.c.values
-    for n0 in range(0, c.shape[1], _WINDOW_LEVELS):
-        if np.any(1.0 - c[:, n0 : n0 + _WINDOW_LEVELS] * grid.dt == 0.0):
+    """Refuse a vanishing 1 - c dt at any node."""
+    for c in _time_blocks(coeffs.c.values):
+        if np.any(1.0 - c * grid.dt == 0.0):
             raise SingularUpdateError(
                 "c*dt equals 1 somewhere, the update denominator vanishes"
             )

@@ -9,6 +9,8 @@ of floating point.
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochwave import (
     GridFunction,
@@ -41,6 +43,22 @@ def test_exact_on_random_closure_data(M, N):
     assert not table.skipped
     assert table.max_residual() <= 1e-12
     assert set(dict(table.rows())) == set(IDENTITY_IDS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    M=st.integers(2, 48),
+    N=st.integers(2, 48),
+    T=st.floats(0.25, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_on_random_grids(M, N, T, seed):
+    grid = build_grid(M, N, T)
+    u, v = random_pair(grid, seed)
+    table = identity_residuals(u, v)
+    assert not table.skipped
+    assert table.max_residual() <= 1e-12
+    assert table.residuals["2.11a"] == 0.0
 
 
 def test_rows_report_every_identity():

@@ -1,0 +1,102 @@
+"""Memory budget of the stepping subcommands.
+
+From the moment the stream starts, `stability`, `simulate` and
+`carleman` may hold only what is stepped and written: the stepped
+problem's interior fields g and f, one window with the window's Dx y
+and Dt Dx y fields, one block's increments, the window's rows of the
+six tables, path 0's kept levels (simulate), the weight factor stacks
+(carleman) and one block of the CSV writer.  The budget is that sum,
+computed from the config, times a fixed factor for the kernel's and
+the estimators' temporaries; the peak is measured in-process with
+tracemalloc from the first window on.
+"""
+
+import json
+import tracemalloc
+
+import pytest
+
+from stochwave import cli, solver
+from stochwave.grids import build_grid
+
+M, N = 63, 1024
+FACTOR = 1.75
+# a block of the CSV writer: rows of at most five cells (trajectory.csv)
+# of at most 64 bytes of text each
+WRITER_BYTES = 2048 * 5 * 64
+SWEEP = [2.0, 4.0, 8.0]
+
+
+def random(seed, amplitude):
+    return {"random": {"seed": seed, "amplitude": amplitude}}
+
+
+def config(tmp_path, subcommand, paths):
+    raw = {
+        "grid": {"M": M, "N": N, "T": 1.0},
+        "coefficients": {
+            "a": {"constant": -0.4}, "b": {"constant": 0.2},
+            "c": {"constant": 0.3}, "d": {"constant": 0.6},
+        },
+        "data": {
+            "y0": random(1, 1.0), "y1": random(2, 0.5),
+            "g": random(3, 0.8), "f": random(4, 0.3),
+        },
+        "mc": {"paths": paths, "master_seed": 5},
+        "output_dir": str(tmp_path / "out"),
+    }
+    if subcommand == "carleman":
+        raw["grid"]["T"] = 3.5
+        raw["weight"] = {"s": 2.0, "lambda": 0.05, "beta": 0.5,
+                         "xstar": 1.5, "mconst": 10.0}
+        raw["sweep"] = {"parameter": "weight.s", "values": SWEEP}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return cli.parse_config(path)
+
+
+def budget(subcommand, paths):
+    grid = build_grid(M, N, 1.0)
+    L = solver._WINDOW_LEVELS
+    P = min(paths, solver.block_paths(grid))
+    # stability steps the difference from the zero problem under the
+    # same forcing: f cancels and g is the one stepped field
+    fields = (1 if subcommand == "stability" else 2) * M * N
+    window = 3 * P * (L + 2) * (M + 2)
+    increments = P * (N + 1)
+    rows = 6 * (L + 1) * (M + 2)
+    kept = (N + 2) * (M + 2) if subcommand == "simulate" else 0
+    # the L1, L2, L3, R3 factors over (space, time), R2 over time
+    stacks = len(SWEEP) * N * (4 * M + 3) if subcommand == "carleman" else 0
+    words = fields + window + increments + rows + kept + stacks
+    return FACTOR * (8 * words + WRITER_BYTES)
+
+
+def stream_peak(monkeypatch, subcommand, cfg):
+    """Peak traced bytes of one run from the start of its stream."""
+    stream = cli.stream_windows
+
+    def reset_then_stream(*args):
+        tracemalloc.reset_peak()
+        return stream(*args)
+
+    monkeypatch.setattr(cli, "stream_windows", reset_then_stream)
+    tracemalloc.start()
+    try:
+        code = cli.run(subcommand, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    return peak
+
+
+@pytest.mark.parametrize(
+    "subcommand,paths", [("stability", 16), ("simulate", 1), ("carleman", 64)]
+)
+def test_stream_stays_within_budget(tmp_path, monkeypatch, subcommand, paths):
+    cfg = config(tmp_path, subcommand, paths)
+    peak = stream_peak(monkeypatch, subcommand, cfg)
+    limit = budget(subcommand, paths)
+    assert peak <= limit, (peak, limit)
+

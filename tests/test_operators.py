@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochwave import (
     GridFunction,
@@ -122,3 +124,58 @@ def test_adjoint_shift_pairs():
     back = s_minus(s_plus(u))
     win = u.restrict(space=back.space_axis)
     np.testing.assert_array_equal(back.values, win.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    M=st.integers(2, 48),
+    N=st.integers(2, 48),
+    T=st.floats(0.25, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_invariants_on_random_grids(M, N, T, seed):
+    g = build_grid(M, N, T)
+    rng = np.random.default_rng(seed)
+    sax, tax = g.space_axis("closure"), g.time_axis("closure")
+    u = GridFunction(g, rng.standard_normal((sax.count, tax.count)), sax, tax)
+    v = u.values
+    # the translations relabel the points and invert each other
+    for there, back in ((s_plus, s_minus), (t_plus, t_minus)):
+        w = back(there(u))
+        assert w.space_axis == u.space_axis and w.time_axis == u.time_axis
+        np.testing.assert_array_equal(w.values, v)
+    # each stencil shrinks its axis by one onto the opposite mesh kind
+    for op, dim in ((avg_x, "space"), (diff_x, "space"),
+                    (avg_t, "time"), (diff_t, "time"), (incr_t, "time")):
+        w = op(u)
+        ax, wax = ((u.space_axis, w.space_axis) if dim == "space"
+                   else (u.time_axis, w.time_axis))
+        assert wax.count == ax.count - 1 and wax.kind != ax.kind
+    # the stencils are the two-point formulas; Dx2 is the three-point one
+    np.testing.assert_array_equal(avg_x(u).values, (v[1:] + v[:-1]) / 2.0)
+    np.testing.assert_array_equal(diff_x(u).values, (v[1:] - v[:-1]) / g.dx)
+    np.testing.assert_array_equal(
+        diff_t(u).values, (v[:, 1:] - v[:, :-1]) / g.dt)
+    np.testing.assert_array_equal(incr_t(u).values, v[:, 1:] - v[:, :-1])
+    scale = np.max(np.abs(v))
+    np.testing.assert_allclose(
+        diff_xx(u).values, (v[2:] - 2.0 * v[1:-1] + v[:-2]) / g.dx**2,
+        rtol=0.0, atol=1e-12 * scale / g.dx**2,
+    )
+    # space and time stencils commute
+    for x_op, t_op in ((avg_x, avg_t), (avg_x, diff_t), (diff_x, avg_t),
+                       (diff_x, diff_t)):
+        a, b = x_op(t_op(u)), t_op(x_op(u))
+        assert a.space_axis == b.space_axis and a.time_axis == b.time_axis
+        bound = 1e-12 * scale * max(1.0, 1.0 / g.dx) * max(1.0, 1.0 / g.dt)
+        np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=bound)
+    # Ax and Dx are exact on data affine in x, At and Dt on data affine
+    # in t
+    lin = closure_fn(g, lambda x, t: 2.0 * x - 3.0 * t + 0.5)
+    np.testing.assert_allclose(diff_x(lin).values, 2.0, rtol=1e-10)
+    np.testing.assert_allclose(diff_t(lin).values, -3.0, rtol=1e-10)
+    ax = avg_x(lin)
+    np.testing.assert_allclose(
+        ax.values, 2.0 * ax.x[:, None] - 3.0 * ax.t[None, :] + 0.5,
+        rtol=0.0, atol=1e-12 * (1.0 + 3.0 * g.T),
+    )

@@ -98,7 +98,8 @@ def test_per_path_terms_match_full_history_fsum(N):
     grid, data, coeffs, ens = family(N)
     w = WeightParams(**WEIGHT, T=grid.T)
     factors, _ = estimators._weight_set(w, data, grid)
-    carleman, xts = estimators._carleman_sums(ens, [factors], grid)
+    stacks = {key: np.stack([factors[key].T]) for key in factors}
+    carleman, xts = estimators._carleman_sums(ens, stacks, grid)
     stability = estimators._stability_sums(ens, grid)
     for p in range(P):
         ref = full_history_terms(ens.Y[p], grid, factors)
@@ -359,13 +360,15 @@ def test_singular_level_in_a_later_window_is_refused_before_stepping(
 
 
 def test_singular_check_walks_constant_c_in_blocks():
-    # a zero-stride constant c over a 127 x 2048 mesh: the check's
-    # temporaries are one block of L time columns, not the whole mesh
-    # (two (129, 2049) arrays, 4.2 MB)
+    # zero-stride constants over a 127 x 2048 mesh: the finite check of
+    # each coefficient and the singular check hold one block of L time
+    # columns, not the whole mesh (a (129, 2049) bool array per
+    # coefficient, two (129, 2049) arrays for the singular check)
     grid = build_grid(127, 2048, 1.0)     # dt = 1/2048
-    coeffs = SchemeCoefficients.constant(grid, c=0.3)
     tracemalloc.start()
     try:
+        coeffs = SchemeCoefficients.constant(grid, a=-0.4, b=0.2, c=0.3,
+                                             d=0.6)
         solver._check_singular(coeffs, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -387,3 +390,14 @@ def test_singular_check_walks_constant_c_in_blocks():
             ),
             small,
         )
+
+
+@pytest.mark.parametrize("column", [0, L - 1, L, 2 * L])
+def test_finite_check_covers_every_time_column(column):
+    grid = build_grid(M, 2 * L, 1.0)
+    zero = constant_coefficient(grid, 0.0)
+    values = np.zeros((M + 2, grid.N + 1))
+    values[2, column] = np.nan
+    bad = GridFunction(grid, values, zero.space_axis, zero.time_axis)
+    with pytest.raises(ValueError, match="coefficient c contains non-finite"):
+        SchemeCoefficients(a=zero, b=zero, c=bad, d=zero)
