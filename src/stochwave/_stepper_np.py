@@ -57,11 +57,16 @@ Layout: the kernel steps three rolling time levels held path-minor,
 lev[j, p] of shape (M+2, P), so every stencil operand is one contiguous
 (M, P) slab and each weight row broadcasts across paths; dB is
 transposed once per call so the increments of a level are one
-contiguous row.  A level is 12 element-wise operations with out= into
-the new level and one scratch slab allocated once per call, and each
-finished level is written back into Y.  Extra memory is the levels
-and scratch, O(P M), plus the seven weight tables and the transposed
-dB, the size of the inputs.
+contiguous row.  A weight table whose every row holds one bit pattern
+along j, as a coefficient or source that is constant in space gives,
+is kept as one value per level, (N+1, 1, 1): it then broadcasts over
+the whole slab as one flat loop instead of a strided row per node,
+with the same value at every node and so the same bits.  A level is
+12 element-wise operations with out= into the new level and one
+scratch slab allocated once per call, and each finished level is
+written back into Y.  Extra memory is the levels and scratch, O(P M),
+plus the seven weight tables and the transposed dB, the size of the
+inputs; a space-constant table is a view of its first column.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ def step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
 def _weights(A, B, C, D, G, F, dt, dx):
     """The per-node weights (alp, bp, bm, kap, dl, gh, fh) of the
     module docstring on the interior columns 1..M, each (N+1, M, 1) so
-    that a row broadcasts across the paths of a level."""
+    that a row broadcasts across the paths of a level, or (N+1, 1, 1)
+    where the table is constant along j (_per_level)."""
     inner = slice(1, A.shape[1] - 1)
     A, B, C, D, G, F = (t[:, inner, None] for t in (A, B, C, D, G, F))
     dt2 = dt * dt
@@ -92,7 +98,15 @@ def _weights(A, B, C, D, G, F, dt, dx):
     dl = (dt * D) * kap
     gh = (dt * G) * kap
     fh = (dt2 * F) * kap
-    return alp, bp, bm, kap, dl, gh, fh
+    return tuple(_per_level(w) for w in (alp, bp, bm, kap, dl, gh, fh))
+
+
+def _per_level(w):
+    """w[:, :1] when every row of w holds one bit pattern along j, else
+    w.  Bits, not values, are compared, so a row mixing -0.0 and +0.0,
+    or NaNs of different payloads, keeps its per-node weights."""
+    bits = w.view(np.int64)
+    return w[:, :1] if (bits == bits[:, :1]).all() else w
 
 
 def _step_paths(Y, A, B, C, D, G, F, dB, dt, dx):

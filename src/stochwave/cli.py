@@ -836,19 +836,16 @@ def _difference_system(cfg: RunConfig, grid):
     while the paths are stepped."""
     data_a = _make_problem(cfg.data, cfg, grid)
     if cfg.data_b is not None:
-        data_b = _make_problem(cfg.data_b, cfg, grid)
+        diff = data_a.difference(_make_problem(cfg.data_b, cfg, grid))
     else:
-        # default comparison problem: zero data under the same forcing
-        data_b = ProblemData(
-            y0=zero_field(grid, "closure", None),
-            y1=zero_field(grid, "closure", None),
-            g=zero_field(grid, "primal", "primal"),
-            f=data_a.f,
-        )
+        # the default comparison problem is zero data under the same
+        # forcing: x - (+0.0) is x bit for bit and the shared f cancels,
+        # so the difference is data_a's y0, y1 and g with no forcing
+        diff = ProblemData(y0=data_a.y0, y1=data_a.y1, g=data_a.g)
     coeffs = _make_coeffs(cfg, grid)
     # a --seed override is applied after parsing
     _check_common_noise(cfg.mc)
-    return data_a.difference(data_b), coeffs
+    return diff, coeffs
 
 
 def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:

@@ -47,9 +47,10 @@ from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
 from .weights import (
     WeightParams,
     check_admissible,
-    eval_weights,
+    eval_varphi,
     r_squared,
 )
+from .weights import eval_weights  # noqa: F401  (bound for bench/tracer.py)
 
 _MAX_EXP = math.log(np.finfo(np.float64).max)
 _MAX_CUBE_ROOT = float(np.finfo(np.float64).max) ** (1 / 3)
@@ -190,14 +191,14 @@ def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
     td = grid.time_dual[None, :]
 
     def w1(x, t):
-        return s * lam * eval_weights(w, x, t).varphi
+        return s * lam * eval_varphi(w, x, t)
 
     # dual-space factors first: their evaluation temporaries are then
     # freed before the primal ones are made, which keeps the peak low
     f = {
         "L3": w1(xd, tp) * r_squared(w, xd, tp),
         # mixed factor, no r^2, following the printed term
-        "R3": s * lam * lam * eval_weights(w, xd, td).varphi,
+        "R3": s * lam * lam * eval_varphi(w, xd, td),
     }
     w1_pp = w1(xp, tp)
     r2_pp = r_squared(w, xp, tp)

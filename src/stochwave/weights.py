@@ -123,6 +123,29 @@ def _phi(params: WeightParams, x, t) -> np.ndarray:
     return (x - params.xstar) ** 2 - params.beta * (t - Tc) ** 2 + params.mconst
 
 
+def _checked_exponent(params: WeightParams, phi) -> np.ndarray:
+    """lam*phi, refused with WeightOverflowError beyond float64's exp."""
+    arg = params.lam * phi
+    peak = float(np.max(arg))
+    if peak > _MAX_EXP:
+        raise WeightOverflowError(
+            "lam*phi exceeds the float64 exponent range; "
+            "reduce lam or mconst",
+            exponent=peak,
+        )
+    return arg
+
+
+def _check_l(peak: float):
+    """Refuse r = exp(l) whose largest exponent l = s*varphi is peak."""
+    if peak > _MAX_EXP:
+        raise WeightOverflowError(
+            "s*varphi exceeds the float64 exponent range; "
+            "reduce s or lam",
+            exponent=peak,
+        )
+
+
 def eval_weights(params: WeightParams, x, t) -> WeightValues:
     """Evaluate phi, varphi, l, r, rho and the phi-derivatives at (x, t).
 
@@ -134,25 +157,10 @@ def eval_weights(params: WeightParams, x, t) -> WeightValues:
     t = np.asarray(t, dtype=np.float64)
     Tc = params.T + 1.0
     phi = _phi(params, x, t)
-
-    arg = params.lam * phi
-    peak = float(np.max(arg))
-    if peak > _MAX_EXP:
-        raise WeightOverflowError(
-            "lam*phi exceeds the float64 exponent range; "
-            "reduce lam or mconst",
-            exponent=peak,
-        )
-    varphi = np.exp(arg)
+    varphi = np.exp(_checked_exponent(params, phi))
 
     l = params.s * varphi
-    peak = float(np.max(l))
-    if peak > _MAX_EXP:
-        raise WeightOverflowError(
-            "s*varphi exceeds the float64 exponent range; "
-            "reduce s or lam",
-            exponent=peak,
-        )
+    _check_l(float(np.max(l)))
     r = np.exp(l)
     rho = np.exp(-l)
 
@@ -173,19 +181,20 @@ def eval_weights(params: WeightParams, x, t) -> WeightValues:
     )
 
 
+def eval_varphi(params: WeightParams, x, t):
+    """eval_weights(params, x, t).varphi, with the same overflow checks
+    and errors, without making phi, l, r, rho or the derivative arrays:
+    at most two arrays of the broadcast shape are held at once."""
+    varphi = np.exp(_checked_exponent(params, _phi(params, x, t)))
+    # s >= 0 and rounding is monotone, so s * max(varphi) is max(l) exactly
+    _check_l(params.s * float(np.max(varphi)))
+    return _descalar(varphi)
+
+
 def r_squared(params: WeightParams, x, t):
     """r^2 = exp(2 s varphi), guarded separately since it overflows at
     half the exponent r itself tolerates."""
-    phi = _phi(params, x, t)
-    arg = params.lam * phi
-    peak = float(np.max(arg))
-    if peak > _MAX_EXP:
-        raise WeightOverflowError(
-            "lam*phi exceeds the float64 exponent range; "
-            "reduce lam or mconst",
-            exponent=peak,
-        )
-    l = params.s * np.exp(arg)
+    l = params.s * np.exp(_checked_exponent(params, _phi(params, x, t)))
     peak = float(np.max(2.0 * l))
     if peak > _MAX_EXP:
         raise WeightOverflowError(

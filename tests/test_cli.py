@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 import stochwave.cli as cli_mod
 from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
-from stochwave.solver import observe, run_ensemble
+from stochwave.fields import zero_field
+from stochwave.solver import ProblemData, observe, run_ensemble
 
 GRID = {"M": 4, "N": 4, "T": 1.0}
 WEIGHT = {"s": 0.7, "lambda": 0.9, "beta": 0.3, "xstar": 1.3, "mconst": 0.25}
@@ -539,6 +540,36 @@ def test_stability_shared_forcing_cancels(tmp_path):
         assert res.exit_code == 0, res.output
         outs.append((out / "stability.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("data", [
+    {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+     "y1": {"random": {"seed": 2, "amplitude": 0.5}},
+     "g": {"random": {"seed": 3, "amplitude": 0.8}},
+     "f": {"random": {"seed": 4, "amplitude": 0.3}}},
+    # -0.0 amplitudes: y0 and g mix -0.0 and +0.0, y1 is a zero field
+    {"y0": {"sine": {"mode": 3, "amplitude": -0.0}},
+     "g": {"random": {"seed": 3, "amplitude": -0.0}}},
+])
+def test_default_difference_system_is_data_minus_zero_problem(tmp_path, data):
+    cfg = parse_config(write_cfg(tmp_path, {"grid": GRID, "data": data}))
+    grid = cli_mod._make_grid(cfg)
+    diff, _ = cli_mod._difference_system(cfg, grid)
+    data_a = cli_mod._make_problem(cfg.data, cfg, grid)
+    zero = ProblemData(
+        y0=zero_field(grid, "closure", None),
+        y1=zero_field(grid, "closure", None),
+        g=zero_field(grid, "primal", "primal"), f=data_a.f,
+    )
+    want = data_a.difference(zero)
+    assert diff.f is None and want.f is None
+    for name in ("y0", "y1", "g"):
+        got, ref = getattr(diff, name), getattr(want, name)
+        assert (got.space_tag, got.time_tag) == (ref.space_tag, ref.time_tag)
+        assert got.values.tobytes() == ref.values.tobytes()
+    if "f" not in data:
+        assert np.signbit(diff.g.values).any()
+        assert np.signbit(diff.y0.values[1:-1]).any()
 
 
 SINE_MODE = {"y0": {"sine": {"mode": 10**400, "amplitude": 1.0}}}

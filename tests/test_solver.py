@@ -435,15 +435,42 @@ def paper_step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
                 Y[p, n + 1, j] = num / (1.0 - c * dt)
 
 
-def kernel_inputs(P, N, M, seed):
+# kinds of kernel tables: "varying" in n and j; "constant" everywhere;
+# "level", constant along j but varying in n; "zero_f", an all-zero F as
+# f = None gives; "signed_zero", level tables with a G that mixes -0.0
+# and +0.0 along j, on data that make the sign of a zero show in Y
+KINDS = ["varying", "constant", "level", "zero_f", "signed_zero"]
+
+
+def kernel_inputs(P, N, M, seed, kind="varying"):
     """Y with slices 0 and 1 filled and NaN in the levels to be written;
-    coefficient and source tables varying in both n and j."""
+    six coefficient and source tables of the given kind."""
     rng = np.random.default_rng(seed)
     Y = np.full((P, N + 2, M + 2), np.nan)
     Y[:, :, 0] = Y[:, :, -1] = 0.0
     Y[:, 0:2, 1 : M + 1] = rng.uniform(-1.0, 1.0, (P, 2, M))
-    tables = [rng.uniform(-0.5, 0.5, (N + 1, M + 2)) for _ in range(6)]
+    if kind in ("varying", "zero_f"):
+        tables = [rng.uniform(-0.5, 0.5, (N + 1, M + 2)) for _ in range(6)]
+    elif kind == "constant":
+        tables = [np.full((N + 1, M + 2), rng.uniform(-0.5, 0.5))
+                  for _ in range(6)]
+    else:
+        tables = [np.repeat(rng.uniform(-0.5, 0.5, (N + 1, 1)), M + 2, axis=1)
+                  for _ in range(6)]
     dB = rng.normal(0.0, 0.2, (P, N + 1))
+    if kind == "zero_f":
+        tables[5] = np.zeros((N + 1, M + 2))
+    if kind == "signed_zero":
+        # y = +0.0, -0.0 at levels 0, 1 with d = 0 and f = -0.0: every
+        # term of the update is a zero, and y at level 2 is -0.0 exactly
+        # where g dB is, so a G row read as its first value alone would
+        # give the wrong signs
+        Y[:, 0, 1 : M + 1] = 0.0
+        Y[:, 1, 1 : M + 1] = -0.0
+        tables[3] = np.zeros((N + 1, M + 2))
+        tables[4] = np.zeros((N + 1, M + 2))
+        tables[4][:, 1::2] = -0.0
+        tables[5] = np.full((N + 1, M + 2), -0.0)
     return Y, tables, dB
 
 
@@ -468,16 +495,25 @@ def run_both(Y, tables, dB, dt, dx):
     return got, want, Yk, Yr
 
 
-@pytest.mark.parametrize("P", [1, 3, 7])
-def test_numpy_kernel_matches_scalar_reference_bitwise(P):
+@pytest.mark.parametrize("P,kind", [
+    pytest.param(P, kind, id=str(P) if kind == "varying" else f"{P}-{kind}")
+    for kind in KINDS for P in (1, 3, 7)
+])
+def test_numpy_kernel_matches_scalar_reference_bitwise(P, kind):
     N, M = 12, 6
-    Y, tables, dB = kernel_inputs(P, N, M, seed=40 + P)
-    assert np.all(tables[4][1:, 1:-1] != 0.0)       # G
-    assert np.all(tables[5][1:, 1:-1] != 0.0)       # F
+    Y, tables, dB = kernel_inputs(P, N, M, seed=40 + P, kind=kind)
+    if kind != "signed_zero":
+        assert np.all(tables[4][1:, 1:-1] != 0.0)   # G
+    if kind not in ("zero_f", "signed_zero"):
+        assert np.all(tables[5][1:, 1:-1] != 0.0)   # F
     got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
     assert got == want == (False, -1, -1, -1)
     assert np.isfinite(Yk).all()                     # every level written
     assert_same_bits(Yk, Yr)
+    if kind == "signed_zero":
+        level = Yk[:, 2, 1 : M + 1]
+        assert not level.any()
+        assert np.signbit(level).any() and not np.signbit(level).all()
 
 
 @pytest.mark.parametrize("P,N,M,dt", [(3, 12, 6, 0.05), (2, 40, 15, 0.02)])
@@ -523,6 +559,49 @@ def test_numpy_kernel_blow_up_report_is_lexicographic():
     assert got == want == (True, 2, 1, 4)
     assert np.isinf(Yk[1, 2, 4:7]).all() and np.isinf(Yk[2, 2, 1:4]).all()
     assert_same_bits(Yk, Yr)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_numpy_kernel_blow_up_report_on_every_table_kind(kind):
+    # alp y overflows (alp near 1.75) at path 1's nodes 5..6 and path 2's
+    # nodes 3..6 of level 2, whatever the tables' layout
+    P, N, M = 3, 8, 6
+    Y, tables, dB = kernel_inputs(P, N, M, seed=9, kind=kind)
+    Y[1, 1, 5:-1] = Y[2, 1, 3:-1] = 1.7e308
+    got, want, Yk, Yr = run_both(Y, tables, dB, dt=0.05, dx=1.0 / (M + 1))
+    assert got == want == (True, 2, 1, 5)
+    assert np.isnan(Yk[:, 3:, 1:-1]).all()           # stepping stopped
+    assert_same_bits(Yk, Yr)
+
+
+def test_weights_keep_one_value_per_level_only_where_constant_along_j(
+        monkeypatch):
+    N, M = 5, 4
+    Y, tables, dB = kernel_inputs(1, N, M, seed=3, kind="level")
+    A, B, C, D, G, F = tables
+    B = B.copy()
+    B[2, 3] += 0.25                        # one node off in one level
+    G = G.copy()
+    G[:, 1::2] = 0.0
+    G[:, 0::2] = -0.0                      # equal values, not equal bits
+    weights = _stepper_np._weights(A, B, C, D, G, F, 0.05, 0.2)
+    # alp, bp, bm, kap, dl, gh, fh: B feeds bp and bm, G feeds gh
+    narrow = [True, False, False, True, True, False, True]
+    assert [w.shape == (N + 1, 1, 1) for w in weights] == narrow
+    assert [w.shape == (N + 1, M, 1) for w in weights] == [
+        not k for k in narrow]
+    # every node keeps its weight: the same bits as the per-node tables
+    monkeypatch.setattr(_stepper_np, "_per_level", lambda w: w)
+    dense = _stepper_np._weights(A, B, C, D, G, F, 0.05, 0.2)
+    for w, d in zip(weights, dense):
+        assert np.broadcast_to(w, d.shape).tobytes() == d.tobytes()
+    monkeypatch.undo()
+    # NaNs of two payloads are two bit patterns
+    nan2 = np.array([np.nan, np.nan]).view(np.int64)
+    nan2[1] ^= 1
+    w = np.tile(nan2.view(np.float64), (3, 1))[:, :, None]
+    assert _stepper_np._per_level(w) is w
+    assert _stepper_np._per_level(w[:, :1].copy()).shape == (3, 1, 1)
 
 
 def test_numpy_kernel_finite_slice_with_overflowing_sum_not_reported():

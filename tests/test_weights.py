@@ -2,6 +2,7 @@
 and mesh-refinement orders of the discrete derivative residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stochwave import (
     r_squared,
 )
 from stochwave.weights import (
+    eval_varphi,
     exact_dt_r_dx_rho,
     exact_dx_r_dt_rho,
     exact_dx_r_dx_rho,
@@ -77,6 +79,42 @@ def test_overflow_raises_with_exponent():
     assert exc.value.exponent > 700.0
     with pytest.raises(WeightOverflowError):
         r_squared(p, p.xstar, p.T + 1.0)
+
+
+def overflow_of(fn, *args):
+    with pytest.raises(WeightOverflowError) as exc:
+        fn(*args)
+    return str(exc.value), exc.value.exponent
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7, 3.0])
+def test_varphi_alone_has_the_bits_and_errors_of_eval_weights(s):
+    p = WeightParams(**{**SAFE, "s": s})
+    x = np.linspace(0.0, 1.0, 127)[:, None]
+    t = np.linspace(0.0, p.T, 65)[None, :]
+    for xs, ts in ((x, t), (0.5, 0.25), (x[:, 0], 0.0)):
+        got = eval_varphi(p, xs, ts)
+        want = eval_weights(p, xs, ts).varphi
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # lam*phi beyond the exponent range, then s*varphi beyond it
+    for bad in ({"lam": 500.0}, {"s": 1.0, "lam": 1.0, "mconst": 10.0}):
+        q = WeightParams(**{**SAFE, **bad})
+        assert overflow_of(eval_varphi, q, x, t) == overflow_of(
+            eval_weights, q, x, t)
+
+
+def test_varphi_alone_holds_two_arrays_at_most():
+    p = WeightParams(**SAFE)
+    x = np.linspace(0.0, 1.0, 127)[:, None]
+    t = np.linspace(0.0, p.T, 2049)[None, :]
+    tracemalloc.start()
+    try:
+        varphi = eval_varphi(p, x, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * varphi.nbytes
 
 
 def test_closed_forms_against_sympy():
