@@ -18,11 +18,10 @@ Contract:
                     outside j in [1..M], n in [1..N] are ignored).
   dB (P, N+1)       Brownian increments, dB[p, n] spans [t^n, t^{n+1}].
 
-N is the call's own step count and n counts the call's own levels: the
-tables and dB hold the rows of exactly those levels.  A caller stepping
-a time window of global levels n0 .. n0+N+1 passes that window as Y and
-rows n0 .. n0+N of the tables and increments (solver.stream_windows
-builds the table rows per window), and adds n0 to a reported n.
+N is the call's own step count and n counts the call's own levels.
+The one caller, solver._step_blocks, passes one time window of global
+levels n0 .. n0+N+1, N <= 16, with rows n0 .. n0+N of the tables and
+increments, and adds n0 to a reported n.
 
 The scheme's update for n = 1..N, j = 1..M is
 

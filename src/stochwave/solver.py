@@ -18,12 +18,12 @@ what makes forward time differences available at t = T.
 The division by (1 - c dt) resolves the single-node implicitness of the
 c-term in closed form, and a zero denominator anywhere is rejected up
 front as SingularUpdateError.  The stepping kernel (_stepper_np) folds
-the constants into per-node weights, kap = 1 / (1 - c dt) and the
-stencil, noise and source weights scaled by it, and evaluates each
-level as a weighted sum; this equals the update above up to rounding,
-which scheme_residual checks.  dt > dx sets a CFL warning
-flag on the trajectory instead of failing, since the explicit scheme's
-stability limit is a modeling concern, not an API violation.
+the constants into per-node weights and evaluates each level as a
+weighted sum, equal to the update above up to rounding, which
+scheme_residual checks.  solve, run_ensemble and stream_windows all step
+through one loop, _step_blocks, in windows of _WINDOW_LEVELS levels.
+dt > dx sets a CFL warning flag instead of failing, since the explicit
+scheme's stability limit is a modeling concern, not an API violation.
 
 Reproducibility: Brownian increments come from a counter-based
 generator (Philox) keyed by a 64-bit seed, and ensemble path seeds are
@@ -290,15 +290,13 @@ class Observation:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Solved paths held as the stepping kernel's arrays.
-
-    Y (P, N+2, M+2) is the array step_paths fills: Y[p, n, j] is path
-    p at time level n and node j.  dB (P, N+1) holds each path's
-    Brownian increments and seeds (P,) the uint64 Philox keys they were
-    drawn with, seeds[p] = path_seed(master_seed, first + p) for the
-    run_ensemble block that starts at path `first`.  Estimators read
-    these arrays through `windows()`; `trajectory(k)` and `trajectories`
-    build Trajectory views on demand, which share memory with Y and dB."""
+    """Solved paths as arrays: Y (P, N+2, M+2) holds every stepped
+    level, Y[p, n, j] being path p at time level n and node j; dB
+    (P, N+1) holds each path's increments and seeds (P,) the uint64
+    Philox keys they were drawn with, seeds[p] = path_seed(master_seed,
+    first + p) for the run_ensemble block that starts at path `first`.
+    Estimators read these arrays through `windows()`; `trajectory(k)`
+    and `trajectories` are views that share memory with Y and dB."""
 
     grid: Grid
     Y: np.ndarray
@@ -441,12 +439,6 @@ def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
     return rows
 
 
-def _prepare_arrays(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
-    """All N+1 rows of the six tables, after the singular-update check."""
-    _check_singular(coeffs, grid)
-    return _table_rows(data, coeffs, grid, 0, grid.N)
-
-
 def _start_levels(data: ProblemData, grid: Grid) -> np.ndarray:
     """Levels 0 and 1 shared by every path, (2, M+2), boundary zero."""
     M = grid.M
@@ -456,10 +448,6 @@ def _start_levels(data: ProblemData, grid: Grid) -> np.ndarray:
         data.y0.values[1 : M + 1] + grid.dt * data.y1.values[1 : M + 1]
     )
     return start
-
-
-def _init_slices(Y: np.ndarray, data: ProblemData, grid: Grid):
-    Y[:, :2] = _start_levels(data, grid)
 
 
 def _check_match(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
@@ -476,22 +464,16 @@ def solve(
     grid: Grid,
 ) -> Trajectory:
     """Advance one path of the scheme; see the module docstring for the
-    update.  Raises SingularUpdateError / BlowUpError; dt > dx only
-    flags cfl_warning on the result."""
+    update.  Raises SingularUpdateError / BlowUpError, and MemoryError
+    as run_ensemble does; dt > dx only flags cfl_warning on the result."""
     _check_match(data, coeffs, grid)
-    N, M = grid.N, grid.M
-    if path.increments.shape[0] != N + 1:
+    if path.increments.shape[0] != grid.N + 1:
         raise ValueError(
             f"path holds {path.increments.shape[0]} increments, "
-            f"need N+1 = {N + 1}"
+            f"need N+1 = {grid.N + 1}"
         )
-    A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
-    Y = np.zeros((1, N + 2, M + 2))
-    _init_slices(Y, data, grid)
-    dB = path.increments[None, :]
-    blown, bn, bp, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
-    if blown:
-        raise BlowUpError(j=bj, n=bn, path=bp)
+    _check_memory(1, grid, history=True)
+    Y = _history(data, coeffs, grid, 0, path.increments[None, :])
     return Trajectory(
         y=GridFunction(
             grid, Y[0].T, grid.space_axis("closure"), grid.time_axis("closure")
@@ -520,23 +502,27 @@ def _check_paths(paths):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
 
 
-def _check_memory(paths: int, levels: int, grid: Grid):
-    """Refuse, with MemoryError, a block of `paths` paths stepped
-    `levels` levels per kernel call when its arrays together exceed
-    physical memory: levels + 2 time levels and N+1 increments per path,
-    and levels + 1 rows of the six coefficient and data tables."""
+def _check_memory(paths: int, grid: Grid, history: bool = False):
+    """Refuse, with MemoryError, a block of `paths` paths whose arrays
+    exceed physical memory: one window of L+2 levels, N+1 increments per
+    path and L+1 rows of the six tables, and with `history` all N+2
+    levels per path on top."""
     N, M = grid.N, grid.M
-    need_y = paths * (levels + 2) * (M + 2) * 8
-    need = need_y + (paths * (N + 1) + 6 * (levels + 1) * (M + 2)) * 8
+    L = min(_WINDOW_LEVELS, N)
+    levels = N + 2 if history else L + 2
+    need_y = paths * levels * (M + 2) * 8
+    need = (paths * ((L + 2) * (M + 2) + N + 1) + 6 * (L + 1) * (M + 2)) * 8
+    need += need_y if history else 0
     phys = _physical_bytes()
     if phys is not None and need > phys:
+        window = f"a window of {L + 2} levels, " if history else ""
         raise MemoryError(
-            f"a block of {paths} path(s) holding {levels + 2} of the "
+            f"a block of {paths} path(s) holding {levels} of the "
             f"{N + 2} time levels of a {M} x {N} mesh needs {need_y} "
-            f"bytes for its trajectories and {need} bytes with its "
-            f"{N + 1} increments per path and {levels + 1} rows of the "
-            f"six coefficient and data tables, more than the {phys} "
-            "bytes of physical memory"
+            f"bytes for its trajectories and {need} bytes with {window}"
+            f"its {N + 1} increments per path and {L + 1} rows of the "
+            "six coefficient and data tables, more than the "
+            f"{phys} bytes of physical memory"
         )
 
 
@@ -551,91 +537,23 @@ def _sample_block(master_seed: int, first: int, dB: np.ndarray, dt: float):
     return seeds
 
 
-def run_ensemble(
-    data: ProblemData,
-    coeffs: SchemeCoefficients,
-    grid: Grid,
-    paths: int,
-    master_seed: int,
-    first: int = 0,
-) -> Ensemble:
-    """Solve paths first .. first+paths-1 of the family seeded by
-    master_seed, path k with seed path_seed(master_seed, k), and keep
-    their whole history.
-
-    All paths advance in one kernel call; results are a pure function of
-    the inputs and master_seed, independent of backend, schedule and of
-    how the family is split into blocks.  A BlowUpError names the global
-    path index.  A block whose arrays (Y, dB and all N+1 rows of the six
-    coefficient and data tables) exceed physical memory is refused with
-    MemoryError before anything is allocated.  stream_windows steps the
-    same paths without holding their history."""
-    _check_match(data, coeffs, grid)
-    _check_paths(paths)
-    if not (isinstance(first, (int, np.integer)) and first >= 0):
-        raise ValueError(f"first must be an integer >= 0, got {first!r}")
-    N, M = grid.N, grid.M
-    _check_memory(paths, N, grid)
-    dB = np.empty((paths, N + 1))
-    seeds = _sample_block(master_seed, first, dB, grid.dt)
-    A, B, C, D, G, F = _prepare_arrays(data, coeffs, grid)
-    Y = np.zeros((paths, N + 2, M + 2))
-    _init_slices(Y, data, grid)
-    blown, bn, bp, bj = step_paths(Y, A, B, C, D, G, F, dB, grid.dt, grid.dx)
-    if blown:
-        raise BlowUpError(j=bj, n=bn, path=first + bp)
-    return Ensemble(
-        grid=grid,
-        Y=Y,
-        dB=dB,
-        seeds=seeds,
-        master_seed=int(master_seed),
-    )
-
-
-def stream_windows(
-    data: ProblemData,
-    coeffs: SchemeCoefficients,
-    grid: Grid,
-    paths: int,
-    master_seed: int,
-):
-    """Step paths 0 .. paths-1 of the family seeded by master_seed and
-    yield them as Windows: block after block of block_paths(grid) paths,
-    and within a block window after window of _WINDOW_LEVELS levels.
-
-    The grid-wide setup is done once per run: the singular-update
-    check, the start levels, one (B, L+2, M+2) window buffer and one
-    (B, N+1) increment buffer, reused by every block.  After each
-    window its last two levels roll to the front, so a yielded window
-    is valid only until the next one is drawn.  Memory is one window,
-    one block's increments and the window's rows of the six tables,
-    whatever the path count; only the increments grow with N.  A run
-    whose share exceeds physical memory is refused with MemoryError
-    before anything is allocated.
-
-    Each window is one step_paths call on its own (L+1, M+2) rows of
-    the six tables, built from the coefficient and data fields when the
-    window is stepped (_table_rows), and on the matching slice of the
-    increments, so the levels are run_ensemble's bit for bit.  A
-    blow-up ends the yields, but the remaining blocks are still stepped
-    as far as an earlier level could fail: the BlowUpError raised is
-    the lexicographic minimum over (n, path, j) of all paths, the one a
-    single run_ensemble call reports."""
-    _check_match(data, coeffs, grid)
-    _check_paths(paths)
-    N, M = grid.N, grid.M
-    size = min(block_paths(grid), paths)
-    spans = _window_spans(N)
-    _check_memory(size, spans[0][1], grid)
+def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
+                 size: int, blocks):
+    """Step each block (first, dB) of `blocks`, at most `size` paths
+    whose row 0 is global path `first`, and yield its Windows of
+    _WINDOW_LEVELS levels: the one loop that calls step_paths, once per
+    window on the window's rows of the six tables (_table_rows) in one
+    reused (size, L+2, M+2) buffer.  A yielded window is valid until
+    the next is drawn.  A blow-up ends the yields, but later blocks are
+    stepped as far as an earlier level could fail, so the BlowUpError
+    raised is the lexicographic minimum over (n, path, j)."""
     _check_singular(coeffs, grid)
+    spans = _window_spans(grid.N)
     start = _start_levels(data, grid)
-    window = np.zeros((size, spans[0][1] + 2, M + 2))
-    noise = np.empty((size, N + 1))
+    window = np.zeros((size, spans[0][1] + 2, grid.M + 2))
     blown = None
-    for first in range(0, paths, size):
-        Y, dB = window[: paths - first], noise[: paths - first]
-        _sample_block(master_seed, first, dB, grid.dt)
+    for first, dB in blocks:
+        Y = window[: dB.shape[0]]
         Y[:, :2] = start
         for n0, L in spans:
             # levels n0+2 .. n0+L+1 come next: only an earlier level than
@@ -655,6 +573,76 @@ def stream_windows(
             Y[:, :2] = Y[:, L : L + 2]
     if blown is not None:
         raise blown
+
+
+def _history(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
+             first: int, dB: np.ndarray) -> np.ndarray:
+    """All N+2 levels of the paths first.. driven by dB, (P, N+2, M+2),
+    copied out of their stepped windows."""
+    Y = np.empty((dB.shape[0], grid.N + 2, grid.M + 2))
+    for win in _step_blocks(data, coeffs, grid, dB.shape[0], [(first, dB)]):
+        Y[:, win.n0 : win.n0 + win.levels + 2] = win.Y
+    return Y
+
+
+def run_ensemble(
+    data: ProblemData,
+    coeffs: SchemeCoefficients,
+    grid: Grid,
+    paths: int,
+    master_seed: int,
+    first: int = 0,
+) -> Ensemble:
+    """Solve paths first .. first+paths-1 of the family seeded by
+    master_seed, path k with seed path_seed(master_seed, k), as one
+    block of stream_windows' windows, and keep their whole history.
+
+    Results do not depend on backend or on how the family is split into
+    blocks; a BlowUpError names the global path index.  A block whose
+    history, increments and window exceed physical memory is refused
+    with MemoryError before anything is allocated."""
+    _check_match(data, coeffs, grid)
+    _check_paths(paths)
+    if not (isinstance(first, (int, np.integer)) and first >= 0):
+        raise ValueError(f"first must be an integer >= 0, got {first!r}")
+    _check_memory(paths, grid, history=True)
+    dB = np.empty((paths, grid.N + 1))
+    seeds = _sample_block(master_seed, first, dB, grid.dt)
+    return Ensemble(
+        grid=grid,
+        Y=_history(data, coeffs, grid, first, dB),
+        dB=dB,
+        seeds=seeds,
+        master_seed=int(master_seed),
+    )
+
+
+def stream_windows(
+    data: ProblemData,
+    coeffs: SchemeCoefficients,
+    grid: Grid,
+    paths: int,
+    master_seed: int,
+):
+    """Step paths 0 .. paths-1 of the family seeded by master_seed and
+    yield them as Windows (_step_blocks), block after block of
+    block_paths(grid) paths sampled into one reused (B, N+1) buffer.
+    Memory is one window, one block's increments and the window's table
+    rows, refused with MemoryError up front if over physical memory; the
+    levels and a BlowUpError are run_ensemble's bit for bit."""
+    _check_match(data, coeffs, grid)
+    _check_paths(paths)
+    size = min(block_paths(grid), paths)
+    _check_memory(size, grid)
+
+    def blocks():
+        noise = np.empty((size, grid.N + 1))
+        for first in range(0, paths, size):
+            dB = noise[: paths - first]
+            _sample_block(master_seed, first, dB, grid.dt)
+            yield first, dB
+
+    yield from _step_blocks(data, coeffs, grid, size, blocks())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from stochwave import _stepper_np
+from stochwave import _stepper_np, solver
 from stochwave import (
     BlowUpError,
     BrownianPath,
@@ -616,3 +616,69 @@ def test_numpy_kernel_finite_slice_with_overflowing_sum_not_reported():
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(Yk[:, N + 1]))
     assert_same_bits(Yk, Yr)
+
+
+# ---------------------------------------------------------------------------
+# blow-up reports of solve and run_ensemble past the first window
+
+
+def spiked_problem():
+    """A 6 x 64 problem whose source is 1e12 at node 4 only: an
+    increment of 1e300 at level n overflows that node at level n+1 and
+    leaves every other node finite."""
+    grid = build_grid(6, 64, 1.0)
+    g = random_field(grid, 3, 0.8)
+    values = np.array(g.values)
+    values[3] = 1e12
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=GridFunction(grid, values, g.space_axis, g.time_axis),
+    )
+    coeffs = SchemeCoefficients(
+        a=preset_coefficient(grid, "ramp_t"),
+        b=constant_coefficient(grid, 0.2),
+        c=constant_coefficient(grid, 0.3),
+        d=preset_coefficient(grid, "ramp_x"),
+    )
+    return grid, data, coeffs
+
+
+def scalar_report(data, coeffs, grid, dB):
+    """scalar_step_paths' (n, p, j) on the full tables of every level."""
+    Y = np.zeros((dB.shape[0], grid.N + 2, grid.M + 2))
+    Y[:, :2] = solver._start_levels(data, grid)
+    tables = solver._table_rows(data, coeffs, grid, 0, grid.N)
+    blown, n, p, j = scalar_step_paths(Y, *tables, dB, grid.dt, grid.dx)
+    assert blown and n > solver._WINDOW_LEVELS + 1
+    return n, p, j
+
+
+def test_solve_blow_up_past_the_first_window_is_the_scalar_report():
+    grid, data, coeffs = spiked_problem()
+    dB = sample_brownian(grid.N, grid.dt, 9).increments.copy()
+    dB[40] = 1e300
+    with pytest.raises(BlowUpError) as exc:
+        solve(data, coeffs, BrownianPath(dB, 9), grid)
+    got = (exc.value.n, exc.value.path, exc.value.j)
+    assert got == scalar_report(data, coeffs, grid, dB[None, :])
+
+
+@pytest.mark.parametrize("first", [3, 40])
+def test_run_ensemble_blow_up_past_the_first_window_is_the_scalar_report(
+        monkeypatch, first):
+    # block path 2 overflows after level 40, block path 0 after level 50
+    grid, data, coeffs = spiked_problem()
+    sample = solver._sample_block
+
+    def poisoned(master_seed, first, dB, dt):
+        seeds = sample(master_seed, first, dB, dt)
+        dB[2, 40] = dB[0, 50] = 1e300
+        return seeds
+
+    monkeypatch.setattr(solver, "_sample_block", poisoned)
+    with pytest.raises(BlowUpError) as exc:
+        run_ensemble(data, coeffs, grid, 4, 5, first=first)
+    dB = np.empty((4, grid.N + 1))
+    poisoned(5, first, dB, grid.dt)
+    n, p, j = scalar_report(data, coeffs, grid, dB)
+    assert (exc.value.n, exc.value.path, exc.value.j) == (n, first + p, j)

@@ -28,6 +28,7 @@ from stochwave.solver import (
     SchemeCoefficients,
     run_ensemble,
     scheme_residual,
+    solve,
     stream_windows,
 )
 from stochwave.weights import WeightParams
@@ -259,6 +260,54 @@ def test_memory_budget_is_one_window_not_the_history(monkeypatch):
         run_ensemble(data, coeffs, grid, 3, 1)
 
 
+@pytest.mark.parametrize("stepper,need", [("run_ensemble", 15720),
+                                          ("solve", 7960)])
+def test_history_budget_is_the_history_on_top_of_one_window(monkeypatch,
+                                                            stepper, need):
+    # 3 paths on 3 x 64: the history (3 * 66 * 5 * 8 = 7920 B), the
+    # increments (1560 B), one window of 18 levels (2160 B) and its 17
+    # rows of the six tables (4080 B) need 15720 B; solve's one path
+    # needs 2640 + 520 + 720 + 4080 = 7960 B
+    grid = build_grid(3, 64, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8),
+    )
+    coeffs = SchemeCoefficients.constant(grid, d=0.5)
+    path = solver.sample_brownian(grid.N, grid.dt, 1)
+    run = {
+        "run_ensemble": lambda: run_ensemble(data, coeffs, grid, 3, 1),
+        "solve": lambda: solve(data, coeffs, path, grid),
+    }[stepper]
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"trajectories and {need} bytes "
+                       "with a window of 18 levels, its 65 increments"):
+        run()
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: need)
+    run()
+
+
+def test_every_kernel_call_steps_one_window(monkeypatch):
+    N = 2 * L + 5
+    grid, data, coeffs, _ = family(N)
+    step, shapes = solver.step_paths, []
+
+    def spy(Y, *args):
+        shapes.append((Y.shape, [t.shape for t in args[:6]], args[6].shape))
+        return step(Y, *args)
+
+    monkeypatch.setattr(solver, "step_paths", spy)
+    solve(data, coeffs, solver.sample_brownian(N, grid.dt, 1), grid)
+    run_ensemble(data, coeffs, grid, P, SEED)
+    for _ in stream_windows(data, coeffs, grid, P, SEED):
+        pass
+    assert len(shapes) == 3 * len(solver._window_spans(N))
+    for (paths, levels, width), tables, increments in shapes:
+        assert levels <= L + 2 and width == M + 2
+        assert tables == [(levels - 1, M + 2)] * 6
+        assert increments == (paths, levels - 1)
+
+
 def preset_family(N, forced):
     # varying coefficients in x and t, so every window's rows differ
     grid = build_grid(M, N, 1.0)
@@ -280,7 +329,7 @@ def preset_family(N, forced):
 @pytest.mark.parametrize("N", [5, L, 2 * L + 5])
 def test_window_rows_equal_the_full_tables(monkeypatch, N, forced):
     grid, data, coeffs = preset_family(N, forced)
-    full = solver._prepare_arrays(data, coeffs, grid)
+    full = solver._table_rows(data, coeffs, grid, 0, N)
     # the kernel's frame: coefficients at n = 0..N, sources at n = 1..N
     # on the interior nodes, zero elsewhere and for a missing f
     ref = np.zeros((6, N + 1, M + 2))
