@@ -834,14 +834,14 @@ def _difference_system(cfg: RunConfig, grid):
     difference system of the coupled pair, data minus data_b.  The two
     problems are dropped on return, so only the difference is resident
     while the paths are stepped."""
-    data_a = _make_problem(cfg.data, cfg, grid)
     if cfg.data_b is not None:
+        data_a = _make_problem(cfg.data, cfg, grid)
         diff = data_a.difference(_make_problem(cfg.data_b, cfg, grid))
     else:
         # the default comparison problem is zero data under the same
         # forcing: x - (+0.0) is x bit for bit and the shared f cancels,
-        # so the difference is data_a's y0, y1 and g with no forcing
-        diff = ProblemData(y0=data_a.y0, y1=data_a.y1, g=data_a.g)
+        # so the difference is data's y0, y1 and g, and f is never built
+        diff = _make_problem({**cfg.data, "f": ("zero",)}, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     # a --seed override is applied after parsing
     _check_common_noise(cfg.mc)

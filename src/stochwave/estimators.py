@@ -15,11 +15,15 @@ stream of solver.stream_windows (stochwave.cli streams every stepping
 subcommand this way).  Every term is a sum over time levels, so it is
 folded window by window into per-path accumulators, vectorized over the
 paths of a window; an Ensemble is reduced through the same windows, as
-views of its history.  A path's sums read only its own rows, through
+views of its history.  Each window is reduced inside a helper that
+returns only its per-path sums, so the window's temporaries are freed
+before the next window is stepped; stability reduces a window in path
+chunks of _CHUNK_NODES nodes, holding one chunk's Dx y fields at a time.
+A path's sums read only its own rows, through
 element-wise NumPy operations, row sums and einsum dot products (never
 BLAS, whose rounding can depend on the row count), and the statistics
 are taken once over all paths, so the results do not depend on the
-block size.
+block or chunk size.
 
 Every term must come out finite: a term that overflows raises
 FloatingPointError naming it, instead of reaching a report as inf or
@@ -51,6 +55,11 @@ from .weights import (
     r_squared,
 )
 from .weights import eval_weights  # noqa: F401  (bound for bench/tracer.py)
+
+# nodes of a window (paths x (L+2) x (M+2)) whose Dx y fields stability
+# holds at a time; fixed like solver._BLOCK_NODES, so the chunking
+# depends only on the mesh
+_CHUNK_NODES = 1 << 15
 
 _MAX_EXP = math.log(np.finfo(np.float64).max)
 _MAX_CUBE_ROOT = float(np.finfo(np.float64).max) ** (1 / 3)
@@ -249,30 +258,41 @@ def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
     )
 
 
+def _carleman_window(win: Window, stacks: dict, grid: Grid) -> dict:
+    """One window's (P, K) sums of every path term against stacks[key];
+    its squared fields are freed on return, before the next window is
+    stepped."""
+    Y, L, M = win.Y, win.levels, grid.M
+    yc = Y[:, 1 : L + 1, 1 : M + 1]
+    dty = (Y[:, 2 : L + 2, 1 : M + 1] - yc) / grid.dt  # forward Dt
+    dxy, fl2, dtdx2 = _dx_fields(Y, grid)
+    fields = {
+        "L1": yc * yc, "L2": dty * dty, "L3": dxy * dxy,
+        "R2": fl2, "R3": dtdx2,
+    }
+    return {
+        key: _weighted(fields[key], stacks[key], win.n0)
+        for key in _PATH_TERMS
+    }
+
+
 def _carleman_sums(ens, stacks: dict, grid: Grid):
     """Per-path terms against every weight set, a dict of (weight sets,
     paths) arrays, and the paths' XT norms.  Each window's squared
     fields are computed once and reduced against stacks[key], the
     factors of every weight set stacked time-major as contiguous
     (K, N, ...) rows."""
-    M, dx, dt = grid.M, grid.dx, grid.dt
+    dx, dt = grid.dx, grid.dt
     parts, xts = [], []
     for win in _windows(ens, grid):
-        Y, L = win.Y, win.levels
         if win.n0 == 0:
             acc = {key: 0.0 for key in _PATH_TERMS}
-        yc = Y[:, 1 : L + 1, 1 : M + 1]
-        dty = (Y[:, 2 : L + 2, 1 : M + 1] - yc) / dt  # forward Dt
-        dxy, fl2, dtdx2 = _dx_fields(Y, grid)
-        fields = {
-            "L1": yc * yc, "L2": dty * dty, "L3": dxy * dxy,
-            "R2": fl2, "R3": dtdx2,
-        }
+        sums = _carleman_window(win, stacks, grid)
         for key in _PATH_TERMS:
-            acc[key] = acc[key] + _weighted(fields[key], stacks[key], win.n0)
+            acc[key] = acc[key] + sums[key]
         if win.last:
             parts.append(acc)
-            xts.append(_terminal_xt(Y, grid))
+            xts.append(_terminal_xt(win.Y, grid))
     per = {
         key: np.concatenate([part[key] for part in parts]).T.copy()
         for key in _PATH_TERMS
@@ -406,6 +426,22 @@ class StabilityReport:
     g_mode: str
 
 
+def _stability_window(Y: np.ndarray, grid: Grid) -> np.ndarray:
+    """(2, P) row sums of the squared boundary flux and (Dt Dx y)^2 of
+    one window's Y, reduced in path chunks of at most _CHUNK_NODES nodes
+    (at least one path): one chunk's Dx y fields are held at a time, and
+    each path's sums read only its own rows, so the chunk size does not
+    change them."""
+    P = Y.shape[0]
+    step = max(1, _CHUNK_NODES // (Y.shape[1] * Y.shape[2]))
+    out = np.empty((2, P))
+    for p in range(0, P, step):
+        _, fl2, dtdx2 = _dx_fields(Y[p : p + step], grid)
+        out[0, p : p + step] = _row_sums(fl2)
+        out[1, p : p + step] = _row_sums(dtdx2)
+    return out
+
+
 def _stability_sums(ens, grid: Grid):
     """Per-path FLUX, XT and DTDX norms of the difference system's paths
     z = yA - yB, folded window by window."""
@@ -414,9 +450,7 @@ def _stability_sums(ens, grid: Grid):
     for win in _windows(ens, grid):
         if win.n0 == 0:
             acc = np.zeros((2, win.paths))
-        _, fl2, dtdx2 = _dx_fields(win.Y, grid)
-        acc[0] += _row_sums(fl2)
-        acc[1] += _row_sums(dtdx2)
+        acc += _stability_window(win.Y, grid)
         if win.last:
             parts.append(acc)
             xts.append(_terminal_xt(win.Y, grid))

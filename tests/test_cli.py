@@ -572,6 +572,39 @@ def test_default_difference_system_is_data_minus_zero_problem(tmp_path, data):
         assert np.signbit(diff.y0.values[1:-1]).any()
 
 
+FORCED = {"g": {"random": {"seed": 3, "amplitude": 0.8}},
+          "f": {"random": {"seed": 4, "amplitude": 0.3}}}
+FORCED_B = {"g": {"sine": {"mode": 2, "amplitude": 0.4}},
+            "f": {"random": {"seed": 5, "amplitude": 0.1}}}
+
+
+@pytest.mark.parametrize("data_b, built", [
+    # the default comparison problem cancels f: only g is built
+    (None, ["g"]),
+    (FORCED_B, ["f", "g", "f_b", "g_b"]),
+])
+def test_stability_builds_no_cancelled_forcing(tmp_path, monkeypatch,
+                                                data_b, built):
+    raw = {"grid": GRID, "data": FORCED, "mc": {"paths": 3},
+           "output_dir": str(tmp_path / "out")}
+    if data_b is not None:
+        raw["data_b"] = data_b
+    cfg = parse_config(write_cfg(tmp_path, raw))
+    specs = {name: cfg.data[name] for name in ("f", "g")}
+    if data_b is not None:
+        specs.update({f"{name}_b": cfg.data_b[name] for name in ("f", "g")})
+    make = cli_mod._make_interior_field
+    seen = []
+
+    def spy(spec, grid, space_only):
+        seen.append(spec)
+        return make(spec, grid, space_only)
+
+    monkeypatch.setattr(cli_mod, "_make_interior_field", spy)
+    assert cli_mod.run("stability", cfg) == cli_mod.EXIT_OK
+    assert seen == [specs[name] for name in built]
+
+
 SINE_MODE = {"y0": {"sine": {"mode": 10**400, "amplitude": 1.0}}}
 RANDOM_SEED = {"y1": {"random": {"seed": 2**64, "amplitude": 1.0}}}
 

@@ -1,8 +1,10 @@
 """Artifact invariance matrix: the stepping subcommands run in-process on
 tiny configs, with constant and with space-varying preset coefficients,
-in path blocks of 1, 3 and the default size.  Every run must give the
-exit code, stdout, stderr and SHA-256 of every artifact, manifest.json
-included, of the run in the default block.  One config blows up in a
+in path blocks of 1, 3 and the default size, times the stability
+estimator's path chunks of 1, 3 (which leaves a chunk of 1 of a 10-path
+window) and the default size.  Every run must give the exit code,
+stdout, stderr and SHA-256 of every artifact, manifest.json included,
+of the run in the default block and chunk.  One config blows up in a
 later block than the first, at an earlier level than the first block
 does."""
 
@@ -12,13 +14,16 @@ import shutil
 
 import pytest
 
-from stochwave import cli, solver
+from stochwave import cli, estimators, solver
 from stochwave.grids import build_grid
 
 M = 3
 # paths per block; None leaves solver._BLOCK_NODES at its default, one
 # block for every config below
 BLOCKS = [None, 1, 3]
+# paths per chunk of a full window; None leaves estimators._CHUNK_NODES
+# at its default, one chunk for every window below
+CHUNKS = [None, 1, 3]
 
 COEFFICIENTS = {
     "constant": {"a": {"constant": -0.5}, "b": {"constant": 0.2},
@@ -75,13 +80,16 @@ CASES = [
 ] + [pytest.param("stability", BLOW_UP, id="stability-blow-up")]
 
 
-def run(monkeypatch, capsys, tmp_path, subcommand, block):
+def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk):
     """One in-process run of the config at tmp_path / cfg.json into
     tmp_path / out; its exit code, stdout, stderr and artifact digests."""
     with monkeypatch.context() as m:
         if block is not None:
             m.setattr(solver, "_BLOCK_NODES", block * M)
             assert solver.block_paths(build_grid(M, 4, 1.0)) == block
+        if chunk is not None:
+            m.setattr(estimators, "_CHUNK_NODES",
+                      chunk * (solver._WINDOW_LEVELS + 2) * (M + 2))
         code = cli._execute(subcommand, str(tmp_path / "cfg.json"),
                             str(tmp_path / "out"), None, None)
     out, err = capsys.readouterr()
@@ -97,14 +105,15 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block):
 def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
                                              subcommand, raw):
     (tmp_path / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
-    seen = {block: run(monkeypatch, capsys, tmp_path, subcommand, block)
-            for block in BLOCKS}
-    code, out, err, digests = seen[None]
+    seen = {(block, chunk): run(monkeypatch, capsys, tmp_path, subcommand,
+                                block, chunk)
+            for block in BLOCKS for chunk in CHUNKS}
+    code, out, err, digests = seen[None, None]
     if raw is BLOW_UP:
         assert code == 4
         assert err.endswith("time level n=293, path 3\n")
     else:
         assert code in (0, 6), err
         assert "manifest.json" in digests and len(digests) > 1
-    for block in BLOCKS[1:]:
-        assert seen[block] == seen[None], block
+    for key in seen:
+        assert seen[key] == seen[None, None], key

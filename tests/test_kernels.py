@@ -28,7 +28,9 @@ def run_python(backend, *args):
     # the package under test, installed or not
     src = str(Path(stochwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": path}
+    # no bytecode: the children leave no __pycache__ in the source tree
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": path,
+           "PYTHONDONTWRITEBYTECODE": "1"}
     if backend is not None:
         env["STOCHWAVE_BACKEND"] = backend
     return subprocess.run(

@@ -9,14 +9,19 @@ six tables, path 0's kept levels (simulate), the weight factor stacks
 computed from the config, times a fixed factor for the kernel's and
 the estimators' temporaries; the peak is measured in-process with
 tracemalloc from the first window on.
+
+The estimators themselves may hold one window's temporaries at a time
+(one path chunk's for `stability`): what they add to the peak of
+draining the same window stream alone stays within that.
 """
 
+import collections
 import json
 import tracemalloc
 
 import pytest
 
-from stochwave import cli, solver
+from stochwave import cli, estimators, solver
 from stochwave.grids import build_grid
 
 M, N = 63, 1024
@@ -100,3 +105,71 @@ def test_stream_stays_within_budget(tmp_path, monkeypatch, subcommand, paths):
     limit = budget(subcommand, paths)
     assert peak <= limit, (peak, limit)
 
+
+def stream_excess(consume, make_stream):
+    """Traced peak bytes of consume(windows) from the first window drawn
+    to the end of the stream, over the same peak of draining the stream
+    alone."""
+
+    def peak(consume):
+        box = {}
+
+        def windows():
+            box["start"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from make_stream()
+            box["peak"] = tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            consume(windows())
+        finally:
+            tracemalloc.stop()
+        return box["peak"] - box["start"]
+
+    return peak(consume) - peak(lambda ws: collections.deque(ws, maxlen=0))
+
+
+def dx_words(paths, L):
+    """Words of one window's Dx y (L+2 levels), (Dt Dx y)^2 and squared
+    boundary flux for `paths` paths."""
+    return paths * ((L + 2) * (M + 1) + L * (M + 1) + L)
+
+
+def test_stability_holds_one_chunk(tmp_path):
+    # 128 paths in one block: four chunks of 28 paths and one of 16
+    paths = 128
+    cfg = config(tmp_path, "stability", paths)
+    grid = cli._make_grid(cfg)
+    diff, coeffs = cli._difference_system(cfg, grid)
+    L = solver._WINDOW_LEVELS
+    chunk = estimators._CHUNK_NODES // ((L + 2) * (M + 2))
+    assert 1 < chunk < paths and paths % chunk
+    excess = stream_excess(
+        lambda ws: estimators.stability_terms(ws, diff, grid),
+        lambda: solver.stream_windows(diff, coeffs, grid, paths, 5),
+    )
+    # the chunk's fields, and a few (paths, M+2) rows for the sums and
+    # the terminal norm of the last window
+    limit = 8 * (dx_words(chunk, L) + 4 * paths * (M + 2))
+    assert excess <= limit, (excess, limit)
+
+
+def test_carleman_holds_one_window(tmp_path):
+    paths = 64
+    cfg = config(tmp_path, "carleman", paths)
+    grid = cli._make_grid(cfg)
+    data = cli._make_problem(cfg.data, cfg, grid)
+    coeffs = cli._make_coeffs(cfg, grid)
+    weights = [cli._make_weight_params({**cli._weight_section(cfg), "s": s},
+                                       cfg) for s in SWEEP]
+    L = solver._WINDOW_LEVELS
+    excess = stream_excess(
+        lambda ws: estimators.carleman_terms(ws, weights, data, grid),
+        lambda: solver.stream_windows(data, coeffs, grid, paths, 5),
+    )
+    # y squared, Dt y and its square over the interior, the Dx y fields
+    # and Dx y squared, and the terminal norm's rows of the last window
+    words = paths * 3 * L * M + dx_words(paths, L) + paths * L * (M + 1)
+    limit = 8 * (words + 4 * paths * (M + 2))
+    assert excess <= limit, (excess, limit)

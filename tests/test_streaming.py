@@ -195,8 +195,9 @@ def test_out_of_memory_in_a_capped_child_is_exit_3(tmp_path):
     p.write_text(json.dumps(raw), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # no bytecode: the run leaves no __pycache__ in the source tree
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run(
         [sys.executable, "-m", "stochwave.cli", "martingale", "--config",
          str(p)],
