@@ -141,6 +141,13 @@ def _as_int(v, ptr, minimum=None, maximum=None):
 def _as_num(v, ptr):
     if not _is_num(v):
         raise ConfigError(ptr, f"expected a number, got {reprlib.repr(v)}")
+    # an integer literal past the float range: float() would overflow
+    if abs(v) > sys.float_info.max:
+        raise ConfigError(
+            ptr,
+            f"must be <= {sys.float_info.max!r} in magnitude, got "
+            f"{reprlib.repr(v)}",
+        )
     return float(v)
 
 

@@ -9,21 +9,21 @@ points for the mixed second difference.  Data terms (initial data,
 sources) do not vary across paths, so their standard error is zero by
 construction.
 
-Each estimator takes one Ensemble, or an iterable of Ensembles and
-Windows: the consecutive path blocks of one path family, or the window
+Each estimator takes one Window, or an iterable of Windows: the window
 stream of solver.stream_windows (stochwave.cli streams every stepping
-subcommand this way).  Every term is a sum over time levels, so it is
-folded window by window into per-path accumulators, vectorized over the
-paths of a window; an Ensemble is reduced through the same windows, as
-views of its history.  Each window is reduced inside a helper that
-returns only its per-path sums, so the window's temporaries are freed
-before the next window is stepped; stability reduces a window in path
-chunks of _CHUNK_NODES nodes, holding one chunk's Dx y fields at a time.
-A path's sums read only its own rows, through
-element-wise NumPy operations, row sums and einsum dot products (never
-BLAS, whose rounding can depend on the row count), and the statistics
-are taken once over all paths, so the results do not depend on the
-block or chunk size.
+subcommand this way), or whole Windows from run_ensemble, the
+consecutive path blocks of one path family.  Every term is a sum over
+time levels, so it is folded window by window into per-path
+accumulators, vectorized over the paths of a window; a whole Window is
+reduced through the same windows, as views of its history.  Each
+window is reduced inside a helper that returns only its per-path sums,
+so the window's temporaries are freed before the next window is
+stepped; stability reduces a window in path chunks of _CHUNK_NODES
+nodes, holding one chunk's Dx y fields at a time.  A path's sums read
+only its own rows, through element-wise NumPy operations, row sums and
+einsum dot products (never BLAS, whose rounding can depend on the row
+count), and the statistics are taken once over all paths, so the
+results do not depend on the block or chunk size.
 
 Every term must come out finite: a term that overflows raises
 FloatingPointError naming it, instead of reaching a report as inf or
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
-from .solver import Ensemble, ProblemData, Window
+from .solver import ProblemData, Window
 from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
 from .weights import (
     WeightParams,
@@ -79,15 +79,14 @@ class MCStatistic:
 
 
 def _windows(ens, grid: Grid):
-    """The Windows of ens in stream order.  One Ensemble is a single
-    block; anything else is an iterable of Ensembles and Windows."""
-    for item in (ens,) if isinstance(ens, Ensemble) else ens:
-        if item.grid != grid:
+    """The stream windows of ens, one Window or an iterable of them, in
+    order; a whole Window is split by Window.windows()."""
+    for win in (ens,) if isinstance(ens, Window) else ens:
+        if not isinstance(win, Window):
+            raise TypeError(f"expected a Window, got {type(win).__name__}")
+        if win.grid != grid:
             raise MeshMismatchError("ensemble lives on a different grid")
-        if isinstance(item, Window):
-            yield item
-        else:
-            yield from item.windows()
+        yield from win.windows()
 
 
 def _dx_fields(Y: np.ndarray, grid: Grid):
@@ -315,7 +314,7 @@ def carleman_terms(
     """Assemble the seven weighted interior/initial terms and the four
     observation-side terms.  An inadmissible configuration still
     computes everything; only the report flag records the violation.
-    ens is one Ensemble or an iterable of path blocks or windows.
+    ens is one Window or an iterable of Windows.
 
     w is one WeightParams, giving one CarlemanReport, or a sequence of
     them, giving a list of reports in the same order; kappa is then a
@@ -473,7 +472,7 @@ def stability_terms(
     from diff = dataA.difference(dataB) with the pair's coefficients
     and master seed (the scheme is linear in its data, so one stepped
     family gives the path-wise difference of the two solutions).  ens
-    is one Ensemble or an iterable of path blocks or windows."""
+    is one Window or an iterable of Windows."""
     if g_mode not in ("space_time", "space_only"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
     if diff.grid != grid:
@@ -534,8 +533,8 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
         sum_{j=1..M, n=1..N} y^n_j dB^n dx dt
 
     whose expectation vanishes because y^n depends only on increments
-    before n.  ens is one Ensemble or an iterable of path blocks or
-    windows.  Needs at least 100 paths for a meaningful error bar."""
+    before n.  ens is one Window or an iterable of Windows.  Needs at
+    least 100 paths for a meaningful error bar."""
     M = grid.M
     parts = []
     for win in _windows(ens, grid):

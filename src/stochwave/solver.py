@@ -22,6 +22,9 @@ the constants into per-node weights and evaluates each level as a
 weighted sum, equal to the update above up to rounding, which
 scheme_residual checks.  solve, run_ensemble and stream_windows all step
 through one loop, _step_blocks, in windows of _WINDOW_LEVELS levels.
+A family of paths is held as a Window of levels: stream_windows yields
+them one _WINDOW_LEVELS span at a time, and run_ensemble returns one
+whole Window that holds every level 0 .. N+1.
 dt > dx sets a CFL warning flag instead of failing, since the explicit
 scheme's stability limit is a modeling concern, not an API violation.
 
@@ -127,7 +130,8 @@ def _philox_normals(seeds, out: np.ndarray) -> np.ndarray:
 def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
     """N+1 i.i.d. Normal(0, dt) increments from a Philox stream keyed
     by seed.  Same (N, dt, seed) gives the same array bit for bit, and
-    the same array as row k of run_ensemble's dB for seed = seeds[k]."""
+    the same array as row k of run_ensemble's dB for
+    seed = path_seed(master_seed, first + k)."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError(f"N must be a positive integer, got {N!r}")
     if not (np.isfinite(dt) and dt > 0.0):
@@ -289,88 +293,6 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Solved paths as arrays: Y (P, N+2, M+2) holds every stepped
-    level, Y[p, n, j] being path p at time level n and node j; dB
-    (P, N+1) holds each path's increments and seeds (P,) the uint64
-    Philox keys they were drawn with, seeds[p] = path_seed(master_seed,
-    first + p) for the run_ensemble block that starts at path `first`.
-    Estimators read these arrays through `windows()`; `trajectory(k)`
-    and `trajectories` are views that share memory with Y and dB."""
-
-    grid: Grid
-    Y: np.ndarray
-    dB: np.ndarray
-    seeds: np.ndarray
-    master_seed: int
-
-    def __post_init__(self):
-        N, M = self.grid.N, self.grid.M
-        Y = np.asarray(self.Y, dtype=np.float64)
-        dB = np.asarray(self.dB, dtype=np.float64)
-        seeds = np.asarray(self.seeds, dtype=np.uint64)
-        P = Y.shape[0] if Y.ndim == 3 else 0
-        if P < 1 or Y.shape != (P, N + 2, M + 2):
-            raise ValueError(
-                f"Y must have shape (paths >= 1, N+2, M+2) = (P, {N + 2}, "
-                f"{M + 2}), got {Y.shape}"
-            )
-        if dB.shape != (P, N + 1) or seeds.shape != (P,):
-            raise ValueError(
-                f"dB and seeds must have shapes ({P}, {N + 1}) and ({P},), "
-                f"got {dB.shape} and {seeds.shape}"
-            )
-        if np.any(Y[:, :, 0] != 0.0) or np.any(Y[:, :, -1] != 0.0):
-            raise ValueError("trajectory boundary rows must be exactly zero")
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "dB", dB)
-        object.__setattr__(self, "seeds", seeds)
-
-    @property
-    def paths(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def cfl_warning(self) -> bool:
-        """The grid's dt > dx flag (Grid.cfl_warning)."""
-        return self.grid.cfl_warning
-
-    def trajectory(self, k: int) -> Trajectory:
-        """View of path k as a Trajectory on closure x closure."""
-        grid = self.grid
-        return Trajectory(
-            y=GridFunction(
-                grid,
-                self.Y[k].T,
-                grid.space_axis("closure"),
-                grid.time_axis("closure"),
-            ),
-            path=BrownianPath(self.dB[k], int(self.seeds[k])),
-            cfl_warning=self.cfl_warning,
-        )
-
-    @property
-    def trajectories(self) -> tuple:
-        """Views of every path, built on each access."""
-        return tuple(self.trajectory(k) for k in range(self.paths))
-
-    def windows(self):
-        """The Windows of stream_windows over this block, as views of Y,
-        so that a whole ensemble is reduced exactly as a stream is."""
-        return (
-            Window(self.grid, self.Y[:, n0 : n0 + L + 2], self.dB, n0)
-            for n0, L in _window_spans(self.grid.N)
-        )
-
-    def values(self) -> np.ndarray:
-        """(paths, M+2, N+2) view of all trajectories."""
-        return self.Y.transpose(0, 2, 1)
-
-    def mean_values(self) -> np.ndarray:
-        return self.values().mean(axis=0)
-
-
-@dataclass(frozen=True)
 class Window:
     """Time levels n0 .. n0+L+1 of one block of paths.
 
@@ -379,12 +301,40 @@ class Window:
     serves the reductions of levels n = n0+1 .. n0+L, each of which
     reads its neighbours n-1 and n+1; the windows of a block start at
     n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
-    (n0 + L = N) also holds the terminal pair N, N+1."""
+    (n0 + L = N) also holds the terminal pair N, N+1.  A whole window
+    (n0 = 0, L = N) holds every level, as run_ensemble returns it; its
+    boundary columns are checked to be exactly zero, and estimators
+    reduce it through windows(), as views of its Y."""
 
     grid: Grid
     Y: np.ndarray
     dB: np.ndarray
     n0: int
+
+    def __post_init__(self):
+        N, M = self.grid.N, self.grid.M
+        Y = np.asarray(self.Y, dtype=np.float64)
+        dB = np.asarray(self.dB, dtype=np.float64)
+        P, L = (Y.shape[0], Y.shape[1] - 2) if Y.ndim == 3 else (0, 0)
+        if P < 1 or L < 1 or Y.shape[2] != M + 2:
+            raise ValueError(
+                f"Y must have shape (paths >= 1, L+2 >= 3, M+2 = {M + 2}), "
+                f"got {Y.shape}"
+            )
+        if not 0 <= self.n0 <= self.n0 + L <= N:
+            raise ValueError(
+                f"levels n0 .. n0+L = {self.n0} .. {self.n0 + L} must lie "
+                f"in 0 .. N = {N}"
+            )
+        if dB.shape != (P, N + 1):
+            raise ValueError(
+                f"dB must have shape ({P}, {N + 1}), got {dB.shape}"
+            )
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "dB", dB)
+        if self.whole and (np.any(Y[:, :, 0] != 0.0)
+                           or np.any(Y[:, :, -1] != 0.0)):
+            raise ValueError("trajectory boundary rows must be exactly zero")
 
     @property
     def paths(self) -> int:
@@ -398,6 +348,22 @@ class Window:
     @property
     def last(self) -> bool:
         return self.n0 + self.levels == self.grid.N
+
+    @property
+    def whole(self) -> bool:
+        """Whether this window holds every level 0 .. N+1."""
+        return self.n0 == 0 and self.last
+
+    def windows(self):
+        """The windows of stream_windows over a whole window, as views of
+        Y, so that it is reduced exactly as a stream is; any other
+        window is its own one window."""
+        if not self.whole:
+            return (self,)
+        return (
+            Window(self.grid, self.Y[:, n0 : n0 + L + 2], self.dB, n0)
+            for n0, L in _window_spans(self.grid.N)
+        )
 
 
 def _window_spans(N: int):
@@ -528,13 +494,10 @@ def _check_memory(paths: int, grid: Grid, history: bool = False):
 
 def _sample_block(master_seed: int, first: int, dB: np.ndarray, dt: float):
     """Fill row k of dB with the increments of path first + k."""
-    seeds = np.array(
-        [path_seed(master_seed, first + k) for k in range(dB.shape[0])],
-        dtype=np.uint64,
+    _philox_normals(
+        [path_seed(master_seed, first + k) for k in range(dB.shape[0])], dB
     )
-    _philox_normals(seeds, dB)
     dB *= np.sqrt(dt)
-    return seeds
 
 
 def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
@@ -592,10 +555,11 @@ def run_ensemble(
     paths: int,
     master_seed: int,
     first: int = 0,
-) -> Ensemble:
+) -> Window:
     """Solve paths first .. first+paths-1 of the family seeded by
     master_seed, path k with seed path_seed(master_seed, k), as one
-    block of stream_windows' windows, and keep their whole history.
+    block of stream_windows' windows, and return their whole history
+    as one whole Window (n0 = 0, levels 0 .. N+1).
 
     Results do not depend on backend or on how the family is split into
     blocks; a BlowUpError names the global path index.  A block whose
@@ -607,14 +571,8 @@ def run_ensemble(
         raise ValueError(f"first must be an integer >= 0, got {first!r}")
     _check_memory(paths, grid, history=True)
     dB = np.empty((paths, grid.N + 1))
-    seeds = _sample_block(master_seed, first, dB, grid.dt)
-    return Ensemble(
-        grid=grid,
-        Y=_history(data, coeffs, grid, first, dB),
-        dB=dB,
-        seeds=seeds,
-        master_seed=int(master_seed),
-    )
+    _sample_block(master_seed, first, dB, grid.dt)
+    return Window(grid, _history(data, coeffs, grid, first, dB), dB, 0)
 
 
 def stream_windows(

@@ -21,6 +21,7 @@ from stochwave import (
     estimate_order,
     identity_residuals,
     martingale_check,
+    path_seed,
     random_field,
     random_slice,
     run_ensemble,
@@ -169,8 +170,8 @@ def test_criterion_5_mean_consistency():
     ens = run_ensemble(data, coeffs, grid, K, 1234)
     s1 = np.zeros_like(det)
     s2 = np.zeros_like(det)
-    for traj in ens.trajectories:
-        diff = traj.y.values - det
+    for Yk in ens.Y:
+        diff = Yk.T - det
         s1 += diff
         s2 += diff * diff
     mean = s1 / K
@@ -209,7 +210,7 @@ def test_criterion_6_brute_force_equivalence():
     )
     rep = carleman_terms(ens, w, data, grid, kappa=0.4)
     ref = oracles.brute_carleman_terms(
-        ens.trajectories[0].y.values,
+        ens.Y[0].T,
         data.y0.values, data.y1.values, data.g.values, data.f.values,
         grid.M, grid.N, grid.T,
         w.s, w.lam, w.beta, w.xstar, w.mconst, 0.4,
@@ -233,7 +234,7 @@ def test_criterion_6_brute_force_equivalence():
     diff = dataA.difference(dataB)
     rep2 = stability_terms(run_ensemble(diff, coeffs, grid, 1, 33), diff, grid)
     ref2 = oracles.brute_stability_terms(
-        ensA.trajectories[0].y.values, ensB.trajectories[0].y.values,
+        ensA.Y[0].T, ensB.Y[0].T,
         dataA.y0.values, dataB.y0.values,
         dataA.y1.values, dataB.y1.values,
         dataA.g.values, dataB.g.values,
@@ -349,14 +350,15 @@ def test_criterion_9_difference_system_residual():
             grid.space_axis("primal"),
             grid.time_axis("primal"),
         )
-        for tA, tB in zip(ensA.trajectories, ensB.trajectories):
+        for p in range(ensA.paths):
             ydiff = GridFunction(
                 grid,
-                tA.y.values - tB.y.values,
+                (ensA.Y[p] - ensB.Y[p]).T,
                 grid.space_axis("closure"),
                 grid.time_axis("closure"),
             )
-            res = scheme_residual(ydiff, coeffs, gdiff, None, tA.path, grid)
+            path = BrownianPath(ensA.dB[p], path_seed(5000 + k, p))
+            res = scheme_residual(ydiff, coeffs, gdiff, None, path, grid)
             worst = max(worst, res)
     elapsed = time.perf_counter() - t0
     report(

@@ -14,7 +14,15 @@ from click.testing import CliRunner
 import stochwave.cli as cli_mod
 from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
 from stochwave.fields import zero_field
-from stochwave.solver import ProblemData, observe, run_ensemble
+from stochwave.grids import GridFunction
+from stochwave.solver import (
+    BrownianPath,
+    ProblemData,
+    Trajectory,
+    observe,
+    path_seed,
+    run_ensemble,
+)
 
 GRID = {"M": 4, "N": 4, "T": 1.0}
 WEIGHT = {"s": 0.7, "lambda": 0.9, "beta": 0.3, "xstar": 1.3, "mconst": 0.25}
@@ -622,6 +630,17 @@ RANDOM_SEED = {"y1": {"random": {"seed": 2**64, "amplitude": 1.0}}}
         # accepted: its two field seeds are reduced to 64 bits
         ("identities", {"grid": GRID, "mc": {"master_seed": 2**64 - 1}},
          None),
+        # integers past the float range in number fields
+        ("simulate", {"grid": dict(GRID, T=10**400)}, "/grid/T"),
+        ("carleman", {"grid": GRID, "weight": dict(WEIGHT, s=10**400)},
+         "/weight/s"),
+        ("carleman", {"grid": GRID, "weight": WEIGHT,
+                      "sweep": {"parameter": "weight.s",
+                                "values": [10**400]}},
+         "/sweep/values/0"),
+        ("simulate", {"grid": GRID,
+                      "coefficients": {"a": {"constant": -10**400}}},
+         "/coefficients/a/constant"),
     ],
 )
 def test_out_of_range_integers(tmp_path, subcommand, raw, pointer):
@@ -959,7 +978,12 @@ def test_simulate_csvs_match_row_formatter(tmp_path):
     grid = cli_mod._make_grid(cfg)
     data = cli_mod._make_problem(cfg.data, cfg, grid)
     coeffs = cli_mod._make_coeffs(cfg, grid)
-    traj = run_ensemble(data, coeffs, grid, 2, 9).trajectory(0)
+    ens = run_ensemble(data, coeffs, grid, 2, 9)
+    traj = Trajectory(
+        y=GridFunction(grid, ens.Y[0].T, grid.space_axis("closure"),
+                       grid.time_axis("closure")),
+        path=BrownianPath(ens.dB[0], path_seed(9, 0)),
+    )
     y = traj.y
     J, K = y.values.shape
     rows = [(j, y.x[j], n, y.t[n], y.values[j, n])

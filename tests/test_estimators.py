@@ -11,11 +11,11 @@ import pytest
 import oracles
 from stochwave import estimators
 from stochwave import (
-    Ensemble,
     MeshMismatchError,
     ProblemData,
     SchemeCoefficients,
     WeightParams,
+    Window,
     build_grid,
     carleman_terms,
     martingale_check,
@@ -41,13 +41,7 @@ def manufactured_ensemble(grid, seed, scale=1.0):
         vals += np.sin(np.pi * m * x)[:, None] * amp[None, :]
     vals[0] = 0.0
     vals[-1] = 0.0
-    return Ensemble(
-        grid=grid,
-        Y=vals.T[None],
-        dB=np.zeros((1, grid.N + 1)),
-        seeds=[seed],
-        master_seed=0,
-    )
+    return Window(grid, vals.T[None], np.zeros((1, grid.N + 1)), 0)
 
 
 def small_problem(grid, seed=0, with_f=True):
@@ -74,7 +68,7 @@ def test_carleman_matches_brute_force_single_path():
     w = WeightParams(**W, T=grid.T)
     rep = carleman_terms(ens, w, data, grid, kappa=0.4)
     ref = oracles.brute_carleman_terms(
-        ens.trajectories[0].y.values,
+        ens.Y[0].T,
         data.y0.values, data.y1.values, data.g.values, data.f.values,
         grid.M, grid.N, grid.T,
         w.s, w.lam, w.beta, w.xstar, w.mconst, 0.4,
@@ -175,7 +169,7 @@ def test_stability_matches_brute_force():
     diff = dataA.difference(dataB)
     rep = stability_terms(run_ensemble(diff, coeffs, grid, 1, 33), diff, grid)
     ref = oracles.brute_stability_terms(
-        ensA.trajectories[0].y.values, ensB.trajectories[0].y.values,
+        ensA.Y[0].T, ensB.Y[0].T,
         dataA.y0.values, dataB.y0.values,
         dataA.y1.values, dataB.y1.values,
         dataA.g.values, dataB.g.values,
@@ -367,15 +361,24 @@ def test_stability_g_mode_space_only():
 
 def test_martingale_zero_ensemble_exact():
     grid = build_grid(3, 4, 1.0)
-    ens = Ensemble(
-        grid=grid,
-        Y=np.zeros((100, grid.N + 2, grid.M + 2)),
-        dB=np.zeros((100, grid.N + 1)),
-        seeds=np.arange(100),
-        master_seed=0,
+    ens = Window(
+        grid, np.zeros((100, grid.N + 2, grid.M + 2)),
+        np.zeros((100, grid.N + 1)), 0,
     )
     st = martingale_check(ens, grid)
     assert st.mean == 0.0 and st.stderr == 0.0 and st.paths == 100
+
+
+def test_estimators_take_only_windows():
+    grid = build_grid(3, 4, 1.0)
+    ens = Window(
+        grid, np.zeros((100, grid.N + 2, grid.M + 2)),
+        np.zeros((100, grid.N + 1)), 0,
+    )
+    with pytest.raises(TypeError, match="Window"):
+        martingale_check([ens.Y], grid)
+    with pytest.raises(MeshMismatchError):
+        martingale_check([ens], build_grid(3, 5, 1.0))
 
 
 def test_martingale_path_minimum():
@@ -398,11 +401,11 @@ def test_martingale_statistic_definition():
     )
     st = martingale_check(ens, grid)
     vals = []
-    for traj in ens.trajectories:
+    for Yk, inc in zip(ens.Y, ens.dB):
         s = 0.0
         for j in range(1, grid.M + 1):
             for n in range(1, grid.N + 1):
-                s += traj.y.values[j, n] * traj.path.increments[n]
+                s += Yk[n, j] * inc[n]
         vals.append(s * grid.dx * grid.dt)
     assert st.mean == pytest.approx(np.mean(vals), rel=1e-13)
     assert st.stderr == pytest.approx(
@@ -413,7 +416,7 @@ def test_martingale_statistic_definition():
 @pytest.mark.parametrize("block_paths", [1, 3, 7, 200])
 def test_martingale_blocks_equal_per_path_sums(block_paths):
     # 101 paths: no block size but 1 divides the path count; the family
-    # is handed over as consecutive Ensemble blocks
+    # is handed over as consecutive whole Window blocks
     grid = build_grid(5, 9, 1.0)
     data = small_problem(grid, 3)
     ens = run_ensemble(
@@ -434,8 +437,8 @@ def test_martingale_blocks_equal_per_path_sums(block_paths):
         atol=tol * grid.dx * grid.dt,
     )
     blocks = [
-        Ensemble(grid, ens.Y[k : k + block_paths], ens.dB[k : k + block_paths],
-                 ens.seeds[k : k + block_paths], ens.master_seed)
+        Window(grid, ens.Y[k : k + block_paths],
+               ens.dB[k : k + block_paths], 0)
         for k in range(0, ens.paths, block_paths)
     ]
     st = martingale_check(blocks, grid)

@@ -6,7 +6,8 @@ Mesh sizes are either tiny (1-8) or absurd (>= 2**62), never in
 between: a tiny mesh runs in milliseconds, and an absurd one must be
 refused before anything of its size is allocated.  Every other number
 is mostly plausible, so that most runs get past the parser, and
-sometimes any finite double, subnormals included."""
+sometimes any finite double, subnormals included, or any integer up to
+10**400 in magnitude, past the float range."""
 
 import contextlib
 import io
@@ -19,6 +20,9 @@ from stochwave import cli
 
 # the parser refuses non-finite literals, so they are not drawn
 ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# rare integers run past every bound, 2**63 - 1 and 2**64 - 1, and
+# past the float range
+HUGE = 10**400
 
 
 def mostly(usual, rare):
@@ -27,12 +31,10 @@ def mostly(usual, rare):
 
 
 def num(lo, hi):
-    return mostly(st.floats(lo, hi, exclude_min=True), ANY_FLOAT)
+    return mostly(st.floats(lo, hi, exclude_min=True),
+                  ANY_FLOAT | st.integers(-HUGE, HUGE))
 
 
-# rare integers run past every bound, 2**63 - 1 and 2**64 - 1, and
-# past the float range
-HUGE = 10**400
 SIZES = mostly(st.integers(1, 8), st.integers(2**62, HUGE))
 SEEDS = mostly(st.integers(0, 2**64 - 1), st.integers(-1, HUGE))
 

@@ -12,11 +12,11 @@ from stochwave import _stepper_np, solver
 from stochwave import (
     BlowUpError,
     BrownianPath,
-    Ensemble,
     GridFunction,
     ProblemData,
     SchemeCoefficients,
     SingularUpdateError,
+    Window,
     build_grid,
     constant_coefficient,
     observe,
@@ -247,16 +247,20 @@ def test_run_ensemble_reproducible_and_decorrelated():
     coeffs = SchemeCoefficients.constant(grid, d=0.7)
     e1 = run_ensemble(data, coeffs, grid, paths=4, master_seed=13)
     e2 = run_ensemble(data, coeffs, grid, paths=4, master_seed=13)
-    for a, b in zip(e1.trajectories, e2.trajectories):
-        np.testing.assert_array_equal(a.y.values, b.y.values)
-    seeds = [t.path.seed for t in e1.trajectories]
+    np.testing.assert_array_equal(e1.Y, e2.Y)
+    # path k is driven by the increments of seed path_seed(13, k), and
+    # those differ from path to path
+    seeds = [path_seed(13, k) for k in range(4)]
     assert len(set(seeds)) == 4
-    assert seeds == [path_seed(13, k) for k in range(4)]
+    for k, sd in enumerate(seeds):
+        inc = sample_brownian(grid.N, grid.dt, sd).increments
+        assert e1.dB[k].tobytes() == inc.tobytes()
+    assert len({e1.dB[k].tobytes() for k in range(4)}) == 4
     # single-path ensemble equals a direct solve with the same path
     e3 = run_ensemble(data, coeffs, grid, paths=1, master_seed=13)
     direct = solve(data, coeffs, sample_brownian(grid.N, grid.dt, path_seed(13, 0)), grid)
-    np.testing.assert_array_equal(e3.trajectories[0].y.values, direct.y.values)
-    np.testing.assert_array_equal(e3.mean_values(), direct.y.values)
+    np.testing.assert_array_equal(e3.Y[0].T, direct.y.values)
+    np.testing.assert_array_equal(e3.Y.mean(axis=0).T, direct.y.values)
 
 
 def fresh_philox_increments(N, dt, seed):
@@ -271,11 +275,10 @@ def test_reused_philox_sampler_matches_fresh_generators():
         wave_data(grid), SchemeCoefficients.constant(grid, d=0.5), grid,
         paths=16, master_seed=99,
     )
-    assert ens.seeds.dtype == np.uint64
-    assert any(int(sd) >= 2**63 for sd in ens.seeds)
-    for k, sd in enumerate(ens.seeds):
-        assert int(sd) == path_seed(99, k)
-        expected = fresh_philox_increments(grid.N, grid.dt, int(sd))
+    seeds = [path_seed(99, k) for k in range(ens.paths)]
+    assert any(sd >= 2**63 for sd in seeds)
+    for k, sd in enumerate(seeds):
+        expected = fresh_philox_increments(grid.N, grid.dt, sd)
         assert ens.dB[k].tobytes() == expected.tobytes()
     for sd in (0, 2**63, 2**64 - 1):
         got = sample_brownian(grid.N, grid.dt, sd)
@@ -295,45 +298,51 @@ def test_ensemble_views_equal_solve():
     coeffs = SchemeCoefficients.constant(grid, a=-0.3, b=0.2, c=0.1, d=0.6)
     ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=21)
     assert ens.paths == 5 and ens.Y.shape == (5, grid.N + 2, grid.M + 2)
-    assert not ens.cfl_warning
-    views = ens.trajectories
-    assert len(views) == 5
+    assert ens.n0 == 0 and ens.whole
+    assert not grid.cfl_warning
     for k in range(ens.paths):
         path = sample_brownian(grid.N, grid.dt, path_seed(21, k))
         direct = solve(data, coeffs, path, grid)
-        view = ens.trajectory(k)
-        np.testing.assert_array_equal(view.y.values, direct.y.values)
-        np.testing.assert_array_equal(views[k].y.values, direct.y.values)
-        np.testing.assert_array_equal(view.path.increments, path.increments)
-        assert view.path.seed == path.seed
-        assert view.cfl_warning == direct.cfl_warning
-        np.testing.assert_array_equal(ens.values()[k], direct.y.values)
+        np.testing.assert_array_equal(ens.Y[k].T, direct.y.values)
+        np.testing.assert_array_equal(ens.dB[k], path.increments)
+        assert grid.cfl_warning == direct.cfl_warning
 
 
 def test_ensemble_validation():
     grid = build_grid(3, 2, 1.0)           # dt = 0.5 > dx = 0.25
     good = dict(
         grid=grid,
-        Y=np.zeros((2, grid.N + 2, grid.M + 2)),
-        dB=np.zeros((2, grid.N + 1)),
-        seeds=[1, 2],
-        master_seed=0,
+        Y=np.zeros((2, grid.N + 2, grid.M + 2), dtype=np.float32),
+        dB=np.zeros((2, grid.N + 1), dtype=np.float32),
+        n0=0,
     )
-    ens = Ensemble(**good)
-    assert ens.paths == 2 and ens.cfl_warning
-    assert all(t.cfl_warning for t in ens.trajectories)
+    win = Window(**good)
+    assert win.paths == 2 and win.whole and grid.cfl_warning
+    assert win.Y.dtype == win.dB.dtype == np.float64
     for key, bad in (
         ("Y", np.zeros((2, grid.N + 2, grid.M + 1))),
         ("Y", np.zeros((0, grid.N + 2, grid.M + 2))),
+        ("Y", np.zeros((2, 2, grid.M + 2))),          # L = 0
+        ("Y", np.zeros((grid.N + 2, grid.M + 2))),
         ("dB", np.zeros((2, grid.N))),
-        ("seeds", [1, 2, 3]),
+        ("dB", np.zeros((3, grid.N + 1))),
+        ("n0", -1),
+        ("n0", 1),                                    # n0 + L = 3 > N
     ):
         with pytest.raises(ValueError):
-            Ensemble(**dict(good, **{key: bad}))
+            Window(**dict(good, **{key: bad}))
     pinned = np.zeros((2, grid.N + 2, grid.M + 2))
     pinned[1, 3, -1] = 1.0
     with pytest.raises(ValueError, match="boundary"):
-        Ensemble(**dict(good, Y=pinned))
+        Window(**dict(good, Y=pinned))
+    # a window of some levels is in range at n0 = 0 and n0 = 1, and its
+    # boundary is not scanned: only a whole window is
+    for n0 in (0, 1):
+        part = Window(grid, pinned[:, 1:], good["dB"], n0)
+        assert part.levels == 1 and not part.whole
+        assert part.last == (n0 == 1)
+        wins = tuple(part.windows())
+        assert len(wins) == 1 and wins[0] is part
 
 
 def test_observe_flux_and_terminal():

@@ -2,9 +2,9 @@
 windows of solver._WINDOW_LEVELS levels in one reused buffer, on the
 window's own rows of the coefficient and data tables, and the
 estimators fold each window into per-path sums.  Per-path terms must
-agree with exactly rounded full-history sums, a whole Ensemble must
-reduce to the same bits as the CLI's stream, and a blow-up in a later
-window must name its global level."""
+agree with exactly rounded full-history sums, a whole Window from
+run_ensemble must reduce to the same bits as the CLI's stream, and a
+blow-up in a later window must name its global level."""
 
 import json
 import math
@@ -24,8 +24,10 @@ from stochwave.fields import (
 )
 from stochwave.grids import GridFunction, build_grid
 from stochwave.solver import (
+    BrownianPath,
     ProblemData,
     SchemeCoefficients,
+    path_seed,
     run_ensemble,
     scheme_residual,
     solve,
@@ -375,10 +377,11 @@ def test_zero_stride_coefficients_step_like_dense_ones():
     ens = run_ensemble(data, views, grid, P, SEED)
     assert ens.Y.tobytes() == run_ensemble(data, dense, grid, P,
                                            SEED).Y.tobytes()
-    traj = ens.trajectory(P - 1)
-    res = scheme_residual(traj.y, views, data.g, data.f, traj.path, grid)
-    assert res == scheme_residual(traj.y, dense, data.g, data.f, traj.path,
-                                  grid)
+    y = GridFunction(grid, ens.Y[P - 1].T, grid.space_axis("closure"),
+                     grid.time_axis("closure"))
+    path = BrownianPath(ens.dB[P - 1], path_seed(SEED, P - 1))
+    res = scheme_residual(y, views, data.g, data.f, path, grid)
+    assert res == scheme_residual(y, dense, data.g, data.f, path, grid)
     assert res < 1e-12
 
 
