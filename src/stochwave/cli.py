@@ -24,10 +24,15 @@ Exit codes, so CI can tell failure classes apart:
 
 Mesh admissibility conditions (s*dx and the dt bound) only warn: they
 are resolution knobs, not geometry, and the report records them.
+\f
+The report dataclasses are the artifact schema (the form feed above
+ends the --help text): _report_obj writes a report's fields as JSON,
+and _term_rows its lhs and then rhs terms as CSV rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -595,34 +600,39 @@ def _check_json_finite(name: str, obj, ptr: str = ""):
             _check_json_finite(name, value, f"{ptr}/{i}")
 
 
-def _warn_cfl(out: ArtifactWriter, grid) -> None:
-    """Say on stderr, once per run and before stepping, that dt > dx:
-    the explicit scheme is outside its stability limit, so the warning
-    also precedes the blow-up it explains.  The artifacts do not record
-    it."""
+def _stream(cfg: RunConfig, out: ArtifactWriter, data, coeffs, grid):
+    """The window stream of the configured path family.  If dt > dx,
+    first say on stderr, once per run, that the explicit scheme is
+    outside its stability limit, so the warning also precedes the
+    blow-up it explains.  The artifacts do not record it."""
     if grid.cfl_warning:
         click.echo(
             f"{out.subcommand}: warning, dt > dx (explicit scheme unstable)",
             err=True,
         )
+    return stream_windows(
+        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    )
 
 
-def _stat_obj(st):
-    return {"mean": st.mean, "stderr": st.stderr, "paths": st.paths}
+def _report_obj(rep) -> dict:
+    """The JSON form of an estimator's report: its dataclass fields,
+    nested reports included, with CarlemanReport.lam written as
+    "lambda"."""
+    obj = dataclasses.asdict(rep)
+    if "lam" in obj:
+        obj["lambda"] = obj.pop("lam")
+    return obj
 
 
-def _admissibility_obj(rep):
-    return {
-        "t_condition": rep.t_condition,
-        "t_margin": rep.t_margin,
-        "sdx_condition": rep.sdx_condition,
-        "sdx_value": rep.sdx_value,
-        "dt_condition": rep.dt_condition,
-        "dt_value": rep.dt_value,
-        "phi_positive": rep.phi_positive,
-        "phi_min": rep.phi_min,
-        "overall": rep.overall,
-    }
+def _term_rows(rep):
+    """(term, value, stderr) rows of a report's lhs and then its rhs
+    terms, in their order."""
+    return [
+        (key, st.mean, st.stderr)
+        for terms in (rep.lhs, rep.rhs)
+        for key, st in terms.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +697,8 @@ def _step_path_zero(cfg: RunConfig, grid, out: ArtifactWriter):
     head = np.empty((grid.N + 2, grid.M + 2))
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
-    _warn_cfl(out, grid)
     block = -1
-    for win in stream_windows(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    ):
+    for win in _stream(cfg, out, data, coeffs, grid):
         block += win.n0 == 0
         if block == 0:
             head[win.n0 : win.n0 + win.levels + 2] = win.Y[0]
@@ -744,30 +751,6 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     return EXIT_OK
 
 
-def _carleman_obj(rep):
-    return {
-        "s": rep.s,
-        "lambda": rep.lam,
-        "kappa": rep.kappa,
-        "admissible": rep.admissible,
-        "admissibility": _admissibility_obj(rep.admissibility),
-        "lhs": {k: _stat_obj(v) for k, v in rep.lhs.items()},
-        "rhs": {k: _stat_obj(v) for k, v in rep.rhs.items()},
-        "xt_norm": _stat_obj(rep.xt_norm),
-        "ratio": rep.ratio,
-        "ratio_defined": rep.ratio_defined,
-    }
-
-
-def _term_rows(rep):
-    rows = []
-    for key in ("L1", "L2", "L3", "L4", "L5", "L6", "L7"):
-        rows.append((key, rep.lhs[key].mean, rep.lhs[key].stderr))
-    for key in ("R1", "R2", "R3", "R4"):
-        rows.append((key, rep.rhs[key].mean, rep.rhs[key].stderr))
-    return rows
-
-
 def _hard_fail(rep) -> bool:
     adm = rep.admissibility
     return not (adm.t_condition and adm.phi_positive)
@@ -785,17 +768,14 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
         key = cfg.sweep["parameter"].split(".", 1)[1]
         weights = [{**weight, key: v} for v in cfg.sweep["values"]]
     params = [_make_weight_params(w, cfg) for w in weights]
-    _warn_cfl(out, grid)
     # the weights do not enter the trajectories: one ensemble serves all
-    windows = stream_windows(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    )
     reps = carleman_terms(
-        windows, params, data, grid, kappa=[w["kappa"] for w in weights]
+        _stream(cfg, out, data, coeffs, grid), params, data, grid,
+        kappa=[w["kappa"] for w in weights],
     )
     if cfg.sweep is None:
         rep = reps[0]
-        out.json("carleman.json", _carleman_obj(rep))
+        out.json("carleman.json", _report_obj(rep))
         out.csv(
             "carleman_terms.csv",
             ("term", "value", "stderr"),
@@ -807,7 +787,7 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     sweep_rows = []
     fail = False
     for i, (value, rep) in enumerate(zip(cfg.sweep["values"], reps)):
-        out.json(f"carleman_{i:02d}.json", _carleman_obj(rep))
+        out.json(f"carleman_{i:02d}.json", _report_obj(rep))
         for term, mean, stderr in _term_rows(rep):
             sweep_rows.append((value, term, mean, stderr))
         fail = fail or _hard_fail(rep)
@@ -823,19 +803,6 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
     return EXIT_ADMISSIBILITY if fail else EXIT_OK
 
 
-def _stability_obj(rep):
-    return {
-        "g_mode": rep.g_mode,
-        "lhs": {k: _stat_obj(v) for k, v in rep.lhs.items()},
-        "rhs": {k: _stat_obj(v) for k, v in rep.rhs.items()},
-        "xt_squared": _stat_obj(rep.xt_squared),
-        "ratio_unsquared": rep.ratio_unsquared,
-        "ratio_unsquared_defined": rep.ratio_unsquared_defined,
-        "ratio_printed": rep.ratio_printed,
-        "ratio_printed_defined": rep.ratio_printed_defined,
-    }
-
-
 def _difference_system(cfg: RunConfig, grid):
     """The data and coefficients of the one family stability steps: the
     difference system of the coupled pair, data minus data_b.  The two
@@ -849,10 +816,7 @@ def _difference_system(cfg: RunConfig, grid):
         # forcing: x - (+0.0) is x bit for bit and the shared f cancels,
         # so the difference is data's y0, y1 and g, and f is never built
         diff = _make_problem({**cfg.data, "f": ("zero",)}, cfg, grid)
-    coeffs = _make_coeffs(cfg, grid)
-    # a --seed override is applied after parsing
-    _check_common_noise(cfg.mc)
-    return diff, coeffs
+    return diff, _make_coeffs(cfg, grid)
 
 
 def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
@@ -862,18 +826,15 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     is resident."""
     grid = _make_grid(cfg)
     diff, coeffs = _difference_system(cfg, grid)
-    _warn_cfl(out, grid)
-    windows = stream_windows(
-        diff, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
+    rep = stability_terms(
+        _stream(cfg, out, diff, coeffs, grid), diff, grid, g_mode=cfg.g_mode
     )
-    rep = stability_terms(windows, diff, grid, g_mode=cfg.g_mode)
-    out.json("stability.json", _stability_obj(rep))
-    rows = []
-    for key in ("G", "Y0", "Y1"):
-        rows.append((key, rep.lhs[key].mean, rep.lhs[key].stderr))
-    for key in ("FLUX", "XT", "DTDX"):
-        rows.append((key, rep.rhs[key].mean, rep.rhs[key].stderr))
-    out.csv("stability_terms.csv", ("term", "value", "stderr"), _columns(rows, 3))
+    out.json("stability.json", _report_obj(rep))
+    out.csv(
+        "stability_terms.csv",
+        ("term", "value", "stderr"),
+        _columns(_term_rows(rep), 3),
+    )
     if rep.ratio_unsquared_defined:
         click.echo(f"stability: ratio {rep.ratio_unsquared:.6g}")
     else:
@@ -885,22 +846,11 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     grid = _make_grid(cfg)
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
-    _warn_cfl(out, grid)
-    windows = stream_windows(
-        data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
-    )
-    st = martingale_check(windows, grid)
+    st = martingale_check(_stream(cfg, out, data, coeffs, grid), grid)
     bound = 4.0 * st.stderr
     ok = abs(st.mean) <= bound
     out.json(
-        "martingale.json",
-        {
-            "mean": st.mean,
-            "stderr": st.stderr,
-            "paths": st.paths,
-            "bound_4se": bound,
-            "pass": ok,
-        },
+        "martingale.json", {**_report_obj(st), "bound_4se": bound, "pass": ok}
     )
     click.echo(
         f"martingale: mean {st.mean:+.3e}, stderr {st.stderr:.3e}, "
@@ -943,6 +893,7 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
             cfg.mc["paths"] = _as_int(paths, "/mc/paths", 1, _MAX_COUNT)
         if seed is not None:
             cfg.mc["master_seed"] = _as_int(seed, "/mc/master_seed", 0)
+            _check_common_noise(cfg.mc)
         return run(subcommand, cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

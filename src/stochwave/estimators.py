@@ -15,11 +15,13 @@ subcommand this way), or whole Windows from run_ensemble, the
 consecutive path blocks of one path family.  Every term is a sum over
 time levels, so it is folded window by window into per-path
 accumulators, vectorized over the paths of a window; a whole Window is
-reduced through the same windows, as views of its history.  Each
-window is reduced inside a helper that returns only its per-path sums,
-so the window's temporaries are freed before the next window is
-stepped; stability reduces a window in path chunks of _CHUNK_NODES
-nodes, holding one chunk's Dx y fields at a time.  A path's sums read
+reduced through the same windows, as views of its history.  _fold is
+the one home of this block protocol: each estimator passes it a
+reducer that returns only one window's per-path sums, so the window's
+temporaries are freed before the next window is stepped.  carleman
+reduces each squared field against its factors as soon as it is made,
+and stability reduces a window in path chunks of _CHUNK_NODES nodes,
+holding one chunk's Dx y fields at a time.  A path's sums read
 only its own rows, through element-wise NumPy operations, row sums and
 einsum dot products (never BLAS, whose rounding can depend on the row
 count), and the statistics are taken once over all paths, so the
@@ -78,36 +80,54 @@ class MCStatistic:
     paths: int
 
 
-def _windows(ens, grid: Grid):
-    """The stream windows of ens, one Window or an iterable of them, in
-    order; a whole Window is split by Window.windows()."""
-    for win in (ens,) if isinstance(ens, Window) else ens:
-        if not isinstance(win, Window):
-            raise TypeError(f"expected a Window, got {type(win).__name__}")
-        if win.grid != grid:
+def _fold(ens, grid: Grid, reduce, xt: bool = True):
+    """Sum reduce(win), one window's per-path sums with the paths on
+    the last axis, over the stream windows of ens (one Window or an
+    iterable of them; a whole Window is split by Window.windows()) and
+    concatenate the path blocks in order.  Returns (sums, xts): xts
+    holds the paths' terminal XT norms, taken from each block's last
+    window, which holds levels N and N+1, or is None if xt is False."""
+    blocks, xts = [], []
+    for item in (ens,) if isinstance(ens, Window) else ens:
+        if not isinstance(item, Window):
+            raise TypeError(f"expected a Window, got {type(item).__name__}")
+        if item.grid != grid:
             raise MeshMismatchError("ensemble lives on a different grid")
-        yield from win.windows()
+        for win in item.windows():
+            if win.n0 == 0:
+                acc = 0.0  # +0.0: a block's sums are never -0.0
+            acc = acc + reduce(win)
+            if win.last:
+                blocks.append(acc)
+                if xt:
+                    yN = win.Y[:, -2]
+                    dty = (win.Y[:, -1] - yN) / grid.dt
+                    xts.append(xt_norm_values(yN, dty, grid.dx))
+    return (np.concatenate(blocks, axis=-1),
+            np.concatenate(xts) if xt else None)
 
 
-def _dx_fields(Y: np.ndarray, grid: Grid):
-    """Dx y, its boundary flux squared and (Dt Dx y)^2 at the levels
-    n = 1 .. L of a window's Y (P, L+2, M+2); the flux is Dx y at
-    x = dx/2 and Dt Dx y is taken at the dual times n - 1/2."""
-    L = Y.shape[1] - 2
+def _dx(Y: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dx y at every level of a window's Y (P, L+2, M+2)."""
     dxy = np.subtract(Y[:, :, 1:], Y[:, :, :-1])
     dxy /= grid.dx
-    fl = dxy[:, 1 : L + 1, 0]
-    dtdx2 = np.subtract(dxy[:, 1 : L + 1], dxy[:, :L])
-    dtdx2 /= grid.dt
-    dtdx2 *= dtdx2
-    return dxy[:, 1 : L + 1], fl * fl, dtdx2
+    return dxy
 
 
-def _terminal_xt(Y: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-path XT norms of the terminal pair held by a block's last
-    window: levels N and N+1 are its last two."""
-    yN = Y[:, -2]
-    return xt_norm_values(yN, (Y[:, -1] - yN) / grid.dt, grid.dx)
+def _flux2(dxy: np.ndarray) -> np.ndarray:
+    """The squared boundary flux, Dx y at x = dx/2, at the levels
+    n = 1 .. L of a window's Dx y."""
+    fl = dxy[:, 1:-1, 0]
+    return fl * fl
+
+
+def _dtdx2(dxy: np.ndarray, grid: Grid) -> np.ndarray:
+    """(Dt Dx y)^2 at the dual times n - 1/2, n = 1 .. L, of a window's
+    Dx y."""
+    d = np.subtract(dxy[:, 1:-1], dxy[:, :-2])
+    d /= grid.dt
+    d *= d
+    return d
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -257,22 +277,25 @@ def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
     )
 
 
-def _carleman_window(win: Window, stacks: dict, grid: Grid) -> dict:
-    """One window's (P, K) sums of every path term against stacks[key];
-    its squared fields are freed on return, before the next window is
-    stepped."""
-    Y, L, M = win.Y, win.levels, grid.M
+def _carleman_window(win: Window, stacks: dict, grid: Grid) -> np.ndarray:
+    """One window's (terms, K, P) sums of every path term against
+    stacks[key]; each squared field is reduced as soon as it is made,
+    so at most Dx y and one more field are held."""
+    Y, L, M, n0 = win.Y, win.levels, grid.M, win.n0
+    out = np.empty((len(_PATH_TERMS), stacks["L1"].shape[0], win.paths))
     yc = Y[:, 1 : L + 1, 1 : M + 1]
-    dty = (Y[:, 2 : L + 2, 1 : M + 1] - yc) / grid.dt  # forward Dt
-    dxy, fl2, dtdx2 = _dx_fields(Y, grid)
-    fields = {
-        "L1": yc * yc, "L2": dty * dty, "L3": dxy * dxy,
-        "R2": fl2, "R3": dtdx2,
-    }
-    return {
-        key: _weighted(fields[key], stacks[key], win.n0)
-        for key in _PATH_TERMS
-    }
+    out[0] = _weighted(yc * yc, stacks["L1"], n0).T
+    dty = np.subtract(Y[:, 2 : L + 2, 1 : M + 1], yc)  # forward Dt
+    dty /= grid.dt
+    dty *= dty
+    out[1] = _weighted(dty, stacks["L2"], n0).T
+    del dty
+    dxy = _dx(Y, grid)
+    d = dxy[:, 1 : L + 1]
+    out[2] = _weighted(d * d, stacks["L3"], n0).T
+    out[3] = _weighted(_flux2(dxy), stacks["R2"], n0).T
+    out[4] = _weighted(_dtdx2(dxy, grid), stacks["R3"], n0).T
+    return out
 
 
 def _carleman_sums(ens, stacks: dict, grid: Grid):
@@ -281,26 +304,15 @@ def _carleman_sums(ens, stacks: dict, grid: Grid):
     fields are computed once and reduced against stacks[key], the
     factors of every weight set stacked time-major as contiguous
     (K, N, ...) rows."""
-    dx, dt = grid.dx, grid.dt
-    parts, xts = [], []
-    for win in _windows(ens, grid):
-        if win.n0 == 0:
-            acc = {key: 0.0 for key in _PATH_TERMS}
-        sums = _carleman_window(win, stacks, grid)
-        for key in _PATH_TERMS:
-            acc[key] = acc[key] + sums[key]
-        if win.last:
-            parts.append(acc)
-            xts.append(_terminal_xt(win.Y, grid))
-    per = {
-        key: np.concatenate([part[key] for part in parts]).T.copy()
-        for key in _PATH_TERMS
-    }
+    sums, xts = _fold(
+        ens, grid, lambda win: _carleman_window(win, stacks, grid)
+    )
+    per = dict(zip(_PATH_TERMS, sums))
     for key in ("L1", "L2", "L3", "R3"):
-        per[key] *= dx * dt
-    per["R2"] *= dt
-    per["R3"] *= dx**2
-    return per, np.concatenate(xts)
+        per[key] *= grid.dx * grid.dt
+    per["R2"] *= grid.dt
+    per["R3"] *= grid.dx**2
+    return per, xts
 
 
 @_quiet_overflow
@@ -435,28 +447,22 @@ def _stability_window(Y: np.ndarray, grid: Grid) -> np.ndarray:
     step = max(1, _CHUNK_NODES // (Y.shape[1] * Y.shape[2]))
     out = np.empty((2, P))
     for p in range(0, P, step):
-        _, fl2, dtdx2 = _dx_fields(Y[p : p + step], grid)
-        out[0, p : p + step] = _row_sums(fl2)
-        out[1, p : p + step] = _row_sums(dtdx2)
+        dxy = _dx(Y[p : p + step], grid)
+        out[0, p : p + step] = _row_sums(_flux2(dxy))
+        out[1, p : p + step] = _row_sums(_dtdx2(dxy, grid))
     return out
 
 
 def _stability_sums(ens, grid: Grid):
     """Per-path FLUX, XT and DTDX norms of the difference system's paths
     z = yA - yB, folded window by window."""
+    (fl, dtdx), xts = _fold(
+        ens, grid, lambda win: _stability_window(win.Y, grid)
+    )
     dx, dt = grid.dx, grid.dt
-    parts, xts = [], []
-    for win in _windows(ens, grid):
-        if win.n0 == 0:
-            acc = np.zeros((2, win.paths))
-        acc += _stability_window(win.Y, grid)
-        if win.last:
-            parts.append(acc)
-            xts.append(_terminal_xt(win.Y, grid))
-    fl, dtdx = np.concatenate(parts, axis=1)
     return {
         "FLUX": np.sqrt(fl * dt),
-        "XT": np.concatenate(xts),
+        "XT": xts,
         "DTDX": dx * np.sqrt(dtdx * (dx * dt)),
     }
 
@@ -536,19 +542,16 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
     before n.  ens is one Window or an iterable of Windows.  Needs at
     least 100 paths for a meaningful error bar."""
     M = grid.M
-    parts = []
-    for win in _windows(ens, grid):
-        if win.n0 == 0:
-            acc = np.zeros(win.paths)
+
+    def reduce(win):
         n0, L = win.n0, win.levels
-        acc += np.einsum(
+        return np.einsum(
             "pnj,pn->p",
             win.Y[:, 1 : L + 1, 1 : M + 1],
             win.dB[:, n0 + 1 : n0 + L + 1],
         )
-        if win.last:
-            parts.append(acc)
-    vals = np.concatenate(parts) if parts else np.empty(0)
+
+    vals, _ = _fold(ens, grid, reduce, xt=False)
     if vals.shape[0] < 100:
         raise ValueError(
             f"martingale check needs >= 100 paths, got {vals.shape[0]}"

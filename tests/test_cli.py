@@ -346,6 +346,42 @@ def test_carleman_sweep_artifacts(tmp_path):
     assert rep0["admissible"] is True
 
 
+TERM_TABLES = [
+    ("carleman", GOOD_CARLEMAN,
+     ["L1", "L2", "L3", "L4", "L5", "L6", "L7"], ["R1", "R2", "R3", "R4"]),
+    ("stability", {
+        "grid": {"M": 4, "N": 6, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 4, "amplitude": 1.0}}},
+        "data_b": {"y1": {"sine": {"mode": 2, "amplitude": 0.5}}},
+        "coefficients": {"d": {"constant": 0.5}},
+        "mc": {"paths": 3, "master_seed": 1},
+    },
+     ["G", "Y0", "Y1"], ["FLUX", "XT", "DTDX"]),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand,raw,lhs,rhs", TERM_TABLES, ids=["carleman", "stability"]
+)
+def test_term_tables_are_the_reports_terms(tmp_path, subcommand, raw, lhs,
+                                           rhs):
+    out = tmp_path / "run"
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    obj = json.loads((out / f"{subcommand}.json").read_text())
+    lines = (out / f"{subcommand}_terms.csv").read_text().splitlines()
+    assert lines[0] == "term,value,stderr"
+    rows = [line.split(",") for line in lines[1:]]
+    # the JSON's lhs terms, then its rhs terms, in the report's order
+    assert (set(obj["lhs"]), set(obj["rhs"])) == (set(lhs), set(rhs))
+    assert [row[0] for row in rows] == lhs + rhs
+    for term, value, stderr in rows:
+        st = obj["lhs" if term in lhs else "rhs"][term]
+        assert (value, stderr) == (repr(st["mean"]), repr(st["stderr"]))
+
+
 def test_carleman_sweep_leaves_config_unchanged(tmp_path):
     raw = dict(GOOD_CARLEMAN)
     raw["sweep"] = {"parameter": "weight.s", "values": [2.0, 4.0]}
@@ -490,7 +526,7 @@ def test_master_seed_b_refused_at_parse_time(tmp_path, monkeypatch):
         parse_config(p)
     assert exc.value.pointer == "/mc/master_seed_b"
     stepped = []
-    monkeypatch.setattr(cli_mod, "run_ensemble",
+    monkeypatch.setattr(cli_mod, "stream_windows",
                         lambda *a, **k: stepped.append(a))
     res = invoke(
         ["stability", "--config", str(p), "--output-dir", str(tmp_path / "o")]
@@ -516,16 +552,32 @@ def test_master_seed_b_equal_is_accepted(tmp_path):
     assert outs["same"] == outs["plain"]
 
 
-def test_seed_override_must_keep_master_seed_b(tmp_path):
-    raw = dict(SEED_B, mc=dict(SEED_B["mc"], master_seed_b=1))
+@pytest.mark.parametrize(
+    "subcommand", ["simulate", "carleman", "stability", "martingale"]
+)
+def test_seed_override_must_keep_master_seed_b(tmp_path, monkeypatch,
+                                               subcommand):
+    # martingale needs 100 paths, carleman an admissible weight
+    base = GOOD_CARLEMAN if subcommand == "carleman" else SEED_B
+    raw = dict(base, mc={"paths": 100, "master_seed": 1, "master_seed_b": 1})
     p = write_cfg(tmp_path, raw)
-    res = invoke(["stability", "--config", str(p), "--seed", "4",
+    stream = cli_mod.stream_windows
+    stepped = []
+
+    def spy(*args):
+        stepped.append(args)
+        return stream(*args)
+
+    monkeypatch.setattr(cli_mod, "stream_windows", spy)
+    res = invoke([subcommand, "--config", str(p), "--seed", "4",
                   "--output-dir", str(tmp_path / "o")])
     assert res.exit_code == 3
     assert "/mc/master_seed_b: must equal master_seed (4), got 1" in res.stderr
-    res = invoke(["stability", "--config", str(p), "--seed", "1",
+    assert stepped == []
+    res = invoke([subcommand, "--config", str(p), "--seed", "1",
                   "--output-dir", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
+    assert len(stepped) == 1
 
 
 def test_stability_shared_forcing_cancels(tmp_path):

@@ -11,8 +11,9 @@ the estimators' temporaries; the peak is measured in-process with
 tracemalloc from the first window on.
 
 The estimators themselves may hold one window's temporaries at a time
-(one path chunk's for `stability`): what they add to the peak of
-draining the same window stream alone stays within that.
+(one path chunk's for `stability`, one squared field besides Dx y for
+`carleman`): what they add to the peak of draining the same window
+stream alone stays within that.
 """
 
 import collections
@@ -168,8 +169,8 @@ def test_carleman_holds_one_window(tmp_path):
         lambda ws: estimators.carleman_terms(ws, weights, data, grid),
         lambda: solver.stream_windows(data, coeffs, grid, paths, 5),
     )
-    # y squared, Dt y and its square over the interior, the Dx y fields
-    # and Dx y squared, and the terminal norm's rows of the last window
-    words = paths * 3 * L * M + dx_words(paths, L) + paths * L * (M + 1)
+    # each squared field is reduced as soon as it is made: at most the
+    # Dx y fields, and the terminal norm's rows of the last window
+    words = dx_words(paths, L)
     limit = 8 * (words + 4 * paths * (M + 2))
     assert excess <= limit, (excess, limit)

@@ -197,7 +197,7 @@ def test_whole_ensemble_reduces_to_the_streamed_bits(monkeypatch, tmp_path):
     got = run_cli(monkeypatch, tmp_path / "c", "carleman", STEPPED)
     w = cli._make_weight_params(cfg.weight, cfg)
     rep = estimators.carleman_terms(ens, w, data, grid)
-    assert got == cli._carleman_obj(rep)
+    assert got == cli._report_obj(rep)
 
     # the default comparison problem: zero data under the same forcing
     got = run_cli(monkeypatch, tmp_path / "s", "stability", STEPPED)
@@ -210,7 +210,7 @@ def test_whole_ensemble_reduces_to_the_streamed_bits(monkeypatch, tmp_path):
     rep = estimators.stability_terms(
         run_ensemble(diff, coeffs, grid, 101, SEED), diff, grid
     )
-    assert got == cli._stability_obj(rep)
+    assert got == cli._report_obj(rep)
 
 
 def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
