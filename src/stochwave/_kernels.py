@@ -1,9 +1,16 @@
 """Selects the time-stepping backend at import.
 
+This is the stepping kernel only: STOCHWAVE_BACKEND and backend_name
+name it alone.  The estimators' squared fields are a separate,
+element-wise computation with their own compiled loops and NumPy
+fallback (_native), chosen without any setting at the first estimator
+window.
+
 The NumPy kernel (_stepper_np) is the only backend that ships: the
 Cython kernel was removed because it encoded an older grouping of the
 update and, if built, would have disagreed with NumPy in the last bits.
-A compiled kernel must reproduce _stepper_np's weight form bit for bit.
+A compiled kernel must reproduce _stepper_np's weight form bit for bit;
+it can be built and loaded the way _native builds and loads the fields.
 
 STOCHWAVE_BACKEND=numpy (or unset) selects the NumPy kernel.  Any other
 value is refused without failing the import: backend_name is then None,

@@ -8,6 +8,7 @@ manifest.json carrying the sha256 of the raw config bytes.
 
 Exit codes, so CI can tell failure classes apart:
 
+\b
     0  success
     2  usage error (bad flags, unknown subcommand)
     3  config or experiment-setup error (JSON syntax, validation, a

@@ -18,14 +18,21 @@ accumulators, vectorized over the paths of a window; a whole Window is
 reduced through the same windows, as views of its history.  _fold is
 the one home of this block protocol: each estimator passes it a
 reducer that returns only one window's per-path sums, so the window's
-temporaries are freed before the next window is stepped.  carleman
+temporaries are freed before the next window is stepped.
+
+The squared fields y^2, (Dt y)^2, (Dx y)^2 and (Dt Dx y)^2 come from
+_native.fields(): compiled loops or the NumPy reference they equal bit
+for bit, imported and loaded at the first window, so neither importing
+the package nor a run without these estimators pays for them.  Each
+writes into one buffer per window that the reducer reuses; the squared
+boundary flux, every row sum and every einsum stay in NumPy.  carleman
 reduces each squared field against its factors as soon as it is made,
 and stability reduces a window in path chunks of _CHUNK_NODES nodes,
-holding one chunk's Dx y fields at a time.  A path's sums read
-only its own rows, through element-wise NumPy operations, row sums and
-einsum dot products (never BLAS, whose rounding can depend on the row
-count), and the statistics are taken once over all paths, so the
-results do not depend on the block or chunk size.
+holding one chunk's fields at a time.  A path's sums read only its own rows, through
+element-wise operations, row sums and einsum dot products (never BLAS,
+whose rounding can depend on the row count), and the statistics are
+taken once over all paths, so the results do not depend on the block
+or chunk size, nor on which field implementation ran.
 
 Every term must come out finite: a term that overflows raises
 FloatingPointError naming it, instead of reaching a report as inf or
@@ -105,29 +112,6 @@ def _fold(ens, grid: Grid, reduce, xt: bool = True):
                     xts.append(xt_norm_values(yN, dty, grid.dx))
     return (np.concatenate(blocks, axis=-1),
             np.concatenate(xts) if xt else None)
-
-
-def _dx(Y: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dx y at every level of a window's Y (P, L+2, M+2)."""
-    dxy = np.subtract(Y[:, :, 1:], Y[:, :, :-1])
-    dxy /= grid.dx
-    return dxy
-
-
-def _flux2(dxy: np.ndarray) -> np.ndarray:
-    """The squared boundary flux, Dx y at x = dx/2, at the levels
-    n = 1 .. L of a window's Dx y."""
-    fl = dxy[:, 1:-1, 0]
-    return fl * fl
-
-
-def _dtdx2(dxy: np.ndarray, grid: Grid) -> np.ndarray:
-    """(Dt Dx y)^2 at the dual times n - 1/2, n = 1 .. L, of a window's
-    Dx y."""
-    d = np.subtract(dxy[:, 1:-1], dxy[:, :-2])
-    d /= grid.dt
-    d *= d
-    return d
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -279,22 +263,24 @@ def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
 
 def _carleman_window(win: Window, stacks: dict, grid: Grid) -> np.ndarray:
     """One window's (terms, K, P) sums of every path term against
-    stacks[key]; each squared field is reduced as soon as it is made,
-    so at most Dx y and one more field are held."""
-    Y, L, M, n0 = win.Y, win.levels, grid.M, win.n0
-    out = np.empty((len(_PATH_TERMS), stacks["L1"].shape[0], win.paths))
-    yc = Y[:, 1 : L + 1, 1 : M + 1]
-    out[0] = _weighted(yc * yc, stacks["L1"], n0).T
-    dty = np.subtract(Y[:, 2 : L + 2, 1 : M + 1], yc)  # forward Dt
-    dty /= grid.dt
-    dty *= dty
-    out[1] = _weighted(dty, stacks["L2"], n0).T
-    del dty
-    dxy = _dx(Y, grid)
-    d = dxy[:, 1 : L + 1]
-    out[2] = _weighted(d * d, stacks["L3"], n0).T
-    out[3] = _weighted(_flux2(dxy), stacks["R2"], n0).T
-    out[4] = _weighted(_dtdx2(dxy, grid), stacks["R3"], n0).T
+    stacks[key]; each squared field is made in one reused buffer and
+    reduced as soon as it is made."""
+    from . import _native  # at the first window: importing costs setup
+
+    Y, P, L, M, n0 = win.Y, win.paths, win.levels, grid.M, win.n0
+    f, dx, dt = _native.fields(), grid.dx, grid.dt
+    out = np.empty((len(_PATH_TERMS), stacks["L1"].shape[0], P))
+    buf = np.empty(P * L * (M + 1))
+    interior, dual = buf[: P * L * M].reshape(P, L, M), buf.reshape(P, L, -1)
+    f.y2(Y, interior, dx, dt)
+    out[0] = _weighted(interior, stacks["L1"], n0).T
+    f.dty2(Y, interior, dx, dt)
+    out[1] = _weighted(interior, stacks["L2"], n0).T
+    f.dxy2(Y, dual, dx, dt)
+    out[2] = _weighted(dual, stacks["L3"], n0).T
+    out[3] = _weighted(_native.flux2(Y, dx), stacks["R2"], n0).T
+    f.dtdx2(Y, dual, dx, dt)
+    out[4] = _weighted(dual, stacks["R3"], n0).T
     return out
 
 
@@ -440,16 +426,22 @@ class StabilityReport:
 def _stability_window(Y: np.ndarray, grid: Grid) -> np.ndarray:
     """(2, P) row sums of the squared boundary flux and (Dt Dx y)^2 of
     one window's Y, reduced in path chunks of at most _CHUNK_NODES nodes
-    (at least one path): one chunk's Dx y fields are held at a time, and
-    each path's sums read only its own rows, so the chunk size does not
-    change them."""
-    P = Y.shape[0]
+    (at least one path): one chunk's fields are held at a time, in one
+    reused buffer, and each path's sums read only its own rows, so the
+    chunk size does not change them."""
+    from . import _native  # at the first window: importing costs setup
+
+    P, L, M = Y.shape[0], Y.shape[1] - 2, Y.shape[2] - 2
+    f = _native.fields()
     step = max(1, _CHUNK_NODES // (Y.shape[1] * Y.shape[2]))
+    buf = np.empty(min(step, P) * L * (M + 1))
     out = np.empty((2, P))
     for p in range(0, P, step):
-        dxy = _dx(Y[p : p + step], grid)
-        out[0, p : p + step] = _row_sums(_flux2(dxy))
-        out[1, p : p + step] = _row_sums(_dtdx2(dxy, grid))
+        y = Y[p : p + step]
+        dtdx2 = buf[: y.shape[0] * L * (M + 1)].reshape(-1, L, M + 1)
+        f.dtdx2(y, dtdx2, grid.dx, grid.dt)
+        out[0, p : p + step] = _row_sums(_native.flux2(y, grid.dx))
+        out[1, p : p + step] = _row_sums(dtdx2)
     return out
 
 

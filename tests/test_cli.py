@@ -434,6 +434,15 @@ def test_sweep_rejected_for_other_subcommands(tmp_path):
 # exit codes
 
 
+def test_help_lists_each_exit_code_on_its_own_line():
+    res = invoke(["--help"])
+    assert res.exit_code == 0
+    starts = [line.split()[0] for line in res.output.splitlines()
+              if line.strip()]
+    for code in ("0", "2", "3", "4", "5", "6"):
+        assert starts.count(code) == 1, (code, res.output)
+
+
 def test_exit_usage_missing_config():
     assert invoke(["simulate"]).exit_code == 2
 

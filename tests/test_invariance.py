@@ -2,9 +2,11 @@
 tiny configs, with constant and with space-varying preset coefficients,
 in path blocks of 1, 3 and the default size, times the stability
 estimator's path chunks of 1, 3 (which leaves a chunk of 1 of a 10-path
-window) and the default size.  Every run must give the exit code,
-stdout, stderr and SHA-256 of every artifact, manifest.json included,
-of the run in the default block and chunk.  One config blows up in a
+window) and the default size, times the estimators' squared fields from
+the loader's choice (compiled where cc exists) and from NumPy.  Every
+run must give the exit code, stdout, stderr and SHA-256 of every
+artifact, manifest.json included, of the run in the default block and
+chunk with the loader's choice.  One config blows up in a
 later block than the first, at an earlier level than the first block
 does."""
 
@@ -14,7 +16,7 @@ import shutil
 
 import pytest
 
-from stochwave import cli, estimators, solver
+from stochwave import _native, cli, estimators, solver
 from stochwave.grids import build_grid
 
 M = 3
@@ -24,6 +26,9 @@ BLOCKS = [None, 1, 3]
 # paths per chunk of a full window; None leaves estimators._CHUNK_NODES
 # at its default, one chunk for every window below
 CHUNKS = [None, 1, 3]
+# the estimators' squared fields: None leaves the loader's choice,
+# "numpy" forces the NumPy reference
+FIELDS = [None, "numpy"]
 
 COEFFICIENTS = {
     "constant": {"a": {"constant": -0.5}, "b": {"constant": 0.2},
@@ -80,10 +85,12 @@ CASES = [
 ] + [pytest.param("stability", BLOW_UP, id="stability-blow-up")]
 
 
-def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk):
+def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk, fields):
     """One in-process run of the config at tmp_path / cfg.json into
     tmp_path / out; its exit code, stdout, stderr and artifact digests."""
     with monkeypatch.context() as m:
+        if fields == "numpy":
+            m.setattr(_native, "_chosen", _native.NUMPY)
         if block is not None:
             m.setattr(solver, "_BLOCK_NODES", block * M)
             assert solver.block_paths(build_grid(M, 4, 1.0)) == block
@@ -105,10 +112,10 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk):
 def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
                                              subcommand, raw):
     (tmp_path / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
-    seen = {(block, chunk): run(monkeypatch, capsys, tmp_path, subcommand,
-                                block, chunk)
-            for block in BLOCKS for chunk in CHUNKS}
-    code, out, err, digests = seen[None, None]
+    seen = {(block, chunk, fields): run(monkeypatch, capsys, tmp_path,
+                                        subcommand, block, chunk, fields)
+            for block in BLOCKS for chunk in CHUNKS for fields in FIELDS}
+    code, out, err, digests = seen[None, None, None]
     if raw is BLOW_UP:
         assert code == 4
         assert err.endswith("time level n=293, path 3\n")
@@ -116,4 +123,4 @@ def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
         assert code in (0, 6), err
         assert "manifest.json" in digests and len(digests) > 1
     for key in seen:
-        assert seen[key] == seen[None, None], key
+        assert seen[key] == seen[None, None, None], key
