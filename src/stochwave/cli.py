@@ -14,8 +14,7 @@ Exit codes, so CI can tell failure classes apart:
     3  config or experiment-setup error (JSON syntax, validation, a
        master_seed_b that differs from master_seed, module
        preconditions, an output_dir that cannot be written, a path
-       block that does not fit in memory, an unknown
-       STOCHWAVE_BACKEND, which ends every invocation, --help too)
+       block that does not fit in memory)
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -44,10 +43,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from ._kernels import backend_error
 from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import carleman_terms, martingale_check, stability_terms
 from .fields import (
+    constant_coefficient,
     preset_coefficient,
     random_field,
     random_slice,
@@ -440,17 +439,12 @@ def _make_weight_params(w: dict, cfg: RunConfig) -> WeightParams:
 
 
 def _make_coeffs(cfg: RunConfig, grid) -> SchemeCoefficients:
-    made = {}
-    for sym, spec in cfg.coefficients.items():
-        if spec[0] == "constant":
-            made[sym] = spec[1]
-        else:
-            made[sym] = preset_coefficient(grid, spec[1])
-    consts = {k: v for k, v in made.items() if isinstance(v, float)}
-    base = SchemeCoefficients.constant(grid, **consts)
-    fields = {k: getattr(base, k) for k in ("a", "b", "c", "d")}
-    fields.update({k: v for k, v in made.items() if not isinstance(v, float)})
-    return SchemeCoefficients(**fields)
+    """Each coefficient is built, and checked for finite values, once."""
+    make = {"constant": constant_coefficient, "preset": preset_coefficient}
+    return SchemeCoefficients(**{
+        sym: make[kind](grid, arg)
+        for sym, (kind, arg) in cfg.coefficients.items()
+    })
 
 
 def _make_slice(spec, grid):
@@ -940,20 +934,7 @@ def _common_options(fn):
     return fn
 
 
-class _Group(click.Group):
-    """The command group; a refused STOCHWAVE_BACKEND (see _kernels)
-    ends every invocation with one exit-3 line before click parses the
-    command line."""
-
-    def main(self, *args, **kwargs):
-        if backend_error is not None:
-            click.echo(f"config error: {backend_error}", err=True)
-            sys.exit(EXIT_CONFIG)
-        return super().main(*args, **kwargs)
-
-
 @click.group(
-    cls=_Group,
     help=__doc__,
     context_settings={"help_option_names": ["-h", "--help"]},
 )

