@@ -14,7 +14,10 @@ Exit codes, so CI can tell failure classes apart:
     3  config or experiment-setup error (JSON syntax, validation, a
        master_seed_b that differs from master_seed, module
        preconditions, an output_dir that cannot be written, a path
-       block that does not fit in memory)
+       block that does not fit in memory); weight and sweep values
+       and the grid's dt are checked at parse, with their JSON
+       pointers, by every subcommand, and a config refused there,
+       or for its sweep or weight section, creates no files
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -46,6 +49,7 @@ import numpy as np
 from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import carleman_terms, martingale_check, stability_terms
 from .fields import (
+    COEFF_PRESETS,
     constant_coefficient,
     preset_coefficient,
     random_field,
@@ -92,25 +96,18 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # strict config parsing
+#
+# Each object section is declared once, as a table mapping each key to
+# (parser, default).  A parser takes (value, JSON pointer) and returns
+# the parsed value.  An absent key with default _REQUIRED is refused,
+# with default None is None, and with any other default is parsed as if
+# the default had been written in the config.
 
-_SWEEPABLE = (
-    "weight.s",
-    "weight.lambda",
-    "weight.beta",
-    "weight.xstar",
-    "weight.mconst",
-    "weight.epsilon",
-    "weight.dt_multiplier",
-    "weight.kappa",
-)
+_REQUIRED = object()
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
 
 
 def _need_object(node, ptr):
@@ -125,14 +122,6 @@ def _check_keys(node, allowed, ptr):
             raise ConfigError(f"{ptr}/{key}", "unknown key")
 
 
-def _get(node, key, ptr, required=True, default=None):
-    if key not in node:
-        if required:
-            raise ConfigError(f"{ptr}/{key}", "missing required key")
-        return default
-    return node[key]
-
-
 def _as_int(v, ptr, minimum=None, maximum=None):
     if not _is_int(v):
         raise ConfigError(ptr, f"expected an integer, got {reprlib.repr(v)}")
@@ -144,7 +133,7 @@ def _as_int(v, ptr, minimum=None, maximum=None):
 
 
 def _as_num(v, ptr):
-    if not _is_num(v):
+    if not (_is_int(v) or isinstance(v, float)):
         raise ConfigError(ptr, f"expected a number, got {reprlib.repr(v)}")
     # an integer literal past the float range: float() would overflow
     if abs(v) > sys.float_info.max:
@@ -164,135 +153,136 @@ def _as_str(v, ptr, choices=None):
     return v
 
 
-def _parse_grid(node, ptr):
-    node = _need_object(node, ptr)
-    _check_keys(node, {"M", "N", "T"}, ptr)
-    M = _as_int(_get(node, "M", ptr), f"{ptr}/M", 1, _MAX_COUNT)
-    N = _as_int(_get(node, "N", ptr), f"{ptr}/N", 1, _MAX_COUNT)
-    T = _as_num(_get(node, "T", ptr), f"{ptr}/T")
-    if T <= 0:
-        raise ConfigError(f"{ptr}/T", f"must be > 0, got {T}")
-    return {"M": M, "N": N, "T": T}
+def _int(minimum, maximum=None):
+    return lambda v, ptr: _as_int(v, ptr, minimum, maximum)
 
 
-def _parse_weight(node, ptr):
-    node = _need_object(node, ptr)
-    allowed = {
-        "s",
-        "lambda",
-        "beta",
-        "xstar",
-        "mconst",
-        "epsilon",
-        "dt_multiplier",
-        "kappa",
-    }
-    _check_keys(node, allowed, ptr)
-    out = {}
-    for key in ("s", "lambda", "beta", "xstar", "mconst"):
-        out[key] = _as_num(_get(node, key, ptr), f"{ptr}/{key}")
-    for key, default in (
-        ("epsilon", 0.5),
-        ("dt_multiplier", 1.0),
-        ("kappa", 0.0),
-    ):
-        v = _get(node, key, ptr, required=False, default=default)
-        out[key] = _as_num(v, f"{ptr}/{key}")
-    return out
+def _str(choices=None):
+    return lambda v, ptr: _as_str(v, ptr, choices)
 
 
-_COEFF_PRESET_NAMES = {"zero", "one", "ramp_x", "ramp_t", "sine_x"}
+_count = _int(1, _MAX_COUNT)
 
 
-def _parse_coefficients(node, ptr):
-    node = _need_object(node, ptr)
-    _check_keys(node, {"a", "b", "c", "d"}, ptr)
-    out = {}
-    for sym in ("a", "b", "c", "d"):
-        if sym not in node:
-            out[sym] = ("constant", 0.0)
-            continue
-        spec = _need_object(node[sym], f"{ptr}/{sym}")
-        _check_keys(spec, {"constant", "preset"}, f"{ptr}/{sym}")
-        if len(spec) != 1:
-            raise ConfigError(
-                f"{ptr}/{sym}", "choose exactly one of constant/preset"
-            )
-        if "constant" in spec:
-            out[sym] = (
-                "constant",
-                _as_num(spec["constant"], f"{ptr}/{sym}/constant"),
-            )
-        else:
-            name = _as_str(
-                spec["preset"], f"{ptr}/{sym}/preset", _COEFF_PRESET_NAMES
-            )
-            out[sym] = ("preset", name)
-    return out
+def _positive(v, ptr):
+    v = _as_num(v, ptr)
+    if v <= 0:
+        raise ConfigError(ptr, f"must be > 0, got {v}")
+    return v
 
 
-def _parse_data_spec(node, ptr):
-    if node == "zero":
-        return ("zero",)
-    spec = _need_object(node, ptr)
-    _check_keys(spec, {"zero", "sine", "random"}, ptr)
-    if len(spec) != 1:
-        raise ConfigError(ptr, "choose exactly one of zero/sine/random")
-    if "zero" in spec:
-        sub = _need_object(spec["zero"], f"{ptr}/zero")
-        _check_keys(sub, set(), f"{ptr}/zero")
-        return ("zero",)
-    if "sine" in spec:
-        sub = _need_object(spec["sine"], f"{ptr}/sine")
-        _check_keys(sub, {"mode", "amplitude"}, f"{ptr}/sine")
-        mode = _as_int(
-            _get(sub, "mode", f"{ptr}/sine"), f"{ptr}/sine/mode", 1, _MAX_COUNT
+def _section(table):
+    """The parser of an object whose keys are those of `table`; it
+    returns a dict with every key of the table, in the table's order."""
+
+    def parse(node, ptr):
+        node = _need_object(node, ptr)
+        _check_keys(node, table, ptr)
+        out = {}
+        for key, (parse_value, default) in table.items():
+            if key in node:
+                out[key] = parse_value(node[key], f"{ptr}/{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"{ptr}/{key}", "missing required key")
+            else:
+                out[key] = (
+                    None if default is None
+                    else parse_value(default, f"{ptr}/{key}")
+                )
+        return out
+
+    return parse
+
+
+def _one_of(kinds):
+    """The parser of an object that names exactly one of `kinds`, a
+    table of kind -> parser; it returns (kind, parsed value)."""
+
+    def parse(node, ptr):
+        node = _need_object(node, ptr)
+        _check_keys(node, kinds, ptr)
+        if len(node) != 1:
+            raise ConfigError(ptr, f"choose exactly one of {'/'.join(kinds)}")
+        ((kind, value),) = node.items()
+        return kind, kinds[kind](value, f"{ptr}/{kind}")
+
+    return parse
+
+
+# each weight key: its WeightParams field and its default; kappa has no
+# field, since it weighs the Carleman functional's terms, not the weight
+_WEIGHT = {
+    "s": ("s", _REQUIRED),
+    "lambda": ("lam", _REQUIRED),
+    "beta": ("beta", _REQUIRED),
+    "xstar": ("xstar", _REQUIRED),
+    "mconst": ("mconst", _REQUIRED),
+    "epsilon": ("epsilon", 0.5),
+    "dt_multiplier": ("dt_mult", 1.0),
+    "kappa": (None, 0.0),
+}
+_SWEEPABLE = tuple(f"weight.{key}" for key in _WEIGHT)
+
+
+def _weight_params(w: dict, T: float, ptr: str):
+    """(WeightParams, kappa) of a parsed weight section; a value out of
+    its range is refused at ptr."""
+    fields = {field: w[key] for key, (field, _) in _WEIGHT.items()}
+    kappa = fields.pop(None)
+    try:
+        return WeightParams(T=T, **fields), kappa
+    except ValueError as exc:
+        raise ConfigError(ptr, str(exc)) from None
+
+
+def _sweep_parameter(v, ptr):
+    v = _as_str(v, ptr)
+    if v not in _SWEEPABLE:
+        raise ConfigError(
+            ptr, f"not a sweepable scalar; choose one of {list(_SWEEPABLE)}"
         )
-        amp = _as_num(
-            _get(sub, "amplitude", f"{ptr}/sine"), f"{ptr}/sine/amplitude"
-        )
-        return ("sine", mode, amp)
-    sub = _need_object(spec["random"], f"{ptr}/random")
-    _check_keys(sub, {"seed", "amplitude"}, f"{ptr}/random")
-    seed = _as_int(
-        _get(sub, "seed", f"{ptr}/random"), f"{ptr}/random/seed", 0, _MAX_SEED
-    )
-    amp = _as_num(
-        _get(sub, "amplitude", f"{ptr}/random"), f"{ptr}/random/amplitude"
-    )
-    return ("random", seed, amp)
+    return v
 
 
-def _parse_data(node, ptr):
-    node = _need_object(node, ptr)
-    _check_keys(node, {"y0", "y1", "g", "f"}, ptr)
-    out = {}
-    for key in ("y0", "y1", "g", "f"):
-        if key in node:
-            out[key] = _parse_data_spec(node[key], f"{ptr}/{key}")
-        else:
-            out[key] = ("zero",)
-    return out
+def _numbers(v, ptr):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(ptr, "expected a nonempty array")
+    return [_as_num(x, f"{ptr}/{i}") for i, x in enumerate(v)]
 
 
-def _parse_mc(node, ptr):
-    node = _need_object(node, ptr)
-    _check_keys(node, {"paths", "master_seed", "master_seed_b"}, ptr)
-    paths = _as_int(
-        _get(node, "paths", ptr, required=False, default=1), f"{ptr}/paths",
-        1, _MAX_COUNT,
-    )
-    seed = _as_int(
-        _get(node, "master_seed", ptr, required=False, default=0),
-        f"{ptr}/master_seed",
-        0,
-    )
-    seed_b = node.get("master_seed_b")
-    if seed_b is not None:
-        seed_b = _as_int(seed_b, f"{ptr}/master_seed_b", 0)
-    mc = {"paths": paths, "master_seed": seed, "master_seed_b": seed_b}
-    _check_common_noise(mc)
-    return mc
+# each data kind: its keys, and its builders of an initial slice from
+# (grid, *values) and of an interior field from (grid, space_only,
+# *values).  The builders look the field functions up when called.
+_DATA_KINDS = {
+    "zero": (
+        {},
+        lambda grid: zero_field(grid, "closure", None),
+        lambda grid, space_only: zero_field(grid, "primal", "primal"),
+    ),
+    "sine": (
+        {"mode": (_count, _REQUIRED),
+         "amplitude": (_as_num, _REQUIRED)},
+        lambda grid, mode, amp: sine_slice(grid, mode, amp),
+        lambda grid, space_only, mode, amp: sine_field(grid, mode, amp),
+    ),
+    "random": (
+        {"seed": (_int(0, _MAX_SEED), _REQUIRED),
+         "amplitude": (_as_num, _REQUIRED)},
+        lambda grid, seed, amp: random_slice(grid, seed, amp),
+        lambda grid, space_only, seed, amp: random_field(
+            grid, seed, amp, space_only=space_only
+        ),
+    ),
+}
+_data_kind = _one_of(
+    {kind: _section(keys) for kind, (keys, _, _) in _DATA_KINDS.items()}
+)
+
+
+def _data_spec(node, ptr):
+    """A data spec as (kind, *values); "zero" is short for {"zero": {}}."""
+    kind, values = _data_kind({"zero": {}} if node == "zero" else node, ptr)
+    return (kind, *values.values())
 
 
 def _check_common_noise(mc):
@@ -305,65 +295,81 @@ def _check_common_noise(mc):
             f"must equal master_seed ({mc['master_seed']}), got {seed_b} "
             "(coupling error: the difference system needs common noise)",
         )
+    return mc
 
 
-def _parse_sweep(node, ptr):
-    node = _need_object(node, ptr)
-    _check_keys(node, {"parameter", "values"}, ptr)
-    param = _as_str(_get(node, "parameter", ptr), f"{ptr}/parameter")
-    if param not in _SWEEPABLE:
-        raise ConfigError(
-            f"{ptr}/parameter",
-            f"not a sweepable scalar; choose one of {list(_SWEEPABLE)}",
-        )
-    values = _get(node, "values", ptr)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{ptr}/values", "expected a nonempty array")
-    out = []
-    for i, v in enumerate(values):
-        out.append(_as_num(v, f"{ptr}/values/{i}"))
-    return {"parameter": param, "values": out}
+_MC = {
+    "paths": (_count, 1),
+    "master_seed": (_int(0), 0),
+    # null reads as absent
+    "master_seed_b": (lambda v, ptr: None if v is None else _as_int(v, ptr, 0),
+                      None),
+}
+_mc = _section(_MC)
+_data = _section({key: (_data_spec, "zero") for key in ("y0", "y1", "g", "f")})
+_coefficient = _one_of({"constant": _as_num, "preset": _str(COEFF_PRESETS)})
+
+_CONFIG = _section({
+    "grid": (
+        _section({
+            "M": (_count, _REQUIRED),
+            "N": (_count, _REQUIRED),
+            "T": (_positive, _REQUIRED),
+        }),
+        _REQUIRED,
+    ),
+    "weight": (
+        _section({key: (_as_num, dflt) for key, (_, dflt) in _WEIGHT.items()}),
+        None,
+    ),
+    "coefficients": (
+        _section({sym: (_coefficient, {"constant": 0.0}) for sym in "abcd"}),
+        {},
+    ),
+    "data": (_data, {}),
+    "data_b": (_data, None),
+    "g_mode": (_str({"space_time", "space_only"}), "space_time"),
+    "mc": (lambda v, ptr: _check_common_noise(_mc(v, ptr)), {}),
+    "sweep": (
+        _section({
+            "parameter": (_sweep_parameter, _REQUIRED),
+            "values": (_numbers, _REQUIRED),
+        }),
+        None,
+    ),
+    "output_dir": (_str(), "out"),
+})
 
 
 class RunConfig:
-    """Validated experiment configuration plus the raw-byte hash."""
+    """Validated experiment configuration plus the raw-byte hash.
+
+    Each top-level key is the attribute of its name, parsed.  grid is the
+    Grid, and weight the WeightParams of the weight section (None without
+    one); weights holds the (WeightParams, kappa) pair of each Carleman
+    evaluation: the weight section's, or one per sweep value.  The grid
+    and the weights are checked once every section has parsed, so a
+    config with a malformed section is refused at that section."""
 
     def __init__(self, raw: dict, sha256: str):
-        _check_keys(
-            raw,
-            {
-                "grid",
-                "weight",
-                "coefficients",
-                "data",
-                "data_b",
-                "g_mode",
-                "mc",
-                "sweep",
-                "output_dir",
-            },
-            "",
-        )
-        self.grid = _parse_grid(_get(raw, "grid", ""), "/grid")
-        self.weight = (
-            _parse_weight(raw["weight"], "/weight") if "weight" in raw else None
-        )
-        self.coefficients = _parse_coefficients(
-            raw.get("coefficients", {}), "/coefficients"
-        )
-        self.data = _parse_data(raw.get("data", {}), "/data")
-        self.data_b = (
-            _parse_data(raw["data_b"], "/data_b") if "data_b" in raw else None
-        )
-        self.g_mode = _as_str(
-            raw.get("g_mode", "space_time"),
-            "/g_mode",
-            {"space_time", "space_only"},
-        )
-        self.mc = _parse_mc(raw.get("mc", {}), "/mc")
-        self.sweep = _parse_sweep(raw["sweep"], "/sweep") if "sweep" in raw else None
-        self.output_dir = _as_str(raw.get("output_dir", "out"), "/output_dir")
+        vars(self).update(_CONFIG(raw, ""))
         self.sha256 = sha256
+        try:
+            self.grid = build_grid(**self.grid)
+        except ValueError as exc:
+            raise ConfigError("/grid", str(exc)) from None
+        section = self.weight
+        self.weights = []
+        if section is not None:
+            T = self.grid.T
+            self.weights = [_weight_params(section, T, "/weight")]
+            self.weight = self.weights[0][0]
+            if self.sweep is not None:
+                key = self.sweep["parameter"].split(".", 1)[1]
+                self.weights = [
+                    _weight_params({**section, key: v}, T, f"/sweep/values/{i}")
+                    for i, v in enumerate(self.sweep["values"])
+                ]
 
 
 def parse_config(path) -> RunConfig:
@@ -415,29 +421,6 @@ def _reject_non_finite(root):
 # realization of configured objects
 
 
-def _make_grid(cfg: RunConfig):
-    return build_grid(cfg.grid["M"], cfg.grid["N"], cfg.grid["T"])
-
-
-def _weight_section(cfg: RunConfig) -> dict:
-    if cfg.weight is None:
-        raise ConfigError("/weight", "this subcommand needs a weight section")
-    return cfg.weight
-
-
-def _make_weight_params(w: dict, cfg: RunConfig) -> WeightParams:
-    return WeightParams(
-        s=w["s"],
-        lam=w["lambda"],
-        beta=w["beta"],
-        xstar=w["xstar"],
-        mconst=w["mconst"],
-        T=cfg.grid["T"],
-        epsilon=w["epsilon"],
-        dt_mult=w["dt_multiplier"],
-    )
-
-
 def _make_coeffs(cfg: RunConfig, grid) -> SchemeCoefficients:
     """Each coefficient is built, and checked for finite values, once."""
     make = {"constant": constant_coefficient, "preset": preset_coefficient}
@@ -448,19 +431,11 @@ def _make_coeffs(cfg: RunConfig, grid) -> SchemeCoefficients:
 
 
 def _make_slice(spec, grid):
-    if spec[0] == "zero":
-        return zero_field(grid, "closure", None)
-    if spec[0] == "sine":
-        return sine_slice(grid, spec[1], spec[2])
-    return random_slice(grid, spec[1], spec[2])
+    return _DATA_KINDS[spec[0]][1](grid, *spec[1:])
 
 
 def _make_interior_field(spec, grid, space_only: bool):
-    if spec[0] == "zero":
-        return zero_field(grid, "primal", "primal")
-    if spec[0] == "sine":
-        return sine_field(grid, spec[1], spec[2])
-    return random_field(grid, spec[1], spec[2], space_only=space_only)
+    return _DATA_KINDS[spec[0]][2](grid, space_only, *spec[1:])
 
 
 def _make_problem(data_spec, cfg: RunConfig, grid) -> ProblemData:
@@ -635,7 +610,7 @@ def _term_rows(rep):
 
 
 def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = _make_grid(cfg)
+    grid = cfg.grid
     # field seeds reduced to 64 bits, as path_seed reduces its input
     seed = cfg.mc["master_seed"]
     u = random_field(grid, seed % 2**64, 1.0, "closure", "closure")
@@ -651,7 +626,7 @@ def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
 
 
 def _order_levels(cfg: RunConfig, count=4):
-    M, N, T = cfg.grid["M"], cfg.grid["N"], cfg.grid["T"]
+    M, N, T = cfg.grid.M, cfg.grid.N, cfg.grid.T
     levels = []
     for _ in range(count):
         levels.append(build_grid(M, N, T))
@@ -660,11 +635,10 @@ def _order_levels(cfg: RunConfig, count=4):
 
 
 def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
-    params = _make_weight_params(_weight_section(cfg), cfg)
     levels = _order_levels(cfg)
     summary, residual_rows = [], []
     for expr in EXPRESSION_IDS:
-        est = estimate_order(expr, params, levels)
+        est = estimate_order(expr, cfg.weight, levels)
         summary.append((expr, est.order, est.fit_residual))
         for dx, res in zip(est.dx, est.residuals):
             residual_rows.append((expr, dx, res))
@@ -707,7 +681,7 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     levels and increments are held from the end of the stream on: the
     observation and the CSV writer run without the problem data, and
     the writer formats _ROWS_PER_WRITE rows at a time."""
-    grid = _make_grid(cfg)
+    grid = cfg.grid
     paths, master_seed = cfg.mc["paths"], cfg.mc["master_seed"]
     head, dB = _step_path_zero(cfg, grid, out)
     traj = Trajectory(
@@ -752,21 +726,13 @@ def _hard_fail(rep) -> bool:
 
 
 def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = _make_grid(cfg)
+    grid = cfg.grid
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
-    weight = _weight_section(cfg)
-    if cfg.sweep is None:
-        weights = [weight]
-    else:
-        # one weight section per sweep value; cfg.weight stays as parsed
-        key = cfg.sweep["parameter"].split(".", 1)[1]
-        weights = [{**weight, key: v} for v in cfg.sweep["values"]]
-    params = [_make_weight_params(w, cfg) for w in weights]
+    params, kappa = zip(*cfg.weights)
     # the weights do not enter the trajectories: one ensemble serves all
     reps = carleman_terms(
-        _stream(cfg, out, data, coeffs, grid), params, data, grid,
-        kappa=[w["kappa"] for w in weights],
+        _stream(cfg, out, data, coeffs, grid), params, data, grid, kappa=kappa
     )
     if cfg.sweep is None:
         rep = reps[0]
@@ -819,7 +785,7 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
     stream holds the difference data, one window, one block's
     increments and the window's table rows; neither problem of the pair
     is resident."""
-    grid = _make_grid(cfg)
+    grid = cfg.grid
     diff, coeffs = _difference_system(cfg, grid)
     rep = stability_terms(
         _stream(cfg, out, diff, coeffs, grid), diff, grid, g_mode=cfg.g_mode
@@ -838,7 +804,7 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
 
 
 def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = _make_grid(cfg)
+    grid = cfg.grid
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     st = martingale_check(_stream(cfg, out, data, coeffs, grid), grid)
@@ -873,6 +839,8 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         raise ConfigError(
             "/sweep", "sweeps are only supported by the carleman subcommand"
         )
+    if cfg.weight is None and subcommand in ("weights-order", "carleman"):
+        raise ConfigError("/weight", "this subcommand needs a weight section")
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
     code = _SUBCOMMANDS[subcommand](cfg, out)
     out.finish()
@@ -884,11 +852,10 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
         cfg = parse_config(config_path)
         if output_dir is not None:
             cfg.output_dir = output_dir
-        if paths is not None:
-            cfg.mc["paths"] = _as_int(paths, "/mc/paths", 1, _MAX_COUNT)
-        if seed is not None:
-            cfg.mc["master_seed"] = _as_int(seed, "/mc/master_seed", 0)
-            _check_common_noise(cfg.mc)
+        for key, value in (("paths", paths), ("master_seed", seed)):
+            if value is not None:
+                cfg.mc[key] = _MC[key][0](value, f"/mc/{key}")
+        _check_common_noise(cfg.mc)
         return run(subcommand, cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

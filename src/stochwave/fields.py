@@ -129,7 +129,7 @@ def constant_coefficient(grid: Grid, value: float) -> GridFunction:
     )
 
 
-_COEFF_PRESETS = {
+COEFF_PRESETS = {
     "zero": lambda x, t: np.zeros_like(x + t),
     "one": lambda x, t: np.ones_like(x + t),
     "ramp_x": lambda x, t: x + 0.0 * t,
@@ -139,12 +139,12 @@ _COEFF_PRESETS = {
 
 
 def preset_coefficient(grid: Grid, name: str) -> GridFunction:
-    """Named coefficient field on closure x nbar; see _COEFF_PRESETS."""
+    """Named coefficient field on closure x nbar; see COEFF_PRESETS."""
     try:
-        fn = _COEFF_PRESETS[name]
+        fn = COEFF_PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown coefficient preset {name!r}; "
-            f"valid: {sorted(_COEFF_PRESETS)}"
+            f"valid: {sorted(COEFF_PRESETS)}"
         ) from None
     return GridFunction.from_callable(grid, "closure", "nbar", fn)

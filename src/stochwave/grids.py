@@ -449,8 +449,9 @@ def integrate(u: GridFunction, region: str) -> float:
 # ---------------------------------------------------------------------------
 # norms
 
-_L2_SPACE_REGION = {"primal": "M", "dual": "M*", "closure": "Mbar"}
-_L2_TIME_REGION = {"primal": "N", "dual": "N*", "nbar": "Nbar"}
+# the inverse maps: the interior region of each canonical mesh
+_L2_SPACE_REGION = {tag: part for part, tag in _SPACE_REGION_TAG.items()}
+_L2_TIME_REGION = {tag: part for part, tag in _TIME_REGION_TAG.items()}
 
 
 def _l2(u: GridFunction) -> float:

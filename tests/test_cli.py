@@ -1,6 +1,7 @@
 """Command-line front end: strict config parsing, artifact layout,
 determinism, flag overrides, and the exit-code contract."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -60,7 +61,7 @@ def invoke(args):
 
 def test_parse_minimal_defaults(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, {"grid": GRID}))
-    assert cfg.grid == {"M": 4, "N": 4, "T": 1.0}
+    assert (cfg.grid.M, cfg.grid.N, cfg.grid.T) == (4, 4, 1.0)
     assert cfg.mc == {"paths": 1, "master_seed": 0, "master_seed_b": None}
     assert cfg.output_dir == "out"
     assert cfg.g_mode == "space_time"
@@ -71,9 +72,9 @@ def test_parse_weight_defaults(tmp_path):
     cfg = parse_config(
         write_cfg(tmp_path, {"grid": GRID, "weight": dict(WEIGHT)})
     )
-    assert cfg.weight["epsilon"] == 0.5
-    assert cfg.weight["dt_multiplier"] == 1.0
-    assert cfg.weight["kappa"] == 0.0
+    assert cfg.weight.epsilon == 0.5
+    assert cfg.weight.dt_mult == 1.0
+    assert cfg.weights[0][1] == 0.0
 
 
 def test_parse_sha256_of_raw_bytes(tmp_path):
@@ -116,6 +117,22 @@ def test_parse_sha256_of_raw_bytes(tmp_path):
             ),
             "/sweep/values/1",
         ),
+        # value ranges: checked at parse, whatever the subcommand
+        (
+            lambda c: c.__setitem__("weight", dict(WEIGHT, beta=2.0)),
+            "/weight: beta",
+        ),
+        (
+            lambda c: c.update(
+                weight=dict(WEIGHT),
+                sweep={"parameter": "weight.beta", "values": [0.5, 3.0]},
+            ),
+            "/sweep/values/1: beta",
+        ),
+        (
+            lambda c: c["grid"].__setitem__("T", 5e-324),
+            "/grid: dt = T/N underflows",
+        ),
     ],
 )
 def test_parse_pointer_errors(tmp_path, mangle, pointer):
@@ -124,6 +141,33 @@ def test_parse_pointer_errors(tmp_path, mangle, pointer):
     with pytest.raises(ConfigError) as exc:
         parse_config(write_cfg(tmp_path, raw))
     assert pointer in str(exc.value)
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli_mod._SUBCOMMANDS))
+def test_weight_range_is_checked_by_every_subcommand(tmp_path, subcommand):
+    raw = {"grid": GRID, "weight": dict(WEIGHT, beta=2.0)}
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert res.stderr == (
+        "config error: /weight: beta must lie in (0,1), got 2.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "subcommand, raw",
+    [
+        ("carleman", {"grid": GRID}),
+        ("carleman", {"grid": GRID, "weight": dict(WEIGHT, beta=2.0)}),
+        ("simulate", {"grid": dict(GRID, T=5e-324)}),
+    ],
+)
+def test_refused_config_creates_no_output_dir(tmp_path, subcommand, raw):
+    out = tmp_path / "o"
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(out)])
+    assert res.exit_code == 3, res.output
+    assert not out.exists()
 
 
 def test_parse_rejects_invalid_json(tmp_path):
@@ -387,10 +431,10 @@ def test_carleman_sweep_leaves_config_unchanged(tmp_path):
     raw = dict(GOOD_CARLEMAN)
     raw["sweep"] = {"parameter": "weight.s", "values": [2.0, 4.0]}
     cfg = parse_config(write_cfg(tmp_path, raw))
-    weight = dict(cfg.weight)
+    weight = dataclasses.replace(cfg.weight)
     cfg.output_dir = str(tmp_path / "run")
     assert cli_mod.run("carleman", cfg) == 0
-    assert cfg.weight == weight and cfg.weight["s"] == 2.0
+    assert cfg.weight == weight and cfg.weight.s == 2.0
 
 
 @pytest.mark.parametrize(
@@ -648,7 +692,7 @@ def test_stability_shared_forcing_cancels(tmp_path):
 ])
 def test_default_difference_system_is_data_minus_zero_problem(tmp_path, data):
     cfg = parse_config(write_cfg(tmp_path, {"grid": GRID, "data": data}))
-    grid = cli_mod._make_grid(cfg)
+    grid = cfg.grid
     diff, _ = cli_mod._difference_system(cfg, grid)
     data_a = cli_mod._make_problem(cfg.data, cfg, grid)
     zero = ProblemData(
@@ -1062,7 +1106,7 @@ def test_simulate_csvs_match_row_formatter(tmp_path):
     assert res.exit_code == 0, res.output
     # rebuild path 0 and its observation, and format it row by row
     cfg = parse_config(p)
-    grid = cli_mod._make_grid(cfg)
+    grid = cfg.grid
     data = cli_mod._make_problem(cfg.data, cfg, grid)
     coeffs = cli_mod._make_coeffs(cfg, grid)
     ens = run_ensemble(data, coeffs, grid, 2, 9)

@@ -141,7 +141,7 @@ def test_stability_holds_one_chunk(tmp_path):
     # 128 paths in one block: four chunks of 28 paths and one of 16
     paths = 128
     cfg = config(tmp_path, "stability", paths)
-    grid = cli._make_grid(cfg)
+    grid = cfg.grid
     diff, coeffs = cli._difference_system(cfg, grid)
     L = solver._WINDOW_LEVELS
     chunk = estimators._CHUNK_NODES // ((L + 2) * (M + 2))
@@ -159,11 +159,10 @@ def test_stability_holds_one_chunk(tmp_path):
 def test_carleman_holds_one_window(tmp_path):
     paths = 64
     cfg = config(tmp_path, "carleman", paths)
-    grid = cli._make_grid(cfg)
+    grid = cfg.grid
     data = cli._make_problem(cfg.data, cfg, grid)
     coeffs = cli._make_coeffs(cfg, grid)
-    weights = [cli._make_weight_params({**cli._weight_section(cfg), "s": s},
-                                       cfg) for s in SWEEP]
+    weights = [w for w, _ in cfg.weights]
     L = solver._WINDOW_LEVELS
     excess = stream_excess(
         lambda ws: estimators.carleman_terms(ws, weights, data, grid),

@@ -181,7 +181,7 @@ def run_cli(monkeypatch, tmp_path, subcommand, raw):
 
 def library_inputs(raw):
     cfg = cli.RunConfig(raw, "")
-    grid = cli._make_grid(cfg)
+    grid = cfg.grid
     data = cli._make_problem(cfg.data, cfg, grid)
     return cfg, grid, data, cli._make_coeffs(cfg, grid)
 
@@ -195,7 +195,7 @@ def test_whole_ensemble_reduces_to_the_streamed_bits(monkeypatch, tmp_path):
     assert (got["mean"], got["stderr"]) == (st.mean, st.stderr)
 
     got = run_cli(monkeypatch, tmp_path / "c", "carleman", STEPPED)
-    w = cli._make_weight_params(cfg.weight, cfg)
+    w = cfg.weight
     rep = estimators.carleman_terms(ens, w, data, grid)
     assert got == cli._report_obj(rep)
 
