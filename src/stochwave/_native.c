@@ -1,5 +1,7 @@
-/* Squared discrete fields of one window of paths, element by element.
+/* Two kinds of loop, loaded together by _native.py and checked there,
+ * once per process, against the NumPy reference and against repr.
  *
+ * Squared discrete fields of one window of paths, element by element.
  * Y is a window (P, L+2, M+2) of float64 holding levels n0 .. n0+L+1 of
  * P paths, with element strides sp, sn and sj, so that stream windows
  * and views of a whole window both work.  out is a C-contiguous
@@ -10,9 +12,14 @@
  * _native.py in the same order: subtract, divide by dx or dt, then
  * square.  Built with -ffp-contract=off (no fused multiply-add) and
  * without -ffast-math, so every element gets the bits NumPy gives it.
- * No loop sums: every reduction stays in NumPy. */
+ * No loop sums: every reduction stays in NumPy.
+ *
+ * The shortest round-trip text of doubles, byte for byte what Python's
+ * repr writes, for the CSV artifacts: see sw_repr at the end. */
 
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 typedef ptrdiff_t idx;
 
@@ -97,4 +104,283 @@ void sw_dtdx2(const double *restrict Y, idx P, idx L, idx M, idx sp, idx sn,
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------------
+ * Shortest round-trip decimal of a double: Ryu's d2d (Adams, "Ryu: fast
+ * float-to-string conversion", PLDI 2018).  Its digits are the fewest
+ * that read back as the same double, and of those the nearest to it,
+ * which are the digits of Python's repr.
+ *
+ * pow5 holds, for i = 0 .. 325, the 125 leading bits of 5^i, and inv5,
+ * for q = 0 .. 290, floor(2^(bitlength(5^q) - 1 + 125) / 5^q) + 1: each
+ * a 128-bit value as (low, high) 64-bit words.  Those are the indices
+ * finite doubles reach.  Both tables are made by _native._pow5_tables
+ * with exact integers and owned by the caller.  Needs a compiler with
+ * unsigned __int128 and __builtin_ctzll (GCC, Clang). */
+
+#define POW5_BITS 125
+
+typedef unsigned __int128 u128;
+
+/* floor(log10(2^e)), 0 <= e <= 1650 */
+static inline uint32_t log10_pow2(int32_t e)
+{
+    return ((uint32_t)e * 78913) >> 18;
+}
+
+/* floor(log10(5^e)), 0 <= e <= 2620 */
+static inline uint32_t log10_pow5(int32_t e)
+{
+    return ((uint32_t)e * 732923) >> 20;
+}
+
+/* bitlength(5^e): ceil(log2(5^e)) for 1 <= e <= 3528, and 1 for e = 0 */
+static inline int32_t pow5_bits(int32_t e)
+{
+    return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1);
+}
+
+/* whether 5^p divides v, for v > 0 */
+static inline int divisible_pow5(uint64_t v, uint32_t p)
+{
+    uint32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* floor(m * mul / 2^j) for a 128-bit mul and j >= 64 */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    u128 lo = (u128)m * mul[0], hi = (u128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* The shortest decimal digits of the finite positive double with
+ * mantissa bits mant and biased exponent ex, as an integer *digits times
+ * 10^(return value). */
+static int32_t shortest(uint64_t mant, uint32_t ex, const uint64_t *pow5,
+                        const uint64_t *inv5, uint64_t *digits)
+{
+    /* the value is m2 * 2^e2 / 4: two more bits for the interval bounds */
+    int32_t e2;
+    uint64_t m2;
+    if (ex == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = mant;
+    } else {
+        e2 = (int32_t)ex - 1023 - 52 - 2;
+        m2 = (1ull << 52) | mant;
+    }
+    const int even = (m2 & 1) == 0;
+    /* the interval of doubles that round to this one is (mm, mp) times
+     * 2^e2, closed when m2 is even; mm is closer below a power of two */
+    const uint64_t mv = 4 * m2;
+    const uint32_t mm_shift = mant != 0 || ex <= 1;
+
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;  /* the dropped digits are all zero */
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        const int32_t j = -e2 + (int32_t)q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = inv5 + 2 * q;
+        e10 = (int32_t)q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            /* at most one of mv, mp and mm is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = divisible_pow5(mv, q);
+            else if (even)
+                vm_zeros = divisible_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= divisible_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv has at least two trailing zero bits */
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    /* drop digits while the interval still holds a shorter number */
+    int32_t removed = 0;
+    uint32_t last = 0;  /* the last digit dropped from vr */
+    uint64_t out;
+    if (vm_zeros || vr_zeros) {
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros)
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* an exact tie: round to even */
+        out = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    } else {
+        while (vp / 10 > vm / 10) {
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        out = vr + (vr == vm || last >= 5);
+    }
+    *digits = out;
+    return e10 + removed;
+}
+
+/* o[0 .. k-1] = d[0 .. k-1]: a plain loop, which beats a memcpy call
+ * for these few bytes */
+static inline void copy(char *o, const char *d, int32_t k)
+{
+    for (int32_t i = 0; i < k; i++)
+        o[i] = d[i];
+}
+
+/* the 8 decimal digits of c < 10^8, with leading zeros, as one word
+ * whose lowest byte is the first digit: 4 + 4 digits, then 2 + 2 in
+ * each half, then 1 + 1 in each quarter, each split by a multiply */
+static inline uint64_t digits8(uint32_t c)
+{
+    uint64_t x = c / 10000 | (uint64_t)(c % 10000) << 32;
+    uint64_t h = (x * 10486) >> 20 & 0x0000007F0000007Full;
+    x = h | (x - 100 * h) << 16;
+    h = (x * 103) >> 10 & 0x000F000F000F000Full;
+    return h | (x - 10 * h) << 8;
+}
+
+/* Write x as repr does and return the end of the text: nan, inf, -inf,
+ * then the shortest digits d1 .. dk with the decimal point after
+ * decpt of them, in fixed notation when -4 < decpt <= 16 (".0" after a
+ * whole number) and otherwise as d1.d2..dk e+XX, with two exponent
+ * digits at least. */
+static char *repr_one(double x, char *o, const uint64_t *pow5,
+                      const uint64_t *inv5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t mant = bits & ((1ull << 52) - 1);
+    const uint32_t ex = (uint32_t)(bits >> 52) & 0x7ff;
+    if (ex == 0x7ff && mant != 0) {
+        memcpy(o, "nan", 3);
+        return o + 3;
+    }
+    if (bits >> 63)
+        *o++ = '-';
+    if (ex == 0x7ff) {
+        memcpy(o, "inf", 3);
+        return o + 3;
+    }
+    if (ex == 0 && mant == 0) {
+        memcpy(o, "0.0", 3);
+        return o + 3;
+    }
+
+    uint64_t v;
+    const int32_t e10 = shortest(mant, ex, pow5, inv5, &v);
+    /* v < 10^17: its 24 digits with leading zeros, lead of them zeros */
+    const uint64_t w[3] = {digits8((uint32_t)(v / 10000000000000000)),
+                           digits8((uint32_t)(v / 100000000 % 100000000)),
+                           digits8((uint32_t)(v % 100000000))};
+    char buf[24];
+    int32_t lead = 0;
+    for (int i = 0; i < 3; i++) {
+        const uint64_t a = w[i] | 0x3030303030303030ull;
+        memcpy(buf + 8 * i, &a, 8);
+        if (lead == 8 * i)
+            lead += w[i] ? __builtin_ctzll(w[i]) / 8 : 8;
+    }
+    const char *d = buf + lead;
+    const int32_t k = (int32_t)(buf + sizeof buf - d);
+    const int32_t decpt = k + e10;
+
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            *o++ = '0';
+            *o++ = '.';
+            for (int32_t z = decpt; z < 0; z++)
+                *o++ = '0';
+            copy(o, d, k);
+            return o + k;
+        }
+        if (decpt < k) {
+            copy(o, d, decpt);
+            o += decpt;
+            *o++ = '.';
+            copy(o, d + decpt, k - decpt);
+            return o + (k - decpt);
+        }
+        copy(o, d, k);
+        o += k;
+        for (int32_t z = k; z < decpt; z++)
+            *o++ = '0';
+        *o++ = '.';
+        *o++ = '0';
+        return o;
+    }
+    *o++ = d[0];
+    if (k > 1) {
+        *o++ = '.';
+        copy(o, d + 1, k - 1);
+        o += k - 1;
+    }
+    *o++ = 'e';
+    int32_t e = decpt - 1;
+    *o++ = e < 0 ? '-' : '+';
+    if (e < 0)
+        e = -e;
+    if (e >= 100)
+        *o++ = (char)('0' + e / 100);
+    *o++ = (char)('0' + e / 10 % 10);
+    *o++ = (char)('0' + e % 10);
+    return o;
+}
+
+/* The repr text of x[0 .. n-1] into out, one value per line with no
+ * newline after the last, and its length in bytes.  A value takes at
+ * most 24 bytes ("-", 17 digits, ".", "e-" and 3 digits), so out holds
+ * 25 n bytes.  Nothing is allocated. */
+idx sw_repr(const double *restrict x, idx n, const uint64_t *pow5,
+            const uint64_t *inv5, char *restrict out)
+{
+    char *o = out;
+    for (idx i = 0; i < n; i++) {
+        if (i)
+            *o++ = '\n';
+        o = repr_one(x[i], o, pow5, inv5);
+    }
+    return o - out;
 }

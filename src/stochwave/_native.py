@@ -1,5 +1,6 @@
-"""Squared discrete fields of a window: the NumPy reference and the
-compiled loops of _native.c, of which fields() chooses one.
+"""The compiled loops of _native.c, loaded once, and the references
+they equal: squared discrete fields of a window, checked against NumPy,
+and the text of float64 values, checked against repr.
 
 The estimators' integrands are squared fields of a window's Y
 (P, L+2, M+2), at its levels n = 1 .. L: y^2 and (Dt y)^2 at the
@@ -12,20 +13,28 @@ NUMPY is the reference.  The compiled loops perform the same IEEE
 operations in the same order (subtract, divide by dx or dt, then
 square, with no fused multiply-add), so both give the same bits.
 
-fields() loads the compiled loops at its first call, never at import:
-it compiles _native.c once with `cc` and FLAGS into
+The CSV writer's floats are repr text.  The compiled formatter writes
+the same bytes: the shortest digits that read back as the same double
+(Ryu), laid out as repr lays them out.  Its power-of-five tables are
+made here with exact integers when the library loads.
+
+fields() and formatter() load the library at the first call of either,
+never at import: it compiles _native.c once with `cc` and FLAGS into
 ${XDG_CACHE_HOME:-$HOME/.cache}/stochwave/native-<sha256>.so, the hash
 taken over the source and the flags, opens the library with ctypes and
-checks every loop bit for bit against NUMPY on a small fixed window.
-If any step fails (no cc on PATH, a build error, no HOME or a HOME
-that is not a directory, a cache directory that cannot be written or
-is not private, a library that does not load, a parity mismatch), it returns NUMPY and sets `reason`
-to why; `reason` is None while the compiled loops are in use.
+checks every field loop bit for bit against NUMPY on a small fixed
+window, and the formatter against repr on fixed values.  If any step
+fails (no cc on PATH, a build error, no HOME or a HOME that is not a
+directory, a cache directory that cannot be written or is not private,
+a library that does not load, a parity mismatch), fields() returns
+NUMPY, formatter() returns None (the caller formats with repr) and
+`reason` says why; `reason` is None while the library is in use.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -34,10 +43,10 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
-# why the compiled loops are not in use, or None
+# why the compiled library is not in use, or None
 reason: str | None = None
-# what fields() returns; None until its first call
-_chosen: "Fields | None" = None
+# what fields() and formatter() read; None until the first call of either
+_chosen: "Native | None" = None
 
 
 class Fields(NamedTuple):
@@ -45,6 +54,15 @@ class Fields(NamedTuple):
     dty2: Callable
     dxy2: Callable
     dtdx2: Callable
+
+
+class Native(NamedTuple):
+    """The loader's choice: the four fields, and the float formatter
+    (a 1-D float64 array to the list of its values' repr text) or None
+    when the caller formats with repr."""
+
+    fields: Fields
+    formatter: Callable | None
 
 
 def _np_y2(Y, out, dx, dt):
@@ -73,6 +91,7 @@ def _np_dtdx2(Y, out, dx, dt):
 
 
 NUMPY = Fields(_np_y2, _np_dty2, _np_dxy2, _np_dtdx2)
+FALLBACK = Native(NUMPY, None)
 # columns of each field beyond the M interior ones
 _EXTRA = {"y2": 0, "dty2": 0, "dxy2": 1, "dtdx2": 1}
 
@@ -167,19 +186,49 @@ def _build(lib: Path):
             os.unlink(tmp)
 
 
-def _bind(lib) -> Fields:
-    """The four loops of the loaded library as field functions, each
+# significant bits of each power-of-five table entry (Ryu's POW5_BITS)
+_POW5_BITS = 125
+# bytes of text per value: the longest repr, "-", 17 digits, ".", "e-"
+# and 3 digits, then a newline
+_REPR_WIDTH = 25
+
+
+def _pow5_tables():
+    """The tables _native.c's formatter reads, from exact integers: the
+    125 leading bits of 5^i for i = 0 .. 325, and floor(2^(bitlength(5^q)
+    - 1 + 125) / 5^q) + 1 for q = 0 .. 290, each as (low, high) uint64
+    words."""
+
+    def leading(p):
+        shift = p.bit_length() - _POW5_BITS
+        return p >> shift if shift >= 0 else p << -shift
+
+    def words(values):
+        return np.array([(v & (1 << 64) - 1, v >> 64) for v in values],
+                        dtype=np.uint64)
+
+    pow5 = words(leading(5**i) for i in range(326))
+    inv5 = words((1 << (5**q).bit_length() - 1 + _POW5_BITS) // 5**q + 1
+                 for q in range(291))
+    return pow5, inv5
+
+
+def _bind(lib) -> Native:
+    """The loops of the loaded library as Python functions, each
     checking its arguments before it passes their pointers."""
     import ctypes
 
-    def bind(name, extra):
+    def symbol(name, argtypes, restype):
         try:
             fn = getattr(lib, name)
         except AttributeError:
             raise _Unavailable(f"the library has no {name}") from None
-        fn.argtypes = ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
-                       + [ctypes.c_double] * 2 + [ctypes.c_void_p])
-        fn.restype = None
+        fn.argtypes, fn.restype = argtypes, restype
+        return fn
+
+    def bind(name, extra):
+        fn = symbol(name, [ctypes.c_void_p] + [ctypes.c_ssize_t] * 6
+                    + [ctypes.c_double] * 2 + [ctypes.c_void_p], None)
 
         def field(Y, out, dx, dt):
             if Y.ndim != 3:
@@ -202,13 +251,49 @@ def _bind(lib) -> Fields:
 
         return field
 
-    return Fields(*(bind(f"sw_{name}", extra)
-                    for name, extra in _EXTRA.items()))
+    fields = Fields(*(bind(f"sw_{name}", extra)
+                      for name, extra in _EXTRA.items()))
+    sw_repr = symbol("sw_repr", [ctypes.c_void_p, ctypes.c_ssize_t]
+                     + [ctypes.c_void_p] * 3, ctypes.c_ssize_t)
+    pow5, inv5 = _pow5_tables()
+
+    def formatter(values):
+        if (values.dtype != np.float64 or values.ndim != 1
+                or not values.flags.c_contiguous or not values.flags.aligned):
+            raise ValueError(f"values must be a C-contiguous float64 1-D "
+                             f"array, got {values.dtype} {values.shape}")
+        if not values.size:
+            return []
+        # the caller's buffer, and the tables, live across the call
+        buf = np.empty(_REPR_WIDTH * values.size, dtype=np.uint8)
+        n = sw_repr(values.ctypes.data, values.size, pow5.ctypes.data,
+                    inv5.ctypes.data, buf.ctypes.data)
+        return str(buf.data[:n], "ascii").split("\n")
+
+    return Native(fields, formatter)
 
 
-def _parity(f: Fields):
-    """Check every loop against NUMPY on a small fixed window: a strided
-    view, with -0.0, inf and NaN among the values."""
+def _parity_floats() -> np.ndarray:
+    """Fixed values for the formatter's check: zeros, infinities, nan,
+    the subnormal, normal and finite extremes, repr's layout edges and
+    their neighbours, powers of two and seeded random bit patterns."""
+    edges = np.array([5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1,
+                      1 / 3, 1.0, 1e15, 9999999999999998.0, 1e16, 1e22,
+                      1.7976931348623157e308])
+    with np.errstate(over="ignore"):
+        up = np.nextafter(edges, np.inf)
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), up,
+                            np.ldexp(1.0, np.arange(-1074, 1024, 11))])
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, 512, dtype=np.uint64).view(np.float64)
+    return np.concatenate([[0.0, np.inf, np.nan], edges, -edges, bits,
+                           [-0.0, -np.inf]])
+
+
+def _parity(native: Native):
+    """Check every field loop against NUMPY on a small fixed window (a
+    strided view, with -0.0, inf and NaN among the values), and the
+    formatter against repr on _parity_floats."""
     base = np.sin(np.arange(3 * 6 * 7 * 2, dtype=np.float64)) * 1e3
     Y = base.reshape(3, 6, 14)[:, :, ::2]  # (P, L+2, M+2) = (3, 6, 7)
     Y[0, 2, 3], Y[1, 3, 1], Y[2, 4, 5] = -0.0, np.inf, np.nan
@@ -217,13 +302,19 @@ def _parity(f: Fields):
             want = np.empty((3, 4, 5 + extra))
             got = np.empty_like(want)
             getattr(NUMPY, name)(Y, want, 0.1, 0.03)
-            getattr(f, name)(Y, got, 0.1, 0.03)
+            getattr(native.fields, name)(Y, got, 0.1, 0.03)
             if not np.array_equal(want.view(np.int64), got.view(np.int64)):
                 raise _Unavailable(f"{name} differs from NumPy's bits on "
                                    "the parity window")
+    values = _parity_floats()
+    for text, value in zip_longest(native.formatter(values), values.tolist()):
+        if text != repr(value):
+            raise _Unavailable(f"the float formatter writes {text!r} for "
+                               f"{value!r}, where repr writes "
+                               f"{repr(value)!r}")
 
 
-def _load() -> Fields:
+def _load() -> Native:
     import ctypes
 
     lib = _library_path()
@@ -231,18 +322,30 @@ def _load() -> Fields:
         _private_dir(lib.parent)
     else:
         _build(lib)
-    f = _bind(ctypes.CDLL(str(lib)))
-    _parity(f)
-    return f
+    native = _bind(ctypes.CDLL(str(lib)))
+    _parity(native)
+    return native
 
 
-def fields() -> Fields:
-    """The compiled loops, loaded at the first call, or NUMPY with
-    `reason` set if they cannot be built, loaded or trusted."""
+def _choose() -> Native:
     global _chosen, reason
     if _chosen is None:
         try:
             _chosen, reason = _load(), None
         except (_Unavailable, OSError) as exc:
-            _chosen, reason = NUMPY, str(exc)
+            _chosen, reason = FALLBACK, str(exc)
     return _chosen
+
+
+def fields() -> Fields:
+    """The compiled field loops, loaded at the first call of fields()
+    or formatter(), or NUMPY with `reason` set if the library cannot be
+    built, loaded or trusted."""
+    return _choose().fields
+
+
+def formatter() -> Callable | None:
+    """The compiled float formatter, loaded as fields() loads its
+    loops, or None with `reason` set; the caller then formats with
+    repr."""
+    return _choose().formatter

@@ -47,7 +47,12 @@ import click
 import numpy as np
 
 from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
-from .estimators import carleman_terms, martingale_check, stability_terms
+from .estimators import (
+    MARTINGALE_MIN_PATHS,
+    carleman_terms,
+    martingale_check,
+    stability_terms,
+)
 from .fields import (
     COEFF_PRESETS,
     constant_coefficient,
@@ -479,10 +484,17 @@ def _is_numeric(col) -> bool:
 
 
 def _cell_text(cells: np.ndarray) -> list:
-    """The CSV text of the cells of an array, in C order: a float or
-    integer array is converted with one `tolist` and formatted by `repr`
-    or `str`, which is what `_fmt` gives each of its cells; an object
-    array already holds text."""
+    """The CSV text of the cells of an array, in C order: float64 cells
+    go to _native's compiled formatter, which writes what `repr` writes;
+    without it, a float or integer array is converted with one `tolist`
+    and formatted by `repr` or `str`, which is what `_fmt` gives each of
+    its cells; an object array already holds text."""
+    if cells.dtype == np.float64:
+        from . import _native  # at the first float block: importing costs setup
+
+        formatter = _native.formatter()
+        if formatter is not None:
+            return formatter(cells.ravel())
     values = cells.ravel().tolist()
     if cells.dtype.kind == "O":
         return values
@@ -626,10 +638,17 @@ def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
 
 
 def _order_levels(cfg: RunConfig, count=4):
+    """The grid and its count - 1 refinements (M -> 2M + 1, N -> 2N); a
+    refinement whose dt underflows is refused at /grid."""
     M, N, T = cfg.grid.M, cfg.grid.N, cfg.grid.T
     levels = []
     for _ in range(count):
-        levels.append(build_grid(M, N, T))
+        try:
+            levels.append(build_grid(M, N, T))
+        except ValueError as exc:
+            raise ConfigError(
+                "/grid", f"{exc} at weights-order's refined N = {N}"
+            ) from None
         M, N = 2 * M + 1, 2 * N
     return levels
 
@@ -841,6 +860,15 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         )
     if cfg.weight is None and subcommand in ("weights-order", "carleman"):
         raise ConfigError("/weight", "this subcommand needs a weight section")
+    paths = cfg.mc["paths"]
+    if subcommand == "martingale" and paths < MARTINGALE_MIN_PATHS:
+        raise ConfigError(
+            "/mc/paths",
+            f"the martingale check needs >= {MARTINGALE_MIN_PATHS} paths, "
+            f"got {paths}",
+        )
+    if subcommand == "weights-order":
+        _order_levels(cfg)  # refused here, before anything is written
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
     code = _SUBCOMMANDS[subcommand](cfg, out)
     out.finish()

@@ -524,6 +524,10 @@ def stability_terms(
 # martingale statistic
 
 
+# fewest paths whose standard error martingale_check trusts
+MARTINGALE_MIN_PATHS = 100
+
+
 @_quiet_overflow
 def martingale_check(ens, grid: Grid) -> MCStatistic:
     """Mean and standard error of the adapted Ito-type sum
@@ -544,9 +548,10 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
         )
 
     vals, _ = _fold(ens, grid, reduce, xt=False)
-    if vals.shape[0] < 100:
+    if vals.shape[0] < MARTINGALE_MIN_PATHS:
         raise ValueError(
-            f"martingale check needs >= 100 paths, got {vals.shape[0]}"
+            f"martingale check needs >= {MARTINGALE_MIN_PATHS} paths, got "
+            f"{vals.shape[0]}"
         )
     vals *= grid.dx * grid.dt
     st = _stat(vals)

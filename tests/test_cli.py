@@ -170,6 +170,33 @@ def test_refused_config_creates_no_output_dir(tmp_path, subcommand, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, raw, message",
+    [
+        ("martingale", {"grid": GRID, "mc": {"paths": 1}},
+         "config error: /mc/paths: the martingale check needs >= 100 "
+         "paths, got 1\n"),
+        ("weights-order", {"grid": {"M": 2, "N": 1, "T": 2e-323},
+                           "weight": WEIGHT},
+         "config error: /grid: dt = T/N underflows to zero for T = 2e-323 "
+         "at weights-order's refined N = 8\n"),
+    ],
+    ids=["martingale-paths", "weights-order-refined-grid"],
+)
+def test_refused_before_stepping_or_writing(tmp_path, monkeypatch,
+                                            subcommand, raw, message):
+    stepped = []
+    monkeypatch.setattr(cli_mod, "stream_windows",
+                        lambda *args: stepped.append(args))
+    out = tmp_path / "o"
+    res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
+                  "--output-dir", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stderr == message
+    assert not out.exists()
+    assert stepped == []
+
+
 def test_parse_rejects_invalid_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json", encoding="utf-8")

@@ -90,7 +90,7 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk, fields):
     tmp_path / out; its exit code, stdout, stderr and artifact digests."""
     with monkeypatch.context() as m:
         if fields == "numpy":
-            m.setattr(_native, "_chosen", _native.NUMPY)
+            m.setattr(_native, "_chosen", _native.FALLBACK)
         if block is not None:
             m.setattr(solver, "_BLOCK_NODES", block * M)
             assert solver.block_paths(build_grid(M, 4, 1.0)) == block

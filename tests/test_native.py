@@ -1,6 +1,7 @@
-"""Compiled estimator fields (stochwave._native): bit-for-bit parity of
-every loop with the NumPy reference, the fallback to NumPy and its
-reason, laziness, and the packaged source."""
+"""The compiled library (stochwave._native): bit-for-bit parity of every
+field loop with the NumPy reference, the float formatter's text against
+repr, the fallback to NumPy and repr and its reason, laziness, and the
+packaged source."""
 
 import hashlib
 import json
@@ -30,6 +31,12 @@ def compiled():
                         f"{_native.reason}")
         pytest.skip(f"compiled fields unavailable: {_native.reason}")
     return f
+
+
+@pytest.fixture(scope="module")
+def native(compiled):
+    """The loaded library: its fields and its formatter."""
+    return _native._choose()
 
 
 def bits(a):
@@ -112,10 +119,101 @@ def test_arguments_are_checked_before_pointers_pass(compiled):
 
 
 # ---------------------------------------------------------------------------
+# the float formatter against repr
+
+
+@pytest.fixture(scope="module")
+def fmt(native):
+    return native.formatter
+
+
+def assert_repr(fmt, values):
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    got = fmt(values)
+    want = list(map(repr, values.tolist()))
+    assert len(got) == len(want)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:10]
+
+
+def neighbours(x, steps=1):
+    """x and the `steps` doubles on each side of each of its values."""
+    out, down, up = [x], x, x
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+            out += [down, up]
+    return np.concatenate(out)
+
+
+def test_formatter_powers_of_two_and_their_neighbours(fmt):
+    x = neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+    assert_repr(fmt, np.concatenate([x, -x]))
+
+
+def test_formatter_subnormals_and_extremes(fmt):
+    rng = np.random.default_rng(11)
+    low = np.arange(1, 4096, dtype=np.uint64)
+    sub = np.concatenate([low, 2**52 - low,
+                          rng.integers(1, 2**52, 100_000, dtype=np.uint64)])
+    extremes = neighbours(np.array([5e-324, 2.2250738585072014e-308,
+                                    1.7976931348623157e308]))
+    extremes = extremes[np.isfinite(extremes) & (extremes > 0)]
+    x = np.concatenate([sub.view(np.float64), extremes])
+    assert_repr(fmt, np.concatenate([x, -x]))
+    assert fmt(np.array([5e-324, 1.7976931348623157e308])) == [
+        "5e-324", "1.7976931348623157e+308"]
+
+
+def test_formatter_zeros_infinities_and_nan(fmt):
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    assert fmt(x) == ["0.0", "-0.0", "inf", "-inf", "nan", "nan"]
+    assert_repr(fmt, x)
+
+
+def test_formatter_layout_edges(fmt):
+    # fixed notation for -4 < decpt <= 16, exponent notation outside
+    edges = np.array([1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0])
+    assert fmt(edges) == ["0.0001", "1e-05", "1000000000000000.0", "1e+16",
+                          "9999999999999998.0"]
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        x = np.concatenate([neighbours(edges, 3), neighbours(tens),
+                            5 * tens, 1.5 * tens, 123456789 * tens])
+    x = x[np.isfinite(x)]
+    assert_repr(fmt, np.concatenate([x, -x]))
+
+
+def test_formatter_integers(fmt):
+    x = np.arange(100_000, dtype=np.float64)
+    assert_repr(fmt, np.concatenate([x, -x]))
+
+
+def test_formatter_random_bit_patterns(fmt):
+    rng = np.random.default_rng(20_181_018)
+    assert_repr(fmt, rng.integers(0, 2**64, 1_000_000,
+                                  dtype=np.uint64).view(np.float64))
+
+
+def test_formatter_checks_its_argument(fmt):
+    assert fmt(np.empty(0)) == []
+    for bad in (np.ones(4, dtype=np.float32), np.ones((2, 2)),
+                np.ones(8)[::2]):
+        with pytest.raises(ValueError, match="values must be"):
+            fmt(bad)
+
+
+# ---------------------------------------------------------------------------
 # fallback
 
 
 CONFIGS = {
+    "simulate": {
+        "grid": {"M": 7, "N": 40, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 21, "amplitude": 0.5}}},
+        "mc": {"paths": 2, "master_seed": 9},
+    },
     "carleman": {
         "grid": {"M": 3, "N": 40, "T": 3.5},
         "weight": {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
@@ -154,15 +252,16 @@ def reload(monkeypatch, tmp_path):
     return tmp_path / "cache" / "stochwave"
 
 
-@pytest.mark.parametrize("subcommand", ["carleman", "stability"])
-def test_runs_fall_back_to_numpy_without_cc(compiled, reload, monkeypatch,
+@pytest.mark.parametrize("subcommand", ["carleman", "stability", "simulate"])
+def test_runs_fall_back_to_numpy_without_cc(native, reload, monkeypatch,
                                             tmp_path, subcommand):
     monkeypatch.setattr(_native, "_compiler", lambda: None)
     fallback = run_digests(tmp_path, subcommand)
     assert _native.fields() is _native.NUMPY
+    assert _native.formatter() is None
     assert _native.reason == "no C compiler: cc is not on PATH"
     assert not reload.exists()
-    monkeypatch.setattr(_native, "_chosen", compiled)
+    monkeypatch.setattr(_native, "_chosen", native)
     assert run_digests(tmp_path, subcommand) == fallback
 
 
@@ -180,12 +279,32 @@ def test_build_error_falls_back_with_the_compiler_message(reload,
     assert list(reload.iterdir()) == []
 
 
-def test_parity_mismatch_falls_back(compiled, reload, monkeypatch):
-    wrong = compiled._replace(dtdx2=compiled.dxy2)
-    monkeypatch.setattr(_native, "_bind", lambda lib: wrong)
+def test_parity_mismatch_falls_back(native, reload, monkeypatch):
+    wrong = native.fields._replace(dtdx2=native.fields.dxy2)
+    monkeypatch.setattr(_native, "_bind",
+                        lambda lib: native._replace(fields=wrong))
     assert _native.fields() is _native.NUMPY
+    assert _native.formatter() is None
     assert _native.reason == ("dtdx2 differs from NumPy's bits on the "
                               "parity window")
+
+
+def test_formatter_parity_mismatch_falls_back_to_repr(native, reload,
+                                                      monkeypatch, tmp_path):
+    monkeypatch.setattr(_native, "_chosen", native)
+    compiled_digests = run_digests(tmp_path, "simulate")
+    monkeypatch.setattr(_native, "_chosen", None)
+
+    def wrong(values):
+        return [t.replace("e+", "e") for t in native.formatter(values)]
+
+    monkeypatch.setattr(_native, "_bind",
+                        lambda lib: native._replace(formatter=wrong))
+    assert run_digests(tmp_path, "simulate") == compiled_digests
+    assert _native.formatter() is None
+    assert _native.fields() is _native.NUMPY
+    assert _native.reason == ("the float formatter writes '1e16' for 1e+16, "
+                              "where repr writes '1e+16'")
 
 
 def test_a_missing_home_is_not_created(reload, monkeypatch, tmp_path):
@@ -265,7 +384,8 @@ print(json.dumps(seen))
 """
 
 
-def test_loading_waits_for_the_first_estimator_window(tmp_path):
+def test_loading_waits_for_the_first_float_block_or_estimator_window(
+        tmp_path):
     cfg = dict(CONFIGS["stability"], output_dir=str(tmp_path / "out"))
     cfg["mc"] = dict(cfg["mc"], paths=100)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -278,7 +398,7 @@ def test_loading_waits_for_the_first_estimator_window(tmp_path):
     assert json.loads(out.stdout.splitlines()[-1]) == [
         ["parse_config", False, False, False],
         ["martingale", 0, False, False, False],
-        ["simulate", 0, False, False, False],
+        ["simulate", 0, True, True, has_cc],
         ["stability", 0, True, True, has_cc],
     ]
     assert (cache / "stochwave").exists() == has_cc

@@ -17,6 +17,7 @@ import pytest
 
 from stochwave import cli, solver
 from stochwave.errors import BlowUpError
+from stochwave.estimators import MARTINGALE_MIN_PATHS
 from stochwave.fields import random_field, random_slice
 from stochwave.grids import build_grid
 from stochwave.solver import (
@@ -116,8 +117,8 @@ def poisoned_kernel(monkeypatch, grid, master_seed, poison):
         ("martingale", {1: 6, 7: 3, 8: 3}, (4, 7)),
         # same level: the lower path wins
         ("martingale", {2: 3, 7: 3}, (4, 2)),
-        # only the short last block blows up
-        ("martingale", {9: 2}, (3, 9)),
+        # only the short last block (path 99 of 100) blows up
+        ("martingale", {99: 2}, (3, 99)),
         # stability steps one family, the difference system, so its
         # blow-up is that family's minimum as for any other subcommand
         ("stability", {1: 6, 7: 3}, (4, 7)),
@@ -130,7 +131,9 @@ def poisoned_kernel(monkeypatch, grid, master_seed, poison):
 )
 def test_blow_up_is_the_single_block_minimum(monkeypatch, tmp_path,
                                              subcommand, poison, expect):
-    raw = dict(RUNS[subcommand], mc={"paths": 10, "master_seed": 5})
+    # martingale refuses fewer paths before stepping any
+    paths = MARTINGALE_MIN_PATHS if subcommand == "martingale" else 10
+    raw = dict(RUNS[subcommand], mc={"paths": paths, "master_seed": 5})
     grid = build_grid(M, raw["grid"]["N"], raw["grid"]["T"])
     errors = []
     for size in (1000, 3):
