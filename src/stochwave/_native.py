@@ -276,7 +276,7 @@ def _bind(lib) -> Native:
 def _parity_floats() -> np.ndarray:
     """Fixed values for the formatter's check: zeros, infinities, nan,
     the subnormal, normal and finite extremes, repr's layout edges and
-    their neighbours, powers of two and seeded random bit patterns."""
+    their neighbours, powers of two and spread bit patterns."""
     edges = np.array([5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1,
                       1 / 3, 1.0, 1e15, 9999999999999998.0, 1e16, 1e22,
                       1.7976931348623157e308])
@@ -284,8 +284,10 @@ def _parity_floats() -> np.ndarray:
         up = np.nextafter(edges, np.inf)
     edges = np.concatenate([edges, np.nextafter(edges, 0.0), up,
                             np.ldexp(1.0, np.arange(-1074, 1024, 11))])
-    rng = np.random.default_rng(0)
-    bits = rng.integers(0, 2**64, 512, dtype=np.uint64).view(np.float64)
+    # a Weyl sequence spreads 512 bit patterns over every sign and
+    # exponent (a NumPy Generator would cost about 2 MB of RSS here)
+    weyl = np.arange(1, 513, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    bits = weyl.view(np.float64)
     return np.concatenate([[0.0, np.inf, np.nan], edges, -edges, bits,
                            [-0.0, -np.inf]])
 

@@ -17,7 +17,8 @@ Exit codes, so CI can tell failure classes apart:
        block that does not fit in memory); weight and sweep values
        and the grid's dt are checked at parse, with their JSON
        pointers, by every subcommand, and a config refused there,
-       or for its sweep or weight section, creates no files
+       or for its sweep or weight section, martingale's path count
+       or weights-order's refined grids, creates no files
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
