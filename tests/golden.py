@@ -1,14 +1,17 @@
 """Golden CLI runs: the cases of tests/golden.json and the code that
 runs them.
 
-Each case is one subcommand on one of the benchmark's workload configs
-at its tiny size (bench/workloads.py, `config(name, 0, tiny=True)`),
-run in-process through click's CliRunner.  Its record holds the exit
-code, stdout, stderr and the SHA-256 of every file written, manifest.json
-included.  Only the subcommands whose artifacts do not depend on the
-host's SIMD dispatch are covered; carleman and weights-order are not.
+Each case is one subcommand on one config, with optional extra flags,
+run in-process through click's CliRunner.  A config is either the name
+of a benchmark workload, whose tiny config it runs (bench/workloads.py,
+`config(name, 0, tiny=True)`), or an inline config.  Its record holds
+the exit code, stdout, stderr, whether output_dir exists afterwards,
+and the SHA-256 of every file written, manifest.json included.  Only
+the subcommands whose artifacts do not depend on the host's SIMD
+dispatch are run to completion; carleman and weights-order appear only
+in the refusal corpus.
 
-Regenerate the table, after a declared artifact change, with
+Regenerate the table, after a declared artifact or message change, with
 
     PYTHONPATH=src python tests/golden.py
 
@@ -33,18 +36,108 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("golden.json")
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
-# (subcommand, workload whose tiny config it runs)
-CASES = [
-    ("simulate", "simulate-fine"),
-    ("stability", "stability-fine"),
-    ("martingale", "mc-wide"),
-    ("identities", "simulate-fine"),
-    ("identities", "mc-wide"),
-]
+GRID = {"M": 4, "N": 4, "T": 1.0}
+WEIGHT = {"s": 0.7, "lambda": 0.9, "beta": 0.3, "xstar": 1.3, "mconst": 0.25}
+SMALL = {
+    "grid": {"M": 7, "N": 40, "T": 1.0},
+    "coefficients": {"a": {"constant": -0.4}, "d": {"constant": 0.6}},
+    "data": {
+        "y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+        "g": {"random": {"seed": 3, "amplitude": 0.8}},
+    },
+    "mc": {"paths": 5, "master_seed": 7},
+}
+BIG = 10**400
 
-
-def case_id(case) -> str:
-    return "{}-{}".format(*case)
+# name -> (subcommand, workload name or inline config, *extra flags)
+CASES = {
+    # whole runs
+    "simulate-simulate-fine": ("simulate", "simulate-fine"),
+    "stability-stability-fine": ("stability", "stability-fine"),
+    "martingale-mc-wide": ("martingale", "mc-wide"),
+    "identities-simulate-fine": ("identities", "simulate-fine"),
+    "identities-mc-wide": ("identities", "mc-wide"),
+    # path 0 collected over two windows of a three-path block
+    "simulate-simulate-fine-3-paths": (
+        "simulate", "simulate-fine", "--paths", "3"),
+    # blocks of 81 and 19 paths, windows of 16, 16 and 8 levels
+    "martingale-two-blocks": ("martingale", {
+        "grid": {"M": 200, "N": 40, "T": 0.1},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "coefficients": {"d": {"constant": 0.5}},
+        "mc": {"paths": 100},
+    }),
+    "stability-data-b": ("stability", {
+        **SMALL,
+        "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}},
+                   "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
+    }),
+    "stability-space-only": ("stability", {**SMALL, "g_mode": "space_only"}),
+    "simulate-presets": ("simulate", {
+        **SMALL,
+        "coefficients": {"a": {"preset": "ramp_t"},
+                         "b": {"preset": "sine_x"},
+                         "d": {"preset": "ramp_x"}},
+    }),
+    # refused at parse (tests/test_cli.py::test_parse_pointer_errors)
+    "refused-grid-M-missing": ("simulate", {"grid": {"N": 4, "T": 1.0}}),
+    "refused-grid-M-string": ("simulate", {"grid": {**GRID, "M": "four"}}),
+    "refused-grid-M-bool": ("simulate", {"grid": {**GRID, "M": True}}),
+    "refused-grid-M-zero": ("simulate", {"grid": {**GRID, "M": 0}}),
+    "refused-grid-unknown-key": ("simulate", {"grid": {**GRID, "bogus": 1}}),
+    "refused-unknown-section": ("simulate", {"grid": GRID, "bogus": 1}),
+    "refused-mc-paths-zero": ("simulate", {"grid": GRID, "mc": {"paths": 0}}),
+    "refused-g-mode": ("simulate", {"grid": GRID, "g_mode": "diagonal"}),
+    "refused-sweep-parameter": ("carleman", {
+        "grid": GRID, "weight": WEIGHT,
+        "sweep": {"parameter": "grid.M", "values": [1]}}),
+    "refused-sine-mode-zero": ("simulate", {
+        "grid": GRID, "data": {"y0": {"sine": {"mode": 0}}}}),
+    "refused-nan-amplitude": ("simulate", {
+        "grid": GRID,
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": float("nan")}}}}),
+    "refused-sweep-value-infinite": ("carleman", {
+        "grid": GRID, "weight": WEIGHT,
+        "sweep": {"parameter": "weight.s", "values": [1.0, float("-inf")]}}),
+    "refused-weight-beta": ("carleman", {
+        "grid": GRID, "weight": {**WEIGHT, "beta": 2.0}}),
+    "refused-sweep-beta": ("carleman", {
+        "grid": GRID, "weight": WEIGHT,
+        "sweep": {"parameter": "weight.beta", "values": [0.5, 3.0]}}),
+    "refused-dt-underflow": ("simulate", {"grid": {**GRID, "T": 5e-324}}),
+    # integers past their range (tests/test_cli.py::test_out_of_range_integers)
+    "refused-big-M": ("identities", {"grid": {**GRID, "M": BIG}}),
+    "refused-big-N": ("simulate", {"grid": {**GRID, "N": BIG}}),
+    "refused-big-paths": ("identities", {"grid": GRID,
+                                         "mc": {"paths": 2**63}}),
+    "refused-big-sine-mode": ("simulate", {
+        "grid": GRID,
+        "data": {"y0": {"sine": {"mode": 2**63, "amplitude": 1.0}}}}),
+    "refused-big-data-b-seed": ("stability", {
+        "grid": GRID,
+        "data_b": {"y1": {"random": {"seed": 2**64, "amplitude": 1.0}}}}),
+    "identities-largest-master-seed": ("identities", {
+        "grid": GRID, "mc": {"master_seed": 2**64 - 1}}),
+    "refused-big-T": ("simulate", {"grid": {**GRID, "T": BIG}}),
+    "refused-big-weight-s": ("carleman", {
+        "grid": GRID, "weight": {**WEIGHT, "s": BIG}}),
+    "refused-big-sweep-value": ("carleman", {
+        "grid": GRID, "weight": WEIGHT,
+        "sweep": {"parameter": "weight.s", "values": [BIG]}}),
+    "refused-big-coefficient": ("simulate", {
+        "grid": GRID, "coefficients": {"a": {"constant": -BIG}}}),
+    # refused after parse, before output_dir is made
+    "refused-martingale-paths": ("martingale", {"grid": GRID,
+                                                "mc": {"paths": 1}}),
+    "refused-weights-order-refined-grid": ("weights-order", {
+        "grid": {"M": 2, "N": 1, "T": 2e-323}, "weight": WEIGHT}),
+    "refused-identities-mesh": ("identities", {
+        "grid": {"M": 1, "N": 4, "T": 1.0}}),
+    "refused-weights-order-coarse-mesh": ("weights-order", {
+        "grid": {"M": 3, "N": 4, "T": 1.0},
+        "weight": {"s": 10.0, "lambda": 0.5, "beta": 0.5, "xstar": 1.5,
+                   "mconst": 1.0}}),
+}
 
 
 def _workloads() -> ModuleType:
@@ -55,16 +148,17 @@ def _workloads() -> ModuleType:
     return mod
 
 
-def run_case(case, workdir: Path) -> dict:
-    """Run one case with its config and output under workdir."""
-    subcommand, workload = case
+def run_case(name: str, workdir: Path) -> dict:
+    """Run case `name` with its config and output under workdir."""
+    subcommand, config, *flags = CASES[name]
+    if isinstance(config, str):
+        config = _workloads().config(config, 0, tiny=True)
     cfg = workdir / "config.json"
-    config = _workloads().config(workload, 0, tiny=True)
     cfg.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     out = workdir / "out"
     res = CliRunner().invoke(main, [subcommand, "--config", str(cfg),
-                                    "--output-dir", str(out)])
+                                    "--output-dir", str(out), *flags])
     if res.exception is not None and not isinstance(res.exception,
                                                     SystemExit):
         raise res.exception
@@ -73,6 +167,7 @@ def run_case(case, workdir: Path) -> dict:
         "exit_code": res.exit_code,
         "stdout": res.stdout,
         "stderr": res.stderr,
+        "output_dir": out.exists(),
         "sha256": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in files},
     }
@@ -80,9 +175,9 @@ def run_case(case, workdir: Path) -> dict:
 
 def generate() -> dict:
     runs = {}
-    for case in CASES:
+    for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            runs[case_id(case)] = run_case(case, Path(tmp))
+            runs[name] = run_case(name, Path(tmp))
     return {"numpy": np.__version__, "runs": runs}
 
 
