@@ -17,8 +17,9 @@ Exit codes, so CI can tell failure classes apart:
        block that does not fit in memory); weight and sweep values
        and the grid's dt are checked at parse, with their JSON
        pointers, by every subcommand, and a config refused there,
-       or for its sweep or weight section, martingale's path count
-       or weights-order's refined grids, creates no files
+       or for its sweep or weight section, martingale's path count,
+       weights-order's refined grids or s on its coarsest grid, or
+       the identity suite's mesh, creates no files
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit)
     5  admissibility hard-fail (the weight geometry is wrong for the
@@ -65,7 +66,7 @@ from .fields import (
     zero_field,
 )
 from .grids import GridFunction, build_grid
-from .identities import identity_residuals
+from .identities import check_mesh, identity_residuals
 from .solver import (
     BrownianPath,
     ProblemData,
@@ -76,7 +77,13 @@ from .solver import (
     stream_windows,
 )
 from .solver import run_ensemble  # noqa: F401  (bound for bench/tracer.py)
-from .weights import EXPRESSION_IDS, WeightParams, check_admissible, estimate_order
+from .weights import (
+    EXPRESSION_IDS,
+    WeightParams,
+    check_admissible,
+    check_coarsest_level,
+    estimate_order,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -684,6 +691,7 @@ def _step_path_zero(cfg: RunConfig, grid, out: ArtifactWriter):
     # the kept copy first: the data made after it, and freed before the
     # writer runs, then leave the top of the heap free for the writer
     head = np.empty((grid.N + 2, grid.M + 2))
+    dB = np.empty(grid.N + 1)
     data = _make_problem(cfg.data, cfg, grid)
     coeffs = _make_coeffs(cfg, grid)
     block = -1
@@ -691,8 +699,7 @@ def _step_path_zero(cfg: RunConfig, grid, out: ArtifactWriter):
         block += win.n0 == 0
         if block == 0:
             head[win.n0 : win.n0 + win.levels + 2] = win.Y[0]
-            if win.last:
-                dB = win.dB[0].copy()
+            dB[win.n0 : win.n0 + win.levels + 1] = win.dB[0]
     return head, dB
 
 
@@ -850,6 +857,15 @@ _SUBCOMMANDS = {
 }
 
 
+def _refuse_at(pointer: str, check, *args):
+    """check(*args), its ValueError refused as a ConfigError at
+    pointer."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from None
+
+
 def run(subcommand: str, cfg: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit code and writes
     the artifact files plus manifest.json under cfg.output_dir."""
@@ -868,8 +884,12 @@ def run(subcommand: str, cfg: RunConfig) -> int:
             f"the martingale check needs >= {MARTINGALE_MIN_PATHS} paths, "
             f"got {paths}",
         )
+    # refused here, before anything is written
     if subcommand == "weights-order":
-        _order_levels(cfg)  # refused here, before anything is written
+        coarsest = _order_levels(cfg)[0]
+        _refuse_at("/weight", check_coarsest_level, cfg.weight, coarsest)
+    if subcommand == "identities":
+        _refuse_at("/grid", check_mesh, cfg.grid)
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
     code = _SUBCOMMANDS[subcommand](cfg, out)
     out.finish()

@@ -540,11 +540,8 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
     M = grid.M
 
     def reduce(win):
-        n0, L = win.n0, win.levels
         return np.einsum(
-            "pnj,pn->p",
-            win.Y[:, 1 : L + 1, 1 : M + 1],
-            win.dB[:, n0 + 1 : n0 + L + 1],
+            "pnj,pn->p", win.Y[:, 1:-1, 1 : M + 1], win.dB[:, 1:]
         )
 
     vals, _ = _fold(ens, grid, reduce, xt=False)

@@ -23,7 +23,7 @@ points carry weight 1, the first and last carry 1/2, and the matching
 boundary contribution averages the boundary value with its interior
 neighbour.  With those weights the identity is again exact; it needs at
 least two dual time levels, which the M >= 2, N >= 2 entry check
-guarantees.
+(check_mesh) guarantees.
 
 Space identities are evaluated pointwise in time and vice versa, so a
 residual is the max over the passive axis.  Each residual is normalized by
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, integrate, intersect
+from .grids import Grid, GridFunction, integrate, intersect
 from .operators import (
     avg_t,
     avg_x,
@@ -115,6 +115,14 @@ def _time_integrals(u: GridFunction, region: str) -> np.ndarray:
     ])
 
 
+def check_mesh(grid: Grid):
+    """Refuse, with ValueError, a mesh too small for the suite."""
+    if grid.M < 2 or grid.N < 2:
+        raise ValueError(
+            f"identity suite needs M >= 2 and N >= 2, got M={grid.M}, N={grid.N}"
+        )
+
+
 def identity_residuals(u: GridFunction, v: GridFunction) -> ResidualTable:
     """Evaluate the full identity table for two space-time functions.
 
@@ -127,10 +135,7 @@ def identity_residuals(u: GridFunction, v: GridFunction) -> ResidualTable:
     if u.grid != v.grid:
         raise ValueError("u and v must live on the same grid")
     grid = u.grid
-    if grid.M < 2 or grid.N < 2:
-        raise ValueError(
-            f"identity suite needs M >= 2 and N >= 2, got M={grid.M}, N={grid.N}"
-        )
+    check_mesh(grid)
     dx, dt = grid.dx, grid.dt
     N = grid.N
     table = ResidualTable()

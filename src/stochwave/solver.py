@@ -20,8 +20,10 @@ c-term in closed form, and a zero denominator anywhere is rejected up
 front as SingularUpdateError.  The stepping kernel (_stepper_np) folds
 the constants into per-node weights and evaluates each level as a
 weighted sum, equal to the update above up to rounding, which
-scheme_residual checks.  solve, run_ensemble and stream_windows all step
-through one loop, _step_blocks, in windows of _WINDOW_LEVELS levels.
+scheme_residual checks.  It is the only kernel that ships, bound here
+as step_paths and named by backend_name, and no setting selects it.
+solve, run_ensemble and stream_windows all step through one loop,
+_step_blocks, in windows of _WINDOW_LEVELS levels.
 A family of paths is held as a Window of levels: stream_windows yields
 them one _WINDOW_LEVELS span at a time, and run_ensemble returns one
 whole Window that holds every level 0 .. N+1.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import step_paths
+from ._stepper_np import step_paths
 from .errors import (
     BlowUpError,
     IncompleteTrajectoryError,
@@ -52,6 +54,9 @@ from .errors import (
 )
 from .grids import Grid, GridFunction, trace
 from .operators import diff_x
+
+# the kernel step_paths calls, by name
+backend_name = "numpy"
 
 # splitmix64 mixing constants; part of the reproducibility interface
 SEED_GAMMA = 0x9E3779B97F4A7C15
@@ -297,14 +302,15 @@ class Window:
     """Time levels n0 .. n0+L+1 of one block of paths.
 
     Y (P, L+2, M+2) holds them, Y[p, i] being path p at level n0 + i,
-    and dB (P, N+1) is the block's whole increment array.  A window
+    and dB (P, L+1) their own increments, dB[p, i] spanning
+    [t^{n0+i}, t^{n0+i+1}].  A window
     serves the reductions of levels n = n0+1 .. n0+L, each of which
     reads its neighbours n-1 and n+1; the windows of a block start at
     n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
     (n0 + L = N) also holds the terminal pair N, N+1.  A whole window
     (n0 = 0, L = N) holds every level, as run_ensemble returns it; its
     boundary columns are checked to be exactly zero, and estimators
-    reduce it through windows(), as views of its Y."""
+    reduce it through windows(), as views of its Y and dB."""
 
     grid: Grid
     Y: np.ndarray
@@ -326,9 +332,9 @@ class Window:
                 f"levels n0 .. n0+L = {self.n0} .. {self.n0 + L} must lie "
                 f"in 0 .. N = {N}"
             )
-        if dB.shape != (P, N + 1):
+        if dB.shape != (P, L + 1):
             raise ValueError(
-                f"dB must have shape ({P}, {N + 1}), got {dB.shape}"
+                f"dB must have shape ({P}, {L + 1}), got {dB.shape}"
             )
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "dB", dB)
@@ -356,12 +362,13 @@ class Window:
 
     def windows(self):
         """The windows of stream_windows over a whole window, as views of
-        Y, so that it is reduced exactly as a stream is; any other
-        window is its own one window."""
+        Y and dB, so that it is reduced exactly as a stream is; any
+        other window is its own one window."""
         if not self.whole:
             return (self,)
         return (
-            Window(self.grid, self.Y[:, n0 : n0 + L + 2], self.dB, n0)
+            Window(self.grid, self.Y[:, n0 : n0 + L + 2],
+                   self.dB[:, n0 : n0 + L + 1], n0)
             for n0, L in _window_spans(self.grid.N)
         )
 
@@ -523,16 +530,17 @@ def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
             # a blow-up already found can replace it
             if blown is not None and n0 + 2 >= blown.n:
                 break
+            inc = dB[:, n0 : n0 + L + 1]
             hit, bn, bp, bj = step_paths(
-                Y[:, : L + 2], *_table_rows(data, coeffs, grid, n0, L),
-                dB[:, n0 : n0 + L + 1], grid.dt, grid.dx,
+                Y[:, : L + 2], *_table_rows(data, coeffs, grid, n0, L), inc,
+                grid.dt, grid.dx,
             )
             if hit:
                 if blown is None or n0 + bn < blown.n:
                     blown = BlowUpError(j=bj, n=n0 + bn, path=first + bp)
                 break
             if blown is None:
-                yield Window(grid, Y[:, : L + 2], dB, n0)
+                yield Window(grid, Y[:, : L + 2], inc, n0)
             Y[:, :2] = Y[:, L : L + 2]
     if blown is not None:
         raise blown

@@ -373,6 +373,17 @@ def _expr_residual(expr: str, params: WeightParams, grid: Grid, x, t) -> float:
     return float(np.max(np.abs(np.asarray(approx) - np.asarray(exact))))
 
 
+def check_coarsest_level(params: WeightParams, grid: Grid):
+    """Refuse, with ValueError, an estimate_order coarsest level on
+    which max(s*dx, s*dt) exceeds 1."""
+    sdx, sdt = params.s * grid.dx, params.s * grid.dt
+    if max(sdx, sdt) > 1.0:
+        raise ValueError(
+            "coarsest level violates max(s*dx, s*dt) <= 1: "
+            f"s*dx={sdx}, s*dt={sdt}"
+        )
+
+
 def estimate_order(expr: str, params: WeightParams, levels) -> OrderEstimate:
     """Fit the refinement order of one stencil-vs-closed-form residual.
 
@@ -405,11 +416,7 @@ def estimate_order(expr: str, params: WeightParams, levels) -> OrderEstimate:
                 f"(N={b.N}, T={b.T})"
             )
     coarse = levels[0]
-    if max(params.s * coarse.dx, params.s * coarse.dt) > 1.0:
-        raise ValueError(
-            "coarsest level violates max(s*dx, s*dt) <= 1: "
-            f"s*dx={params.s * coarse.dx}, s*dt={params.s * coarse.dt}"
-        )
+    check_coarsest_level(params, coarse)
 
     x = coarse.space_primal[:, None]
     t = coarse.time_primal[None, :]

@@ -9,7 +9,7 @@ from types import ModuleType
 
 import pytest
 
-from stochwave import _kernels, cli, estimators, fields, grids, solver
+from stochwave import _stepper_np, cli, estimators, fields, grids, solver
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 MODULES = {
@@ -79,7 +79,7 @@ def test_traced_sweep_simulates_once(tracing, tmp_path):
     assert m["estimators.carleman_terms.busy_s"] > 0.0
     assert m["cli.write.bytes"] > 0
     # uninstall restored every wrapped name
-    assert solver.step_paths is _kernels.step_paths
+    assert solver.step_paths is _stepper_np.step_paths
     assert cli.run_ensemble is solver.run_ensemble
 
 

@@ -180,8 +180,17 @@ def test_refused_config_creates_no_output_dir(tmp_path, subcommand, raw):
                            "weight": WEIGHT},
          "config error: /grid: dt = T/N underflows to zero for T = 2e-323 "
          "at weights-order's refined N = 8\n"),
+        ("weights-order", {"grid": {"M": 3, "N": 4, "T": 1.0},
+                           "weight": {"s": 10.0, "lambda": 0.5, "beta": 0.5,
+                                      "xstar": 1.5, "mconst": 1.0}},
+         "config error: /weight: coarsest level violates "
+         "max(s*dx, s*dt) <= 1: s*dx=2.5, s*dt=2.5\n"),
+        ("identities", {"grid": {"M": 1, "N": 4, "T": 1.0}},
+         "config error: /grid: identity suite needs M >= 2 and N >= 2, "
+         "got M=1, N=4\n"),
     ],
-    ids=["martingale-paths", "weights-order-refined-grid"],
+    ids=["martingale-paths", "weights-order-refined-grid",
+         "weights-order-coarsest-grid", "identities-mesh"],
 )
 def test_refused_before_stepping_or_writing(tmp_path, monkeypatch,
                                             subcommand, raw, message):

@@ -51,7 +51,7 @@ def run_python(backend, *args, cwd=None):
 
 def test_default_backend_is_numpy():
     assert stochwave.backend_name == "numpy"
-    assert stochwave._kernels.step_paths is _stepper_np.step_paths
+    assert stochwave.solver.step_paths is _stepper_np.step_paths
 
 
 def test_backend_env_selection(tmp_path):

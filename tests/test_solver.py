@@ -338,11 +338,14 @@ def test_ensemble_validation():
     # a window of some levels is in range at n0 = 0 and n0 = 1, and its
     # boundary is not scanned: only a whole window is
     for n0 in (0, 1):
-        part = Window(grid, pinned[:, 1:], good["dB"], n0)
+        part = Window(grid, pinned[:, 1:], good["dB"][:, :2], n0)
         assert part.levels == 1 and not part.whole
         assert part.last == (n0 == 1)
         wins = tuple(part.windows())
         assert len(wins) == 1 and wins[0] is part
+    # a part window holds its own increments, not the block's N+1
+    with pytest.raises(ValueError, match="dB"):
+        Window(grid, pinned[:, 1:], good["dB"], 0)
 
 
 def test_observe_flux_and_terminal():

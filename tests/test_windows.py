@@ -140,7 +140,8 @@ def assert_stream_equals(monkeypatch, data, coeffs, grid, ens):
         block += win.n0 == 0
         rows = slice(2 * block, 2 * block + win.paths)
         got[rows, win.n0 : win.n0 + win.levels + 2] = win.Y
-        assert win.dB.tobytes() == ens.dB[rows].tobytes()
+        assert (win.dB.tobytes()
+                == ens.dB[rows, win.n0 : win.n0 + win.levels + 1].tobytes())
     assert got.tobytes() == ens.Y.tobytes()
 
 
@@ -292,17 +293,20 @@ def test_history_budget_is_the_history_on_top_of_one_window(monkeypatch,
 def test_every_kernel_call_steps_one_window(monkeypatch):
     N = 2 * L + 5
     grid, data, coeffs, _ = family(N)
-    step, shapes = solver.step_paths, []
+    step, shapes, received = solver.step_paths, [], []
 
     def spy(Y, *args):
         shapes.append((Y.shape, [t.shape for t in args[:6]], args[6].shape))
+        received.append(args[6])
         return step(Y, *args)
 
     monkeypatch.setattr(solver, "step_paths", spy)
     solve(data, coeffs, solver.sample_brownian(N, grid.dt, 1), grid)
     run_ensemble(data, coeffs, grid, P, SEED)
-    for _ in stream_windows(data, coeffs, grid, P, SEED):
-        pass
+    for win in stream_windows(data, coeffs, grid, P, SEED):
+        # a window carries the increments its kernel call stepped with
+        assert win.dB.shape == received[-1].shape
+        assert win.dB.tobytes() == received[-1].tobytes()
     assert len(shapes) == 3 * len(solver._window_spans(N))
     for (paths, levels, width), tables, increments in shapes:
         assert levels <= L + 2 and width == M + 2
