@@ -77,13 +77,7 @@ from .solver import (
     stream_windows,
 )
 from .solver import run_ensemble  # noqa: F401  (bound for bench/tracer.py)
-from .weights import (
-    EXPRESSION_IDS,
-    WeightParams,
-    check_admissible,
-    check_coarsest_level,
-    estimate_order,
-)
+from .weights import EXPRESSION_IDS, WeightParams, check_coarsest_level, estimate_order
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,6 +111,14 @@ class ConfigError(Exception):
 # the default had been written in the config.
 
 _REQUIRED = object()
+
+
+def _at(ptr: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a ValueError from it refused at ptr."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(ptr, str(exc)) from None
 
 
 def _is_int(v) -> bool:
@@ -242,10 +244,7 @@ def _weight_params(w: dict, T: float, ptr: str):
     its range is refused at ptr."""
     fields = {field: w[key] for key, (field, _) in _WEIGHT.items()}
     kappa = fields.pop(None)
-    try:
-        return WeightParams(T=T, **fields), kappa
-    except ValueError as exc:
-        raise ConfigError(ptr, str(exc)) from None
+    return _at(ptr, WeightParams, T=T, **fields), kappa
 
 
 def _sweep_parameter(v, ptr):
@@ -367,10 +366,7 @@ class RunConfig:
     def __init__(self, raw: dict, sha256: str):
         vars(self).update(_CONFIG(raw, ""))
         self.sha256 = sha256
-        try:
-            self.grid = build_grid(**self.grid)
-        except ValueError as exc:
-            raise ConfigError("/grid", str(exc)) from None
+        self.grid = _at("/grid", build_grid, **self.grid)
         section = self.weight
         self.weights = []
         if section is not None:
@@ -857,15 +853,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _refuse_at(pointer: str, check, *args):
-    """check(*args), its ValueError refused as a ConfigError at
-    pointer."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from None
-
-
 def run(subcommand: str, cfg: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit code and writes
     the artifact files plus manifest.json under cfg.output_dir."""
@@ -886,10 +873,9 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         )
     # refused here, before anything is written
     if subcommand == "weights-order":
-        coarsest = _order_levels(cfg)[0]
-        _refuse_at("/weight", check_coarsest_level, cfg.weight, coarsest)
+        _at("/weight", check_coarsest_level, cfg.weight, _order_levels(cfg)[0])
     if subcommand == "identities":
-        _refuse_at("/grid", check_mesh, cfg.grid)
+        _at("/grid", check_mesh, cfg.grid)
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
     code = _SUBCOMMANDS[subcommand](cfg, out)
     out.finish()

@@ -23,7 +23,7 @@ points carry weight 1, the first and last carry 1/2, and the matching
 boundary contribution averages the boundary value with its interior
 neighbour.  With those weights the identity is again exact; it needs at
 least two dual time levels, which the M >= 2, N >= 2 entry check
-(check_mesh) guarantees.
+guarantees.
 
 Space identities are evaluated pointwise in time and vice versa, so a
 residual is the max over the passive axis.  Each residual is normalized by
@@ -118,9 +118,8 @@ def _time_integrals(u: GridFunction, region: str) -> np.ndarray:
 def check_mesh(grid: Grid):
     """Refuse, with ValueError, a mesh too small for the suite."""
     if grid.M < 2 or grid.N < 2:
-        raise ValueError(
-            f"identity suite needs M >= 2 and N >= 2, got M={grid.M}, N={grid.N}"
-        )
+        raise ValueError("identity suite needs M >= 2 and N >= 2, got "
+                         f"M={grid.M}, N={grid.N}")
 
 
 def identity_residuals(u: GridFunction, v: GridFunction) -> ResidualTable:

@@ -20,10 +20,8 @@ c-term in closed form, and a zero denominator anywhere is rejected up
 front as SingularUpdateError.  The stepping kernel (_stepper_np) folds
 the constants into per-node weights and evaluates each level as a
 weighted sum, equal to the update above up to rounding, which
-scheme_residual checks.  It is the only kernel that ships, bound here
-as step_paths and named by backend_name, and no setting selects it.
-solve, run_ensemble and stream_windows all step through one loop,
-_step_blocks, in windows of _WINDOW_LEVELS levels.
+scheme_residual checks.  solve, run_ensemble and stream_windows all step
+through one loop, _step_blocks, in windows of _WINDOW_LEVELS levels.
 A family of paths is held as a Window of levels: stream_windows yields
 them one _WINDOW_LEVELS span at a time, and run_ensemble returns one
 whole Window that holds every level 0 .. N+1.
@@ -55,7 +53,7 @@ from .errors import (
 from .grids import Grid, GridFunction, trace
 from .operators import diff_x
 
-# the kernel step_paths calls, by name
+# the name of step_paths, the one kernel; no setting selects another
 backend_name = "numpy"
 
 # splitmix64 mixing constants; part of the reproducibility interface
@@ -302,8 +300,7 @@ class Window:
     """Time levels n0 .. n0+L+1 of one block of paths.
 
     Y (P, L+2, M+2) holds them, Y[p, i] being path p at level n0 + i,
-    and dB (P, L+1) their own increments, dB[p, i] spanning
-    [t^{n0+i}, t^{n0+i+1}].  A window
+    and dB (P, L+1) their own increments dB[n0 .. n0+L].  A window
     serves the reductions of levels n = n0+1 .. n0+L, each of which
     reads its neighbours n-1 and n+1; the windows of a block start at
     n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
@@ -333,9 +330,7 @@ class Window:
                 f"in 0 .. N = {N}"
             )
         if dB.shape != (P, L + 1):
-            raise ValueError(
-                f"dB must have shape ({P}, {L + 1}), got {dB.shape}"
-            )
+            raise ValueError(f"dB must have shape {(P, L + 1)}, got {dB.shape}")
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "dB", dB)
         if self.whole and (np.any(Y[:, :, 0] != 0.0)

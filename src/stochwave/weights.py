@@ -374,14 +374,11 @@ def _expr_residual(expr: str, params: WeightParams, grid: Grid, x, t) -> float:
 
 
 def check_coarsest_level(params: WeightParams, grid: Grid):
-    """Refuse, with ValueError, an estimate_order coarsest level on
-    which max(s*dx, s*dt) exceeds 1."""
+    """Refuse, with ValueError, a coarsest level with max(s*dx, s*dt) > 1."""
     sdx, sdt = params.s * grid.dx, params.s * grid.dt
     if max(sdx, sdt) > 1.0:
-        raise ValueError(
-            "coarsest level violates max(s*dx, s*dt) <= 1: "
-            f"s*dx={sdx}, s*dt={sdt}"
-        )
+        raise ValueError("coarsest level violates max(s*dx, s*dt) <= 1: "
+                         f"s*dx={sdx}, s*dt={sdt}")
 
 
 def estimate_order(expr: str, params: WeightParams, levels) -> OrderEstimate:
