@@ -300,7 +300,7 @@ class Window:
     """Time levels n0 .. n0+L+1 of one block of paths.
 
     Y (P, L+2, M+2) holds them, Y[p, i] being path p at level n0 + i,
-    and dB (P, L+1) their own increments dB[n0 .. n0+L].  A window
+    and dB (P, L+1) holds their own increments dB[n0 .. n0+L].  A window
     serves the reductions of levels n = n0+1 .. n0+L, each of which
     reads its neighbours n-1 and n+1; the windows of a block start at
     n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
