@@ -1,5 +1,6 @@
 /* Two kinds of loop, loaded together by _native.py and checked there,
- * once per process, against the NumPy reference and against repr.
+ * once per process, against the NumPy reference and against the rows
+ * that Python's repr and str assemble.
  *
  * Squared discrete fields of one window of paths, element by element.
  * Y is a window (P, L+2, M+2) of float64 holding levels n0 .. n0+L+1 of
@@ -14,8 +15,8 @@
  * without -ffast-math, so every element gets the bits NumPy gives it.
  * No loop sums: every reduction stays in NumPy.
  *
- * The shortest round-trip text of doubles, byte for byte what Python's
- * repr writes, for the CSV artifacts: see sw_repr at the end. */
+ * The CSV artifacts' rows, with doubles in the shortest round-trip text,
+ * byte for byte what Python's repr writes: see sw_rows at the end. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -264,9 +265,9 @@ static int32_t shortest(uint64_t mant, uint32_t ex, const uint64_t *pow5,
 
 /* o[0 .. k-1] = d[0 .. k-1]: a plain loop, which beats a memcpy call
  * for these few bytes */
-static inline void copy(char *o, const char *d, int32_t k)
+static inline void copy(char *o, const char *d, idx k)
 {
-    for (int32_t i = 0; i < k; i++)
+    for (idx i = 0; i < k; i++)
         o[i] = d[i];
 }
 
@@ -369,18 +370,64 @@ static char *repr_one(double x, char *o, const uint64_t *pow5,
     return o;
 }
 
-/* The repr text of x[0 .. n-1] into out, one value per line with no
- * newline after the last, and its length in bytes.  A value takes at
- * most 24 bytes ("-", 17 digits, ".", "e-" and 3 digits), so out holds
- * 25 n bytes.  Nothing is allocated. */
-idx sw_repr(const double *restrict x, idx n, const uint64_t *pow5,
-            const uint64_t *inv5, char *restrict out)
+/* ------------------------------------------------------------------------
+ * CSV rows.  A table's rows run in C order over shape[0 .. ndim-1], and
+ * sw_rows writes its rows start .. start+count-1 into out, each as its
+ * ncols cells joined by ',' and ended by '\n', and returns the bytes
+ * written.  Nothing is allocated.
+ *
+ * The row at multi-index i reads, in column c, the cell at position
+ * p = base[c] + sum_k i[k] * stride[c * ndim + k]; a broadcast axis has
+ * stride 0.  A float column (ntext[c] < 0) writes the repr text of
+ * ((const double *)cells[c])[p].  A text column writes the bytes
+ * text[c][off[p] .. off[p+1]), off = (const int64_t *)cells[c], of its
+ * ntext[c] cells rendered once; a position outside 0 .. ntext[c]-1
+ * stops the block and returns -1.
+ *
+ * A float cell takes at most 24 bytes ("-", 17 digits, ".", "e-" and 3
+ * digits), so out holds count times the sum of 24 per float column, the
+ * longest cell of each text column, and one byte per column.  ndim is
+ * at most SW_MAXDIMS, NumPy's limit. */
+
+#define SW_MAXDIMS 64
+
+idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
+            const void *const *cells, const char *const *text,
+            const idx *ntext, const idx *base, const idx *stride,
+            const uint64_t *pow5, const uint64_t *inv5, char *restrict out)
 {
+    idx at[SW_MAXDIMS];
+    if (count <= 0)
+        return 0;
+    if (ndim > SW_MAXDIMS)
+        return -1;
+    for (idx k = ndim - 1, r = start; k >= 0; k--) {
+        at[k] = r % shape[k];
+        r /= shape[k];
+    }
     char *o = out;
-    for (idx i = 0; i < n; i++) {
-        if (i)
-            *o++ = '\n';
-        o = repr_one(x[i], o, pow5, inv5);
+    for (idx row = 0; row < count; row++) {
+        for (idx c = 0; c < ncols; c++) {
+            const idx *s = stride + c * ndim;
+            idx p = base[c];
+            for (idx k = 0; k < ndim; k++)
+                p += at[k] * s[k];
+            if (c)
+                *o++ = ',';
+            if (ntext[c] < 0) {
+                o = repr_one(((const double *)cells[c])[p], o, pow5, inv5);
+            } else {
+                const int64_t *off = cells[c];
+                if (p < 0 || p >= ntext[c])
+                    return -1;
+                copy(o, text[c] + off[p], off[p + 1] - off[p]);
+                o += off[p + 1] - off[p];
+            }
+        }
+        *o++ = '\n';
+        /* the next multi-index, in C order */
+        for (idx k = ndim - 1; k >= 0 && ++at[k] == shape[k]; k--)
+            at[k] = 0;
     }
     return o - out;
 }

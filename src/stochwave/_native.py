@@ -1,6 +1,7 @@
 """The compiled loops of _native.c, loaded once, and the references
 they equal: squared discrete fields of a window, checked against NumPy,
-and the text of float64 values, checked against repr.
+and the rows of CSV tables, checked against rows assembled in Python
+with repr and str.
 
 The estimators' integrands are squared fields of a window's Y
 (P, L+2, M+2), at its levels n = 1 .. L: y^2 and (Dt y)^2 at the
@@ -13,28 +14,40 @@ NUMPY is the reference.  The compiled loops perform the same IEEE
 operations in the same order (subtract, divide by dx or dt, then
 square, with no fused multiply-add), so both give the same bits.
 
-The CSV writer's floats are repr text.  The compiled formatter writes
-the same bytes: the shortest digits that read back as the same double
-(Ryu), laid out as repr lays them out.  Its power-of-five tables are
-made here with exact integers when the library loads.
+A CSV table is given column by column; table() prepares it and writes
+its rows one block at a time.  The columns broadcast against each
+other, and the rows run over the broadcast shape in C order.  A float64
+column with a cell for every row is formatted as repr formats it, by
+the compiled writer: the shortest digits that read back as the same
+double (Ryu), laid out as repr lays them out, with power-of-five tables
+made here with exact integers when the library loads.  Every other
+column becomes text: a column that broadcasts, and every sequence
+column, is rendered once, as its cells' UTF-8 bytes and their offsets,
+and each row picks its cell through the column's strides (0 on a
+broadcast axis); another numeric column with a cell for every row is
+rendered one block at a time with repr or str.  The compiled writer
+assembles each block's rows, commas and newlines into one buffer;
+python_rows, the reference, assembles the same bytes with str.join.
 
-fields() and formatter() load the library at the first call of either,
+fields() and table() load the library at the first call of either,
 never at import: it compiles _native.c once with `cc` and FLAGS into
 ${XDG_CACHE_HOME:-$HOME/.cache}/stochwave/native-<sha256>.so, the hash
 taken over the source and the flags, opens the library with ctypes and
 checks every field loop bit for bit against NUMPY on a small fixed
-window, and the formatter against repr on fixed values.  If any step
-fails (no cc on PATH, a build error, no HOME or a HOME that is not a
-directory, a cache directory that cannot be written or is not private,
-a library that does not load, a parity mismatch), fields() returns
-NUMPY, formatter() returns None (the caller formats with repr) and
-`reason` says why; `reason` is None while the library is in use.
+window, and the row writer against repr on fixed values and against
+python_rows on a fixed table with text columns.  If any step fails (no
+cc on PATH, a build error, no HOME or a HOME that is not a directory, a
+cache directory that cannot be written or is not private, a library
+that does not load, a parity mismatch), FALLBACK is chosen: fields()
+returns NUMPY, table() writes through python_rows, and `reason` says
+why; `reason` is None while the library is in use.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -45,7 +58,7 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 # why the compiled library is not in use, or None
 reason: str | None = None
-# what fields() and formatter() read; None until the first call of either
+# what fields() and table() read; None until the first call of either
 _chosen: "Native | None" = None
 
 
@@ -57,12 +70,12 @@ class Fields(NamedTuple):
 
 
 class Native(NamedTuple):
-    """The loader's choice: the four fields, and the float formatter
-    (a 1-D float64 array to the list of its values' repr text) or None
-    when the caller formats with repr."""
+    """The loader's choice: the four fields, and the row writer, a
+    function of a table's shape and prepared columns that returns
+    block(start, count), the UTF-8 bytes of those rows."""
 
     fields: Fields
-    formatter: Callable | None
+    rows: Callable
 
 
 def _np_y2(Y, out, dx, dt):
@@ -91,7 +104,6 @@ def _np_dtdx2(Y, out, dx, dt):
 
 
 NUMPY = Fields(_np_y2, _np_dty2, _np_dxy2, _np_dtdx2)
-FALLBACK = Native(NUMPY, None)
 # columns of each field beyond the M interior ones
 _EXTRA = {"y2": 0, "dty2": 0, "dxy2": 1, "dtdx2": 1}
 
@@ -103,6 +115,101 @@ def flux2(Y: np.ndarray, dx: float) -> np.ndarray:
     fl /= dx
     fl *= fl
     return fl
+
+
+class Text(NamedTuple):
+    """A column of text cells, each rendered once, as the row writers
+    read it: the row at multi-index i of the table reads the cell at
+    position base + sum(i * strides), whose UTF-8 bytes are
+    blob[offsets[k] : offsets[k+1]], at most width of them."""
+
+    cells: np.ndarray
+    strides: tuple
+    base: int
+    blob: np.ndarray
+    offsets: np.ndarray
+    width: int
+
+
+def _text(cells, strides, base=0) -> Text:
+    enc = [c.encode() for c in cells]
+    offsets = np.fromiter(accumulate(map(len, enc), initial=0), np.int64,
+                          len(enc) + 1)
+    cells = np.array(cells, dtype=object)
+    return Text(cells, tuple(strides), base,
+                np.frombuffer(b"".join(enc), np.uint8), offsets,
+                max(map(len, enc), default=0))
+
+
+def _strides(col_shape, ndim) -> tuple:
+    """The strides, in cells, of a C-ordered column of col_shape
+    broadcast to ndim axes: 0 on every axis it does not span."""
+    out, step = [], 1
+    for n in reversed(col_shape):
+        out.append(step if n > 1 else 0)
+        step *= n
+    return (0,) * (ndim - len(col_shape)) + tuple(reversed(out))
+
+
+def _numeric_cells(col, start, count) -> list:
+    """The text of the cells start .. start+count-1 of a numeric column
+    of the table's shape: repr of a float, str of an integer."""
+    fmt = repr if col.dtype.kind == "f" else str
+    return list(map(fmt, col.flat[start : start + count].tolist()))
+
+
+def python_rows(shape, columns):
+    """The reference row writer: block(start, count) assembles rows
+    start .. start+count-1 from repr and str in Python."""
+
+    def block(start, count):
+        at = np.unravel_index(np.arange(start, start + count), shape)
+        cells = [
+            c.cells[c.base + sum(i * s for i, s in zip(at, c.strides))]
+            .tolist() if isinstance(c, Text)
+            else _numeric_cells(c, start, count)
+            for c in columns
+        ]
+        rows = "\n".join(map(",".join, zip(*cells)))
+        return (rows + "\n").encode() if count else b""
+
+    return block
+
+
+FALLBACK = Native(NUMPY, python_rows)
+
+
+def _prepare(write, columns):
+    """Prepare a table for the row writer `write` (see table)."""
+    shapes = [c.shape if isinstance(c, np.ndarray) else (len(c),)
+              for c in columns]
+    shape = np.broadcast_shapes((1,), *shapes)
+    count = math.prod(shape)
+    cols = []
+    for col, col_shape in zip(columns, shapes):
+        if isinstance(col, np.ndarray):
+            if col.size == count:
+                cols.append(np.broadcast_to(col, shape))
+                continue
+            # a broadcast column: each value is formatted once
+            flat = col.reshape(-1)
+            col = str(write(flat.shape, [flat])(0, flat.size),
+                      "utf-8").split("\n")[:-1]
+        cols.append(_text(col, _strides(col_shape, len(shape))))
+    return count, write(shape, cols)
+
+
+def table(columns):
+    """One CSV table, given column by column: each column is a float or
+    integer NumPy array, or a sequence of cell text.  The columns
+    broadcast against each other and the rows run over the broadcast
+    shape in C order, so a (J, 1) column beside a (K,) column repeats
+    each of its J values K times while formatting each once.  Returns
+    the row count and block(start, count), the UTF-8 bytes of rows
+    start .. start+count-1, each ended by a newline; only one block's
+    text is held at a time.  Loads the library as fields() does, and
+    writes through python_rows, with the same bytes, without it."""
+    return _prepare(_choose().rows, columns)
 
 
 class _Unavailable(Exception):
@@ -188,9 +295,9 @@ def _build(lib: Path):
 
 # significant bits of each power-of-five table entry (Ryu's POW5_BITS)
 _POW5_BITS = 125
-# bytes of text per value: the longest repr, "-", 17 digits, ".", "e-"
-# and 3 digits, then a newline
-_REPR_WIDTH = 25
+# bytes of the longest repr of a double: "-", 17 digits, ".", "e-" and
+# 3 digits
+_REPR_WIDTH = 24
 
 
 def _pow5_tables():
@@ -253,24 +360,65 @@ def _bind(lib) -> Native:
 
     fields = Fields(*(bind(f"sw_{name}", extra)
                       for name, extra in _EXTRA.items()))
-    sw_repr = symbol("sw_repr", [ctypes.c_void_p, ctypes.c_ssize_t]
-                     + [ctypes.c_void_p] * 3, ctypes.c_ssize_t)
-    pow5, inv5 = _pow5_tables()
+    sw_rows = symbol("sw_rows", [ctypes.c_ssize_t] * 3
+                     + [ctypes.c_void_p, ctypes.c_ssize_t]
+                     + [ctypes.c_void_p] * 8, ctypes.c_ssize_t)
+    # pointers that keep their arrays alive, as every pointer held
+    # across calls below does
+    tables = [t.ctypes.data_as(ctypes.c_void_p) for t in _pow5_tables()]
 
-    def formatter(values):
-        if (values.dtype != np.float64 or values.ndim != 1
-                or not values.flags.c_contiguous or not values.flags.aligned):
-            raise ValueError(f"values must be a C-contiguous float64 1-D "
-                             f"array, got {values.dtype} {values.shape}")
-        if not values.size:
-            return []
-        # the caller's buffer, and the tables, live across the call
-        buf = np.empty(_REPR_WIDTH * values.size, dtype=np.uint8)
-        n = sw_repr(values.ctypes.data, values.size, pow5.ctypes.data,
-                    inv5.ctypes.data, buf.ctypes.data)
-        return str(buf.data[:n], "ascii").split("\n")
+    def rows(shape, columns):
+        ncols, ndim, total = len(columns), len(shape), math.prod(shape)
+        dims = np.array(shape, dtype=np.intp)
+        cells = np.zeros(ncols, dtype=np.uintp)
+        text = np.zeros(ncols, dtype=np.uintp)
+        ntext = np.full(ncols, -1, dtype=np.intp)
+        base = np.zeros(ncols, dtype=np.intp)
+        stride = np.zeros((ncols, ndim), dtype=np.intp)
 
-    return Native(fields, formatter)
+        def put(c, col: Text):
+            cells[c], text[c] = col.offsets.ctypes.data, col.blob.ctypes.data
+            ntext[c], base[c], stride[c] = len(col.cells), col.base, col.strides
+            return col.width
+
+        # bytes per row: a comma or the newline per column, and the cells
+        width, per_block = ncols, []
+        for c, col in enumerate(columns):
+            if isinstance(col, Text):
+                width += put(c, col)
+            elif col.shape != tuple(shape):
+                raise ValueError(f"a numeric column must have the table's "
+                                 f"shape {tuple(shape)}, got {col.shape}")
+            elif col.dtype == np.float64 and col.flags.aligned:
+                cells[c] = col.ctypes.data
+                stride[c] = [s // 8 for s in col.strides]
+                width += _REPR_WIDTH
+            else:
+                per_block.append(c)
+        order = _strides(shape, ndim)
+        held = [a.ctypes.data_as(ctypes.c_void_p)
+                for a in (cells, text, ntext, base, stride)]
+        args = (ndim, dims.ctypes.data_as(ctypes.c_void_p), ncols, *held,
+                *tables)
+
+        def block(start, count):
+            if not 0 <= start <= start + count <= total:
+                raise ValueError(f"rows {start} .. {start + count - 1} are "
+                                 f"not rows of a table of {total}")
+            # this block's text of the other numeric columns
+            texts = [_text(_numeric_cells(columns[c], start, count), order,
+                           -start) for c in per_block]
+            size = width + sum(put(c, t) for c, t in zip(per_block, texts))
+            out = np.empty(count * size, dtype=np.uint8)
+            n = sw_rows(start, count, *args, out.ctypes.data)
+            if n < 0:
+                raise ValueError("a text cell's position lies outside its "
+                                 "column")
+            return out.data[:n]
+
+        return block
+
+    return Native(fields, rows)
 
 
 def _parity_floats() -> np.ndarray:
@@ -292,10 +440,21 @@ def _parity_floats() -> np.ndarray:
                            [-0.0, -np.inf]])
 
 
+def _parity_columns() -> list:
+    """A fixed 3 x 4 table for the row writer's check: a (3, 1) float
+    column and a (4,) column of non-ASCII text, each rendered once, a
+    float64 column read through a reversed transposed view, and an
+    int64 column rendered per block."""
+    values = (np.arange(12.0).reshape(4, 3).T / 7.0)[::-1]
+    return [np.array([[-0.0], [1e-5], [np.nan]]), ["é", "", "a b", "→ ∞"],
+            values, np.arange(-6, 6, dtype=np.int64).reshape(3, 4)]
+
+
 def _parity(native: Native):
     """Check every field loop against NUMPY on a small fixed window (a
-    strided view, with -0.0, inf and NaN among the values), and the
-    formatter against repr on _parity_floats."""
+    strided view, with -0.0, inf and NaN among the values), the row
+    writer's float text against repr on _parity_floats, and its rows
+    against python_rows on _parity_columns, in two blocks."""
     base = np.sin(np.arange(3 * 6 * 7 * 2, dtype=np.float64)) * 1e3
     Y = base.reshape(3, 6, 14)[:, :, ::2]  # (P, L+2, M+2) = (3, 6, 7)
     Y[0, 2, 3], Y[1, 3, 1], Y[2, 4, 5] = -0.0, np.inf, np.nan
@@ -309,11 +468,19 @@ def _parity(native: Native):
                 raise _Unavailable(f"{name} differs from NumPy's bits on "
                                    "the parity window")
     values = _parity_floats()
-    for text, value in zip_longest(native.formatter(values), values.tolist()):
-        if text != repr(value):
-            raise _Unavailable(f"the float formatter writes {text!r} for "
+    text = str(native.rows(values.shape, [values])(0, values.size), "ascii")
+    for got, value in zip_longest(text.split("\n")[:-1], values.tolist()):
+        if got != repr(value):
+            raise _Unavailable(f"the row writer writes {got!r} for "
                                f"{value!r}, where repr writes "
                                f"{repr(value)!r}")
+    count, compiled = _prepare(native.rows, _parity_columns())
+    _, reference = _prepare(python_rows, _parity_columns())
+    for start, n in ((0, 5), (5, count - 5)):
+        if bytes(compiled(start, n)) != reference(start, n):
+            raise _Unavailable(f"the row writer's rows {start} .. "
+                               f"{start + n - 1} of the parity table "
+                               "differ from python_rows'")
 
 
 def _load() -> Native:
@@ -341,13 +508,6 @@ def _choose() -> Native:
 
 def fields() -> Fields:
     """The compiled field loops, loaded at the first call of fields()
-    or formatter(), or NUMPY with `reason` set if the library cannot be
+    or table(), or NUMPY with `reason` set if the library cannot be
     built, loaded or trusted."""
     return _choose().fields
-
-
-def formatter() -> Callable | None:
-    """The compiled float formatter, loaded as fields() loads its
-    loops, or None with `reason` set; the caller then formats with
-    repr."""
-    return _choose().formatter

@@ -21,7 +21,9 @@ Exit codes, so CI can tell failure classes apart:
        weights-order's refined grids or s on its coarsest grid, or
        the identity suite's mesh, creates no files
     4  numeric failure (solution blow-up, singular update, weight
-       overflow, degenerate order fit)
+       overflow, degenerate order fit); carleman's weights and
+       weights-order's weights and fits are evaluated before anything
+       is written, so a failure there creates no files
     5  admissibility hard-fail (the weight geometry is wrong for the
        domain: phi changes sign or the time horizon is too short)
     6  statistical test failure (identity residual above 1e-10, or the
@@ -52,6 +54,7 @@ from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import (
     MARTINGALE_MIN_PATHS,
     carleman_terms,
+    carleman_weights,
     martingale_check,
     stability_terms,
 )
@@ -473,36 +476,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _column_text(col) -> np.ndarray:
-    """The CSV text of every cell of one column, as an object array of
-    the column's shape.  A float or integer array is formatted by
-    `_cell_text`; any other column goes through `_fmt` cell by cell."""
-    if _is_numeric(col):
-        return np.array(_cell_text(col), dtype=object).reshape(col.shape)
-    cells = [_fmt(v) for v in col]
-    return np.array(cells, dtype=object).reshape(len(cells))
-
-
 def _is_numeric(col) -> bool:
     return isinstance(col, np.ndarray) and col.dtype.kind in "fiu"
-
-
-def _cell_text(cells: np.ndarray) -> list:
-    """The CSV text of the cells of an array, in C order: float64 cells
-    go to _native's compiled formatter, which writes what `repr` writes;
-    without it, a float or integer array is converted with one `tolist`
-    and formatted by `repr` or `str`, which is what `_fmt` gives each of
-    its cells; an object array already holds text."""
-    if cells.dtype == np.float64:
-        from . import _native  # at the first float block: importing costs setup
-
-        formatter = _native.formatter()
-        if formatter is not None:
-            return formatter(cells.ravel())
-    values = cells.ravel().tolist()
-    if cells.dtype.kind == "O":
-        return values
-    return list(map(repr if cells.dtype.kind == "f" else str, values))
 
 
 def _columns(rows, width):
@@ -510,7 +485,7 @@ def _columns(rows, width):
     return list(zip(*rows)) if rows else [()] * width
 
 
-# rows formatted, joined and handed to the file per write
+# rows assembled and handed to the file per write
 _ROWS_PER_WRITE = 1 << 11
 
 
@@ -526,29 +501,22 @@ class ArtifactWriter:
 
     def csv(self, name: str, header, columns):
         """Write one table, given column by column: each entry of
-        `columns` is a NumPy array or a sequence of cells.  The columns
-        broadcast against each other and the rows run over the broadcast
-        shape in C order, so a (J, 1) column beside a (K,) column repeats
-        each of its J values K times while formatting each once.
+        `columns` is a float or integer NumPy array, or a sequence of
+        cells, which `_fmt` formats.  The columns broadcast against each
+        other and the rows run over the broadcast shape in C order, so a
+        (J, 1) column beside a (K,) column repeats each of its J values
+        K times while formatting each once (see _native.table).  The
+        rows are written _ROWS_PER_WRITE at a time, so the text held at
+        once is one block's whatever the table's length."""
+        from . import _native  # at the first table: importing costs setup
 
-        A numeric column with a cell for every row is formatted one
-        block of _ROWS_PER_WRITE rows at a time, so the text held at
-        once is one block's whatever the table's length; a sequence
-        column, or one that broadcasts (fewer cells than rows), is
-        formatted whole, once per cell."""
-        cols = [c if _is_numeric(c) else _column_text(c) for c in columns]
-        shape = np.broadcast_shapes(*(c.shape for c in cols))
-        count = math.prod(shape)
-        cols = [
-            _column_text(c) if _is_numeric(c) and c.size < count else c
-            for c in cols
-        ]
-        flats = [np.broadcast_to(c, shape).flat for c in cols]
-        with open(self.dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        count, block = _native.table(
+            [c if _is_numeric(c) else [_fmt(v) for v in c] for c in columns]
+        )
+        with open(self.dir / name, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for i in range(0, count, _ROWS_PER_WRITE):
-                block = [_cell_text(f[i : i + _ROWS_PER_WRITE]) for f in flats]
-                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+                fh.write(block(i, min(_ROWS_PER_WRITE, count - i)))
         self.entries.append({"name": name, "rows": count})
 
     def json(self, name: str, obj):
@@ -657,11 +625,20 @@ def _order_levels(cfg: RunConfig, count=4):
     return levels
 
 
-def _run_weights_order(cfg: RunConfig, out: ArtifactWriter) -> int:
+def _order_estimates(cfg: RunConfig):
+    """weights-order's fits, one per expression, made before anything
+    is written: a refined grid whose dt underflows is refused at /grid,
+    a coarsest grid with max(s*dx, s*dt) > 1 at /weight, and a weight
+    that overflows or a fit without a slope is a numeric failure."""
     levels = _order_levels(cfg)
+    _at("/weight", check_coarsest_level, cfg.weight, levels[0])
+    return [estimate_order(expr, cfg.weight, levels)
+            for expr in EXPRESSION_IDS]
+
+
+def _run_weights_order(cfg: RunConfig, out: ArtifactWriter, estimates) -> int:
     summary, residual_rows = [], []
-    for expr in EXPRESSION_IDS:
-        est = estimate_order(expr, cfg.weight, levels)
+    for expr, est in zip(EXPRESSION_IDS, estimates):
         summary.append((expr, est.order, est.fit_residual))
         for dx, res in zip(est.dx, est.residuals):
             residual_rows.append((expr, dx, res))
@@ -748,14 +725,21 @@ def _hard_fail(rep) -> bool:
     return not (adm.t_condition and adm.phi_positive)
 
 
-def _run_carleman(cfg: RunConfig, out: ArtifactWriter) -> int:
-    grid = cfg.grid
-    data = _make_problem(cfg.data, cfg, grid)
-    coeffs = _make_coeffs(cfg, grid)
+def _carleman_inputs(cfg: RunConfig):
+    """carleman's problem data and every weight set's factors, made
+    before anything is written or stepped: a weight that overflows is
+    a numeric failure here."""
+    data = _make_problem(cfg.data, cfg, cfg.grid)
     params, kappa = zip(*cfg.weights)
+    return data, carleman_weights(params, data, cfg.grid, kappa=kappa)
+
+
+def _run_carleman(cfg: RunConfig, out: ArtifactWriter, data, weights) -> int:
+    grid = cfg.grid
+    coeffs = _make_coeffs(cfg, grid)
     # the weights do not enter the trajectories: one ensemble serves all
     reps = carleman_terms(
-        _stream(cfg, out, data, coeffs, grid), params, data, grid, kappa=kappa
+        _stream(cfg, out, data, coeffs, grid), weights, data, grid
     )
     if cfg.sweep is None:
         rep = reps[0]
@@ -871,13 +855,17 @@ def run(subcommand: str, cfg: RunConfig) -> int:
             f"the martingale check needs >= {MARTINGALE_MIN_PATHS} paths, "
             f"got {paths}",
         )
-    # refused here, before anything is written
+    # refused here, before anything is written; the weights are
+    # evaluated here too, and handed to the subcommand
+    inputs = ()
     if subcommand == "weights-order":
-        _at("/weight", check_coarsest_level, cfg.weight, _order_levels(cfg)[0])
+        inputs = (_order_estimates(cfg),)
+    if subcommand == "carleman":
+        inputs = _carleman_inputs(cfg)
     if subcommand == "identities":
         _at("/grid", check_mesh, cfg.grid)
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
-    code = _SUBCOMMANDS[subcommand](cfg, out)
+    code = _SUBCOMMANDS[subcommand](cfg, out, *inputs)
     out.finish()
     return code
 

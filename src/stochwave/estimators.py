@@ -301,24 +301,29 @@ def _carleman_sums(ens, stacks: dict, grid: Grid):
     return per, xts
 
 
-@_quiet_overflow
-def carleman_terms(
-    ens,
-    w,
-    data: ProblemData,
-    grid: Grid,
-    kappa=0.0,
-):
-    """Assemble the seven weighted interior/initial terms and the four
-    observation-side terms.  An inadmissible configuration still
-    computes everything; only the report flag records the violation.
-    ens is one Window or an iterable of Windows.
+@dataclass(frozen=True)
+class CarlemanWeights:
+    """What carleman_terms reduces the windows against, for K weight
+    sets in order: their params, kappas and admissibility reports, one
+    time-major (K, N, ...) factor stack per path term, their data terms
+    and their R4 scales s^3 e^(kappa*s).  single says that one
+    WeightParams was given."""
 
-    w is one WeightParams, giving one CarlemanReport, or a sequence of
-    them, giving a list of reports in the same order; kappa is then a
-    float for all of them or a sequence of the same length.  The
-    squared fields do not depend on the weights, so they are computed
-    once per window and reduced against every weight set.
+    params: list
+    kappas: list
+    reports: list
+    stacks: dict
+    data_terms: list
+    r4_scales: list
+    single: bool
+
+
+@_quiet_overflow
+def carleman_weights(w, data: ProblemData, grid: Grid,
+                     kappa=0.0) -> CarlemanWeights:
+    """Evaluate the weight sets of carleman_terms (its w, data, grid and
+    kappa) before any path is stepped, with the same errors: a factor
+    or an R4 scale that overflows float64 raises here.
 
     Each weight set's factors are moved into one time-major (K, N, ...)
     stack per term as soon as the set is evaluated, so the stacks are
@@ -351,6 +356,34 @@ def carleman_terms(
                 f"kappa*s = {kap * wk.s}"
             )
         r4_scales.append(wk.s**3 * math.exp(kap * wk.s))
+    return CarlemanWeights(ws, kappas, reps, stacks, data_terms, r4_scales,
+                           single)
+
+
+@_quiet_overflow
+def carleman_terms(
+    ens,
+    w,
+    data: ProblemData,
+    grid: Grid,
+    kappa=0.0,
+):
+    """Assemble the seven weighted interior/initial terms and the four
+    observation-side terms.  An inadmissible configuration still
+    computes everything; only the report flag records the violation.
+    ens is one Window or an iterable of Windows.
+
+    w is one WeightParams, giving one CarlemanReport, or a sequence of
+    them, giving a list of reports in the same order; kappa is then a
+    float for all of them or a sequence of the same length.  w may also
+    be carleman_weights(w, data, grid, kappa), evaluated before the
+    stream was made; kappa is then not read.  The squared fields do not
+    depend on the weights, so they are computed once per window and
+    reduced against every weight set."""
+    cw = (w if isinstance(w, CarlemanWeights)
+          else carleman_weights(w, data, grid, kappa))
+    ws, kappas, reps = cw.params, cw.kappas, cw.reports
+    data_terms, r4_scales, stacks = cw.data_terms, cw.r4_scales, cw.stacks
 
     per, xts = _carleman_sums(ens, stacks, grid)
     P = xts.shape[0]
@@ -397,7 +430,7 @@ def carleman_terms(
                 kappa=kap,
             )
         )
-    return out[0] if single else out
+    return out[0] if cw.single else out
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,15 @@ CASES = {
         "grid": {"M": 3, "N": 4, "T": 1.0},
         "weight": {"s": 10.0, "lambda": 0.5, "beta": 0.5, "xstar": 1.5,
                    "mconst": 1.0}}),
+    # numeric failures of the weights, before output_dir is made
+    "refused-carleman-weight-overflow": ("carleman", {
+        "grid": {"M": 3, "N": 4, "T": 1.0},
+        "weight": {**WEIGHT, "lambda": 800.0}}),
+    "refused-weights-order-weight-overflow": ("weights-order", {
+        "grid": {"M": 3, "N": 4, "T": 1.0},
+        "weight": {**WEIGHT, "lambda": 800.0}}),
+    "refused-weights-order-exact-fit": ("weights-order", {
+        "grid": {"M": 3, "N": 4, "T": 1.0}, "weight": {**WEIGHT, "s": 0.0}}),
 }
 
 

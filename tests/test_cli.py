@@ -4,6 +4,7 @@ determinism, flag overrides, and the exit-code contract."""
 import dataclasses
 import hashlib
 import json
+import shutil
 import sys
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import stochwave.cli as cli_mod
+from stochwave import _native
 from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
 from stochwave.fields import zero_field
 from stochwave.grids import GridFunction
@@ -194,16 +196,49 @@ def test_refused_config_creates_no_output_dir(tmp_path, subcommand, raw):
 )
 def test_refused_before_stepping_or_writing(tmp_path, monkeypatch,
                                             subcommand, raw, message):
+    assert_refused_early(tmp_path, monkeypatch, subcommand, raw, 3, message)
+
+
+def assert_refused_early(tmp_path, monkeypatch, subcommand, raw, code,
+                         message):
+    """subcommand on raw exits with code and message on stderr, having
+    made no output_dir and no window stream."""
     stepped = []
     monkeypatch.setattr(cli_mod, "stream_windows",
                         lambda *args: stepped.append(args))
     out = tmp_path / "o"
     res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
                   "--output-dir", str(out)])
-    assert res.exit_code == 3, res.output
+    assert res.exit_code == code, res.output
     assert res.stderr == message
     assert not out.exists()
     assert stepped == []
+
+
+OVERFLOWING_WEIGHT = {"s": 0.7, "lambda": 800.0, "beta": 0.3, "xstar": 1.3,
+                      "mconst": 0.25}
+
+
+@pytest.mark.parametrize(
+    "subcommand, weight, message",
+    [
+        ("carleman", OVERFLOWING_WEIGHT,
+         "numeric failure: lam*phi exceeds the float64 exponent range; "
+         "reduce lam or mconst (exp argument 1064.5)\n"),
+        ("weights-order", OVERFLOWING_WEIGHT,
+         "numeric failure: lam*phi exceeds the float64 exponent range; "
+         "reduce lam or mconst (exp argument 842)\n"),
+        ("weights-order", dict(WEIGHT, s=0.0),
+         "numeric failure: expression 'r_dx_rho' is numerically exact on "
+         "the coarsest level (residual 0.000e+00); no order is "
+         "estimable\n"),
+    ],
+    ids=["carleman-overflow", "weights-order-overflow", "weights-order-exact"],
+)
+def test_weight_failures_come_before_stepping_or_writing(
+        tmp_path, monkeypatch, subcommand, weight, message):
+    raw = {"grid": {"M": 3, "N": 4, "T": 1.0}, "weight": weight}
+    assert_refused_early(tmp_path, monkeypatch, subcommand, raw, 4, message)
 
 
 def test_parse_rejects_invalid_json(tmp_path):
@@ -1124,6 +1159,120 @@ def test_writer_holds_one_block_of_text(tmp_path):
     # the formatted strings take about 14 MB; one block's about 1.1 MB
     assert peak < text_bytes / 4, (peak, text_bytes)
     assert writer.entries == [{"name": "t.csv", "rows": n}]
+
+
+# ---------------------------------------------------------------------------
+# the compiled row writer against the forced fallback and ref_csv
+
+R = cli_mod._ROWS_PER_WRITE
+TEXT = ["é", "→ ∞", "", "日本語", "a b", "ß", "x", "-0.0", "\u00a0", "ok",
+        "Ω", "z"]
+
+
+def ref_rows(columns):
+    """The rows of a table given column by column, broadcast as the
+    writer broadcasts them, cell by cell."""
+    arrays = []
+    for c in columns:
+        if not isinstance(c, np.ndarray):
+            a = np.empty(len(c), dtype=object)
+            a[:] = list(c)
+            c = a
+        arrays.append(c)
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return list(zip(*(np.broadcast_to(a, shape).ravel().tolist()
+                      for a in arrays)))
+
+
+def floats(n, seed=7):
+    """n doubles: EDGE_FLOATS, then spread values and bit patterns."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[: min(n, len(EDGE_FLOATS))] = EDGE_FLOATS[:n]
+    spread = x[len(EDGE_FLOATS)::97]
+    spread[:] = rng.integers(0, 2**64, len(spread),
+                             dtype=np.uint64).view(np.float64)
+    return x
+
+
+def table(n):
+    """A table of n rows: floats, int64, uint64 and float32 columns with
+    a cell per row, and a column of text."""
+    with np.errstate(over="ignore"):
+        singles = floats(n, 8).astype(np.float32)
+    return (("f", "i", "u", "f32", "text"),
+            (floats(n), np.arange(n, dtype=np.int64) * -(2 ** 40) + 3,
+             np.arange(n, dtype=np.uint64) + np.uint64(2 ** 64 - n), singles,
+             [TEXT[k % len(TEXT)] for k in range(n)]))
+
+
+def broadcast_table(J, K):
+    """The simulate layout: (J, 1) and (K,) axes beside a (J, K) column,
+    here an F-ordered one read through its strides."""
+    vals = floats(J * K).reshape(K, J).T
+    return (("j", "x", "n", "t", "label", "y"),
+            (np.arange(J)[:, None], floats(J, 3)[:, None], np.arange(K),
+             floats(K, 4), [TEXT[k % len(TEXT)] for k in range(K)], vals))
+
+
+ROW_TABLES = {
+    "edge-floats": lambda: (("f",), (EDGE_FLOATS,)),
+    "broadcast": lambda: broadcast_table(5, 7),
+    "broadcast-longer-than-a-block": lambda: broadcast_table(3, R + 9),
+    "full-size-numeric": lambda: table(len(EDGE_FLOATS)),
+    "non-ascii-sequences": lambda: (("a", "b", "c"), (
+        TEXT, tuple(EDGE_FLOATS.tolist()), [True, 3, "ü", 2.5, None, -1,
+                                            np.float64(1e-7), "", "∑", 0,
+                                            np.int64(-7), "€"])),
+    "zero-rows": lambda: (("a", "b", "c"), (np.empty(0), [],
+                                            np.empty((0, 1), np.int64))),
+    "R-1-rows": lambda: table(R - 1),
+    "R-rows": lambda: table(R),
+    "R+1-rows": lambda: table(R + 1),
+    "2R+1-rows": lambda: table(2 * R + 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_TABLES))
+def test_row_writer_paths_write_equal_bytes(tmp_path, monkeypatch, name):
+    header, columns = ROW_TABLES[name]()
+    if shutil.which("cc") is not None:
+        assert _native._choose() is not _native.FALLBACK, _native.reason
+    compiled, entries = write_table(tmp_path / "compiled", header, columns)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "_chosen", _native.FALLBACK)
+        fallback, _ = write_table(tmp_path / "fallback", header, columns)
+    rows = ref_rows(columns)
+    assert compiled == ref_csv(header, rows)
+    assert fallback == compiled
+    assert entries == [{"name": "t.csv", "rows": len(rows)}]
+
+
+@pytest.mark.parametrize("path", ["compiled", "fallback"])
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path, monkeypatch,
+                                                   path):
+    # a (J, K) table of the simulate layout, J > one block, whose blocks
+    # hold text of the same widths: 8 times the rows add only 8 times
+    # the (K,) axes' few cells of text
+    if path == "fallback":
+        monkeypatch.setattr(_native, "_chosen", _native.FALLBACK)
+
+    def peak(K):
+        J = R + 100
+        vals = np.sin(np.arange(J * K, dtype=np.float64)).reshape(K, J).T
+        columns = (np.arange(J)[:, None], np.linspace(0.0, 1.0, J)[:, None],
+                   np.arange(K), np.full(K, 1 / 3), vals)
+        writer = ArtifactWriter(str(tmp_path / f"k{K}"), "0" * 64, "test")
+        tracemalloc.start()
+        try:
+            writer.csv("t.csv", ("j", "x", "n", "t", "y"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the library loaded, outside the traced runs
+    one, eight = peak(4), peak(32)
+    assert eight < one + 32 * 1024, (one, eight)
 
 
 def test_simulate_csvs_match_row_formatter(tmp_path):

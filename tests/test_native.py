@@ -1,7 +1,7 @@
 """The compiled library (stochwave._native): bit-for-bit parity of every
-field loop with the NumPy reference, the float formatter's text against
-repr, the fallback to NumPy and repr and its reason, laziness, and the
-packaged source."""
+field loop with the NumPy reference, the row writer's float text against
+repr, the fallback to NumPy and Python's rows and its reason, laziness,
+the packaged source, and a warning-free C file."""
 
 import hashlib
 import json
@@ -35,7 +35,7 @@ def compiled():
 
 @pytest.fixture(scope="module")
 def native(compiled):
-    """The loaded library: its fields and its formatter."""
+    """The loaded library: its fields and its row writer."""
     return _native._choose()
 
 
@@ -119,12 +119,19 @@ def test_arguments_are_checked_before_pointers_pass(compiled):
 
 
 # ---------------------------------------------------------------------------
-# the float formatter against repr
+# the row writer's float text against repr
 
 
 @pytest.fixture(scope="module")
 def fmt(native):
-    return native.formatter
+    """The compiled row writer on a table of one float64 column, as the
+    list of its cells' text."""
+
+    def text(values):
+        block = native.rows(values.shape, [values])(0, values.size)
+        return str(block, "ascii").split("\n")[:-1]
+
+    return text
 
 
 def assert_repr(fmt, values):
@@ -195,12 +202,26 @@ def test_formatter_random_bit_patterns(fmt):
                                   dtype=np.uint64).view(np.float64))
 
 
-def test_formatter_checks_its_argument(fmt):
+def test_float_columns_are_read_through_their_strides(native):
+    x = np.linspace(-3.0, 3.0, 40).reshape(5, 8) / 7.0
+    for view in (x[:, ::-3], x.T, x[::-1, 1::2]):
+        block = native.rows(view.shape, [view])(0, view.size)
+        assert str(block, "ascii").split("\n")[:-1] == list(
+            map(repr, view.ravel().tolist()))
+
+
+def test_formatter_checks_its_argument(native, fmt):
     assert fmt(np.empty(0)) == []
-    for bad in (np.ones(4, dtype=np.float32), np.ones((2, 2)),
-                np.ones(8)[::2]):
-        with pytest.raises(ValueError, match="values must be"):
-            fmt(bad)
+    with pytest.raises(ValueError, match="must have the table's shape"):
+        native.rows((2, 3), [np.ones((3, 2))])
+    block = native.rows((4,), [np.ones(4)])
+    for start, count in ((3, 2), (-1, 1), (5, 0)):
+        with pytest.raises(ValueError, match="are not rows of a table of 4"):
+            block(start, count)
+    # a text column whose strides reach past its cells
+    text = _native._text(["a", "b"], (1,))
+    with pytest.raises(ValueError, match="lies outside its column"):
+        native.rows((3,), [text])(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +250,15 @@ CONFIGS = {
         "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}}},
         "mc": {"paths": 6, "master_seed": 5},
     },
+    "identities": {
+        "grid": {"M": 6, "N": 9, "T": 1.0},
+        "mc": {"master_seed": 4},
+    },
+    "weights-order": {
+        "grid": {"M": 15, "N": 8, "T": 0.5},
+        "weight": {"s": 1.0, "lambda": 1.0, "beta": 0.10, "xstar": 1.05,
+                   "mconst": 0.3},
+    },
 }
 
 
@@ -252,13 +282,13 @@ def reload(monkeypatch, tmp_path):
     return tmp_path / "cache" / "stochwave"
 
 
-@pytest.mark.parametrize("subcommand", ["carleman", "stability", "simulate"])
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
 def test_runs_fall_back_to_numpy_without_cc(native, reload, monkeypatch,
                                             tmp_path, subcommand):
     monkeypatch.setattr(_native, "_compiler", lambda: None)
     fallback = run_digests(tmp_path, subcommand)
     assert _native.fields() is _native.NUMPY
-    assert _native.formatter() is None
+    assert _native._chosen is _native.FALLBACK
     assert _native.reason == "no C compiler: cc is not on PATH"
     assert not reload.exists()
     monkeypatch.setattr(_native, "_chosen", native)
@@ -284,27 +314,50 @@ def test_parity_mismatch_falls_back(native, reload, monkeypatch):
     monkeypatch.setattr(_native, "_bind",
                         lambda lib: native._replace(fields=wrong))
     assert _native.fields() is _native.NUMPY
-    assert _native.formatter() is None
+    assert _native._chosen is _native.FALLBACK
     assert _native.reason == ("dtdx2 differs from NumPy's bits on the "
                               "parity window")
 
 
+def mangled(native, old, new):
+    """The compiled row writer with `old` replaced by `new` in its
+    rows."""
+
+    def rows(shape, columns):
+        block = native.rows(shape, columns)
+        return lambda start, count: bytes(block(start, count)).replace(old,
+                                                                       new)
+
+    return rows
+
+
 def test_formatter_parity_mismatch_falls_back_to_repr(native, reload,
                                                       monkeypatch, tmp_path):
+    assert_falls_back(native, monkeypatch, tmp_path, b"e+", b"e",
+                      "the row writer writes '1e16' for 1e+16, where repr "
+                      "writes '1e+16'")
+
+
+def test_text_rows_parity_mismatch_falls_back(native, reload, monkeypatch,
+                                              tmp_path):
+    assert_falls_back(native, monkeypatch, tmp_path, "→".encode(), b"->",
+                      "the row writer's rows 0 .. 4 of the parity table "
+                      "differ from python_rows'")
+
+
+def assert_falls_back(native, monkeypatch, tmp_path, old, new, reason):
+    """A compiled writer that replaces old by new fails the load check,
+    and simulate then writes the compiled run's bytes through Python."""
     monkeypatch.setattr(_native, "_chosen", native)
     compiled_digests = run_digests(tmp_path, "simulate")
     monkeypatch.setattr(_native, "_chosen", None)
-
-    def wrong(values):
-        return [t.replace("e+", "e") for t in native.formatter(values)]
-
-    monkeypatch.setattr(_native, "_bind",
-                        lambda lib: native._replace(formatter=wrong))
+    monkeypatch.setattr(
+        _native, "_bind",
+        lambda lib: native._replace(rows=mangled(native, old, new)))
     assert run_digests(tmp_path, "simulate") == compiled_digests
-    assert _native.formatter() is None
+    assert _native._chosen is _native.FALLBACK
     assert _native.fields() is _native.NUMPY
-    assert _native.reason == ("the float formatter writes '1e16' for 1e+16, "
-                              "where repr writes '1e+16'")
+    assert _native.reason == reason
 
 
 def test_a_missing_home_is_not_created(reload, monkeypatch, tmp_path):
@@ -421,7 +474,17 @@ def test_minimal_environment_falls_back_without_a_traceback(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# packaging
+# packaging and the C source
+
+
+def test_source_compiles_without_warnings():
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    done = subprocess.run([cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+                           str(_native.SOURCE)], capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_source_ships_next_to_the_loader():
