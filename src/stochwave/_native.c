@@ -16,7 +16,10 @@
  * No loop sums: every reduction stays in NumPy.
  *
  * The CSV artifacts' rows, with doubles in the shortest round-trip text,
- * byte for byte what Python's repr writes: see sw_rows at the end. */
+ * byte for byte what Python's repr writes: see sw_rows at the end.  Its
+ * per-cell work is fixed-width stores into slack that the caller
+ * sizes, with no library call, and each column's cell position is
+ * stepped with the rows, not recomputed per cell. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -263,14 +266,6 @@ static int32_t shortest(uint64_t mant, uint32_t ex, const uint64_t *pow5,
     return e10 + removed;
 }
 
-/* o[0 .. k-1] = d[0 .. k-1]: a plain loop, which beats a memcpy call
- * for these few bytes */
-static inline void copy(char *o, const char *d, idx k)
-{
-    for (idx i = 0; i < k; i++)
-        o[i] = d[i];
-}
-
 /* the 8 decimal digits of c < 10^8, with leading zeros, as one word
  * whose lowest byte is the first digit: 4 + 4 digits, then 2 + 2 in
  * each half, then 1 + 1 in each quarter, each split by a multiply */
@@ -287,7 +282,9 @@ static inline uint64_t digits8(uint32_t c)
  * then the shortest digits d1 .. dk with the decimal point after
  * decpt of them, in fixed notation when -4 < decpt <= 16 (".0" after a
  * whole number) and otherwise as d1.d2..dk e+XX, with two exponent
- * digits at least. */
+ * digits at least.  The digits are copied by fixed 16- and 24-byte
+ * stores, which write past the end of the text, but at most 10 bytes
+ * past the 24 that sw_rows reserves for the cell. */
 static char *repr_one(double x, char *o, const uint64_t *pow5,
                       const uint64_t *inv5)
 {
@@ -312,11 +309,13 @@ static char *repr_one(double x, char *o, const uint64_t *pow5,
 
     uint64_t v;
     const int32_t e10 = shortest(mant, ex, pow5, inv5, &v);
-    /* v < 10^17: its 24 digits with leading zeros, lead of them zeros */
+    /* v < 10^17: its 24 digits with leading zeros, lead of them zeros,
+     * then 24 '0's, so that a 24-byte load from any digit stays in buf
+     * and a whole number's zeros after its digits come with them */
     const uint64_t w[3] = {digits8((uint32_t)(v / 10000000000000000)),
                            digits8((uint32_t)(v / 100000000 % 100000000)),
                            digits8((uint32_t)(v % 100000000))};
-    char buf[24];
+    char buf[48];
     int32_t lead = 0;
     for (int i = 0; i < 3; i++) {
         const uint64_t a = w[i] | 0x3030303030303030ull;
@@ -324,40 +323,37 @@ static char *repr_one(double x, char *o, const uint64_t *pow5,
         if (lead == 8 * i)
             lead += w[i] ? __builtin_ctzll(w[i]) / 8 : 8;
     }
+    memcpy(buf + 24, "000000000000000000000000", 24);
     const char *d = buf + lead;
-    const int32_t k = (int32_t)(buf + sizeof buf - d);
+    const int32_t k = 24 - lead;
     const int32_t decpt = k + e10;
 
+    /* o is at most 1 byte (the sign) into the cell, 1 <= k <= 17 and
+     * each store's end is noted past the cell's start */
     if (decpt > -4 && decpt <= 16) {
         if (decpt <= 0) {
-            *o++ = '0';
-            *o++ = '.';
-            for (int32_t z = decpt; z < 0; z++)
-                *o++ = '0';
-            copy(o, d, k);
+            /* "0." and -decpt <= 3 zeros, then all k digits: 30 */
+            memcpy(o, "0.000000", 8);
+            o += 2 - decpt;
+            memcpy(o, d, 24);
             return o + k;
         }
+        /* the first min(k, decpt) <= 16 digits, and '0's to decpt: 17 */
+        memcpy(o, d, 16);
         if (decpt < k) {
-            copy(o, d, decpt);
-            o += decpt;
-            *o++ = '.';
-            copy(o, d + decpt, k - decpt);
-            return o + (k - decpt);
+            /* the point, then the k - decpt <= 16 digits after it: 34 */
+            o[decpt] = '.';
+            memcpy(o + decpt + 1, d + decpt, 16);
+            return o + k + 1;
         }
-        copy(o, d, k);
-        o += k;
-        for (int32_t z = k; z < decpt; z++)
-            *o++ = '0';
-        *o++ = '.';
-        *o++ = '0';
-        return o;
+        memcpy(o + decpt, ".0", 2);
+        return o + decpt + 2;
     }
-    *o++ = d[0];
-    if (k > 1) {
-        *o++ = '.';
-        copy(o, d + 1, k - 1);
-        o += k - 1;
-    }
+    /* d1, the point and the k - 1 <= 16 digits after it: 19 */
+    o[0] = d[0];
+    o[1] = '.';
+    memcpy(o + 2, d + 1, 16);
+    o += k > 1 ? k + 1 : 1;
     *o++ = 'e';
     int32_t e = decpt - 1;
     *o++ = e < 0 ? '-' : '+';
@@ -370,6 +366,21 @@ static char *repr_one(double x, char *o, const uint64_t *pow5,
     return o;
 }
 
+/* Copy the n bytes at s to o by 16-byte words and return o + n: the
+ * words read and write up to 16 bytes past the cell's end, and at
+ * least 16 bytes even for an empty cell.  The empty asm hides i from
+ * GCC's loop-pattern pass, which would make the loop a memmove call. */
+static inline char *text_one(char *o, const char *s, idx n)
+{
+    idx i = 0;
+    do {
+        memcpy(o + i, s + i, 16);
+        i += 16;
+        __asm__("" : "+r"(i));
+    } while (i < n);
+    return o + n;
+}
+
 /* ------------------------------------------------------------------------
  * CSV rows.  A table's rows run in C order over shape[0 .. ndim-1], and
  * sw_rows writes its rows start .. start+count-1 into out, each as its
@@ -377,24 +388,37 @@ static char *repr_one(double x, char *o, const uint64_t *pow5,
  * written.  Nothing is allocated.
  *
  * The row at multi-index i reads, in column c, the cell at position
- * p = base[c] + sum_k i[k] * stride[c * ndim + k]; a broadcast axis has
- * stride 0.  A float column (ntext[c] < 0) writes the repr text of
+ * base[c] + sum_k i[k] * stride[c * ndim + k]; a broadcast axis has
+ * stride 0.  sw_rows computes each column's position once per block,
+ * into pos[c] (ncols entries of the caller's), and then steps it with
+ * the row's multi-index: the axis that advances adds its stride, and
+ * each axis that wraps to 0 takes back its (shape[k] - 1) strides.  A
+ * float column (ntext[c] < 0) writes the repr text of
  * ((const double *)cells[c])[p].  A text column writes the bytes
  * text[c][off[p] .. off[p+1]), off = (const int64_t *)cells[c], of its
  * ntext[c] cells rendered once; a position outside 0 .. ntext[c]-1
  * stops the block and returns -1.
  *
- * A float cell takes at most 24 bytes ("-", 17 digits, ".", "e-" and 3
- * digits), so out holds count times the sum of 24 per float column, the
- * longest cell of each text column, and one byte per column.  ndim is
- * at most SW_MAXDIMS, NumPy's limit. */
+ * The slack contract.  Every row has a reserved width: one byte per
+ * column for its ',' or '\n', 24 bytes per float column (the longest
+ * repr of a double: "-", 17 digits, ".", "e-" and 3 digits) and the
+ * longest cell of each text column.  Cells are written by whole-word
+ * stores, which overwrite bytes past a cell's end that the next cell,
+ * separator or row writes again: at most 10 bytes past a float cell's
+ * 24, and up to 16 past a text cell's end, so at most 16 past its
+ * column's longest cell.  So out holds count times the reserved width
+ * plus 16 bytes of slack (_native._SLACK).  Text cells are read by
+ * 16-byte words too, so every text[c] blob carries 16 readable bytes
+ * after its last cell (_native._PAD).  ndim is at most SW_MAXDIMS,
+ * NumPy's limit. */
 
 #define SW_MAXDIMS 64
 
 idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
             const void *const *cells, const char *const *text,
             const idx *ntext, const idx *base, const idx *stride,
-            const uint64_t *pow5, const uint64_t *inv5, char *restrict out)
+            idx *restrict pos, const uint64_t *pow5, const uint64_t *inv5,
+            char *restrict out)
 {
     idx at[SW_MAXDIMS];
     if (count <= 0)
@@ -405,13 +429,16 @@ idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
         at[k] = r % shape[k];
         r /= shape[k];
     }
+    for (idx c = 0; c < ncols; c++) {
+        idx p = base[c];
+        for (idx k = 0; k < ndim; k++)
+            p += at[k] * stride[c * ndim + k];
+        pos[c] = p;
+    }
     char *o = out;
     for (idx row = 0; row < count; row++) {
         for (idx c = 0; c < ncols; c++) {
-            const idx *s = stride + c * ndim;
-            idx p = base[c];
-            for (idx k = 0; k < ndim; k++)
-                p += at[k] * s[k];
+            const idx p = pos[c];
             if (c)
                 *o++ = ',';
             if (ntext[c] < 0) {
@@ -420,14 +447,22 @@ idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
                 const int64_t *off = cells[c];
                 if (p < 0 || p >= ntext[c])
                     return -1;
-                copy(o, text[c] + off[p], off[p + 1] - off[p]);
-                o += off[p + 1] - off[p];
+                o = text_one(o, text[c] + off[p], off[p + 1] - off[p]);
             }
         }
         *o++ = '\n';
-        /* the next multi-index, in C order */
-        for (idx k = ndim - 1; k >= 0 && ++at[k] == shape[k]; k--)
+        /* the next multi-index, in C order, and each column's position */
+        for (idx k = ndim - 1; k >= 0; k--) {
+            const idx *s = stride + k;
+            if (++at[k] < shape[k]) {
+                for (idx c = 0; c < ncols; c++)
+                    pos[c] += s[c * ndim];
+                break;
+            }
             at[k] = 0;
+            for (idx c = 0; c < ncols; c++)
+                pos[c] -= (shape[k] - 1) * s[c * ndim];
+        }
     }
     return o - out;
 }

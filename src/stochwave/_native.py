@@ -26,8 +26,13 @@ column, is rendered once, as its cells' UTF-8 bytes and their offsets,
 and each row picks its cell through the column's strides (0 on a
 broadcast axis); another numeric column with a cell for every row is
 rendered one block at a time with repr or str.  The compiled writer
-assembles each block's rows, commas and newlines into one buffer;
-python_rows, the reference, assembles the same bytes with str.join.
+assembles each block's rows, commas and newlines into one buffer,
+stepping each column's cell position with the rows.  It writes cells
+by whole-word stores that reach past a cell's end, and reads text
+cells by whole words, so each block's buffer has _SLACK bytes past its
+rows' reserved widths (_out_bytes) and each Text blob _PAD bytes past
+its last cell; python_rows, the reference, assembles the same bytes
+with str.join.
 
 fields() and table() load the library at the first call of either,
 never at import: it compiles _native.c once with `cc` and FLAGS into
@@ -121,7 +126,8 @@ class Text(NamedTuple):
     """A column of text cells, each rendered once, as the row writers
     read it: the row at multi-index i of the table reads the cell at
     position base + sum(i * strides), whose UTF-8 bytes are
-    blob[offsets[k] : offsets[k+1]], at most width of them."""
+    blob[offsets[k] : offsets[k+1]], at most width of them.  The blob
+    ends with _PAD zero bytes after its last cell."""
 
     cells: np.ndarray
     strides: tuple
@@ -137,8 +143,8 @@ def _text(cells, strides, base=0) -> Text:
                           len(enc) + 1)
     cells = np.array(cells, dtype=object)
     return Text(cells, tuple(strides), base,
-                np.frombuffer(b"".join(enc), np.uint8), offsets,
-                max(map(len, enc), default=0))
+                np.frombuffer(b"".join(enc) + bytes(_PAD), np.uint8),
+                offsets, max(map(len, enc), default=0))
 
 
 def _strides(col_shape, ndim) -> tuple:
@@ -149,6 +155,11 @@ def _strides(col_shape, ndim) -> tuple:
         out.append(step if n > 1 else 0)
         step *= n
     return (0,) * (ndim - len(col_shape)) + tuple(reversed(out))
+
+
+def _compiled_floats(col) -> bool:
+    """Whether sw_rows formats the numeric column col itself."""
+    return col.dtype == np.float64 and col.flags.aligned
 
 
 def _numeric_cells(col, start, count) -> list:
@@ -298,6 +309,34 @@ _POW5_BITS = 125
 # bytes of the longest repr of a double: "-", 17 digits, ".", "e-" and
 # 3 digits
 _REPR_WIDTH = 24
+# bytes past a block's reserved row widths that sw_rows' word stores
+# may overwrite, and readable bytes after a Text blob's last cell that
+# its word loads may read: _native.c's slack contract
+_SLACK = 16
+_PAD = 16
+
+
+def _block_columns(shape, columns, start, count) -> list:
+    """The columns sw_rows reads for rows start .. start+count-1 of a
+    table prepared for it: a float64 column it formats and a Text as
+    they are, and each other numeric column as the Text of this block's
+    cells, picked in row order."""
+    return [
+        _text(_numeric_cells(c, start, count), _strides(shape, len(shape)),
+              -start)
+        if isinstance(c, np.ndarray) and not _compiled_floats(c) else c
+        for c in columns
+    ]
+
+
+def _out_bytes(count, columns) -> int:
+    """The bytes sw_rows may write for count rows of a block's columns:
+    count times the rows' reserved width (a comma or the newline per
+    column, _REPR_WIDTH per float64 column and the longest cell of each
+    Text), and _SLACK."""
+    width = sum(1 + (c.width if isinstance(c, Text) else _REPR_WIDTH)
+                for c in columns)
+    return count * width + _SLACK
 
 
 def _pow5_tables():
@@ -362,7 +401,7 @@ def _bind(lib) -> Native:
                       for name, extra in _EXTRA.items()))
     sw_rows = symbol("sw_rows", [ctypes.c_ssize_t] * 3
                      + [ctypes.c_void_p, ctypes.c_ssize_t]
-                     + [ctypes.c_void_p] * 8, ctypes.c_ssize_t)
+                     + [ctypes.c_void_p] * 9, ctypes.c_ssize_t)
     # pointers that keep their arrays alive, as every pointer held
     # across calls below does
     tables = [t.ctypes.data_as(ctypes.c_void_p) for t in _pow5_tables()]
@@ -379,25 +418,25 @@ def _bind(lib) -> Native:
         def put(c, col: Text):
             cells[c], text[c] = col.offsets.ctypes.data, col.blob.ctypes.data
             ntext[c], base[c], stride[c] = len(col.cells), col.base, col.strides
-            return col.width
 
-        # bytes per row: a comma or the newline per column, and the cells
-        width, per_block = ncols, []
+        per_block = []
         for c, col in enumerate(columns):
             if isinstance(col, Text):
-                width += put(c, col)
+                put(c, col)
             elif col.shape != tuple(shape):
                 raise ValueError(f"a numeric column must have the table's "
                                  f"shape {tuple(shape)}, got {col.shape}")
-            elif col.dtype == np.float64 and col.flags.aligned:
+            elif _compiled_floats(col):
                 cells[c] = col.ctypes.data
                 stride[c] = [s // 8 for s in col.strides]
-                width += _REPR_WIDTH
             else:
                 per_block.append(c)
-        order = _strides(shape, ndim)
+        # sw_rows' cell positions, one per column; like the per-block
+        # columns' entries above, shared by the table's block calls, which
+        # therefore must not overlap
+        pos = np.empty(ncols, dtype=np.intp)
         held = [a.ctypes.data_as(ctypes.c_void_p)
-                for a in (cells, text, ntext, base, stride)]
+                for a in (cells, text, ntext, base, stride, pos)]
         args = (ndim, dims.ctypes.data_as(ctypes.c_void_p), ncols, *held,
                 *tables)
 
@@ -405,11 +444,12 @@ def _bind(lib) -> Native:
             if not 0 <= start <= start + count <= total:
                 raise ValueError(f"rows {start} .. {start + count - 1} are "
                                  f"not rows of a table of {total}")
-            # this block's text of the other numeric columns
-            texts = [_text(_numeric_cells(columns[c], start, count), order,
-                           -start) for c in per_block]
-            size = width + sum(put(c, t) for c, t in zip(per_block, texts))
-            out = np.empty(count * size, dtype=np.uint8)
+            cols = columns
+            if per_block:
+                cols = _block_columns(shape, columns, start, count)
+                for c in per_block:
+                    put(c, cols[c])
+            out = np.empty(_out_bytes(count, cols), dtype=np.uint8)
             n = sw_rows(start, count, *args, out.ctypes.data)
             if n < 0:
                 raise ValueError("a text cell's position lies outside its "

@@ -13,13 +13,14 @@ Exit codes, so CI can tell failure classes apart:
     2  usage error (bad flags, unknown subcommand)
     3  config or experiment-setup error (JSON syntax, validation, a
        master_seed_b that differs from master_seed, module
-       preconditions, an output_dir that cannot be written, a path
-       block that does not fit in memory); weight and sweep values
-       and the grid's dt are checked at parse, with their JSON
-       pointers, by every subcommand, and a config refused there,
-       or for its sweep or weight section, martingale's path count,
-       weights-order's refined grids or s on its coarsest grid, or
-       the identity suite's mesh, creates no files
+       preconditions, an output_dir that cannot be written, a data,
+       coefficient or path-0 array or a path block that does not fit
+       in memory); weight and sweep values and the grid's dt are
+       checked at parse, with their JSON pointers, by every
+       subcommand, and a config refused there, or for its sweep or
+       weight section, martingale's path count, weights-order's
+       refined grids or s on its coarsest grid, the identity suite's
+       mesh, or memory, creates no files
     4  numeric failure (solution blow-up, singular update, weight
        overflow, degenerate order fit); carleman's weights and
        weights-order's weights and fits are evaluated before anything
@@ -75,8 +76,10 @@ from .solver import (
     ProblemData,
     SchemeCoefficients,
     Trajectory,
+    check_array_memory,
     observe,
     path_seed,
+    stream_block,
     stream_windows,
 )
 from .solver import run_ensemble  # noqa: F401  (bound for bench/tracer.py)
@@ -720,6 +723,25 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     return EXIT_OK
 
 
+def _memory_preflight(cfg: RunConfig, subcommand: str):
+    """Refuse, with MemoryError, a stepping run that cannot fit in
+    physical memory, before anything is built or written: first any one
+    full-size array it builds before stepping, in the order it builds
+    them (simulate's copy of path 0, the data's g, whose shape f shares,
+    and each preset coefficient), then a block of its window stream."""
+    grid = cfg.grid
+    M, N = grid.M, grid.N
+    arrays = [("data's g", (M, N))]
+    if subcommand == "simulate":
+        arrays.insert(0, ("copy of path 0", (N + 2, M + 2)))
+    arrays += [
+        (f"preset coefficient {sym}", (M + 2, N + 1))
+        for sym, (kind, _) in cfg.coefficients.items() if kind == "preset"
+    ]
+    check_array_memory(arrays)
+    stream_block(grid, cfg.mc["paths"])
+
+
 def _hard_fail(rep) -> bool:
     adm = rep.admissibility
     return not (adm.t_condition and adm.phi_positive)
@@ -837,6 +859,9 @@ _SUBCOMMANDS = {
 }
 
 
+_STEPPING = ("simulate", "carleman", "stability", "martingale")
+
+
 def run(subcommand: str, cfg: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit code and writes
     the artifact files plus manifest.json under cfg.output_dir."""
@@ -855,8 +880,10 @@ def run(subcommand: str, cfg: RunConfig) -> int:
             f"the martingale check needs >= {MARTINGALE_MIN_PATHS} paths, "
             f"got {paths}",
         )
-    # refused here, before anything is written; the weights are
-    # evaluated here too, and handed to the subcommand
+    # refused here, before anything is built or written; the weights
+    # are evaluated here too, and handed to the subcommand
+    if subcommand in _STEPPING:
+        _memory_preflight(cfg, subcommand)
     inputs = ()
     if subcommand == "weights-order":
         inputs = (_order_estimates(cfg),)

@@ -38,6 +38,7 @@ schedule.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -494,6 +495,30 @@ def _check_memory(paths: int, grid: Grid, history: bool = False):
         )
 
 
+def stream_block(grid: Grid, paths: int) -> int:
+    """Paths per block of stream_windows' stream of `paths` paths,
+    refused with MemoryError (_check_memory) if a block does not fit in
+    physical memory: the check stream_windows makes, which a caller can
+    also make before it builds anything."""
+    size = min(block_paths(grid), paths)
+    _check_memory(size, grid)
+    return size
+
+
+def check_array_memory(arrays):
+    """Refuse, with MemoryError, the first of the float64 arrays given
+    as (name, shape) pairs whose size alone exceeds physical memory."""
+    phys = _physical_bytes()
+    for name, shape in arrays:
+        need = 8 * math.prod(shape)
+        if phys is not None and need > phys:
+            raise MemoryError(
+                f"the {name}, a {' x '.join(map(str, shape))} float64 "
+                f"array, needs {need} bytes, more than the {phys} bytes "
+                "of physical memory"
+            )
+
+
 def _sample_block(master_seed: int, first: int, dB: np.ndarray, dt: float):
     """Fill row k of dB with the increments of path first + k."""
     _philox_normals(
@@ -593,8 +618,7 @@ def stream_windows(
     levels and a BlowUpError are run_ensemble's bit for bit."""
     _check_match(data, coeffs, grid)
     _check_paths(paths)
-    size = min(block_paths(grid), paths)
-    _check_memory(size, grid)
+    size = stream_block(grid, paths)
 
     def blocks():
         noise = np.empty((size, grid.N + 1))

@@ -6,10 +6,14 @@ run in-process through click's CliRunner.  A config is either the name
 of a benchmark workload, whose tiny config it runs (bench/workloads.py,
 `config(name, 0, tiny=True)`), or an inline config.  Its record holds
 the exit code, stdout, stderr, whether output_dir exists afterwards,
-and the SHA-256 of every file written, manifest.json included.  Only
-the subcommands whose artifacts do not depend on the host's SIMD
-dispatch are run to completion; carleman and weights-order appear only
-in the refusal corpus.
+and the SHA-256 of every file written, manifest.json included.
+
+carleman's and weights-order's artifacts depend on the SIMD target
+that NumPy dispatches its float64 exp, log, expm1 and power loops to
+(ROADMAP item 7), so the record of each of their whole runs
+(HOST_DISPATCH) also holds those targets; on a host whose targets
+differ, tests/test_golden.py fails those cases with a message naming
+both.
 
 Regenerate the table, after a declared artifact or message change, with
 
@@ -79,6 +83,11 @@ CASES = {
                          "b": {"preset": "sine_x"},
                          "d": {"preset": "ramp_x"}},
     }),
+    # whole runs whose artifacts depend on NumPy's dispatch (sweep
+    # included in carleman-sweep's tiny config)
+    "carleman-carleman-sweep": ("carleman", "carleman-sweep"),
+    "weights-order-small": ("weights-order", {
+        "grid": {"M": 3, "N": 4, "T": 1.0}, "weight": WEIGHT}),
     # refused at parse (tests/test_cli.py::test_parse_pointer_errors)
     "refused-grid-M-missing": ("simulate", {"grid": {"N": 4, "T": 1.0}}),
     "refused-grid-M-string": ("simulate", {"grid": {**GRID, "M": "four"}}),
@@ -149,6 +158,22 @@ CASES = {
 }
 
 
+HOST_DISPATCH = ("carleman-carleman-sweep", "weights-order-small")
+# the NumPy loops whose float64 results differ between SIMD targets
+DISPATCHED = ("exp", "expm1", "log", "power")
+
+
+def dispatch() -> dict:
+    """The `current` SIMD target of NumPy's float64 loop of each
+    function of DISPATCHED."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name=f"^({'|'.join(DISPATCHED)})$",
+                         signature="float64")
+    return {name: target["current"]
+            for name in DISPATCHED for target in info[name].values()}
+
+
 def _workloads() -> ModuleType:
     # executed from source, so that nothing is written under bench/
     mod = ModuleType("bench_workloads")
@@ -172,7 +197,7 @@ def run_case(name: str, workdir: Path) -> dict:
                                                     SystemExit):
         raise res.exception
     files = sorted(out.iterdir()) if out.is_dir() else []
-    return {
+    record = {
         "exit_code": res.exit_code,
         "stdout": res.stdout,
         "stderr": res.stderr,
@@ -180,6 +205,9 @@ def run_case(name: str, workdir: Path) -> dict:
         "sha256": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in files},
     }
+    if name in HOST_DISPATCH:
+        record["dispatch"] = dispatch()
+    return record
 
 
 def generate() -> dict:

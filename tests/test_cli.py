@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import stochwave.cli as cli_mod
+import stochwave.solver as solver_mod
 from stochwave import _native
 from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
 from stochwave.fields import zero_field
@@ -239,6 +240,43 @@ def test_weight_failures_come_before_stepping_or_writing(
         tmp_path, monkeypatch, subcommand, weight, message):
     raw = {"grid": {"M": 3, "N": 4, "T": 1.0}, "weight": weight}
     assert_refused_early(tmp_path, monkeypatch, subcommand, raw, 4, message)
+
+
+# 72.8 TiB for the zero g alone
+HUGE = {"M": 100_000_000, "N": 100_000, "T": 1.0}
+
+
+@pytest.mark.parametrize(
+    "subcommand, raw, phys, array",
+    [
+        ("simulate", {"grid": HUGE}, 2**40,
+         "copy of path 0, a 100002 x 100000002 float64 array, needs "
+         "80001601600032 bytes"),
+        ("carleman", {"grid": HUGE, "weight": WEIGHT}, 2**40,
+         "data's g, a 100000000 x 100000 float64 array, needs "
+         "80000000000000 bytes"),
+        # g (3 x 4 x 8 B = 96 B) fits, a preset coefficient (5 x 5 x 8 B)
+        # does not
+        ("stability", {"grid": {"M": 3, "N": 4, "T": 1.0},
+                       "coefficients": {"b": {"preset": "sine_x"}}}, 150,
+         "preset coefficient b, a 5 x 5 float64 array, needs 200 bytes"),
+        ("martingale", {"grid": HUGE, "mc": {"paths": 100}}, 2**40,
+         "data's g, a 100000000 x 100000 float64 array, needs "
+         "80000000000000 bytes"),
+    ],
+    ids=["simulate", "carleman", "stability", "martingale"],
+)
+def test_arrays_larger_than_memory_are_refused_before_building(
+        tmp_path, monkeypatch, subcommand, raw, phys, array):
+    monkeypatch.setattr(solver_mod, "_physical_bytes", lambda: phys)
+    built = []
+    monkeypatch.setattr(cli_mod, "_make_problem",
+                        lambda *args: built.append(args))
+    assert_refused_early(
+        tmp_path, monkeypatch, subcommand, raw, 3,
+        f"out of memory: the {array}, more than the {phys} bytes of "
+        "physical memory\n")
+    assert built == []
 
 
 def test_parse_rejects_invalid_json(tmp_path):
@@ -1215,6 +1253,38 @@ def broadcast_table(J, K):
              floats(K, 4), [TEXT[k % len(TEXT)] for k in range(K)], vals))
 
 
+# the longest repr (24 bytes), and a float whose word stores reach 10
+# bytes past its 24 (17 digits, the point after 16)
+LONGEST = -2.2250738585072014e-308
+REACHING = -1234567890123456.8
+
+
+def neighbours_table(n):
+    """Rows of a float, an empty text cell, a 1-byte cell and a 24-byte
+    float, the first float also 24 bytes in every other row."""
+    x = floats(n, 5)
+    x[::2] = LONGEST
+    return (("f", "empty", "one", "g"),
+            (x, [""] * n, ["a"] * n, np.full(n, LONGEST)))
+
+
+def float_last_table(n):
+    """A float column last in its row: the newline follows stores that
+    reach past the cell."""
+    x = floats(n, 6)
+    x[::3], x[1::3] = REACHING, LONGEST
+    return ("t", "f"), ([TEXT[k % len(TEXT)] for k in range(n)], x)
+
+
+def longest_last_table(n):
+    """Every block's final row, and the table's, ends in its longest
+    cell."""
+    x = floats(n, 9)
+    x[R - 1 :: R] = LONGEST
+    x[-1] = LONGEST
+    return ("j", "f"), (np.arange(n), x)
+
+
 ROW_TABLES = {
     "edge-floats": lambda: (("f",), (EDGE_FLOATS,)),
     "broadcast": lambda: broadcast_table(5, 7),
@@ -1230,6 +1300,9 @@ ROW_TABLES = {
     "R-rows": lambda: table(R),
     "R+1-rows": lambda: table(R + 1),
     "2R+1-rows": lambda: table(2 * R + 1),
+    "24-byte-empty-1-byte-24-byte": lambda: neighbours_table(50),
+    "float-last-in-row": lambda: float_last_table(50),
+    "block-ends-in-longest-cell": lambda: longest_last_table(2 * R + 3),
 }
 
 

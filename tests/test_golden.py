@@ -18,8 +18,15 @@ def test_every_case_is_recorded():
 
 @pytest.mark.parametrize("name", list(golden.CASES))
 def test_golden_run(name, tmp_path):
-    got = golden.run_case(name, tmp_path)
     want = TABLE["runs"][name]
+    if "dispatch" in want:
+        host = golden.dispatch()
+        assert host == want["dispatch"], (
+            f"{name} was recorded with NumPy's float64 loops dispatched to "
+            f"{want['dispatch']}; this host dispatches them to {host}, and "
+            "their results differ between targets"
+        )
+    got = golden.run_case(name, tmp_path)
     assert got == want, (
         f"{name} differs from tests/golden.json, made with NumPy "
         f"{TABLE['numpy']}; this is NumPy {np.__version__}"

@@ -1,8 +1,10 @@
 """The compiled library (stochwave._native): bit-for-bit parity of every
 field loop with the NumPy reference, the row writer's float text against
 repr, the fallback to NumPy and Python's rows and its reason, laziness,
-the packaged source, and a warning-free C file."""
+the packaged source, and a C file free of warnings and of sanitizer
+reports."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -485,6 +487,277 @@ def test_source_compiles_without_warnings():
                            str(_native.SOURCE)], capture_output=True,
                           text=True)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# the C file under AddressSanitizer and UndefinedBehaviorSanitizer
+#
+# sw_rows writes whole words past a cell's end into slack the caller
+# sizes, so an undersized block or blob would corrupt the heap silently.
+# A small C driver runs the loops on heap buffers of exactly the sizes
+# _native.py computes, and any sanitizer report fails the test.
+
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+DRIVER = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef ptrdiff_t idx;
+
+idx sw_rows(idx, idx, idx, const idx *, idx, const void *const *,
+            const char *const *, const idx *, const idx *, const idx *,
+            idx *, const uint64_t *, const uint64_t *, char *);
+typedef void field(const double *, idx, idx, idx, idx, idx, idx, double,
+                   double, double *);
+field sw_y2, sw_dty2, sw_dxy2, sw_dtdx2;
+
+struct column {
+    int is_text;
+    const void *data;   /* a float column's span, or a text blob */
+    size_t bytes;
+    idx first;          /* a float column's cell [0, .., 0] in its span */
+    const int64_t *off; /* a text column's ntext + 1 offsets */
+    idx ntext, base;
+    const idx *stride;
+};
+
+struct block {
+    const char *name;
+    idx start, count, ndim, ncols;
+    const idx *shape;
+    const struct column *cols;
+    size_t out_bytes;
+    const char *want;
+    size_t want_len;
+};
+
+/* a copy of n bytes in a heap buffer of exactly n bytes */
+static void *heap(const void *src, size_t n)
+{
+    void *p = malloc(n);
+    if (n && !p)
+        abort();
+    if (n)
+        memcpy(p, src, n);
+    return p;
+}
+
+static int run_block(const struct block *b, const uint64_t *pow5,
+                     const uint64_t *inv5)
+{
+    const idx nc = b->ncols, nd = b->ndim;
+    const void **cells = calloc(nc, sizeof *cells);
+    const char **text = calloc(nc, sizeof *text);
+    void **data = calloc(nc, sizeof *data), **off = calloc(nc, sizeof *off);
+    idx *ntext = calloc(nc, sizeof *ntext), *base = calloc(nc, sizeof *base);
+    idx *stride = calloc(nc * nd, sizeof *stride);
+    idx *pos = malloc(nc * sizeof *pos);
+    idx *shape = heap(b->shape, nd * sizeof *shape);
+    for (idx c = 0; c < nc; c++) {
+        const struct column *col = b->cols + c;
+        data[c] = heap(col->data, col->bytes);
+        base[c] = col->base;
+        memcpy(stride + c * nd, col->stride, nd * sizeof *stride);
+        if (col->is_text) {
+            off[c] = heap(col->off, (col->ntext + 1) * sizeof(int64_t));
+            cells[c] = off[c];
+            text[c] = data[c];
+            ntext[c] = col->ntext;
+        } else {
+            cells[c] = (const double *)data[c] + col->first;
+            ntext[c] = -1;
+        }
+    }
+    char *out = malloc(b->out_bytes);
+    idx n = sw_rows(b->start, b->count, nd, shape, nc, cells, text, ntext,
+                    base, stride, pos, pow5, inv5, out);
+    int bad = n != (idx)b->want_len || memcmp(out, b->want, b->want_len);
+    if (bad)
+        fprintf(stderr, "%s: rows %td .. %td: %td bytes, not python_rows' "
+                "%zu\n", b->name, b->start, b->start + b->count - 1, n,
+                b->want_len);
+    for (idx c = 0; c < nc; c++) {
+        free(data[c]);
+        free(off[c]);
+    }
+    free(out); free(shape); free(pos); free(stride); free(base);
+    free(ntext); free(off); free(data); free(text); free(cells);
+    return bad;
+}
+
+static int run_field(const char *name, field *fn, const uint64_t *y,
+                     size_t ny, const idx *dims, const uint64_t *want,
+                     size_t nout)
+{
+    double *Y = heap(y, ny * 8), *out = malloc(nout * 8);
+    fn(Y, dims[0], dims[1], dims[2], dims[3], dims[4], dims[5], 0.1, 0.03,
+       out);
+    int bad = memcmp(out, want, nout * 8) != 0;
+    if (bad)
+        fprintf(stderr, "%s differs from NumPy's bits\n", name);
+    free(Y);
+    free(out);
+    return bad;
+}
+"""
+
+
+def c_array(ctype, name, values):
+    return (f"static const {ctype} {name}[] = "
+            f"{{{', '.join(map(str, values)) or '0'}}};\n")
+
+
+def c_bytes(name, data: bytes):
+    return c_array("char", name, (f"(char){b}" for b in data))
+
+
+def c_words(name, a):
+    words = np.ascontiguousarray(a).view(np.uint64).ravel().tolist()
+    return c_array("uint64_t", name, (f"0x{w:x}ull" for w in words))
+
+
+def capture(shape, cols):
+    """A row writer for _native._prepare that keeps the prepared table
+    and renders the columns _prepare renders once through python_rows."""
+    block = _native.python_rows(shape, cols)
+    block.table = (shape, cols)
+    return block
+
+
+def c_blocks(name, columns, blocks):
+    """C data of the table `columns` and a struct block for each (start,
+    count) of blocks, with the buffer sizes _native.py computes."""
+    count, prepared = _native._prepare(capture, columns)
+    shape, cols = prepared.table
+    src, entries = [], []
+    src.append(c_array("idx", f"{name}_shape", shape))
+    for b, (start, n) in enumerate(blocks):
+        tag = f"{name}_{b}"
+        block_cols, structs = _native._block_columns(shape, cols, start, n), []
+        for c, col in enumerate(block_cols):
+            ctag = f"{tag}_{c}"
+            if isinstance(col, _native.Text):
+                src.append(c_bytes(f"{ctag}_data", col.blob.tobytes()))
+                src.append(c_array("int64_t", f"{ctag}_off",
+                                   col.offsets.tolist()))
+                src.append(c_array("idx", f"{ctag}_stride", col.strides))
+                structs.append(f"{{1, {ctag}_data, {col.blob.size}, 0, "
+                               f"{ctag}_off, {len(col.cells)}, {col.base}, "
+                               f"{ctag}_stride}}")
+            else:
+                # the span of memory the strided view reaches
+                steps = [(k - 1) * st for k, st in zip(col.shape, col.strides)]
+                lo = sum(min(0, st) for st in steps)
+                hi = sum(max(0, st) for st in steps) + 8
+                span = np.frombuffer(ctypes.string_at(col.ctypes.data + lo,
+                                                      hi - lo), np.uint64)
+                src.append(c_words(f"{ctag}_data", span))
+                src.append(c_array("idx", f"{ctag}_stride",
+                                   [st // 8 for st in col.strides]))
+                structs.append(f"{{0, {ctag}_data, {hi - lo}, {-lo // 8}, "
+                               f"0, 0, 0, {ctag}_stride}}")
+        want = _native.python_rows(shape, cols)(start, n)
+        src.append(f"static const struct column {tag}_cols[] = "
+                   f"{{{', '.join(structs)}}};\n")
+        src.append(c_bytes(f"{tag}_want", want))
+        entries.append(f'{{"{name}", {start}, {n}, {len(shape)}, '
+                       f"{len(cols)}, {name}_shape, {tag}_cols, "
+                       f"{_native._out_bytes(n, block_cols)}, {tag}_want, "
+                       f"{len(want)}}}")
+    return "".join(src), entries
+
+
+# cells at each length extreme: the longest repr (24 bytes), three-digit
+# exponents, 0.0001 and 1e+16 at the layout edges, the float whose
+# stores reach furthest past its 24 bytes (17 digits, point after 16),
+# and empty and 1-byte text cells
+EXTREME_FLOATS = np.array([
+    -2.2250738585072014e-308, 1e-300, 0.0001, 1e16, -1.2345678901234567e300,
+    5e-324, 0.001, -1234567890123456.8, 1.0, -2.2250738585072014e-308,
+])
+EXTREME_TABLES = {
+    # the longest float last in its row
+    "float-last": [["", "a"] * 5, EXTREME_FLOATS],
+    # a 1-byte text cell, its column's longest, last in its row
+    "text-last": [EXTREME_FLOATS[::-1].copy(), ["a", ""] * 4 + ["", "a"]],
+    # a column of empty cells, whose width is 0, last in its row
+    "empty-last": [EXTREME_FLOATS, [""] * 10],
+    # a 24-byte float, an empty and a 1-byte cell, and a 24-byte float
+    "neighbours": [EXTREME_FLOATS, [""] * 10, ["a"] * 10,
+                   EXTREME_FLOATS[::-1].copy()],
+}
+
+
+def test_loops_run_clean_under_sanitizers(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no cc on PATH")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n", encoding="utf-8")
+    if subprocess.run([cc, "-fsanitize=address", "-o", str(tmp_path / "probe"),
+                       str(probe)], capture_output=True).returncode != 0:
+        pytest.skip("cc cannot link a -fsanitize=address program")
+
+    pow5, inv5 = _native._pow5_tables()
+    src = [DRIVER, c_words("POW5", pow5), c_words("INV5", inv5)]
+    entries = []
+    values = _native._parity_floats()
+    parity = _native._parity_columns()
+    rows = int(np.prod(np.broadcast_shapes(*(np.shape(c) for c in parity))))
+    tables = {
+        # the load check's tables, in its blocks
+        "parity-floats": ([values], [(0, values.size)]),
+        "parity-table": (parity, [(0, 5), (5, rows - 5)]),
+        # every block that ends at one of the extreme rows, and each row
+        # alone, so that a row of cells at their columns' widths ends
+        # the block
+        **{name: (cols, [(0, n) for n in range(1, 11)]
+                  + [(r, 1) for r in range(10)])
+           for name, cols in EXTREME_TABLES.items()},
+    }
+    for k, (cols, blocks) in enumerate(tables.values()):
+        data, more = c_blocks(f"t{k}", cols, blocks)
+        src.append(data)
+        entries += more
+    src.append(f"static const struct block BLOCKS[] = "
+               f"{{{', '.join(entries)}}};\n")
+
+    # the four field loops on a strided (P, L+2, M+2) = (3, 6, 7) window
+    base = np.sin(np.arange(3 * 6 * 14, dtype=np.float64)) * 1e3
+    Y = base.reshape(3, 6, 14)[:, :, ::2]
+    Y[0, 2, 3], Y[1, 3, 1], Y[2, 4, 5] = -0.0, np.inf, np.nan
+    src.append(c_words("Y", base))
+    src.append(c_array("idx", "DIMS",
+                       [3, 4, 5, *(st // 8 for st in Y.strides)]))
+    calls = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, extra in _native._EXTRA.items():
+            want = np.empty((3, 4, 5 + extra))
+            getattr(_native.NUMPY, name)(Y, want, 0.1, 0.03)
+            src.append(c_words(f"WANT_{name}", want))
+            calls.append(f'bad |= run_field("{name}", sw_{name}, Y, '
+                         f"{base.size}, DIMS, WANT_{name}, {want.size});")
+    src.append("int main(void)\n{\n    int bad = 0;\n"
+               "    for (size_t b = 0; b < sizeof BLOCKS / sizeof *BLOCKS; "
+               "b++)\n        bad |= run_block(BLOCKS + b, POW5, INV5);\n"
+               + "".join(f"    {c}\n" for c in calls)
+               + "    return bad;\n}\n")
+    driver = tmp_path / "driver.c"
+    driver.write_text("".join(src), encoding="utf-8")
+
+    exe = tmp_path / "driver"
+    flags = [f for f in _native.FLAGS if f not in ("-shared", "-fPIC")]
+    build = subprocess.run([cc, *flags, "-g", *SANITIZE, "-o", str(exe),
+                            str(driver), str(_native.SOURCE)],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    run = subprocess.run([str(exe)], capture_output=True, text=True,
+                         env=dict(os.environ, ASAN_OPTIONS="detect_leaks=1"))
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr[-4000:]
 
 
 def test_source_ships_next_to_the_loader():

@@ -148,15 +148,26 @@ def test_blow_up_is_the_single_block_minimum(monkeypatch, tmp_path,
     assert errors[1] == errors[0]
 
 
-def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
-    # a block's Y (3 paths x 10 levels x 5 nodes x 8 B = 1200 B) exceeds
-    # the physical memory reported: refused before anything is stepped
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 1000)
+def refused_before_writing(monkeypatch, tmp_path):
+    """martingale on RUNS' config exits 3, having made no output_dir and
+    no window stream."""
+    stepped = []
     raw = dict(RUNS["martingale"], output_dir=str(tmp_path / "o"))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw), encoding="utf-8")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "stream_windows", lambda *args: stepped.append(args))
+        assert cli._execute("martingale", str(p), None, None, None) == 3
+    assert not (tmp_path / "o").exists()
+    assert stepped == []
+
+
+def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
+    # a block's Y (3 paths x 10 levels x 5 nodes x 8 B = 1200 B) exceeds
+    # the physical memory reported: refused before anything is built
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 1000)
     set_block(monkeypatch, 3)
-    assert cli._execute("martingale", str(p), None, None, None) == 3
+    refused_before_writing(monkeypatch, tmp_path)
     with pytest.raises(MemoryError, match="needs 1200 bytes"):
         run_cli("martingale", RUNS["martingale"], tmp_path / "again")
 
@@ -167,11 +178,8 @@ def test_memory_refusal_counts_noise_and_tables(monkeypatch, tmp_path):
     # 16-level window, so its 9 rows are all of them: 6 x 9 x 5 x 8 B =
     # 2160 B) it needs 3576 B
     monkeypatch.setattr(solver, "_physical_bytes", lambda: 2000)
-    raw = dict(RUNS["martingale"], output_dir=str(tmp_path / "o"))
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw), encoding="utf-8")
     set_block(monkeypatch, 3)
-    assert cli._execute("martingale", str(p), None, None, None) == 3
+    refused_before_writing(monkeypatch, tmp_path)
     with pytest.raises(MemoryError, match="1200 bytes for its trajectories "
                        "and 3576 bytes with its 9 increments per path and "
                        "9 rows of the six"):
