@@ -56,16 +56,19 @@ Layout: the kernel steps three rolling time levels held path-minor,
 lev[j, p] of shape (M+2, P), so every stencil operand is one contiguous
 (M, P) slab and each weight row broadcasts across paths; dB is
 transposed once per call so the increments of a level are one
-contiguous row.  A weight table whose every row holds one bit pattern
-along j, as a coefficient or source that is constant in space gives,
-is kept as one value per level, (N+1, 1, 1): it then broadcasts over
-the whole slab as one flat loop instead of a strided row per node,
-with the same value at every node and so the same bits.  A level is
+contiguous row.  The six tables may have any strides.  Before the
+weights are formed each is narrowed to one value per level, (N+1, 1, 1),
+where it holds one value along j: at once where its j-stride is 0, as
+a constant coefficient's view has, else where every row holds one bit
+pattern.  A weight formed only from narrowed tables is then one value
+per level, the same value at every node and so the same bits, and
+enters a level as a 0-d operand that broadcasts over the whole slab as
+one flat loop; any other weight enters as its (M, 1) row.  A level is
 12 element-wise operations with out= into the new level and one
 scratch slab allocated once per call, and each finished level is
 written back into Y.  Extra memory is the levels and scratch, O(P M),
 plus the seven weight tables and the transposed dB, the size of the
-inputs; a space-constant table is a view of its first column.
+inputs; a narrowed table is a view of its first column.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ def _weights(A, B, C, D, G, F, dt, dx):
     """The per-node weights (alp, bp, bm, kap, dl, gh, fh) of the
     module docstring on the interior columns 1..M, each (N+1, M, 1) so
     that a row broadcasts across the paths of a level, or (N+1, 1, 1)
-    where the table is constant along j (_per_level)."""
+    where every table it is formed from is narrowed to one value per
+    level (_per_level)."""
     inner = slice(1, A.shape[1] - 1)
-    A, B, C, D, G, F = (t[:, inner, None] for t in (A, B, C, D, G, F))
+    A, B, C, D, G, F = (_per_level(t[:, inner, None])
+                        for t in (A, B, C, D, G, F))
     dt2 = dt * dt
     lam = dt2 / (dx * dx)
     h = dt2 / (2.0 * dx)
@@ -97,22 +102,30 @@ def _weights(A, B, C, D, G, F, dt, dx):
     dl = (dt * D) * kap
     gh = (dt * G) * kap
     fh = (dt2 * F) * kap
-    return tuple(_per_level(w) for w in (alp, bp, bm, kap, dl, gh, fh))
+    return alp, bp, bm, kap, dl, gh, fh
 
 
-def _per_level(w):
-    """w[:, :1] when every row of w holds one bit pattern along j, else
-    w.  Bits, not values, are compared, so a row mixing -0.0 and +0.0,
-    or NaNs of different payloads, keeps its per-node weights."""
-    bits = w.view(np.int64)
-    return w[:, :1] if (bits == bits[:, :1]).all() else w
+def _per_level(t):
+    """t[:, :1] when every row of t holds one value along j: at once for
+    a table whose j-stride is 0, else when every row holds one bit
+    pattern.  Bits, not values, are compared, so a row mixing -0.0 and
+    +0.0, or NaNs of different payloads, keeps its per-node values."""
+    if t.strides[1] == 0:
+        return t[:, :1]
+    bits = t.view(np.int64)
+    return t[:, :1] if (bits == bits[:, :1]).all() else t
 
 
 def _step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
     P, Nt, Mf = Y.shape
     N = Nt - 2
     M = Mf - 2
-    alp, bp, bm, kap, dl, gh, fh = _weights(A, B, C, D, G, F, dt, dx)
+    # a narrow weight enters a level as a 0-d operand, a per-node one
+    # as its (M, 1) row
+    alp, bp, bm, kap, dl, gh, fh = (
+        w[:, 0, 0] if w.shape[1] == 1 else w
+        for w in _weights(A, B, C, D, G, F, dt, dx)
+    )
     dbt = np.ascontiguousarray(dB.T)
 
     # levels n-1, n, n+1; boundary rows stay zero (the contract's pinning)
@@ -125,18 +138,18 @@ def _step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
     for n in range(1, N + 1):
         yc = cur[1 : M + 1]
         out = nxt[1 : M + 1]
-        mul(alp[n], yc, out=out)
-        mul(bp[n], cur[2 : M + 2], out=tmp)
+        mul(alp[n, ...], yc, out=out)
+        mul(bp[n, ...], cur[2 : M + 2], out=tmp)
         add(out, tmp, out=out)
-        mul(bm[n], cur[0:M], out=tmp)
+        mul(bm[n, ...], cur[0:M], out=tmp)
         add(out, tmp, out=out)
-        mul(kap[n], prev[1 : M + 1], out=tmp)
+        mul(kap[n, ...], prev[1 : M + 1], out=tmp)
         sub(out, tmp, out=out)
-        mul(dl[n], yc, out=tmp)
-        add(tmp, gh[n], out=tmp)
+        mul(dl[n, ...], yc, out=tmp)
+        add(tmp, gh[n, ...], out=tmp)
         mul(tmp, dbt[n], out=tmp)
         add(out, tmp, out=out)
-        add(out, fh[n], out=out)
+        add(out, fh[n, ...], out=out)
         Y[:, n + 1, 1 : M + 1] = out.T
 
         # one pass: a non-finite entry makes the sum non-finite; a finite

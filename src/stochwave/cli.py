@@ -54,6 +54,7 @@ import numpy as np
 from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
 from .estimators import (
     MARTINGALE_MIN_PATHS,
+    carleman_stack_shapes,
     carleman_terms,
     carleman_weights,
     martingale_check,
@@ -728,12 +729,18 @@ def _memory_preflight(cfg: RunConfig, subcommand: str):
     physical memory, before anything is built or written: first any one
     full-size array it builds before stepping, in the order it builds
     them (simulate's copy of path 0, the data's g, whose shape f shares,
-    and each preset coefficient), then a block of its window stream."""
+    carleman's factor stacks and each preset coefficient), then a block
+    of its window stream."""
     grid = cfg.grid
     M, N = grid.M, grid.N
     arrays = [("data's g", (M, N))]
     if subcommand == "simulate":
         arrays.insert(0, ("copy of path 0", (N + 2, M + 2)))
+    if subcommand == "carleman":
+        arrays += [
+            (f"carleman factor stack {key}", shape) for key, shape
+            in carleman_stack_shapes(grid, len(cfg.weights)).items()
+        ]
     arrays += [
         (f"preset coefficient {sym}", (M + 2, N + 1))
         for sym, (kind, _) in cfg.coefficients.items() if kind == "preset"

@@ -251,6 +251,16 @@ def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
 _PATH_TERMS = ("L1", "L2", "L3", "R2", "R3")
 
 
+def carleman_stack_shapes(grid: Grid, K: int) -> dict:
+    """The shape of carleman_weights' time-major factor stack of each
+    path term for K weight sets: (K,) and the term's (time, space) mesh
+    points, as _weight_set places them."""
+    tp, td = grid.time_primal.size, grid.time_dual.size
+    xp, xd = grid.space_primal.size, grid.space_dual.size
+    return {"L1": (K, tp, xp), "L2": (K, tp, xp), "L3": (K, tp, xd),
+            "R2": (K, tp), "R3": (K, td, xd)}
+
+
 def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
     """(P, K) sums of a window's field x (P, L, ...) against the rows
     n0 .. n0+L-1 of every weight set's factor F (K, N, ...): one einsum
@@ -340,15 +350,15 @@ def carleman_weights(w, data: ProblemData, grid: Grid,
             f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
         )
 
+    shapes = carleman_stack_shapes(grid, len(ws))
     stacks, reps, data_terms, r4_scales = {}, [], [], []
     for k, (wk, kap) in enumerate(zip(ws, kappas)):
         reps.append(check_admissible(wk, grid))
         f, d = _weight_set(wk, data, grid)
         for key in _PATH_TERMS:
-            row = f.pop(key).T
             if k == 0:
-                stacks[key] = np.empty((len(ws),) + row.shape)
-            stacks[key][k] = row
+                stacks[key] = np.empty(shapes[key])
+            stacks[key][k] = f.pop(key).T
         data_terms.append(d)
         if kap * wk.s > _MAX_EXP or wk.s > _MAX_CUBE_ROOT:
             raise FloatingPointError(

@@ -152,9 +152,12 @@ def _require(cond: bool, msg: str):
 
 
 def _time_blocks(values: np.ndarray):
-    """A (space, time) array in blocks of _WINDOW_LEVELS time columns:
-    a check walked over them keeps its temporaries one block in size,
-    also on a zero-stride constant coefficient."""
+    """The distinct values of a (space, time) array, each axis of stride
+    0 cut to length 1, in blocks of _WINDOW_LEVELS time columns: a check
+    walked over them keeps its temporaries one block in size, and reads
+    a constant coefficient's one value once."""
+    values = values[tuple(slice(None, 1 if s == 0 else None)
+                          for s in values.strides)]
     return (
         values[:, n0 : n0 + _WINDOW_LEVELS]
         for n0 in range(0, values.shape[1], _WINDOW_LEVELS)
@@ -391,21 +394,24 @@ def _check_singular(coeffs: SchemeCoefficients, grid: Grid):
 
 
 def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
-                n0: int, L: int) -> np.ndarray:
+                n0: int, L: int) -> tuple:
     """Rows n = n0 .. n0+L of the kernel's six tables A, B, C, D, G, F,
-    as one (6, L+1, M+2) array: the coefficients at level n, and g and
-    f padded onto the same (n, j) frame, zero at n = 0, at the boundary
-    nodes and where f is None."""
+    each (L+1, M+2).  The coefficients at level n are views of their
+    values, so a constant one keeps its zero strides; g and f are
+    copied, padded onto the same (n, j) frame, zero at n = 0, at the
+    boundary nodes and where f is None."""
     M = grid.M
-    rows = np.zeros((6, L + 1, M + 2))
-    for table, u in zip(rows, (coeffs.a, coeffs.b, coeffs.c, coeffs.d)):
-        table[:] = u.values[:, n0 : n0 + L + 1].T
+    sources = np.zeros((2, L + 1, M + 2))
     # g and f hold levels 1..N in columns 0..N-1
     lo = max(n0, 1)
-    for table, u in zip(rows[4:], (data.g, data.f)):
+    for table, u in zip(sources, (data.g, data.f)):
         if u is not None:
             table[lo - n0 :, 1 : M + 1] = u.values[:, lo - 1 : n0 + L].T
-    return rows
+    return (
+        *(u.values[:, n0 : n0 + L + 1].T
+          for u in (coeffs.a, coeffs.b, coeffs.c, coeffs.d)),
+        *sources,
+    )
 
 
 def _start_levels(data: ProblemData, grid: Grid) -> np.ndarray:
@@ -532,8 +538,10 @@ def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
     """Step each block (first, dB) of `blocks`, at most `size` paths
     whose row 0 is global path `first`, and yield its Windows of
     _WINDOW_LEVELS levels: the one loop that calls step_paths, once per
-    window on the window's rows of the six tables (_table_rows) in one
-    reused (size, L+2, M+2) buffer.  A yielded window is valid until
+    window on the window's rows of the six tables (_table_rows: the
+    coefficients' as views, a constant's of stride 0 along j, which the
+    kernel narrows to one value per level) in one reused
+    (size, L+2, M+2) buffer.  A yielded window is valid until
     the next is drawn.  A blow-up ends the yields, but later blocks are
     stepped as far as an earlier level could fail, so the BlowUpError
     raised is the lexicographic minimum over (n, path, j)."""

@@ -77,6 +77,23 @@ CASES = {
                    "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
     }),
     "stability-space-only": ("stability", {**SMALL, "g_mode": "space_only"}),
+    # blocks of 81 and 19 paths on full preset tables: a and d hold one
+    # bit pattern per level, c = x widens every weight to one per node
+    "martingale-presets-two-blocks": ("martingale", {
+        "grid": {"M": 200, "N": 40, "T": 0.1},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 3, "amplitude": 0.8}}},
+        "coefficients": {"a": {"preset": "zero"},
+                         "c": {"preset": "ramp_x"},
+                         "d": {"preset": "one"}},
+        "mc": {"paths": 100},
+    }),
+    # constant coefficients as zero-stride views and an all-zero g table
+    "stability-no-g": ("stability", {
+        **SMALL,
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
+    }),
     "simulate-presets": ("simulate", {
         **SMALL,
         "coefficients": {"a": {"preset": "ramp_t"},

@@ -255,6 +255,13 @@ HUGE = {"M": 100_000_000, "N": 100_000, "T": 1.0}
         ("carleman", {"grid": HUGE, "weight": WEIGHT}, 2**40,
          "data's g, a 100000000 x 100000 float64 array, needs "
          "80000000000000 bytes"),
+        # g (3 x 4 x 8 B = 96 B) fits, the first factor stack of a
+        # two-value sweep (2 x 4 x 3 x 8 B) does not
+        ("carleman", {"grid": {"M": 3, "N": 4, "T": 1.0}, "weight": WEIGHT,
+                      "sweep": {"parameter": "weight.s",
+                                "values": [0.7, 0.8]}}, 150,
+         "carleman factor stack L1, a 2 x 4 x 3 float64 array, needs "
+         "192 bytes"),
         # g (3 x 4 x 8 B = 96 B) fits, a preset coefficient (5 x 5 x 8 B)
         # does not
         ("stability", {"grid": {"M": 3, "N": 4, "T": 1.0},
@@ -264,7 +271,8 @@ HUGE = {"M": 100_000_000, "N": 100_000, "T": 1.0}
          "data's g, a 100000000 x 100000 float64 array, needs "
          "80000000000000 bytes"),
     ],
-    ids=["simulate", "carleman", "stability", "martingale"],
+    ids=["simulate", "carleman", "carleman-stacks", "stability",
+         "martingale"],
 )
 def test_arrays_larger_than_memory_are_refused_before_building(
         tmp_path, monkeypatch, subcommand, raw, phys, array):

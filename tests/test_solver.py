@@ -450,8 +450,12 @@ def paper_step_paths(Y, A, B, C, D, G, F, dB, dt, dx):
 # kinds of kernel tables: "varying" in n and j; "constant" everywhere;
 # "level", constant along j but varying in n; "zero_f", an all-zero F as
 # f = None gives; "signed_zero", level tables with a G that mixes -0.0
-# and +0.0 along j, on data that make the sign of a zero show in Y
-KINDS = ["varying", "constant", "level", "zero_f", "signed_zero"]
+# and +0.0 along j, on data that make the sign of a zero show in Y;
+# "zero_stride", read-only broadcasts of scalars and of per-level
+# columns, as constant coefficients arrive; "transposed", varying tables
+# that are .T views of (M+2, N+1) arrays, as preset coefficients arrive
+KINDS = ["varying", "constant", "level", "zero_f", "signed_zero",
+         "zero_stride", "transposed"]
 
 
 def kernel_inputs(P, N, M, seed, kind="varying"):
@@ -466,6 +470,13 @@ def kernel_inputs(P, N, M, seed, kind="varying"):
     elif kind == "constant":
         tables = [np.full((N + 1, M + 2), rng.uniform(-0.5, 0.5))
                   for _ in range(6)]
+    elif kind == "zero_stride":
+        # scalars in A, C, G, per-level columns in B, D, F
+        values = [rng.uniform(-0.5, 0.5, (N + 1, 1)) if k % 2
+                  else np.float64(rng.uniform(-0.5, 0.5)) for k in range(6)]
+        tables = [np.broadcast_to(v, (N + 1, M + 2)) for v in values]
+    elif kind == "transposed":
+        tables = [rng.uniform(-0.5, 0.5, (M + 2, N + 1)).T for _ in range(6)]
     else:
         tables = [np.repeat(rng.uniform(-0.5, 0.5, (N + 1, 1)), M + 2, axis=1)
                   for _ in range(6)]
@@ -614,6 +625,20 @@ def test_weights_keep_one_value_per_level_only_where_constant_along_j(
     w = np.tile(nan2.view(np.float64), (3, 1))[:, :, None]
     assert _stepper_np._per_level(w) is w
     assert _stepper_np._per_level(w[:, :1].copy()).shape == (3, 1, 1)
+
+
+def test_weights_of_zero_stride_tables_are_one_value_per_level(monkeypatch):
+    N, M = 5, 4
+    _, tables, _ = kernel_inputs(1, N, M, seed=4, kind="zero_stride")
+    assert all(t.strides[1] == 0 for t in tables)
+    weights = _stepper_np._weights(*tables, 0.05, 0.2)
+    assert all(w.shape == (N + 1, 1, 1) for w in weights)
+    # the same bits as the per-node weights of the dense tables
+    monkeypatch.setattr(_stepper_np, "_per_level", lambda t: t)
+    dense = _stepper_np._weights(*(np.array(t) for t in tables), 0.05, 0.2)
+    for w, d in zip(weights, dense):
+        assert d.shape == (N + 1, M, 1)
+        assert np.broadcast_to(w, d.shape).tobytes() == d.tobytes()
 
 
 def test_numpy_kernel_finite_slice_with_overflowing_sum_not_reported():

@@ -335,7 +335,7 @@ def preset_family(N, forced):
 @pytest.mark.parametrize("N", [5, L, 2 * L + 5])
 def test_window_rows_equal_the_full_tables(monkeypatch, N, forced):
     grid, data, coeffs = preset_family(N, forced)
-    full = solver._table_rows(data, coeffs, grid, 0, N)
+    full = np.array(solver._table_rows(data, coeffs, grid, 0, N))
     # the kernel's frame: coefficients at n = 0..N, sources at n = 1..N
     # on the interior nodes, zero elsewhere and for a missing f
     ref = np.zeros((6, N + 1, M + 2))
@@ -345,10 +345,21 @@ def test_window_rows_equal_the_full_tables(monkeypatch, N, forced):
     if forced:
         ref[5, 1:, 1 : M + 1] = data.f.values.T
     assert full.tobytes() == ref.tobytes()
+    fields = (coeffs.a, coeffs.b, coeffs.c, coeffs.d)
     for n0, levels in solver._window_spans(N):
         rows = solver._table_rows(data, coeffs, grid, n0, levels)
-        assert rows.tobytes() == full[:, n0 : n0 + levels + 1].tobytes()
-        assert all(table.flags.c_contiguous for table in rows)
+        assert len(rows) == 6
+        for table, want in zip(rows, full[:, n0 : n0 + levels + 1]):
+            assert table.shape == want.shape
+            assert table.tobytes() == want.tobytes()
+        # coefficient rows are views, a constant's along j of stride 0;
+        # the sources are padded copies
+        for table, u in zip(rows, fields):
+            assert np.shares_memory(table, u.values)
+        assert rows[1].strides[1] == 0                  # b is constant
+        for table, u in zip(rows[4:], (data.g, data.f)):
+            assert table.flags.c_contiguous
+            assert u is None or not np.shares_memory(table, u.values)
     # and the stream built from them steps run_ensemble's levels
     ens = run_ensemble(data, coeffs, grid, P, SEED)
     assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
