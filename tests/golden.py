@@ -19,11 +19,19 @@ Regenerate the table, after a declared artifact or message change, with
 
     PYTHONPATH=src python tests/golden.py
 
-and list every changed entry in CHANGES.md.
+and list every changed entry in CHANGES.md.  Record new cases, or
+re-record named ones, without touching the others, with
+
+    PYTHONPATH=src python tests/golden.py --only NAME... [--replace]
+
+which runs only the named cases and merges them into the table: an
+unknown name is refused, and so is a name the table already holds
+unless --replace is given.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -89,6 +97,16 @@ CASES = {
         "mc": {"paths": 100},
     }),
     # constant coefficients as zero-stride views and an all-zero g table
+    # blocks of 81 and 19 paths, windows of 16, 16 and 8 levels: the
+    # terminal pair of a second block and the flux of every window
+    "stability-two-blocks": ("stability", {
+        "grid": {"M": 200, "N": 40, "T": 0.1},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "y1": {"random": {"seed": 5, "amplitude": 0.2}},
+                 "g": {"random": {"seed": 3, "amplitude": 0.8}}},
+        "coefficients": {"d": {"constant": 0.5}},
+        "mc": {"paths": 100},
+    }),
     "stability-no-g": ("stability", {
         **SMALL,
         "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
@@ -103,6 +121,18 @@ CASES = {
     # whole runs whose artifacts depend on NumPy's dispatch (sweep
     # included in carleman-sweep's tiny config)
     "carleman-carleman-sweep": ("carleman", "carleman-sweep"),
+    # blocks of 81 and 1 paths over 44 windows, dt <= dx: R2's flux and
+    # the terminal pair across blocks
+    "carleman-two-blocks": ("carleman", {
+        "grid": {"M": 200, "N": 704, "T": 3.5},
+        "weight": {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
+                   "mconst": 10.0, "epsilon": 0.5},
+        "coefficients": {"a": {"constant": -0.5}, "d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 21, "amplitude": 0.5}},
+                 "f": {"random": {"seed": 22, "amplitude": 2.0}}},
+        "mc": {"paths": 82},
+    }),
     "weights-order-small": ("weights-order", {
         "grid": {"M": 3, "N": 4, "T": 1.0}, "weight": WEIGHT}),
     # refused at parse (tests/test_cli.py::test_parse_pointer_errors)
@@ -175,7 +205,8 @@ CASES = {
 }
 
 
-HOST_DISPATCH = ("carleman-carleman-sweep", "weights-order-small")
+HOST_DISPATCH = ("carleman-carleman-sweep", "carleman-two-blocks",
+                 "weights-order-small")
 # the NumPy loops whose float64 results differ between SIMD targets
 DISPATCHED = ("exp", "expm1", "log", "power")
 
@@ -227,15 +258,60 @@ def run_case(name: str, workdir: Path) -> dict:
     return record
 
 
-def generate() -> dict:
+def generate(names=None) -> dict:
+    """The table of the cases `names`, or of every case."""
     runs = {}
-    for name in CASES:
+    for name in CASES if names is None else names:
         with tempfile.TemporaryDirectory() as tmp:
             runs[name] = run_case(name, Path(tmp))
     return {"numpy": np.__version__, "runs": runs}
 
 
-if __name__ == "__main__":
-    TABLE.write_text(json.dumps(generate(), indent=2, sort_keys=True) + "\n",
+def merge(table: dict, names, replace: bool = False) -> dict:
+    """table with the cases `names` run again and merged in.  Raises
+    ValueError, before running anything, for an unknown name, a name
+    the table holds unless replace, or a table made with another NumPy
+    version."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError(f"unknown case(s): {', '.join(unknown)}")
+    held = [name for name in names if name in table["runs"]]
+    if held and not replace:
+        raise ValueError(
+            f"already recorded: {', '.join(held)} (give --replace to "
+            "overwrite)")
+    if table["numpy"] != np.__version__:
+        raise ValueError(
+            f"the table was made with NumPy {table['numpy']}; this is "
+            f"NumPy {np.__version__}")
+    runs = {**table["runs"], **generate(names)["runs"]}
+    return {**table, "runs": runs}
+
+
+def regenerate(argv=None, table: Path = TABLE) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate the golden table, or merge named cases "
+                    "into it.")
+    parser.add_argument("--only", nargs="+", metavar="NAME",
+                        help="run only these cases and merge them in")
+    parser.add_argument("--replace", action="store_true",
+                        help="with --only, overwrite recorded cases")
+    args = parser.parse_args(argv)
+    if args.only is None:
+        if args.replace:
+            parser.error("--replace needs --only")
+        new = generate()
+    else:
+        old = json.loads(table.read_text(encoding="utf-8"))
+        try:
+            new = merge(old, args.only, args.replace)
+        except ValueError as exc:
+            parser.error(str(exc))
+    table.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n",
                      encoding="utf-8")
-    print(f"wrote {TABLE}", file=sys.stderr)
+    print(f"wrote {table}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
