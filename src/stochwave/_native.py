@@ -113,15 +113,6 @@ NUMPY = Fields(_np_y2, _np_dty2, _np_dxy2, _np_dtdx2)
 _EXTRA = {"y2": 0, "dty2": 0, "dxy2": 1, "dtdx2": 1}
 
 
-def flux2(Y: np.ndarray, dx: float) -> np.ndarray:
-    """The squared boundary flux, Dx y at x = dx/2, at the levels
-    n = 1 .. L of a window's Y, as a new (P, L) array."""
-    fl = np.subtract(Y[:, 1:-1, 1], Y[:, 1:-1, 0])
-    fl /= dx
-    fl *= fl
-    return fl
-
-
 class Text(NamedTuple):
     """A column of text cells, each rendered once, as the row writers
     read it: the row at multi-index i of the table reads the cell at

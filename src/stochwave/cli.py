@@ -727,15 +727,22 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
 def _memory_preflight(cfg: RunConfig, subcommand: str):
     """Refuse, with MemoryError, a stepping run that cannot fit in
     physical memory, before anything is built or written: first any one
-    full-size array it builds before stepping, in the order it builds
-    them (simulate's copy of path 0, the data's g, whose shape f shares,
-    carleman's factor stacks and each preset coefficient), then a block
-    of its window stream."""
+    full-size array it builds, in the order it builds them (simulate's
+    copy of path 0, the data's g or f, carleman's factor stacks and each
+    preset coefficient), then a block of its window stream.  Zero data
+    is a zero-stride view, so the data's (M, N) array counts only where
+    a non-zero g or f is configured, and always in stability, whose G
+    norm squares the g difference in full."""
     grid = cfg.grid
     M, N = grid.M, grid.N
-    arrays = [("data's g", (M, N))]
+    arrays = []
     if subcommand == "simulate":
-        arrays.insert(0, ("copy of path 0", (N + 2, M + 2)))
+        arrays.append(("copy of path 0", (N + 2, M + 2)))
+    built = [key for key in ("g", "f") if cfg.data[key] != ("zero",)]
+    if subcommand == "stability":
+        built = ["g"]
+    if built:
+        arrays.append((f"data's {built[0]}", (M, N)))
     if subcommand == "carleman":
         arrays += [
             (f"carleman factor stack {key}", shape) for key, shape

@@ -24,8 +24,10 @@ The squared fields y^2, (Dt y)^2, (Dx y)^2 and (Dt Dx y)^2 come from
 _native.fields(): compiled loops or the NumPy reference they equal bit
 for bit, imported and loaded at the first window, so neither importing
 the package nor a run without these estimators pays for them.  Each
-writes into one buffer per window that the reducer reuses; the squared
-boundary flux, every row sum and every einsum stay in NumPy.  carleman
+writes into one buffer per window that the reducer reuses.  The
+boundary flux and the terminal pair come from solver.observe_window,
+which _fold calls once per window, and the reducer squares the flux
+in place; every row sum and every einsum stays in NumPy.  carleman
 reduces each squared field against its factors as soon as it is made,
 and stability reduces a window in path chunks of _CHUNK_NODES nodes,
 holding one chunk's fields at a time.  A path's sums read only its own rows, through
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
-from .solver import ProblemData, Window
+from .solver import ProblemData, Window, observe_window
 from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
 from .weights import (
     WeightParams,
@@ -87,14 +89,16 @@ class MCStatistic:
     paths: int
 
 
-def _fold(ens, grid: Grid, reduce, xt: bool = True):
-    """Sum reduce(win), one window's per-path sums with the paths on
-    the last axis, over the stream windows of ens (one Window or an
+def _fold(ens, grid: Grid, reduce, observed: bool = True):
+    """Sum reduce(win, flux), one window's per-path sums with the paths
+    on the last axis, over the stream windows of ens (one Window or an
     iterable of them; a whole Window is split by Window.windows()) and
-    concatenate the path blocks in order.  Returns (sums, xts): xts
-    holds the paths' terminal XT norms, taken from each block's last
-    window, which holds levels N and N+1, or is None if xt is False."""
-    blocks, xts = [], []
+    concatenate the path blocks in order.  With observed, each window's
+    observation is formed once, by solver.observe_window: reduce gets
+    its flux rows, which it may overwrite, and the terminal pair of each
+    block's last window gives the paths' XT norms.  Returns (sums, xts),
+    xts None and flux None without observed."""
+    blocks, xts, flux = [], [], None
     for item in (ens,) if isinstance(ens, Window) else ens:
         if not isinstance(item, Window):
             raise TypeError(f"expected a Window, got {type(item).__name__}")
@@ -103,15 +107,15 @@ def _fold(ens, grid: Grid, reduce, xt: bool = True):
         for win in item.windows():
             if win.n0 == 0:
                 acc = 0.0  # +0.0: a block's sums are never -0.0
-            acc = acc + reduce(win)
+            if observed:
+                flux, terminal = observe_window(win, grid)
+                if terminal is not None:
+                    xts.append(xt_norm_values(*terminal, grid.dx))
+            acc = acc + reduce(win, flux)
             if win.last:
                 blocks.append(acc)
-                if xt:
-                    yN = win.Y[:, -2]
-                    dty = (win.Y[:, -1] - yN) / grid.dt
-                    xts.append(xt_norm_values(yN, dty, grid.dx))
     return (np.concatenate(blocks, axis=-1),
-            np.concatenate(xts) if xt else None)
+            np.concatenate(xts) if observed else None)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -271,10 +275,12 @@ def _weighted(x: np.ndarray, F: np.ndarray, n0: int) -> np.ndarray:
     )
 
 
-def _carleman_window(win: Window, stacks: dict, grid: Grid) -> np.ndarray:
+def _carleman_window(win: Window, flux: np.ndarray, stacks: dict,
+                     grid: Grid) -> np.ndarray:
     """One window's (terms, K, P) sums of every path term against
     stacks[key]; each squared field is made in one reused buffer and
-    reduced as soon as it is made."""
+    reduced as soon as it is made, R2's by squaring the window's flux
+    rows (observe_window) in place."""
     from . import _native  # at the first window: importing costs setup
 
     Y, P, L, M, n0 = win.Y, win.paths, win.levels, grid.M, win.n0
@@ -288,7 +294,8 @@ def _carleman_window(win: Window, stacks: dict, grid: Grid) -> np.ndarray:
     out[1] = _weighted(interior, stacks["L2"], n0).T
     f.dxy2(Y, dual, dx, dt)
     out[2] = _weighted(dual, stacks["L3"], n0).T
-    out[3] = _weighted(_native.flux2(Y, dx), stacks["R2"], n0).T
+    flux *= flux
+    out[3] = _weighted(flux, stacks["R2"], n0).T
     f.dtdx2(Y, dual, dx, dt)
     out[4] = _weighted(dual, stacks["R3"], n0).T
     return out
@@ -301,7 +308,7 @@ def _carleman_sums(ens, stacks: dict, grid: Grid):
     factors of every weight set stacked time-major as contiguous
     (K, N, ...) rows."""
     sums, xts = _fold(
-        ens, grid, lambda win: _carleman_window(win, stacks, grid)
+        ens, grid, lambda win, flux: _carleman_window(win, flux, stacks, grid)
     )
     per = dict(zip(_PATH_TERMS, sums))
     for key in ("L1", "L2", "L3", "R3"):
@@ -466,11 +473,13 @@ class StabilityReport:
     g_mode: str
 
 
-def _stability_window(Y: np.ndarray, grid: Grid) -> np.ndarray:
-    """(2, P) row sums of the squared boundary flux and (Dt Dx y)^2 of
-    one window's Y, reduced in path chunks of at most _CHUNK_NODES nodes
-    (at least one path): one chunk's fields are held at a time, in one
-    reused buffer, and each path's sums read only its own rows, so the
+def _stability_window(Y: np.ndarray, flux: np.ndarray,
+                      grid: Grid) -> np.ndarray:
+    """(2, P) row sums of the squared boundary flux, from the window's
+    flux rows (observe_window) squared in place, and of (Dt Dx y)^2 of
+    its Y, reduced in path chunks of at most _CHUNK_NODES nodes (at
+    least one path): one chunk's fields are held at a time, in one
+    reused buffer.  Each path's sums read only its own rows, so the
     chunk size does not change them."""
     from . import _native  # at the first window: importing costs setup
 
@@ -479,11 +488,12 @@ def _stability_window(Y: np.ndarray, grid: Grid) -> np.ndarray:
     step = max(1, _CHUNK_NODES // (Y.shape[1] * Y.shape[2]))
     buf = np.empty(min(step, P) * L * (M + 1))
     out = np.empty((2, P))
+    flux *= flux
+    out[0] = _row_sums(flux)
     for p in range(0, P, step):
         y = Y[p : p + step]
         dtdx2 = buf[: y.shape[0] * L * (M + 1)].reshape(-1, L, M + 1)
         f.dtdx2(y, dtdx2, grid.dx, grid.dt)
-        out[0, p : p + step] = _row_sums(_native.flux2(y, grid.dx))
         out[1, p : p + step] = _row_sums(dtdx2)
     return out
 
@@ -492,7 +502,7 @@ def _stability_sums(ens, grid: Grid):
     """Per-path FLUX, XT and DTDX norms of the difference system's paths
     z = yA - yB, folded window by window."""
     (fl, dtdx), xts = _fold(
-        ens, grid, lambda win: _stability_window(win.Y, grid)
+        ens, grid, lambda win, flux: _stability_window(win.Y, flux, grid)
     )
     dx, dt = grid.dx, grid.dt
     return {
@@ -582,12 +592,12 @@ def martingale_check(ens, grid: Grid) -> MCStatistic:
     least 100 paths for a meaningful error bar."""
     M = grid.M
 
-    def reduce(win):
+    def reduce(win, flux):
         return np.einsum(
             "pnj,pn->p", win.Y[:, 1:-1, 1 : M + 1], win.dB[:, 1:]
         )
 
-    vals, _ = _fold(ens, grid, reduce, xt=False)
+    vals, _ = _fold(ens, grid, reduce, observed=False)
     if vals.shape[0] < MARTINGALE_MIN_PATHS:
         raise ValueError(
             f"martingale check needs >= {MARTINGALE_MIN_PATHS} paths, got "

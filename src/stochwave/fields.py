@@ -19,10 +19,14 @@ _SINE_MODES = 4
 
 
 def zero_field(grid: Grid, space_tag="closure", time_tag=None) -> GridFunction:
+    """Zero on the named meshes.  Like constant_coefficient, its values
+    are a read-only, zero-stride broadcast of one 0.0: no memory grows
+    with the mesh (copy() it to write into it)."""
     sax = grid.space_axis(space_tag) if space_tag is not None else None
     tax = grid.time_axis(time_tag) if time_tag is not None else None
     shape = tuple(ax.count for ax in (sax, tax) if ax is not None)
-    return GridFunction(grid, np.zeros(shape), sax, tax)
+    return GridFunction(grid, np.broadcast_to(np.float64(0.0), shape), sax,
+                        tax)
 
 
 def _zero_closure_endpoints(values: np.ndarray, axis_tag: str) -> np.ndarray:

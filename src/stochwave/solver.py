@@ -28,6 +28,12 @@ whole Window that holds every level 0 .. N+1.
 dt > dx sets a CFL warning flag instead of failing, since the explicit
 scheme's stability limit is a modeling concern, not an API violation.
 
+The inverse problem's observation of a path is the left boundary flux
+(y_1^n - y_0^n) / dx at n = 1..N and the terminal pair y^N,
+(y^{N+1} - y^N) / dt.  observe_window forms it on one Window, and is
+the only code that does: the estimators read it window by window, and
+observe reads it on a trajectory viewed as a one-path whole Window.
+
 Reproducibility: Brownian increments come from a counter-based
 generator (Philox) keyed by a 64-bit seed, and ensemble path seeds are
 derived from (master_seed, path_index) by the splitmix64-style mixer
@@ -51,8 +57,7 @@ from .errors import (
     MeshMismatchError,
     SingularUpdateError,
 )
-from .grids import Grid, GridFunction, trace
-from .operators import diff_x
+from .grids import Grid, GridFunction
 
 # the name of step_paths, the one kernel; no setting selects another
 backend_name = "numpy"
@@ -642,10 +647,27 @@ def stream_windows(
 # observation and residual
 
 
+def observe_window(win: Window, grid: Grid):
+    """The inverse problem's observation on one window, the one place it
+    is formed: (flux, terminal).  flux (P, L) holds the left boundary
+    flux (y_1 - y_0) / dx at the window's levels n0+1 .. n0+L.  On the
+    last window terminal is the pair y^N and (y^{N+1} - y^N) / dt, each
+    (P, M+2), y^N a view of Y; on any other window it is None.  Each
+    value is one subtraction followed by one division."""
+    Y = win.Y
+    flux = np.subtract(Y[:, 1:-1, 1], Y[:, 1:-1, 0])
+    flux /= grid.dx
+    if not win.last:
+        return flux, None
+    velocity = np.subtract(Y[:, -1], Y[:, -2])
+    velocity /= grid.dt
+    return flux, (Y[:, -2], velocity)
+
+
 def observe(traj: Trajectory, grid: Grid) -> Observation:
-    """Extract the inverse-problem observation: the left boundary flux
-    over interior times, the terminal slice y(T), and the forward
-    terminal velocity (y^{N+1} - y^N)/dt."""
+    """observe_window on one trajectory, as GridFunctions: the left
+    boundary flux over the interior times 1..N, the terminal slice
+    y(T), and the forward terminal velocity (y^{N+1} - y^N)/dt."""
     if traj.grid != grid:
         raise MeshMismatchError("trajectory lives on a different grid")
     y = traj.y
@@ -653,14 +675,14 @@ def observe(traj: Trajectory, grid: Grid) -> Observation:
         raise IncompleteTrajectoryError(
             "observation needs the full time closure through t^{N+1}"
         )
-    N = grid.N
-    flux = trace(diff_x(y), "left").restrict(time="primal")
+    win = Window(grid, y.values.T[None], traj.path.increments[None], 0)
+    flux, (terminal_y, terminal_v) = observe_window(win, grid)
     sax = grid.space_axis("closure")
-    terminal_y = GridFunction(grid, y.values[:, N].copy(), sax, None)
-    terminal_v = GridFunction(
-        grid, (y.values[:, N + 1] - y.values[:, N]) / grid.dt, sax, None
+    return Observation(
+        flux=GridFunction(grid, flux[0], None, grid.time_axis("primal")),
+        terminal_y=GridFunction(grid, terminal_y[0].copy(), sax, None),
+        terminal_v=GridFunction(grid, terminal_v[0], sax, None),
     )
-    return Observation(flux=flux, terminal_y=terminal_y, terminal_v=terminal_v)
 
 
 def scheme_residual(

@@ -194,6 +194,19 @@ def brute_carleman_terms(Y, y0, y1, g, f, M, N, T, s, lam, beta, xstar, mconst, 
     }
 
 
+def brute_observation(Y, M, N, T):
+    """The inverse problem's observation of one trajectory Y
+    (M+2, N+2): the left flux (Y[1][n] - Y[0][n]) / dx at n = 1..N and
+    the terminal pair Y[j][N], (Y[j][N+1] - Y[j][N]) / dt at
+    j = 0..M+1, as three lists."""
+    dx = 1.0 / (M + 1)
+    dt = T / N
+    flux = [(Y[1][n] - Y[0][n]) / dx for n in range(1, N + 1)]
+    yT = [Y[j][N] for j in range(M + 2)]
+    vT = [(Y[j][N + 1] - Y[j][N]) / dt for j in range(M + 2)]
+    return flux, yT, vT
+
+
 def brute_stability_terms(YA, YB, y0A, y0B, y1A, y1B, gA, gB, M, N, T):
     """All 6 stability terms of one coupled trajectory pair by direct
     summation.  Same array conventions as brute_carleman_terms; the g

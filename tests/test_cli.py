@@ -242,37 +242,46 @@ def test_weight_failures_come_before_stepping_or_writing(
     assert_refused_early(tmp_path, monkeypatch, subcommand, raw, 4, message)
 
 
-# 72.8 TiB for the zero g alone
+# 72.8 TiB for a full g alone
 HUGE = {"M": 100_000_000, "N": 100_000, "T": 1.0}
+SINE_G = {"g": {"sine": {"mode": 1, "amplitude": 1.0}}}
 
 
 @pytest.mark.parametrize(
     "subcommand, raw, phys, array",
     [
         ("simulate", {"grid": HUGE}, 2**40,
-         "copy of path 0, a 100002 x 100000002 float64 array, needs "
+         "the copy of path 0, a 100002 x 100000002 float64 array, needs "
          "80001601600032 bytes"),
-        ("carleman", {"grid": HUGE, "weight": WEIGHT}, 2**40,
-         "data's g, a 100000000 x 100000 float64 array, needs "
+        ("carleman", {"grid": HUGE, "weight": WEIGHT, "data": SINE_G}, 2**40,
+         "the data's g, a 100000000 x 100000 float64 array, needs "
          "80000000000000 bytes"),
         # g (3 x 4 x 8 B = 96 B) fits, the first factor stack of a
         # two-value sweep (2 x 4 x 3 x 8 B) does not
         ("carleman", {"grid": {"M": 3, "N": 4, "T": 1.0}, "weight": WEIGHT,
                       "sweep": {"parameter": "weight.s",
                                 "values": [0.7, 0.8]}}, 150,
-         "carleman factor stack L1, a 2 x 4 x 3 float64 array, needs "
+         "the carleman factor stack L1, a 2 x 4 x 3 float64 array, needs "
          "192 bytes"),
         # g (3 x 4 x 8 B = 96 B) fits, a preset coefficient (5 x 5 x 8 B)
         # does not
         ("stability", {"grid": {"M": 3, "N": 4, "T": 1.0},
                        "coefficients": {"b": {"preset": "sine_x"}}}, 150,
-         "preset coefficient b, a 5 x 5 float64 array, needs 200 bytes"),
-        ("martingale", {"grid": HUGE, "mc": {"paths": 100}}, 2**40,
-         "data's g, a 100000000 x 100000 float64 array, needs "
+         "the preset coefficient b, a 5 x 5 float64 array, needs 200 "
+         "bytes"),
+        ("martingale", {"grid": HUGE, "data": SINE_G, "mc": {"paths": 100}},
+         2**40,
+         "the data's g, a 100000000 x 100000 float64 array, needs "
          "80000000000000 bytes"),
+        # a zero g is a zero-stride view: only the stream block counts
+        ("martingale", {"grid": HUGE, "mc": {"paths": 100}}, 2**36,
+         "a block of 1 path(s) holding 18 of the 100002 time levels of a "
+         "100000000 x 100000 mesh needs 14400000288 bytes for its "
+         "trajectories and 96000801928 bytes with its 100001 increments "
+         "per path and 17 rows of the six coefficient and data tables"),
     ],
     ids=["simulate", "carleman", "carleman-stacks", "stability",
-         "martingale"],
+         "martingale", "martingale-zero-g"],
 )
 def test_arrays_larger_than_memory_are_refused_before_building(
         tmp_path, monkeypatch, subcommand, raw, phys, array):
@@ -282,9 +291,35 @@ def test_arrays_larger_than_memory_are_refused_before_building(
                         lambda *args: built.append(args))
     assert_refused_early(
         tmp_path, monkeypatch, subcommand, raw, 3,
-        f"out of memory: the {array}, more than the {phys} bytes of "
-        "physical memory\n")
+        f"out of memory: {array}, more than the {phys} bytes of physical "
+        "memory\n")
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, data, refused",
+    [
+        ("martingale", {}, None),
+        ("carleman", {}, "carleman factor stack L1"),
+        ("martingale", {"f": SINE_G["g"]}, "data's f"),
+        # stability's G norm squares the g difference in full
+        ("stability", {}, "data's g"),
+    ],
+    ids=["martingale", "carleman", "martingale-f", "stability"],
+)
+def test_zero_data_is_not_budgeted_as_a_full_array(
+        tmp_path, monkeypatch, subcommand, data, refused):
+    """A mesh whose zero g would not fit in memory as a full array
+    passes the preflight, unless another full array is built."""
+    monkeypatch.setattr(solver_mod, "_physical_bytes", lambda: 2**40)
+    cfg = parse_config(write_cfg(tmp_path, {
+        "grid": HUGE, "weight": WEIGHT, "data": data, "mc": {"paths": 100},
+    }))
+    if refused is None:
+        cli_mod._memory_preflight(cfg, subcommand)
+    else:
+        with pytest.raises(MemoryError, match=f"^the {refused}, a "):
+            cli_mod._memory_preflight(cfg, subcommand)
 
 
 def test_parse_rejects_invalid_json(tmp_path):

@@ -24,6 +24,18 @@ def test_zero_field_tags():
     assert w.values.shape == (5, 5)
 
 
+def test_zero_field_is_a_zero_stride_read_only_view():
+    g = build_grid(5, 5, 1.0)
+    for u in (zero_field(g), zero_field(g, "primal", "primal")):
+        assert set(u.values.strides) == {0}
+        assert not u.values.flags.writeable
+        with pytest.raises(ValueError):
+            u.values[1] = 1.0
+        copy = u.copy()
+        copy.values[1] = 1.0
+        assert np.all(u.values == 0.0)
+
+
 def test_sine_slice_endpoints_exact():
     g = build_grid(9, 4, 1.0)
     for mode in (1, 2, 5):

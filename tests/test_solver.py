@@ -30,6 +30,7 @@ from stochwave import (
     sine_field,
     sine_slice,
     solve,
+    stream_windows,
     zero_field,
 )
 
@@ -368,6 +369,76 @@ def test_observe_flux_and_terminal():
     short = traj.y.restrict(time="primal")
     with pytest.raises(ValueError):
         type(traj)(y=short, path=traj.path, cfl_warning=False)
+
+
+def observation_problem():
+    """A 31 x 100 problem with random data and source and noise."""
+    grid = build_grid(31, 100, 1.0)
+    data = ProblemData(
+        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+        g=random_field(grid, 3, 0.8),
+    )
+    return data, SchemeCoefficients.constant(grid, a=-0.4, d=0.6), grid
+
+
+def brute_observations(Y, grid):
+    """oracles.brute_observation of each path of Y (P, N+2, M+2), as
+    arrays (P, N), (P, M+2), (P, M+2)."""
+    obs = [oracles.brute_observation(y.T.tolist(), grid.M, grid.N, grid.T)
+           for y in Y]
+    return tuple(np.array(part) for part in zip(*obs))
+
+
+def test_observe_window_matches_the_scalar_oracle_on_a_whole_window():
+    data, coeffs, grid = observation_problem()
+    ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=11)
+    flux, (yT, vT) = solver.observe_window(ens, grid)
+    for got, want in zip((flux, yT, vT), brute_observations(ens.Y, grid)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_observe_window_on_stream_windows_matches_the_scalar_oracle(
+        monkeypatch):
+    """Blocks of 2, 2 and 1 paths, windows of 16 levels but the last:
+    the flux rows of each block's windows, concatenated, and its last
+    window's terminal pair are the oracle's, and no other window has a
+    pair."""
+    data, coeffs, grid = observation_problem()
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 2 * grid.M)
+    want = brute_observations(
+        run_ensemble(data, coeffs, grid, paths=5, master_seed=11).Y, grid)
+    flux, yT, vT, lasts = [], [], [], 0
+    for win in stream_windows(data, coeffs, grid, 5, 11):
+        rows, terminal = solver.observe_window(win, grid)
+        if win.n0 == 0:
+            flux.append([])
+        flux[-1].append(rows)
+        assert (terminal is not None) == win.last
+        if win.last:
+            lasts += 1
+            yT.append(terminal[0].copy())
+            vT.append(terminal[1])
+    assert lasts == len(flux) == 3
+    flux = np.concatenate([np.concatenate(b, axis=1) for b in flux])
+    for got, ref in zip((flux, np.concatenate(yT), np.concatenate(vT)), want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_observe_of_path_0_is_observe_window_of_the_ensemble():
+    """observe(solve(...)) of path 0 gives the oracle's observation and
+    row 0 of observe_window on the ensemble, wrapped as GridFunctions."""
+    data, coeffs, grid = observation_problem()
+    ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=11)
+    path = sample_brownian(grid.N, grid.dt, path_seed(11, 0))
+    obs = observe(solve(data, coeffs, path, grid), grid)
+    flux, (yT, vT) = solver.observe_window(ens, grid)
+    got = (obs.flux.values, obs.terminal_y.values, obs.terminal_v.values)
+    for g, w, r in zip(got, (flux[0], yT[0], vT[0]),
+                       brute_observations(ens.Y[:1], grid)):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(g, r[0])
+    assert obs.flux.time_tag == "primal" and obs.flux.space_axis is None
+    assert obs.terminal_y.space_tag == obs.terminal_v.space_tag == "closure"
 
 
 def test_brownian_path_validation():
