@@ -56,19 +56,21 @@ Layout: the kernel steps three rolling time levels held path-minor,
 lev[j, p] of shape (M+2, P), so every stencil operand is one contiguous
 (M, P) slab and each weight row broadcasts across paths; dB is
 transposed once per call so the increments of a level are one
-contiguous row.  The six tables may have any strides.  Before the
-weights are formed each is narrowed to one value per level, (N+1, 1, 1),
-where it holds one value along j: at once where its j-stride is 0, as
-a constant coefficient's view has, else where every row holds one bit
-pattern.  A weight formed only from narrowed tables is then one value
-per level, the same value at every node and so the same bits, and
-enters a level as a 0-d operand that broadcasts over the whole slab as
-one flat loop; any other weight enters as its (M, 1) row.  A level is
-12 element-wise operations with out= into the new level and one
-scratch slab allocated once per call, and each finished level is
-written back into Y.  Extra memory is the levels and scratch, O(P M),
-plus the seven weight tables and the transposed dB, the size of the
-inputs; a narrowed table is a view of its first column.
+contiguous row.  The six tables may have any strides.  A table of
+j-stride 0 holds one value per level and is narrowed to (N+1, 1, 1)
+before the weights are formed.  The stride alone decides: each field
+that holds one value per level is a zero-stride view where it is built
+(constant_coefficient, the presets zero, one and ramp_t, and
+solver._table_rows' block for absent or zero data).  A weight formed
+only from narrowed tables is then one value per level, the same value
+at every node and so the same bits, and enters a level as a 0-d
+operand that broadcasts over the whole slab as one flat loop; any other
+weight enters as its (M, 1) row.  A level is 12 element-wise
+operations with out= into the new level and one scratch slab allocated
+once per call, and each finished level is written back into Y.  Extra
+memory is the levels and scratch, O(P M), plus the seven weight tables
+and the transposed dB, the size of the inputs; a narrowed table is a
+view of its first column.
 """
 
 from __future__ import annotations
@@ -106,14 +108,8 @@ def _weights(A, B, C, D, G, F, dt, dx):
 
 
 def _per_level(t):
-    """t[:, :1] when every row of t holds one value along j: at once for
-    a table whose j-stride is 0, else when every row holds one bit
-    pattern.  Bits, not values, are compared, so a row mixing -0.0 and
-    +0.0, or NaNs of different payloads, keeps its per-node values."""
-    if t.strides[1] == 0:
-        return t[:, :1]
-    bits = t.view(np.int64)
-    return t[:, :1] if (bits == bits[:, :1]).all() else t
+    """t[:, :1] where t's j-stride is 0, one value per level; else t."""
+    return t[:, :1] if t.strides[1] == 0 else t
 
 
 def _step_paths(Y, A, B, C, D, G, F, dB, dt, dx):

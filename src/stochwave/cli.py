@@ -731,15 +731,15 @@ def _memory_preflight(cfg: RunConfig, subcommand: str):
     copy of path 0, the data's g or f, carleman's factor stacks and each
     preset coefficient), then a block of its window stream.  Zero data
     is a zero-stride view, so the data's (M, N) array counts only where
-    a non-zero g or f is configured, and always in stability, whose G
-    norm squares the g difference in full."""
+    a non-zero g or f is configured, or where stability is given data_b
+    (the g difference is always a full array)."""
     grid = cfg.grid
     M, N = grid.M, grid.N
     arrays = []
     if subcommand == "simulate":
         arrays.append(("copy of path 0", (N + 2, M + 2)))
     built = [key for key in ("g", "f") if cfg.data[key] != ("zero",)]
-    if subcommand == "stability":
+    if subcommand == "stability" and cfg.data_b is not None:
         built = ["g"]
     if built:
         arrays.append((f"data's {built[0]}", (M, N)))

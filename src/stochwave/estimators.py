@@ -531,7 +531,8 @@ def stability_terms(
     per = _stability_sums(ens, grid)
     if g_mode == "space_only":
         cols = diff.g.values
-        if not np.all(cols == cols[:, :1]):
+        # a zero-stride time axis holds one column: nothing to compare
+        if cols.strides[1] and not np.all(cols == cols[:, :1]):
             raise ValueError(
                 "g_mode='space_only' but the g difference varies in time"
             )

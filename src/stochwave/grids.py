@@ -207,14 +207,14 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: Grid, space_tag, time_tag, fn) -> "GridFunction":
         """Sample fn on the named meshes; fn takes (x, t) arrays, or (x,)
-        when time_tag is None, or (t,) when space_tag is None."""
+        when time_tag is None, or (t,) when space_tag is None.  (x, t) is
+        the open mesh, and fn's result is broadcast, read-only, to the
+        full shape: stride 0 along x where fn does not read x."""
         sax = grid.space_axis(space_tag) if space_tag is not None else None
         tax = grid.time_axis(time_tag) if time_tag is not None else None
         if sax is not None and tax is not None:
-            X, Tm = np.meshgrid(
-                sax.coords(grid.dx), tax.coords(grid.dt), indexing="ij"
-            )
-            vals = fn(X, Tm)
+            vals = fn(sax.coords(grid.dx)[:, None], tax.coords(grid.dt)[None])
+            vals = np.broadcast_to(vals, (sax.count, tax.count))
         elif sax is not None:
             vals = fn(sax.coords(grid.dx))
         else:
@@ -455,7 +455,6 @@ _L2_TIME_REGION = {tag: part for part, tag in _TIME_REGION_TAG.items()}
 
 
 def _l2(u: GridFunction) -> float:
-    sq = GridFunction(u.grid, u.values * u.values, u.space_axis, u.time_axis)
     parts = []
     if u.space_axis is not None:
         try:
@@ -471,8 +470,12 @@ def _l2(u: GridFunction) -> float:
             raise MeshMismatchError(
                 f"no canonical L2 region for time tag {u.time_tag!r}"
             ) from None
-    region = "x".join(parts)
-    return float(np.sqrt(integrate(sq, region)))
+    v = u.values
+    # a zero-stride zero field is read once: its norm is exactly 0.0
+    if v.size and not any(v.strides) and v.flat[0] == 0.0:
+        return 0.0
+    sq = GridFunction(u.grid, v * v, u.space_axis, u.time_axis)
+    return float(np.sqrt(integrate(sq, "x".join(parts))))
 
 
 def _h1(u: GridFunction) -> float:

@@ -16,12 +16,13 @@ so the stored trajectory covers levels 0..N+1; the one-past-T level is
 what makes forward time differences available at t = T.
 
 The division by (1 - c dt) resolves the single-node implicitness of the
-c-term in closed form, and a zero denominator anywhere is rejected up
-front as SingularUpdateError.  The stepping kernel (_stepper_np) folds
-the constants into per-node weights and evaluates each level as a
-weighted sum, equal to the update above up to rounding, which
-scheme_residual checks.  solve, run_ensemble and stream_windows all step
-through one loop, _step_blocks, in windows of _WINDOW_LEVELS levels.
+c-term in closed form, and a zero denominator anywhere is rejected as
+SingularUpdateError when the SchemeCoefficients are built.  The
+stepping kernel (_stepper_np) folds the constants into per-node weights
+and evaluates each level as a weighted sum, equal to the update above
+up to rounding, which scheme_residual checks.  solve, run_ensemble and
+stream_windows all step through one loop, _step_blocks, in windows of
+_WINDOW_LEVELS levels.
 A family of paths is held as a Window of levels: stream_windows yields
 them one _WINDOW_LEVELS span at a time, and run_ensemble returns one
 whole Window that holds every level 0 .. N+1.
@@ -237,7 +238,8 @@ class ProblemData:
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
-    """Lower-order and noise coefficients a, b, c, d on closure x nbar."""
+    """Lower-order and noise coefficients a, b, c, d on closure x nbar,
+    checked when built: finite, and 1 - c dt != 0 (SingularUpdateError)."""
 
     a: GridFunction
     b: GridFunction
@@ -253,8 +255,12 @@ class SchemeCoefficients:
                 f"{name} must live on closure x nbar, got "
                 f"({u.space_tag}, {u.time_tag})",
             )
-            if not all(np.isfinite(b).all() for b in _time_blocks(u.values)):
-                raise ValueError(f"coefficient {name} contains non-finite values")
+            for block in _time_blocks(u.values):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"coefficient {name} contains non-finite values")
+                if name == "c" and np.any(1.0 - block * grid.dt == 0.0):
+                    raise SingularUpdateError(
+                        "c*dt equals 1 somewhere, the update denominator vanishes")
 
     @classmethod
     def constant(cls, grid: Grid, a=0.0, b=0.0, c=0.0, d=0.0):
@@ -389,29 +395,26 @@ def _window_spans(N: int):
 # stepping
 
 
-def _check_singular(coeffs: SchemeCoefficients, grid: Grid):
-    """Refuse a vanishing 1 - c dt at any node."""
-    for c in _time_blocks(coeffs.c.values):
-        if np.any(1.0 - c * grid.dt == 0.0):
-            raise SingularUpdateError(
-                "c*dt equals 1 somewhere, the update denominator vanishes"
-            )
-
-
 def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
                 n0: int, L: int) -> tuple:
     """Rows n = n0 .. n0+L of the kernel's six tables A, B, C, D, G, F,
     each (L+1, M+2).  The coefficients at level n are views of their
-    values, so a constant one keeps its zero strides; g and f are
-    copied, padded onto the same (n, j) frame, zero at n = 0, at the
-    boundary nodes and where f is None."""
+    values, so a constant one keeps its zero strides.  A g or f that is
+    None or holds one value (zero data) is a zero-stride block of that
+    value; any other is copied, padded onto the same (n, j) frame, zero
+    at n = 0 and at the boundary nodes."""
     M = grid.M
-    sources = np.zeros((2, L + 1, M + 2))
+    sources = []
     # g and f hold levels 1..N in columns 0..N-1
     lo = max(n0, 1)
-    for table, u in zip(sources, (data.g, data.f)):
-        if u is not None:
+    for u in (data.g, data.f):
+        if u is None or not any(u.values.strides):
+            one = 0.0 if u is None else u.values[0, 0]
+            table = np.broadcast_to(one, (L + 1, M + 2))
+        else:
+            table = np.zeros((L + 1, M + 2))
             table[lo - n0 :, 1 : M + 1] = u.values[:, lo - 1 : n0 + L].T
+        sources.append(table)
     return (
         *(u.values[:, n0 : n0 + L + 1].T
           for u in (coeffs.a, coeffs.b, coeffs.c, coeffs.d)),
@@ -444,8 +447,8 @@ def solve(
     grid: Grid,
 ) -> Trajectory:
     """Advance one path of the scheme; see the module docstring for the
-    update.  Raises SingularUpdateError / BlowUpError, and MemoryError
-    as run_ensemble does; dt > dx only flags cfl_warning on the result."""
+    update.  Raises BlowUpError, and MemoryError as run_ensemble does;
+    dt > dx only flags cfl_warning on the result."""
     _check_match(data, coeffs, grid)
     if path.increments.shape[0] != grid.N + 1:
         raise ValueError(
@@ -543,14 +546,13 @@ def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
     """Step each block (first, dB) of `blocks`, at most `size` paths
     whose row 0 is global path `first`, and yield its Windows of
     _WINDOW_LEVELS levels: the one loop that calls step_paths, once per
-    window on the window's rows of the six tables (_table_rows: the
-    coefficients' as views, a constant's of stride 0 along j, which the
+    window on the window's rows of the six tables (_table_rows: a field
+    that holds one value per level has stride 0 along j, which the
     kernel narrows to one value per level) in one reused
     (size, L+2, M+2) buffer.  A yielded window is valid until
     the next is drawn.  A blow-up ends the yields, but later blocks are
     stepped as far as an earlier level could fail, so the BlowUpError
     raised is the lexicographic minimum over (n, path, j)."""
-    _check_singular(coeffs, grid)
     spans = _window_spans(grid.N)
     start = _start_levels(data, grid)
     window = np.zeros((size, spans[0][1] + 2, grid.M + 2))

@@ -85,8 +85,9 @@ CASES = {
                    "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
     }),
     "stability-space-only": ("stability", {**SMALL, "g_mode": "space_only"}),
-    # blocks of 81 and 19 paths on full preset tables: a and d hold one
-    # bit pattern per level, c = x widens every weight to one per node
+    # blocks of 81 and 19 paths on preset tables: a and d hold one value
+    # per level (stride 0 along x), c = x widens every weight to one per
+    # node
     "martingale-presets-two-blocks": ("martingale", {
         "grid": {"M": 200, "N": 40, "T": 0.1},
         "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
@@ -96,7 +97,7 @@ CASES = {
                          "d": {"preset": "one"}},
         "mc": {"paths": 100},
     }),
-    # constant coefficients as zero-stride views and an all-zero g table
+    # constant coefficients and the absent f as zero-stride views
     # blocks of 81 and 19 paths, windows of 16, 16 and 8 levels: the
     # terminal pair of a second block and the flux of every window
     "stability-two-blocks": ("stability", {

@@ -263,8 +263,8 @@ SINE_G = {"g": {"sine": {"mode": 1, "amplitude": 1.0}}}
                                 "values": [0.7, 0.8]}}, 150,
          "the carleman factor stack L1, a 2 x 4 x 3 float64 array, needs "
          "192 bytes"),
-        # g (3 x 4 x 8 B = 96 B) fits, a preset coefficient (5 x 5 x 8 B)
-        # does not
+        # the zero g is not budgeted, a preset coefficient (5 x 5 x 8 B)
+        # does not fit
         ("stability", {"grid": {"M": 3, "N": 4, "T": 1.0},
                        "coefficients": {"b": {"preset": "sine_x"}}}, 150,
          "the preset coefficient b, a 5 x 5 float64 array, needs 200 "
@@ -297,23 +297,26 @@ def test_arrays_larger_than_memory_are_refused_before_building(
 
 
 @pytest.mark.parametrize(
-    "subcommand, data, refused",
+    "subcommand, raw, refused",
     [
         ("martingale", {}, None),
         ("carleman", {}, "carleman factor stack L1"),
-        ("martingale", {"f": SINE_G["g"]}, "data's f"),
-        # stability's G norm squares the g difference in full
-        ("stability", {}, "data's g"),
+        ("martingale", {"data": {"f": SINE_G["g"]}}, "data's f"),
+        # stability's G norm reads a zero g difference once
+        ("stability", {}, None),
+        # a difference of two problems is always a full array
+        ("stability", {"data_b": {}}, "data's g"),
     ],
-    ids=["martingale", "carleman", "martingale-f", "stability"],
+    ids=["martingale", "carleman", "martingale-f", "stability",
+         "stability-data-b"],
 )
 def test_zero_data_is_not_budgeted_as_a_full_array(
-        tmp_path, monkeypatch, subcommand, data, refused):
+        tmp_path, monkeypatch, subcommand, raw, refused):
     """A mesh whose zero g would not fit in memory as a full array
     passes the preflight, unless another full array is built."""
     monkeypatch.setattr(solver_mod, "_physical_bytes", lambda: 2**40)
     cfg = parse_config(write_cfg(tmp_path, {
-        "grid": HUGE, "weight": WEIGHT, "data": data, "mc": {"paths": 100},
+        "grid": HUGE, "weight": WEIGHT, "mc": {"paths": 100}, **raw,
     }))
     if refused is None:
         cli_mod._memory_preflight(cfg, subcommand)

@@ -92,3 +92,31 @@ def test_coefficient_builders():
     assert np.all(preset_coefficient(g, "one").values == 1.0)
     with pytest.raises(ValueError):
         preset_coefficient(g, "nope")
+
+
+# the presets as they were written for the full meshgrid
+MESHGRID_PRESETS = {
+    "zero": lambda x, t: np.zeros_like(x + t),
+    "one": lambda x, t: np.ones_like(x + t),
+    "ramp_x": lambda x, t: x + 0.0 * t,
+    "ramp_t": lambda x, t: t + 0.0 * x,
+    "sine_x": lambda x, t: np.sin(np.pi * x) + 0.0 * t,
+}
+
+
+@pytest.mark.parametrize("name, per_level", [
+    ("zero", True), ("one", True), ("ramp_t", True),
+    ("ramp_x", False), ("sine_x", False),
+])
+def test_presets_that_do_not_vary_in_x_are_zero_stride_along_x(
+        name, per_level):
+    g = build_grid(6, 9, 1.0)
+    values = preset_coefficient(g, name).values
+    assert values.shape == (g.M + 2, g.N + 1)
+    assert not values.flags.writeable
+    assert (values.strides[0] == 0) == per_level
+    assert values.strides[1] != 0
+    x, t = np.meshgrid(g.space_closure, g.time_axis("nbar").coords(g.dt),
+                       indexing="ij")
+    full = MESHGRID_PRESETS[name](x, t)
+    assert np.array(values).tobytes() == full.tobytes()

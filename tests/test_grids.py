@@ -1,5 +1,7 @@
 """Mesh containers, restriction, quadrature, and norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from stochwave import (
     norm,
     normalize_region,
     trace,
+    zero_field,
 )
 
 
@@ -195,3 +198,22 @@ def test_norm_xt_pair():
     assert got == pytest.approx(oracles.H1_OF_X_M3 + oracles.L2_OF_ONE_M3, abs=1e-14)
     with pytest.raises(ValueError):
         norm(y, "XT")
+
+
+def test_l2_norm_of_zero_stride_zero_field_reads_it_once():
+    # a full square of the 1000 x 1000 field would hold 8 MB
+    g = build_grid(1000, 1000, 1.0)
+    u = zero_field(g, "primal", "primal")
+    tracemalloc.start()
+    try:
+        got = norm(u, "L2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0.0 and not np.signbit(got)
+    assert peak < 64 * 1024
+    # the same as the norm of the dense zeros, and of a dense -0.0
+    for fill in (0.0, -0.0):
+        dense = GridFunction(g, np.full((1000, 1000), fill), u.space_axis,
+                             u.time_axis)
+        assert norm(dense, "L2") == got

@@ -208,10 +208,9 @@ def test_scheme_residual_of_solution_is_rounding_on_random_grids(
 
 def test_singular_update_detected_upfront():
     grid = build_grid(5, 4, 1.0)          # dt = 0.25, c = 4 makes c dt = 1
-    data = wave_data(grid)
-    coeffs = SchemeCoefficients.constant(grid, c=4.0)
+    # refused where the coefficients are built, before any stepping
     with pytest.raises(SingularUpdateError):
-        solve(data, coeffs, zero_path(grid), grid)
+        SchemeCoefficients.constant(grid, c=4.0)
 
 
 def test_blow_up_reports_first_level():
@@ -670,14 +669,16 @@ def test_numpy_kernel_blow_up_report_on_every_table_kind(kind):
 
 def test_weights_keep_one_value_per_level_only_where_constant_along_j(
         monkeypatch):
+    # the stride alone decides: A, C, D and F are zero-stride views of
+    # one value per level, B and G hold one value per level too but as
+    # dense rows, and those keep their per-node weights
     N, M = 5, 4
     Y, tables, dB = kernel_inputs(1, N, M, seed=3, kind="level")
     A, B, C, D, G, F = tables
-    B = B.copy()
-    B[2, 3] += 0.25                        # one node off in one level
+    A, C, D, F = (np.broadcast_to(t[:, :1], t.shape) for t in (A, C, D, F))
     G = G.copy()
     G[:, 1::2] = 0.0
-    G[:, 0::2] = -0.0                      # equal values, not equal bits
+    G[:, 0::2] = -0.0
     weights = _stepper_np._weights(A, B, C, D, G, F, 0.05, 0.2)
     # alp, bp, bm, kap, dl, gh, fh: B feeds bp and bm, G feeds gh
     narrow = [True, False, False, True, True, False, True]
@@ -690,12 +691,9 @@ def test_weights_keep_one_value_per_level_only_where_constant_along_j(
     for w, d in zip(weights, dense):
         assert np.broadcast_to(w, d.shape).tobytes() == d.tobytes()
     monkeypatch.undo()
-    # NaNs of two payloads are two bit patterns
-    nan2 = np.array([np.nan, np.nan]).view(np.int64)
-    nan2[1] ^= 1
-    w = np.tile(nan2.view(np.float64), (3, 1))[:, :, None]
-    assert _stepper_np._per_level(w) is w
-    assert _stepper_np._per_level(w[:, :1].copy()).shape == (3, 1, 1)
+    rows = B[:, :, None]
+    assert _stepper_np._per_level(rows) is rows
+    assert _stepper_np._per_level(A[:, :, None]).shape == (N + 1, 1, 1)
 
 
 def test_weights_of_zero_stride_tables_are_one_value_per_level(monkeypatch):

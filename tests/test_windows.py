@@ -6,6 +6,7 @@ agree with exactly rounded full-history sums, a whole Window from
 run_ensemble must reduce to the same bits as the CLI's stream, and a
 blow-up in a later window must name its global level."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -352,14 +353,27 @@ def test_window_rows_equal_the_full_tables(monkeypatch, N, forced):
         for table, want in zip(rows, full[:, n0 : n0 + levels + 1]):
             assert table.shape == want.shape
             assert table.tobytes() == want.tobytes()
-        # coefficient rows are views, a constant's along j of stride 0;
-        # the sources are padded copies
+        # coefficient rows are views, a constant's and ramp_t's along j
+        # of stride 0; a random source is a padded copy, an absent f a
+        # zero-stride block
         for table, u in zip(rows, fields):
             assert np.shares_memory(table, u.values)
-        assert rows[1].strides[1] == 0                  # b is constant
-        for table, u in zip(rows[4:], (data.g, data.f)):
-            assert table.flags.c_contiguous
-            assert u is None or not np.shares_memory(table, u.values)
+        assert [t.strides[1] == 0 for t in rows[:4]] == [
+            True, True, False, False]                  # ramp_t, b = 0.2
+        assert rows[4].flags.c_contiguous
+        assert not np.shares_memory(rows[4], data.g.values)
+        if forced:
+            assert rows[5].flags.c_contiguous
+            assert not np.shares_memory(rows[5], data.f.values)
+        else:
+            assert rows[5].strides == (0, 0)
+        # zero data is a zero-stride block of its one +0.0, equal to the
+        # padded frame bit for bit
+        zero = dataclasses.replace(data, g=zero_field(grid, "primal",
+                                                      "primal"))
+        G = solver._table_rows(zero, coeffs, grid, n0, levels)[4]
+        assert G.strides == (0, 0)
+        assert G.tobytes() == np.zeros(G.shape).tobytes()
     # and the stream built from them steps run_ensemble's levels
     ens = run_ensemble(data, coeffs, grid, P, SEED)
     assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
@@ -400,62 +414,46 @@ def test_zero_stride_coefficients_step_like_dense_ones():
     assert res < 1e-12
 
 
-def test_singular_level_in_a_later_window_is_refused_before_stepping(
-        monkeypatch):
+def test_singular_level_in_a_later_window_is_refused_before_stepping():
     # dt = 1/64 and c = 64 at level 40 only (the third window): the
-    # update is singular there, and nothing may be stepped first
+    # update is singular there, and the coefficients are refused as they
+    # are built, before any window can be stepped
     grid = build_grid(M, 64, 1.0)
-    data = ProblemData(
-        y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
-        g=random_field(grid, 3, 0.8),
-    )
     c = np.zeros((M + 2, grid.N + 1))
     c[2, 40] = 64.0
     zero = constant_coefficient(grid, 0.0)
-    coeffs = SchemeCoefficients(
-        a=zero, b=zero, d=zero,
-        c=GridFunction(grid, c, zero.space_axis, zero.time_axis),
-    )
-    calls = []
-    monkeypatch.setattr(solver, "step_paths",
-                        lambda *args: calls.append(args))
     with pytest.raises(SingularUpdateError):
-        next(stream_windows(data, coeffs, grid, P, SEED))
-    with pytest.raises(SingularUpdateError):
-        run_ensemble(data, coeffs, grid, P, SEED)
-    assert calls == []
+        SchemeCoefficients(
+            a=zero, b=zero, d=zero,
+            c=GridFunction(grid, c, zero.space_axis, zero.time_axis),
+        )
 
 
 def test_singular_check_walks_constant_c_in_blocks():
-    # zero-stride constants over a 127 x 2048 mesh: the finite check of
-    # each coefficient and the singular check hold one block of L time
-    # columns, not the whole mesh (a (129, 2049) bool array per
-    # coefficient, two (129, 2049) arrays for the singular check)
+    # zero-stride constants over a 127 x 2048 mesh: building the
+    # coefficients checks each for finite values and c for a singular
+    # update, holding one block of L time columns, not the whole mesh (a
+    # (129, 2049) bool array per coefficient, two (129, 2049) arrays for
+    # the singular check)
     grid = build_grid(127, 2048, 1.0)     # dt = 1/2048
     tracemalloc.start()
     try:
-        coeffs = SchemeCoefficients.constant(grid, a=-0.4, b=0.2, c=0.3,
-                                             d=0.6)
-        solver._check_singular(coeffs, grid)
+        SchemeCoefficients.constant(grid, a=-0.4, b=0.2, c=0.3, d=0.6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * (grid.M + 2) * L * 8
     with pytest.raises(SingularUpdateError):
-        solver._check_singular(SchemeCoefficients.constant(grid, c=2048.0),
-                               grid)
+        SchemeCoefficients.constant(grid, c=2048.0)
     # the last time column, N, is checked too
     small = build_grid(M, 2 * L, 1.0)
     c = np.zeros((M + 2, small.N + 1))
     c[1, small.N] = 2.0 * L
     zero = constant_coefficient(small, 0.0)
     with pytest.raises(SingularUpdateError):
-        solver._check_singular(
-            SchemeCoefficients(
-                a=zero, b=zero, d=zero,
-                c=GridFunction(small, c, zero.space_axis, zero.time_axis),
-            ),
-            small,
+        SchemeCoefficients(
+            a=zero, b=zero, d=zero,
+            c=GridFunction(small, c, zero.space_axis, zero.time_axis),
         )
 
 
