@@ -79,6 +79,16 @@ CASES = {
         "coefficients": {"d": {"constant": 0.5}},
         "mc": {"paths": 100},
     }),
+    # blocks of 81 and 19 paths on 600 levels, dt < dx: each block's
+    # increments in three chunks of the noise stream (256, 256 and 88
+    # levels) under a noisy y and a random g
+    "martingale-three-chunks": ("martingale", {
+        "grid": {"M": 200, "N": 600, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 3, "amplitude": 0.8}}},
+        "coefficients": {"d": {"constant": 0.5}},
+        "mc": {"paths": 100},
+    }),
     "stability-data-b": ("stability", {
         **SMALL,
         "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}},
