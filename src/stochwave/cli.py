@@ -64,6 +64,7 @@ from .fields import (
     COEFF_PRESETS,
     constant_coefficient,
     preset_coefficient,
+    preset_varies_in_x,
     random_field,
     random_slice,
     sine_field,
@@ -729,10 +730,12 @@ def _memory_preflight(cfg: RunConfig, subcommand: str):
     physical memory, before anything is built or written: first any one
     full-size array it builds, in the order it builds them (simulate's
     copy of path 0, the data's g or f, carleman's factor stacks and each
-    preset coefficient), then a block of its window stream.  Zero data
-    is a zero-stride view, so the data's (M, N) array counts only where
-    a non-zero g or f is configured, or where stability is given data_b
-    (the g difference is always a full array)."""
+    preset coefficient that varies in x), then a block of its window
+    stream.  Zero data is a zero-stride view, so the data's (M, N) array
+    counts only where a non-zero g or f is configured, or where
+    stability is given data_b (the g difference is always a full
+    array); a preset that does not read x is one row of values
+    (fields.preset_varies_in_x)."""
     grid = cfg.grid
     M, N = grid.M, grid.N
     arrays = []
@@ -750,7 +753,8 @@ def _memory_preflight(cfg: RunConfig, subcommand: str):
         ]
     arrays += [
         (f"preset coefficient {sym}", (M + 2, N + 1))
-        for sym, (kind, _) in cfg.coefficients.items() if kind == "preset"
+        for sym, (kind, name) in cfg.coefficients.items()
+        if kind == "preset" and preset_varies_in_x(name)
     ]
     check_array_memory(arrays)
     stream_block(grid, cfg.mc["paths"])

@@ -153,3 +153,11 @@ def preset_coefficient(grid: Grid, name: str) -> GridFunction:
             f"valid: {sorted(COEFF_PRESETS)}"
         ) from None
     return GridFunction.from_callable(grid, "closure", "nbar", fn)
+
+
+def preset_varies_in_x(name: str) -> bool:
+    """Whether preset_coefficient builds preset `name` as a full
+    (M+2, N+1) array: only a preset that reads x does.  The others are
+    one row of N+1 values broadcast along x with stride 0.  Read off
+    the preset on a two-node open mesh, as from_callable samples it."""
+    return COEFF_PRESETS[name](np.zeros((2, 1)), np.zeros((1, 1))).shape[0] > 1

@@ -40,7 +40,9 @@ generator (Philox) keyed by a 64-bit seed, and ensemble path seeds are
 derived from (master_seed, path_index) by the splitmix64-style mixer
 `path_seed`, whose constants are part of the package interface.  Same
 seeds, same inputs: bitwise-identical results on every backend and
-schedule.
+schedule.  A streamed block draws its increments _NOISE_LEVELS levels
+at a time, each path's generator kept between chunks, so that its
+memory does not grow with N; the draws are the same bits as at once.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ _BLOCK_NODES = 1 << 14
 # Fixed, not derived from B or the mesh, so that every path's sums run
 # over the same windows whatever the block size.
 _WINDOW_LEVELS = 16
+
+# time levels of increments a streamed block draws at a time: 16
+# windows, so that a chunk ends where a window starts and a stream's
+# memory does not grow with N.  A block on N <= _NOISE_LEVELS steps
+# draws its increments at once.
+_NOISE_LEVELS = 16 * _WINDOW_LEVELS
+
+# bytes budgeted per path for the Philox generator a block of more
+# than one chunk keeps between chunks (about 700 with NumPy 2.4)
+_GENERATOR_BYTES = 1024
 
 
 def mix64(z: int) -> int:
@@ -384,11 +396,12 @@ class Window:
 
 
 def _window_spans(N: int):
-    """(n0, L) of every window of a block on N steps."""
-    return [
+    """(n0, L) of every window of a block on N steps, in order, made one
+    at a time: nothing a stream holds grows with N."""
+    return (
         (n0, min(_WINDOW_LEVELS, N - n0))
         for n0 in range(0, N, _WINDOW_LEVELS)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +500,24 @@ def _check_paths(paths):
 
 def _check_memory(paths: int, grid: Grid, history: bool = False):
     """Refuse, with MemoryError, a block of `paths` paths whose arrays
-    exceed physical memory: one window of L+2 levels, N+1 increments per
-    path and L+1 rows of the six tables, and with `history` all N+2
-    levels per path on top."""
+    exceed physical memory: one window of L+2 levels, L+1 rows of the
+    six tables, and per path one chunk of K+1 increments (K =
+    min(N, _NOISE_LEVELS)) and, where K < N, the Philox generator kept
+    between chunks (_GENERATOR_BYTES).  With `history` all N+2 levels
+    and all N+1 increments per path (K = N), as run_ensemble holds
+    them."""
     N, M = grid.N, grid.M
     L = min(_WINDOW_LEVELS, N)
+    K = N if history else min(_NOISE_LEVELS, N)
     levels = N + 2 if history else L + 2
     need_y = paths * levels * (M + 2) * 8
-    need = (paths * ((L + 2) * (M + 2) + N + 1) + 6 * (L + 1) * (M + 2)) * 8
+    need = (paths * ((L + 2) * (M + 2) + K + 1) + 6 * (L + 1) * (M + 2)) * 8
     need += need_y if history else 0
+    noise = f"its {N + 1} increments per path"
+    if K < N:
+        need += paths * _GENERATOR_BYTES
+        noise = (f"{K + 1} of its {N + 1} increments and its "
+                 f"{_GENERATOR_BYTES}-byte noise generator per path")
     phys = _physical_bytes()
     if phys is not None and need > phys:
         window = f"a window of {L + 2} levels, " if history else ""
@@ -503,16 +525,17 @@ def _check_memory(paths: int, grid: Grid, history: bool = False):
             f"a block of {paths} path(s) holding {levels} of the "
             f"{N + 2} time levels of a {M} x {N} mesh needs {need_y} "
             f"bytes for its trajectories and {need} bytes with {window}"
-            f"its {N + 1} increments per path and {L + 1} rows of the "
-            "six coefficient and data tables, more than the "
-            f"{phys} bytes of physical memory"
+            f"{noise} and {L + 1} rows of the six coefficient and data "
+            f"tables, more than the {phys} bytes of physical memory"
         )
 
 
 def stream_block(grid: Grid, paths: int) -> int:
     """Paths per block of stream_windows' stream of `paths` paths,
     refused with MemoryError (_check_memory) if a block does not fit in
-    physical memory: the check stream_windows makes, which a caller can
+    physical memory: its window, table rows, one chunk of its
+    increments and its paths' noise generators, none of which grows
+    with N.  This is the check stream_windows makes, which a caller can
     also make before it builds anything."""
     size = min(block_paths(grid), paths)
     _check_memory(size, grid)
@@ -533,39 +556,69 @@ def check_array_memory(arrays):
             )
 
 
-def _sample_block(master_seed: int, first: int, dB: np.ndarray, dt: float):
-    """Fill row k of dB with the increments of path first + k."""
-    _philox_normals(
-        [path_seed(master_seed, first + k) for k in range(dB.shape[0])], dB
-    )
-    dB *= np.sqrt(dt)
+def _sample_block(master_seed: int, first: int, noise: np.ndarray, N: int,
+                  dt: float):
+    """Fill row k of `noise` with increments of path first + k, chunk
+    by chunk, and yield each chunk as (c0, dB): dB, a view of noise's
+    leading columns, holds increments c0 .. c0+K' (K' <= K, where noise
+    has K+1 columns), and c0 runs 0, K, 2K, .. below N.  Column 0 of a
+    later chunk is the previous chunk's last increment, moved there,
+    so that every window's increments lie in one chunk.  With N <= K
+    one chunk holds all N+1 increments, drawn by _philox_normals; a
+    longer block keeps one Philox generator per path between chunks,
+    which draws each path's stream in pieces bit for bit as at once."""
+    K = noise.shape[1] - 1
+    seeds = [path_seed(master_seed, first + k) for k in range(len(noise))]
+    if N <= K:
+        dB = _philox_normals(seeds, noise[:, : N + 1])
+        dB *= np.sqrt(dt)
+        yield 0, dB
+        return
+    rngs = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+    for c0 in range(0, N, K):
+        width = min(K, N - c0) + 1
+        if c0:
+            noise[:, 0] = noise[:, K]
+        new = noise[:, 1 if c0 else 0 : width]
+        for rng, row in zip(rngs, new):
+            rng.standard_normal(out=row)
+        new *= np.sqrt(dt)
+        yield c0, noise[:, :width]
 
 
 def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
                  size: int, blocks):
-    """Step each block (first, dB) of `blocks`, at most `size` paths
+    """Step each block (first, chunks) of `blocks`, at most `size` paths
     whose row 0 is global path `first`, and yield its Windows of
     _WINDOW_LEVELS levels: the one loop that calls step_paths, once per
     window on the window's rows of the six tables (_table_rows: a field
     that holds one value per level has stride 0 along j, which the
     kernel narrows to one value per level) in one reused
-    (size, L+2, M+2) buffer.  A yielded window is valid until
-    the next is drawn.  A blow-up ends the yields, but later blocks are
-    stepped as far as an earlier level could fail, so the BlowUpError
-    raised is the lexicographic minimum over (n, path, j)."""
-    spans = _window_spans(grid.N)
+    (size, L+2, M+2) buffer.  `chunks` yields the block's increments
+    as _sample_block does, (c0, dB) with dB (P, K'+1) starting at level
+    c0; the next chunk is drawn when the first window past the current
+    one comes up, and is valid until then.  A yielded window is valid
+    until the next is drawn.  A blow-up ends the yields, but later
+    blocks are stepped, and their increments drawn, only as far as an
+    earlier level could fail, so the BlowUpError raised is the
+    lexicographic minimum over (n, path, j)."""
     start = _start_levels(data, grid)
-    window = np.zeros((size, spans[0][1] + 2, grid.M + 2))
+    window = np.zeros((size, min(_WINDOW_LEVELS, grid.N) + 2, grid.M + 2))
     blown = None
-    for first, dB in blocks:
-        Y = window[: dB.shape[0]]
-        Y[:, :2] = start
-        for n0, L in spans:
+    for first, chunks in blocks:
+        end = 0
+        for n0, L in _window_spans(grid.N):
             # levels n0+2 .. n0+L+1 come next: only an earlier level than
             # a blow-up already found can replace it
             if blown is not None and n0 + 2 >= blown.n:
                 break
-            inc = dB[:, n0 : n0 + L + 1]
+            if n0 == end:
+                c0, dB = next(chunks)
+                end = c0 + dB.shape[1] - 1
+                if c0 == 0:
+                    Y = window[: dB.shape[0]]
+                    Y[:, :2] = start
+            inc = dB[:, n0 - c0 : n0 - c0 + L + 1]
             hit, bn, bp, bj = step_paths(
                 Y[:, : L + 2], *_table_rows(data, coeffs, grid, n0, L), inc,
                 grid.dt, grid.dx,
@@ -584,9 +637,11 @@ def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
 def _history(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
              first: int, dB: np.ndarray) -> np.ndarray:
     """All N+2 levels of the paths first.. driven by dB, (P, N+2, M+2),
-    copied out of their stepped windows."""
+    copied out of their stepped windows; dB holds all N+1 increments
+    of each path, as one chunk."""
     Y = np.empty((dB.shape[0], grid.N + 2, grid.M + 2))
-    for win in _step_blocks(data, coeffs, grid, dB.shape[0], [(first, dB)]):
+    block = (first, iter([(0, dB)]))
+    for win in _step_blocks(data, coeffs, grid, dB.shape[0], [block]):
         Y[:, win.n0 : win.n0 + win.levels + 2] = win.Y
     return Y
 
@@ -614,7 +669,8 @@ def run_ensemble(
         raise ValueError(f"first must be an integer >= 0, got {first!r}")
     _check_memory(paths, grid, history=True)
     dB = np.empty((paths, grid.N + 1))
-    _sample_block(master_seed, first, dB, grid.dt)
+    # one chunk: dB holds every increment, as the whole Window returns it
+    next(_sample_block(master_seed, first, dB, grid.N, grid.dt))
     return Window(grid, _history(data, coeffs, grid, first, dB), dB, 0)
 
 
@@ -627,20 +683,24 @@ def stream_windows(
 ):
     """Step paths 0 .. paths-1 of the family seeded by master_seed and
     yield them as Windows (_step_blocks), block after block of
-    block_paths(grid) paths sampled into one reused (B, N+1) buffer.
-    Memory is one window, one block's increments and the window's table
-    rows, refused with MemoryError up front if over physical memory; the
-    levels and a BlowUpError are run_ensemble's bit for bit."""
+    block_paths(grid) paths.  A block's increments are drawn
+    (_sample_block) _NOISE_LEVELS levels at a time into one reused
+    (B, K+1) buffer, K = min(N, _NOISE_LEVELS), each path's Philox
+    generator kept between chunks.  Memory is one window, the window's
+    table rows, one chunk of increments and the generators, none of
+    which grows with N, refused with MemoryError up front if over
+    physical memory; the levels and a BlowUpError are run_ensemble's
+    bit for bit."""
     _check_match(data, coeffs, grid)
     _check_paths(paths)
     size = stream_block(grid, paths)
 
     def blocks():
-        noise = np.empty((size, grid.N + 1))
+        noise = np.empty((size, min(grid.N, _NOISE_LEVELS) + 1))
         for first in range(0, paths, size):
-            dB = noise[: paths - first]
-            _sample_block(master_seed, first, dB, grid.dt)
-            yield first, dB
+            yield first, _sample_block(master_seed, first,
+                                       noise[: paths - first], grid.N,
+                                       grid.dt)
 
     yield from _step_blocks(data, coeffs, grid, size, blocks())
 

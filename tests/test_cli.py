@@ -273,15 +273,25 @@ SINE_G = {"g": {"sine": {"mode": 1, "amplitude": 1.0}}}
          2**40,
          "the data's g, a 100000000 x 100000 float64 array, needs "
          "80000000000000 bytes"),
-        # a zero g is a zero-stride view: only the stream block counts
+        # ramp_t is one row of values broadcast along x, sine_x a full
+        # array
+        ("martingale", {"grid": HUGE, "mc": {"paths": 100},
+                        "coefficients": {"a": {"preset": "ramp_t"},
+                                         "b": {"preset": "sine_x"}}},
+         2**40,
+         "the preset coefficient b, a 100000002 x 100001 float64 array, "
+         "needs 80000801600016 bytes"),
+        # a zero g is a zero-stride view: only the stream block counts,
+        # with one chunk of 257 increments and a noise generator per path
         ("martingale", {"grid": HUGE, "mc": {"paths": 100}}, 2**36,
          "a block of 1 path(s) holding 18 of the 100002 time levels of a "
          "100000000 x 100000 mesh needs 14400000288 bytes for its "
-         "trajectories and 96000801928 bytes with its 100001 increments "
-         "per path and 17 rows of the six coefficient and data tables"),
+         "trajectories and 96000005000 bytes with 257 of its 100001 "
+         "increments and its 1024-byte noise generator per path and 17 "
+         "rows of the six coefficient and data tables"),
     ],
     ids=["simulate", "carleman", "carleman-stacks", "stability",
-         "martingale", "martingale-zero-g"],
+         "martingale", "martingale-presets", "martingale-zero-g"],
 )
 def test_arrays_larger_than_memory_are_refused_before_building(
         tmp_path, monkeypatch, subcommand, raw, phys, array):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochwave import fields
 from stochwave import (
     build_grid,
     constant_coefficient,
@@ -115,6 +116,7 @@ def test_presets_that_do_not_vary_in_x_are_zero_stride_along_x(
     assert values.shape == (g.M + 2, g.N + 1)
     assert not values.flags.writeable
     assert (values.strides[0] == 0) == per_level
+    assert fields.preset_varies_in_x(name) == (not per_level)
     assert values.strides[1] != 0
     x, t = np.meshgrid(g.space_closure, g.time_axis("nbar").coords(g.dt),
                        indexing="ij")

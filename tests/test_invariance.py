@@ -1,14 +1,15 @@
 """Artifact invariance matrix: the stepping subcommands run in-process on
 tiny configs, with constant and with space-varying preset coefficients,
-in path blocks of 1, 3 and the default size, times the stability
+in path blocks of 1, 3 and the default size, times increments drawn in
+chunks of 1, 3 and the default number of windows, times the stability
 estimator's path chunks of 1, 3 (which leaves a chunk of 1 of a 10-path
 window) and the default size, times the estimators' squared fields from
 the loader's choice (compiled where cc exists) and from NumPy.  Every
 run must give the exit code, stdout, stderr and SHA-256 of every
 artifact, manifest.json included, of the run in the default block and
-chunk with the loader's choice.  One config blows up in a
+chunks with the loader's choice.  One config blows up in a
 later block than the first, at an earlier level than the first block
-does."""
+does, past the first chunk of increments."""
 
 import hashlib
 import json
@@ -23,6 +24,10 @@ M = 3
 # paths per block; None leaves solver._BLOCK_NODES at its default, one
 # block for every config below
 BLOCKS = [None, 1, 3]
+# windows per chunk of a block's increments; None leaves
+# solver._NOISE_LEVELS at its default, one chunk for every config below
+# but BLOW_UP
+NOISE = [None, 1, 3]
 # paths per chunk of a full window; None leaves estimators._CHUNK_NODES
 # at its default, one chunk for every window below
 CHUNKS = [None, 1, 3]
@@ -69,7 +74,8 @@ RUNS = {
     },
 }
 # dt = 0.5 > dx = 0.25: the noise-driven paths grow until they overflow
-# at level 293, path 3 first; paths 0..2 overflow later
+# at level 293, path 3 first; paths 0..2 overflow later.  Level 293 lies
+# in the second chunk of increments at the default chunk size
 BLOW_UP = {
     "grid": {"M": M, "N": 400, "T": 200.0},
     "coefficients": {"d": {"constant": 0.5}},
@@ -85,7 +91,8 @@ CASES = [
 ] + [pytest.param("stability", BLOW_UP, id="stability-blow-up")]
 
 
-def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk, fields):
+def run(monkeypatch, capsys, tmp_path, subcommand, block, noise, chunk,
+        fields):
     """One in-process run of the config at tmp_path / cfg.json into
     tmp_path / out; its exit code, stdout, stderr and artifact digests."""
     with monkeypatch.context() as m:
@@ -94,6 +101,9 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk, fields):
         if block is not None:
             m.setattr(solver, "_BLOCK_NODES", block * M)
             assert solver.block_paths(build_grid(M, 4, 1.0)) == block
+        if noise is not None:
+            m.setattr(solver, "_NOISE_LEVELS",
+                      noise * solver._WINDOW_LEVELS)
         if chunk is not None:
             m.setattr(estimators, "_CHUNK_NODES",
                       chunk * (solver._WINDOW_LEVELS + 2) * (M + 2))
@@ -112,10 +122,12 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block, chunk, fields):
 def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
                                              subcommand, raw):
     (tmp_path / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
-    seen = {(block, chunk, fields): run(monkeypatch, capsys, tmp_path,
-                                        subcommand, block, chunk, fields)
-            for block in BLOCKS for chunk in CHUNKS for fields in FIELDS}
-    code, out, err, digests = seen[None, None, None]
+    seen = {(block, noise, chunk, fields): run(monkeypatch, capsys,
+                                               tmp_path, subcommand, block,
+                                               noise, chunk, fields)
+            for block in BLOCKS for noise in NOISE for chunk in CHUNKS
+            for fields in FIELDS}
+    code, out, err, digests = seen[None, None, None, None]
     if raw is BLOW_UP:
         assert code == 4
         assert err.endswith("time level n=293, path 3\n")
@@ -123,4 +135,4 @@ def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
         assert code in (0, 6), err
         assert "manifest.json" in digests and len(digests) > 1
     for key in seen:
-        assert seen[key] == seen[None, None, None], key
+        assert seen[key] == seen[None, None, None, None], key

@@ -3,12 +3,15 @@
 From the moment the stream starts, `stability`, `simulate` and
 `carleman` may hold only what is stepped and written: the stepped
 problem's interior fields g and f, one window with the window's Dx y
-and Dt Dx y fields, one block's increments, the window's rows of the
-six tables, path 0's kept levels (simulate), the weight factor stacks
-(carleman) and one block of the CSV writer.  The budget is that sum,
-computed from the config, times a fixed factor for the kernel's and
-the estimators' temporaries; the peak is measured in-process with
-tracemalloc from the first window on.
+and Dt Dx y fields, one chunk of a block's increments with its paths'
+noise generators, the window's rows of the six tables, path 0's kept
+levels (simulate), the weight factor stacks (carleman) and one block
+of the CSV writer.  The budget is that sum, computed from the config,
+times a fixed factor for the kernel's and the estimators'
+temporaries; the peak is measured in-process with tracemalloc from the
+first window on.  The stream alone does not grow with N: its peak at
+fixed M and paths is the same on 512 and on 8192 steps, up to a few
+Python ints.
 
 The estimators themselves may hold one window's temporaries at a time
 (one path chunk's for `stability`, one squared field besides Dx y for
@@ -23,7 +26,9 @@ import tracemalloc
 import pytest
 
 from stochwave import cli, estimators, solver
+from stochwave.fields import random_field, random_slice
 from stochwave.grids import build_grid
+from stochwave.solver import ProblemData, SchemeCoefficients
 
 M, N = 63, 1024
 FACTOR = 1.75
@@ -69,13 +74,15 @@ def budget(subcommand, paths):
     # same forcing: f cancels and g is the one stepped field
     fields = (1 if subcommand == "stability" else 2) * M * N
     window = 3 * P * (L + 2) * (M + 2)
-    increments = P * (N + 1)
+    # one chunk of increments, and each path's generator between chunks
+    increments = P * (min(N, solver._NOISE_LEVELS) + 1)
+    generators = P * solver._GENERATOR_BYTES if N > solver._NOISE_LEVELS else 0
     rows = 6 * (L + 1) * (M + 2)
     kept = (N + 2) * (M + 2) if subcommand == "simulate" else 0
     # the L1, L2, L3, R3 factors over (space, time), R2 over time
     stacks = len(SWEEP) * N * (4 * M + 3) if subcommand == "carleman" else 0
     words = fields + window + increments + rows + kept + stacks
-    return FACTOR * (8 * words + WRITER_BYTES)
+    return FACTOR * (8 * words + generators + WRITER_BYTES)
 
 
 def stream_peak(monkeypatch, subcommand, cfg):
@@ -107,28 +114,34 @@ def test_stream_stays_within_budget(tmp_path, monkeypatch, subcommand, paths):
     assert peak <= limit, (peak, limit)
 
 
+def drain(windows):
+    collections.deque(windows, maxlen=0)
+
+
+def stream_peak_bytes(consume, make_stream):
+    """Traced peak bytes of consume(windows) from the start of the
+    stream to its end, over what was traced when it started."""
+    box = {}
+
+    def windows():
+        box["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield from make_stream()
+        box["peak"] = tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        consume(windows())
+    finally:
+        tracemalloc.stop()
+    return box["peak"] - box["start"]
+
+
 def stream_excess(consume, make_stream):
-    """Traced peak bytes of consume(windows) from the first window drawn
-    to the end of the stream, over the same peak of draining the stream
-    alone."""
-
-    def peak(consume):
-        box = {}
-
-        def windows():
-            box["start"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            yield from make_stream()
-            box["peak"] = tracemalloc.get_traced_memory()[1]
-
-        tracemalloc.start()
-        try:
-            consume(windows())
-        finally:
-            tracemalloc.stop()
-        return box["peak"] - box["start"]
-
-    return peak(consume) - peak(lambda ws: collections.deque(ws, maxlen=0))
+    """stream_peak_bytes of consume(windows) over that of draining the
+    stream alone."""
+    return (stream_peak_bytes(consume, make_stream)
+            - stream_peak_bytes(drain, make_stream))
 
 
 def dx_words(paths, L):
@@ -173,3 +186,23 @@ def test_carleman_holds_one_window(tmp_path):
     words = dx_words(paths, L)
     limit = 8 * (words + 4 * paths * (M + 2))
     assert excess <= limit, (excess, limit)
+
+
+def test_stream_peak_does_not_grow_with_n():
+    # 100 paths in one block, on 2 and on 32 chunks of increments; a
+    # random g and f are copied into each window's table rows
+    def peak(N):
+        grid = build_grid(15, N, 1.0)
+        data = ProblemData(
+            y0=random_slice(grid, 1, 1.0), y1=random_slice(grid, 2, 0.5),
+            g=random_field(grid, 3, 0.8), f=random_field(grid, 4, 0.3),
+        )
+        coeffs = SchemeCoefficients.constant(grid, a=-0.4, c=0.3, d=0.6)
+        return stream_peak_bytes(
+            drain, lambda: solver.stream_windows(data, coeffs, grid, 100, 5))
+
+    # the longer stream's level counters pass 256, where CPython stops
+    # caching ints: a handful of 32-byte ints, where one more level of
+    # increments of 100 paths would be 800 B
+    short, long = peak(512), peak(8192)
+    assert long <= short + 256, (short, long)

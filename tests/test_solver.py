@@ -776,15 +776,16 @@ def test_run_ensemble_blow_up_past_the_first_window_is_the_scalar_report(
     grid, data, coeffs = spiked_problem()
     sample = solver._sample_block
 
-    def poisoned(master_seed, first, dB, dt):
-        seeds = sample(master_seed, first, dB, dt)
-        dB[2, 40] = dB[0, 50] = 1e300
-        return seeds
+    def poisoned(master_seed, first, dB, N, dt):
+        # run_ensemble draws all N+1 increments of dB as one chunk
+        for chunk in sample(master_seed, first, dB, N, dt):
+            dB[2, 40] = dB[0, 50] = 1e300
+            yield chunk
 
     monkeypatch.setattr(solver, "_sample_block", poisoned)
     with pytest.raises(BlowUpError) as exc:
         run_ensemble(data, coeffs, grid, 4, 5, first=first)
     dB = np.empty((4, grid.N + 1))
-    poisoned(5, first, dB, grid.dt)
+    next(poisoned(5, first, dB, grid.N, grid.dt))
     n, p, j = scalar_report(data, coeffs, grid, dB)
     assert (exc.value.n, exc.value.path, exc.value.j) == (n, first + p, j)

@@ -194,13 +194,14 @@ def _cap_address_space():
 
 
 def test_out_of_memory_in_a_capped_child_is_exit_3(tmp_path):
-    # 546 paths per block: a block's window is 546 * 18 * 32 * 8 B, 2.5 MB,
-    # but its increments alone are 546 * 300001 * 8 B, about 1.3 GB, which
-    # cannot be allocated under the child's 1 GiB cap (nor can the six
-    # 300001 x 32 tables, 460 MB, on top of the coefficient fields)
+    # the random g, a 30 x 5000000 array of 8 B values (1.2 GB), passes
+    # the physical-memory preflight but cannot be allocated under the
+    # child's 1 GiB cap; the stream would fit (546-path blocks: a window
+    # of 546 * 18 * 32 * 8 B, 2.5 MB, and 257-level chunks of increments)
     raw = {
-        "grid": {"M": 30, "N": 300000, "T": 1.0},
-        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "grid": {"M": 30, "N": 5_000_000, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 3, "amplitude": 0.5}}},
         "mc": {"paths": 1000, "master_seed": 1},
         "output_dir": str(tmp_path / "o"),
     }

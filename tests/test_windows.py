@@ -91,7 +91,7 @@ def full_history_terms(Y, grid, factors):
 
 @pytest.mark.parametrize("N", STEPS)
 def test_window_spans_cover_every_level_once(N):
-    spans = solver._window_spans(N)
+    spans = list(solver._window_spans(N))
     served = [n0 + k for n0, levels in spans for k in range(1, levels + 1)]
     assert served == list(range(1, N + 1))
     assert all(levels == L for _, levels in spans[:-1])
@@ -149,6 +149,17 @@ def assert_stream_equals(monkeypatch, data, coeffs, grid, ens):
 @pytest.mark.parametrize("N", STEPS)
 def test_stream_levels_equal_run_ensemble(monkeypatch, N):
     grid, data, coeffs, ens = family(N)
+    assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
+
+
+@pytest.mark.parametrize("windows", [1, 2])
+@pytest.mark.parametrize("N", STEPS)
+def test_stream_in_noise_chunks_equals_run_ensemble(monkeypatch, N, windows):
+    # increments drawn `windows` windows at a time: on 37 steps, chunks
+    # of 16, 16 and 5 levels or of 32 and 5, each chunk's first column
+    # the previous chunk's last increment
+    grid, data, coeffs, ens = family(N)
+    monkeypatch.setattr(solver, "_NOISE_LEVELS", windows * L)
     assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
 
 
@@ -221,24 +232,33 @@ def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
     N, paths = 4 * L, 10
     grid, data, coeffs, _ = family(N, paths=1)
     sample = solver._sample_block
+    drawn = []
 
-    def poisoned(master_seed, first, dB, dt):
-        seeds = sample(master_seed, first, dB, dt)
-        for path, level in ((7, 40), (1, 50)):
-            if first <= path < first + dB.shape[0]:
-                dB[path - first, level] = np.inf
-        return seeds
+    def poisoned(master_seed, first, noise, N, dt):
+        for c0, dB in sample(master_seed, first, noise, N, dt):
+            drawn.append((first, c0))
+            for path, level in ((7, 40), (1, 50)):
+                if (first <= path < first + dB.shape[0]
+                        and c0 <= level < c0 + dB.shape[1]):
+                    dB[path - first, level - c0] = np.inf
+            yield c0, dB
 
     monkeypatch.setattr(solver, "_sample_block", poisoned)
     with pytest.raises(BlowUpError) as whole:
         run_ensemble(data, coeffs, grid, paths, SEED)
     monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * M)
+    # increments drawn one window at a time: levels 40 and 50 lie in a
+    # block's third and fourth chunks
+    monkeypatch.setattr(solver, "_NOISE_LEVELS", L)
+    drawn.clear()
     with pytest.raises(BlowUpError) as streamed:
         for _ in stream_windows(data, coeffs, grid, paths, SEED):
             pass
     assert (streamed.value.n, streamed.value.path, streamed.value.j) == (
         41, 7, 1)
     assert str(streamed.value) == str(whole.value)
+    # the last block (path 9) draws no chunk past level 41's window
+    assert [c0 for first, c0 in drawn if first == 9] == [0, L, 2 * L]
 
 
 def test_memory_budget_is_one_window_not_the_history(monkeypatch):
@@ -308,7 +328,7 @@ def test_every_kernel_call_steps_one_window(monkeypatch):
         # a window carries the increments its kernel call stepped with
         assert win.dB.shape == received[-1].shape
         assert win.dB.tobytes() == received[-1].tobytes()
-    assert len(shapes) == 3 * len(solver._window_spans(N))
+    assert len(shapes) == 3 * len(list(solver._window_spans(N)))
     for (paths, levels, width), tables, increments in shapes:
         assert levels <= L + 2 and width == M + 2
         assert tables == [(levels - 1, M + 2)] * 6
