@@ -1,6 +1,6 @@
-/* Two kinds of loop, loaded together by _native.py and checked there,
- * once per process, against the NumPy reference and against the rows
- * that Python's repr and str assemble.
+/* Three kinds of loop, loaded together by _native.py and checked there,
+ * once per process, against the NumPy reference, against the rows
+ * that Python's repr and str assemble and against NumPy's Generator.
  *
  * Squared discrete fields of one window of paths, element by element.
  * Y is a window (P, L+2, M+2) of float64 holding levels n0 .. n0+L+1 of
@@ -16,10 +16,13 @@
  * No loop sums: every reduction stays in NumPy.
  *
  * The CSV artifacts' rows, with doubles in the shortest round-trip text,
- * byte for byte what Python's repr writes: see sw_rows at the end.  Its
+ * byte for byte what Python's repr writes: see sw_rows.  Its
  * per-cell work is fixed-width stores into slack that the caller
  * sizes, with no library call, and each column's cell position is
- * stepped with the rows, not recomputed per cell. */
+ * stepped with the rows, not recomputed per cell.
+ *
+ * Brownian increments, drawn from 88-byte per-path Philox records
+ * through NumPy's own normal sampler: see sw_normals at the end. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -465,4 +468,95 @@ idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
         }
     }
     return o - out;
+}
+
+/* ------------------------------------------------------------------------
+ * Brownian increments: standard normals from per-path Philox4x64-10
+ * streams (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+ * SC'11), each scaled in the same pass.
+ *
+ * A stream's whole state is one 88-byte record: the counter, the key
+ * [seed, 0], the last block of four words and the position of the next
+ * one in it (4 when the block is used up).  A fresh record (counter 0,
+ * position 4) is NumPy's Philox(key=seed): the counter is incremented
+ * before each block is made, as NumPy's philox_next does, and a uniform
+ * double is the top 53 bits of a word times 2^-53.
+ *
+ * The normals themselves come from fill, NumPy's exported
+ * random_standard_normal_fill, the function Generator.standard_normal
+ * runs, called on a bit generator that reads the record: every ziggurat,
+ * tail and wedge branch draws the words NumPy's would, so a row gets the
+ * bits of Generator(Philox(key=seed)).standard_normal, however the
+ * stream is cut into calls.  _native.py checks that once per process. */
+
+typedef struct {
+    uint64_t ctr[4], key[2], buf[4];
+    int64_t pos;
+} sw_philox;
+
+/* NumPy's bitgen_t (numpy/random/bitgen.h) */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} sw_bitgen;
+
+typedef void sw_fill(sw_bitgen *, idx, double *);
+
+static uint64_t philox_next(void *state)
+{
+    sw_philox *s = state;
+    if (s->pos < 4)
+        return s->buf[s->pos++];
+    if (++s->ctr[0] == 0 && ++s->ctr[1] == 0 && ++s->ctr[2] == 0)
+        ++s->ctr[3];
+    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int r = 0; r < 10; r++) {
+        if (r) {
+            k0 += 0x9E3779B97F4A7C15ull;
+            k1 += 0xBB67AE8584CAA73Bull;
+        }
+        const u128 p0 = (u128)0xD2E7470EE14C6C93ull * c0;
+        const u128 p1 = (u128)0xCA5A826395121157ull * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    s->buf[0] = c0;
+    s->buf[1] = c1;
+    s->buf[2] = c2;
+    s->buf[3] = c3;
+    s->pos = 1;
+    return c0;
+}
+
+/* the low half of a whole word, not NumPy's pairs of halves: the
+ * normal fill reads no 32-bit draws, and the load check would see it */
+static uint32_t philox_next32(void *state)
+{
+    return (uint32_t)philox_next(state);
+}
+
+static double philox_double(void *state)
+{
+    return (double)(philox_next(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Row p of out (stride doubles apart, at least n) receives the next n
+ * normals of the stream of states[p], times scale, for p = 0 .. P-1. */
+void sw_normals(sw_fill *fill, sw_philox *restrict states, idx P, idx n,
+                double scale, double *out, idx stride)
+{
+    sw_bitgen g = {NULL, philox_next, philox_next32, philox_double,
+                   philox_next};
+    for (idx p = 0; p < P; p++, out += stride) {
+        g.state = states + p;
+        fill(&g, n, out);
+        for (idx i = 0; i < n; i++)
+            out[i] *= scale;
+    }
 }

@@ -1,7 +1,8 @@
 """The compiled loops of _native.c, loaded once, and the references
-they equal: squared discrete fields of a window, checked against NumPy,
-and the rows of CSV tables, checked against rows assembled in Python
-with repr and str.
+they equal: squared discrete fields of a window, checked against NumPy;
+the rows of CSV tables, checked against rows assembled in Python with
+repr and str; and Brownian increments, checked against NumPy's
+Generator(Philox(key=seed)).
 
 The estimators' integrands are squared fields of a window's Y
 (P, L+2, M+2), at its levels n = 1 .. L: y^2 and (Dt y)^2 at the
@@ -34,18 +35,34 @@ rows' reserved widths (_out_bytes) and each Text blob _PAD bytes past
 its last cell; python_rows, the reference, assembles the same bytes
 with str.join.
 
-fields() and table() load the library at the first call of either,
-never at import: it compiles _native.c once with `cc` and FLAGS into
-${XDG_CACHE_HOME:-$HOME/.cache}/stochwave/native-<sha256>.so, the hash
-taken over the source and the flags, opens the library with ctypes and
-checks every field loop bit for bit against NUMPY on a small fixed
-window, and the row writer against repr on fixed values and against
-python_rows on a fixed table with text columns.  If any step fails (no
-cc on PATH, a build error, no HOME or a HOME that is not a directory, a
-cache directory that cannot be written or is not private, a library
-that does not load, a parity mismatch), FALLBACK is chosen: fields()
-returns NUMPY, table() writes through python_rows, and `reason` says
-why; `reason` is None while the library is in use.
+normals(seeds, scale) draws standard normals from one Philox4x64-10
+stream per seed, keyed [seed, 0] as NumPy's Philox(key=seed) keys it,
+and scales them.  Philox is counter-based, so a stream's whole state is
+an 88-byte record: counter, key, the last block of four words and the
+position in it.  sw_normals draws each path's next values from its
+record through NumPy's own exported random_standard_normal_fill (_FILL),
+the function Generator.standard_normal runs, resolved once from
+numpy.random._generator, so every ziggurat branch reads the same words
+and a stream gives the same bits drawn at once or in pieces.  One
+ctypes call draws a whole block's rows and scales them; it releases the
+GIL.  generator_normals, the reference, keeps one
+Generator(Philox(key=seed)) per path, about 700 bytes and 12 us to
+build each, and calls standard_normal once per row.
+
+fields(), table() and normals() load the library at the first call of
+any of them, never at import: it compiles _native.c once with `cc` and
+FLAGS into ${XDG_CACHE_HOME:-$HOME/.cache}/stochwave/native-<sha256>.so,
+the hash taken over the source and the flags, opens the library with
+ctypes and checks every field loop bit for bit against NUMPY on a small
+fixed window, the row writer against repr on fixed values and against
+python_rows on a fixed table with text columns, and the sampler against
+Generator(Philox(key=seed)).standard_normal (_parity_normals).  If any
+step fails (no cc on PATH, a build error, no HOME or a HOME that is not
+a directory, a cache directory that cannot be written or is not
+private, a library that does not load, NumPy's fill not found, a
+parity mismatch), FALLBACK is chosen: fields() returns NUMPY, table()
+writes through python_rows, normals() draws through generator_normals,
+and `reason` says why; `reason` is None while the library is in use.
 """
 
 from __future__ import annotations
@@ -75,12 +92,15 @@ class Fields(NamedTuple):
 
 
 class Native(NamedTuple):
-    """The loader's choice: the four fields, and the row writer, a
+    """The loader's choice: the four fields; the row writer, a
     function of a table's shape and prepared columns that returns
-    block(start, count), the UTF-8 bytes of those rows."""
+    block(start, count), the UTF-8 bytes of those rows; and the
+    sampler, a function of seeds and a scale that returns draw(out)
+    (see normals)."""
 
     fields: Fields
     rows: Callable
+    normals: Callable
 
 
 def _np_y2(Y, out, dx, dt):
@@ -178,7 +198,36 @@ def python_rows(shape, columns):
     return block
 
 
-FALLBACK = Native(NUMPY, python_rows)
+def _check_rows(out, paths):
+    """Refuse an out that a sampler of `paths` streams cannot fill in
+    place, row by row."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.ndim == 2 and out.shape[0] == paths
+            and out.flags.writeable and out.flags.aligned
+            and out.strides[1] == 8 and out.strides[0] % 8 == 0):
+        raise ValueError(f"out must be a writable float64 array of "
+                         f"{paths} rows of unit element stride, got "
+                         f"{getattr(out, 'dtype', type(out))} "
+                         f"{np.shape(out)}")
+
+
+def generator_normals(seeds, scale):
+    """The reference sampler: one Generator(Philox(key=seed)) per seed,
+    whose standard_normal fills its row of out, which is then
+    multiplied by scale."""
+    rngs = [np.random.Generator(np.random.Philox(key=seed))
+            for seed in seeds]
+
+    def draw(out):
+        _check_rows(out, len(rngs))
+        for rng, row in zip(rngs, out):
+            rng.standard_normal(out=row)
+        out *= scale
+
+    return draw
+
+
+FALLBACK = Native(NUMPY, python_rows, generator_normals)
 
 
 def _prepare(write, columns):
@@ -212,6 +261,17 @@ def table(columns):
     text is held at a time.  Loads the library as fields() does, and
     writes through python_rows, with the same bytes, without it."""
     return _prepare(_choose().rows, columns)
+
+
+def normals(seeds, scale):
+    """One Philox stream per seed, as NumPy's Philox(key=seed) keys it,
+    each read by standard_normal: draw(out) fills row k of out, a
+    float64 (len(seeds), n) array whose rows have unit element stride,
+    with the next n standard normals of stream k times scale.  A stream
+    gives the same bits whether it is drawn at once or in pieces.
+    Loads the library as fields() does, and draws through
+    generator_normals, with the same bits, without it."""
+    return _choose().normals(seeds, scale)
 
 
 class _Unavailable(Exception):
@@ -350,6 +410,28 @@ def _pow5_tables():
     return pow5, inv5
 
 
+# NumPy's exported fill that Generator.standard_normal runs for float64
+_FILL = "random_standard_normal_fill"
+# uint64 words of sw_normals' per-path Philox record: counter, key,
+# buffer and buffer position
+_PHILOX_WORDS = 11
+
+
+def _normal_fill():
+    """The address of NumPy's _FILL, from the numpy.random._generator
+    extension that Generator.standard_normal runs in."""
+    import ctypes
+
+    from numpy.random import _generator
+
+    try:
+        fill = getattr(ctypes.CDLL(_generator.__file__), _FILL)
+    except (AttributeError, OSError):
+        raise _Unavailable(f"the sampler finds no {_FILL} in NumPy's "
+                           f"numpy.random._generator") from None
+    return ctypes.cast(fill, ctypes.c_void_p)
+
+
 def _bind(lib) -> Native:
     """The loops of the loaded library as Python functions, each
     checking its arguments before it passes their pointers."""
@@ -449,7 +531,27 @@ def _bind(lib) -> Native:
 
         return block
 
-    return Native(fields, rows)
+    sw_normals = symbol("sw_normals", [ctypes.c_void_p] * 2
+                        + [ctypes.c_ssize_t] * 2
+                        + [ctypes.c_double, ctypes.c_void_p,
+                           ctypes.c_ssize_t], None)
+    fill = _normal_fill()
+
+    def normals(seeds, scale):
+        states = np.zeros((len(seeds), _PHILOX_WORDS), dtype=np.uint64)
+        states[:, 4] = seeds  # the key [seed, 0]
+        states[:, 10] = 4  # an empty buffer
+        paths, held = len(states), states.ctypes.data_as(ctypes.c_void_p)
+        scale = ctypes.c_double(scale)
+
+        def draw(out):
+            _check_rows(out, paths)
+            sw_normals(fill, held, paths, out.shape[1], scale,
+                       out.ctypes.data, out.strides[0] // 8)
+
+        return draw
+
+    return Native(fields, rows, normals)
 
 
 def _parity_floats() -> np.ndarray:
@@ -512,6 +614,38 @@ def _parity(native: Native):
             raise _Unavailable(f"the row writer's rows {start} .. "
                                f"{start + n - 1} of the parity table "
                                "differ from python_rows'")
+    _parity_normals(native.normals)
+
+
+# the sampler's check: seeds at both ends of the key range, and pieces
+# of 1 .. 7 normals, four times over, so that a piece starts at every
+# position of a 4-word block, then one piece to _PARITY_NORMALS, far
+# enough that each seed's stream reaches the ziggurat's tail and wedge
+# branches (seed 0 first reaches the tail at its normal 4467)
+_PARITY_SEEDS = (0, 2**64 - 1)
+_PARITY_PIECES = (1, 2, 3, 4, 5, 6, 7) * 4
+_PARITY_NORMALS = 4608
+_PARITY_SCALE = math.sqrt(0.03)
+
+
+def _parity_normals(normals):
+    """Check the sampler against Generator(Philox(key=seed))
+    .standard_normal times _PARITY_SCALE, on _PARITY_SEEDS drawn in
+    _PARITY_PIECES into rows of a wider buffer."""
+    wide = np.zeros((len(_PARITY_SEEDS), _PARITY_NORMALS + 3))
+    out = wide[:, 1 : _PARITY_NORMALS + 1]
+    draw = normals(_PARITY_SEEDS, _PARITY_SCALE)
+    for start, stop in zip((0, *accumulate(_PARITY_PIECES)),
+                           (*accumulate(_PARITY_PIECES), _PARITY_NORMALS)):
+        draw(out[:, start:stop])
+    for seed, row in zip(_PARITY_SEEDS, out):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        want = rng.standard_normal(_PARITY_NORMALS)
+        want *= _PARITY_SCALE
+        if not np.array_equal(want.view(np.int64), row.view(np.int64)):
+            raise _Unavailable(
+                f"the sampler's normals of seed {seed} differ from "
+                f"Generator(Philox(key={seed})).standard_normal's")
 
 
 def _load() -> Native:
@@ -538,7 +672,7 @@ def _choose() -> Native:
 
 
 def fields() -> Fields:
-    """The compiled field loops, loaded at the first call of fields()
-    or table(), or NUMPY with `reason` set if the library cannot be
-    built, loaded or trusted."""
+    """The compiled field loops, loaded at the first call of fields(),
+    table() or normals(), or NUMPY with `reason` set if the library
+    cannot be built, loaded or trusted."""
     return _choose().fields

@@ -901,6 +901,14 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     # refused here, before anything is built or written; the weights
     # are evaluated here too, and handed to the subcommand
     if subcommand in _STEPPING:
+        # every stepping run draws its increments through _native, which
+        # loads the library at the first draw.  Imported here, before the
+        # run checks or builds anything, the module's compilation from
+        # source (no cached bytecode) frees about 1 MB that the run's
+        # arrays then reuse; imported at the first draw, it adds to the
+        # run's peak.
+        from . import _native  # noqa: F401
+
         _memory_preflight(cfg, subcommand)
     inputs = ()
     if subcommand == "weights-order":

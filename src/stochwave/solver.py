@@ -35,14 +35,18 @@ The inverse problem's observation of a path is the left boundary flux
 the only code that does: the estimators read it window by window, and
 observe reads it on a trajectory viewed as a one-path whole Window.
 
-Reproducibility: Brownian increments come from a counter-based
-generator (Philox) keyed by a 64-bit seed, and ensemble path seeds are
-derived from (master_seed, path_index) by the splitmix64-style mixer
-`path_seed`, whose constants are part of the package interface.  Same
-seeds, same inputs: bitwise-identical results on every backend and
-schedule.  A streamed block draws its increments _NOISE_LEVELS levels
-at a time, each path's generator kept between chunks, so that its
-memory does not grow with N; the draws are the same bits as at once.
+Reproducibility: Brownian increments are the standard normals of
+NumPy's Generator(Philox(key=seed)), times sqrt(dt), and ensemble path
+seeds are derived from (master_seed, path_index) by the splitmix64-style
+mixer `path_seed`, whose constants are part of the package interface.
+Same seeds, same inputs: bitwise-identical results on every backend and
+schedule.  Philox is counter-based, so a path's stream is an 88-byte
+record (key, counter and a 4-word buffer), and _native.normals draws
+each from it in C through NumPy's own normal sampler, or, without the
+compiled library, through one Generator per path, with the same bits.
+A streamed block draws its increments one window at a time, so that
+its memory does not grow with N; the draws are the same bits as at
+once.
 """
 
 from __future__ import annotations
@@ -81,14 +85,9 @@ _BLOCK_NODES = 1 << 14
 # over the same windows whatever the block size.
 _WINDOW_LEVELS = 16
 
-# time levels of increments a streamed block draws at a time: 16
-# windows, so that a chunk ends where a window starts and a stream's
-# memory does not grow with N.  A block on N <= _NOISE_LEVELS steps
-# draws its increments at once.
-_NOISE_LEVELS = 16 * _WINDOW_LEVELS
-
-# bytes budgeted per path for the Philox generator a block of more
-# than one chunk keeps between chunks (about 700 with NumPy 2.4)
+# bytes budgeted per path for its noise stream: the reference
+# sampler's Generator(Philox(key=seed)), about 700 with NumPy 2.4 (the
+# compiled sampler's record is 88)
 _GENERATOR_BYTES = 1024
 
 
@@ -130,23 +129,13 @@ class BrownianPath:
         object.__setattr__(self, "increments", inc)
 
 
-def _philox_normals(seeds, out: np.ndarray) -> np.ndarray:
-    """Fill row k of `out` with the leading standard normals of the
-    Philox stream keyed by seeds[k].
+def _sampler(seeds, dt: float):
+    """draw(out): row k of out receives the next out.shape[1]
+    increments of the Philox stream keyed by seeds[k], standard
+    normals times sqrt(dt) (_native.normals)."""
+    from . import _native  # at the first draw: importing costs setup
 
-    One generator serves every row: resetting its key to [seed, 0],
-    its counter to zero and its output buffer to empty gives exactly
-    the stream of a fresh Philox(key=seed) (a counter-based generator's
-    state is its key and counter).  Returns `out`."""
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state  # fresh: zero counter, empty buffer
-    key = state["state"]["key"]
-    for row, seed in zip(out, seeds):
-        key[0] = seed
-        bitgen.state = state
-        rng.standard_normal(out=row)
-    return out
+    return _native.normals(seeds, math.sqrt(dt))
 
 
 def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
@@ -159,9 +148,9 @@ def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
     seed = int(seed) & _MASK64
-    inc = _philox_normals([seed], np.empty((1, N + 1)))[0]
-    inc *= np.sqrt(dt)
-    return BrownianPath(increments=inc, seed=seed)
+    inc = np.empty((1, N + 1))
+    _sampler([seed], dt)(inc)
+    return BrownianPath(increments=inc[0], seed=seed)
 
 
 def _require(cond: bool, msg: str):
@@ -501,23 +490,24 @@ def _check_paths(paths):
 def _check_memory(paths: int, grid: Grid, history: bool = False):
     """Refuse, with MemoryError, a block of `paths` paths whose arrays
     exceed physical memory: one window of L+2 levels, L+1 rows of the
-    six tables, and per path one chunk of K+1 increments (K =
-    min(N, _NOISE_LEVELS)) and, where K < N, the Philox generator kept
-    between chunks (_GENERATOR_BYTES).  With `history` all N+2 levels
-    and all N+1 increments per path (K = N), as run_ensemble holds
-    them."""
+    six tables, and per path one window's L+1 increments and its noise
+    stream (_GENERATOR_BYTES, the reference sampler's generator).  With
+    `history` all N+2 levels and all N+1 increments per path, as
+    run_ensemble holds them; its noise streams are freed before the
+    levels are allocated, so they are not counted there."""
     N, M = grid.N, grid.M
     L = min(_WINDOW_LEVELS, N)
-    K = N if history else min(_NOISE_LEVELS, N)
+    K = N if history else L
     levels = N + 2 if history else L + 2
     need_y = paths * levels * (M + 2) * 8
     need = (paths * ((L + 2) * (M + 2) + K + 1) + 6 * (L + 1) * (M + 2)) * 8
-    need += need_y if history else 0
-    noise = f"its {N + 1} increments per path"
-    if K < N:
+    if history:
+        need += need_y
+        noise = f"its {N + 1} increments per path"
+    else:
         need += paths * _GENERATOR_BYTES
-        noise = (f"{K + 1} of its {N + 1} increments and its "
-                 f"{_GENERATOR_BYTES}-byte noise generator per path")
+        noise = (f"one window's {L + 1} of its {N + 1} increments and a "
+                 f"{_GENERATOR_BYTES}-byte noise stream per path")
     phys = _physical_bytes()
     if phys is not None and need > phys:
         window = f"a window of {L + 2} levels, " if history else ""
@@ -533,10 +523,10 @@ def _check_memory(paths: int, grid: Grid, history: bool = False):
 def stream_block(grid: Grid, paths: int) -> int:
     """Paths per block of stream_windows' stream of `paths` paths,
     refused with MemoryError (_check_memory) if a block does not fit in
-    physical memory: its window, table rows, one chunk of its
-    increments and its paths' noise generators, none of which grows
-    with N.  This is the check stream_windows makes, which a caller can
-    also make before it builds anything."""
+    physical memory: its window, table rows, one window's increments
+    and its paths' noise streams, none of which grows with N.  This is
+    the check stream_windows makes, which a caller can also make before
+    it builds anything."""
     size = min(block_paths(grid), paths)
     _check_memory(size, grid)
     return size
@@ -556,48 +546,44 @@ def check_array_memory(arrays):
             )
 
 
-def _sample_block(master_seed: int, first: int, noise: np.ndarray, N: int,
-                  dt: float):
-    """Fill row k of `noise` with increments of path first + k, chunk
-    by chunk, and yield each chunk as (c0, dB): dB, a view of noise's
-    leading columns, holds increments c0 .. c0+K' (K' <= K, where noise
-    has K+1 columns), and c0 runs 0, K, 2K, .. below N.  Column 0 of a
-    later chunk is the previous chunk's last increment, moved there,
-    so that every window's increments lie in one chunk.  With N <= K
-    one chunk holds all N+1 increments, drawn by _philox_normals; a
-    longer block keeps one Philox generator per path between chunks,
-    which draws each path's stream in pieces bit for bit as at once."""
-    K = noise.shape[1] - 1
-    seeds = [path_seed(master_seed, first + k) for k in range(len(noise))]
-    if N <= K:
-        dB = _philox_normals(seeds, noise[:, : N + 1])
-        dB *= np.sqrt(dt)
-        yield 0, dB
-        return
-    rngs = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
-    for c0 in range(0, N, K):
-        width = min(K, N - c0) + 1
-        if c0:
-            noise[:, 0] = noise[:, K]
-        new = noise[:, 1 if c0 else 0 : width]
-        for rng, row in zip(rngs, new):
-            rng.standard_normal(out=row)
-        new *= np.sqrt(dt)
-        yield c0, noise[:, :width]
+def _sample_block(master_seed: int, first: int, paths: int, dt: float):
+    """The sampler of paths first .. first+paths-1 of the family seeded
+    by master_seed, the one seam that fills increment rows: draw(out)
+    fills row k of out with the next out.shape[1] increments of path
+    first + k, from seed path_seed(master_seed, first + k)."""
+    seeds = [path_seed(master_seed, first + k) for k in range(paths)]
+    return _sampler(seeds, dt)
+
+
+def _window_draws(draw, noise: np.ndarray):
+    """increments(n0, L) of a streamed block whose sampler is draw: the
+    window's (P, L+1) increments dB[n0 .. n0+L], in noise, a reused
+    (P, min(N, _WINDOW_LEVELS) + 1) buffer.  The first window draws L+1
+    columns; each later one carries the previous window's last
+    increment from column _WINDOW_LEVELS to column 0 and draws L new
+    columns after it.  Windows must come in order."""
+
+    def increments(n0, L):
+        if n0:
+            noise[:, 0] = noise[:, _WINDOW_LEVELS]
+        draw(noise[:, 1 if n0 else 0 : L + 1])
+        return noise[:, : L + 1]
+
+    return increments
 
 
 def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
                  size: int, blocks):
-    """Step each block (first, chunks) of `blocks`, at most `size` paths
-    whose row 0 is global path `first`, and yield its Windows of
+    """Step each block (first, increments) of `blocks`, at most `size`
+    paths whose row 0 is global path `first`, and yield its Windows of
     _WINDOW_LEVELS levels: the one loop that calls step_paths, once per
     window on the window's rows of the six tables (_table_rows: a field
     that holds one value per level has stride 0 along j, which the
     kernel narrows to one value per level) in one reused
-    (size, L+2, M+2) buffer.  `chunks` yields the block's increments
-    as _sample_block does, (c0, dB) with dB (P, K'+1) starting at level
-    c0; the next chunk is drawn when the first window past the current
-    one comes up, and is valid until then.  A yielded window is valid
+    (size, L+2, M+2) buffer.  increments(n0, L) returns the block's
+    (P, L+1) increments dB[n0 .. n0+L], and is called once per window,
+    in order, when the window comes up (_window_draws draws them then);
+    they are valid until the next call.  A yielded window is valid
     until the next is drawn.  A blow-up ends the yields, but later
     blocks are stepped, and their increments drawn, only as far as an
     earlier level could fail, so the BlowUpError raised is the
@@ -605,20 +591,16 @@ def _step_blocks(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
     start = _start_levels(data, grid)
     window = np.zeros((size, min(_WINDOW_LEVELS, grid.N) + 2, grid.M + 2))
     blown = None
-    for first, chunks in blocks:
-        end = 0
+    for first, increments in blocks:
         for n0, L in _window_spans(grid.N):
             # levels n0+2 .. n0+L+1 come next: only an earlier level than
             # a blow-up already found can replace it
             if blown is not None and n0 + 2 >= blown.n:
                 break
-            if n0 == end:
-                c0, dB = next(chunks)
-                end = c0 + dB.shape[1] - 1
-                if c0 == 0:
-                    Y = window[: dB.shape[0]]
-                    Y[:, :2] = start
-            inc = dB[:, n0 - c0 : n0 - c0 + L + 1]
+            inc = increments(n0, L)
+            if n0 == 0:
+                Y = window[: inc.shape[0]]
+                Y[:, :2] = start
             hit, bn, bp, bj = step_paths(
                 Y[:, : L + 2], *_table_rows(data, coeffs, grid, n0, L), inc,
                 grid.dt, grid.dx,
@@ -638,9 +620,9 @@ def _history(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
              first: int, dB: np.ndarray) -> np.ndarray:
     """All N+2 levels of the paths first.. driven by dB, (P, N+2, M+2),
     copied out of their stepped windows; dB holds all N+1 increments
-    of each path, as one chunk."""
+    of each path, and each window steps with a view of it."""
     Y = np.empty((dB.shape[0], grid.N + 2, grid.M + 2))
-    block = (first, iter([(0, dB)]))
+    block = (first, lambda n0, L: dB[:, n0 : n0 + L + 1])
     for win in _step_blocks(data, coeffs, grid, dB.shape[0], [block]):
         Y[:, win.n0 : win.n0 + win.levels + 2] = win.Y
     return Y
@@ -669,8 +651,8 @@ def run_ensemble(
         raise ValueError(f"first must be an integer >= 0, got {first!r}")
     _check_memory(paths, grid, history=True)
     dB = np.empty((paths, grid.N + 1))
-    # one chunk: dB holds every increment, as the whole Window returns it
-    next(_sample_block(master_seed, first, dB, grid.N, grid.dt))
+    # every increment in one draw, as the whole Window returns them
+    _sample_block(master_seed, first, paths, grid.dt)(dB)
     return Window(grid, _history(data, coeffs, grid, first, dB), dB, 0)
 
 
@@ -684,23 +666,23 @@ def stream_windows(
     """Step paths 0 .. paths-1 of the family seeded by master_seed and
     yield them as Windows (_step_blocks), block after block of
     block_paths(grid) paths.  A block's increments are drawn
-    (_sample_block) _NOISE_LEVELS levels at a time into one reused
-    (B, K+1) buffer, K = min(N, _NOISE_LEVELS), each path's Philox
-    generator kept between chunks.  Memory is one window, the window's
-    table rows, one chunk of increments and the generators, none of
-    which grows with N, refused with MemoryError up front if over
-    physical memory; the levels and a BlowUpError are run_ensemble's
-    bit for bit."""
+    (_sample_block) one window at a time into one reused
+    (B, _WINDOW_LEVELS+1) buffer (_window_draws), each path's Philox
+    stream kept between windows.  Memory is one window, the window's
+    table rows and increments and the noise streams, none of which
+    grows with N, refused with MemoryError up front if over physical
+    memory; the levels and a BlowUpError are run_ensemble's bit for
+    bit."""
     _check_match(data, coeffs, grid)
     _check_paths(paths)
     size = stream_block(grid, paths)
 
     def blocks():
-        noise = np.empty((size, min(grid.N, _NOISE_LEVELS) + 1))
+        noise = np.empty((size, min(grid.N, _WINDOW_LEVELS) + 1))
         for first in range(0, paths, size):
-            yield first, _sample_block(master_seed, first,
-                                       noise[: paths - first], grid.N,
-                                       grid.dt)
+            block = min(size, paths - first)
+            draw = _sample_block(master_seed, first, block, grid.dt)
+            yield first, _window_draws(draw, noise[:block])
 
     yield from _step_blocks(data, coeffs, grid, size, blocks())
 

@@ -282,12 +282,12 @@ SINE_G = {"g": {"sine": {"mode": 1, "amplitude": 1.0}}}
          "the preset coefficient b, a 100000002 x 100001 float64 array, "
          "needs 80000801600016 bytes"),
         # a zero g is a zero-stride view: only the stream block counts,
-        # with one chunk of 257 increments and a noise generator per path
+        # with one window's 17 increments and a noise stream per path
         ("martingale", {"grid": HUGE, "mc": {"paths": 100}}, 2**36,
          "a block of 1 path(s) holding 18 of the 100002 time levels of a "
          "100000000 x 100000 mesh needs 14400000288 bytes for its "
-         "trajectories and 96000005000 bytes with 257 of its 100001 "
-         "increments and its 1024-byte noise generator per path and 17 "
+         "trajectories and 96000003080 bytes with one window's 17 of its "
+         "100001 increments and a 1024-byte noise stream per path and 17 "
          "rows of the six coefficient and data tables"),
     ],
     ids=["simulate", "carleman", "carleman-stacks", "stability",

@@ -1,15 +1,18 @@
 """Artifact invariance matrix: the stepping subcommands run in-process on
 tiny configs, with constant and with space-varying preset coefficients,
-in path blocks of 1, 3 and the default size, times increments drawn in
-chunks of 1, 3 and the default number of windows, times the stability
-estimator's path chunks of 1, 3 (which leaves a chunk of 1 of a 10-path
-window) and the default size, times the estimators' squared fields from
-the loader's choice (compiled where cc exists) and from NumPy.  Every
-run must give the exit code, stdout, stderr and SHA-256 of every
-artifact, manifest.json included, of the run in the default block and
-chunks with the loader's choice.  One config blows up in a
-later block than the first, at an earlier level than the first block
-does, past the first chunk of increments."""
+in path blocks of 1, 3 and the default size, times increments drawn by
+the loader's sampler (compiled sw_normals where cc exists) and by the
+reference, one Generator(Philox(key=seed)) per path, times the
+stability estimator's path chunks of 1, 3 (which leaves a chunk of 1
+of a 10-path window) and the default size, times the estimators'
+squared fields and CSV rows from the loader's choice and from the
+NumPy and Python references.  Every run must give the exit code,
+stdout, stderr and SHA-256 of every artifact, manifest.json included,
+of the run in the default block and chunks with the loader's choice.
+The martingale config steps 101 paths through three windows, in one,
+34 or 101 blocks; one config blows up in a later block than the first,
+at an earlier level than the first block does, in its nineteenth
+window."""
 
 import hashlib
 import json
@@ -24,15 +27,15 @@ M = 3
 # paths per block; None leaves solver._BLOCK_NODES at its default, one
 # block for every config below
 BLOCKS = [None, 1, 3]
-# windows per chunk of a block's increments; None leaves
-# solver._NOISE_LEVELS at its default, one chunk for every config below
-# but BLOW_UP
-NOISE = [None, 1, 3]
+# the sampler: None leaves the loader's choice, "generator" forces the
+# reference, whatever draws the fields and rows
+SAMPLERS = [None, "generator"]
 # paths per chunk of a full window; None leaves estimators._CHUNK_NODES
 # at its default, one chunk for every window below
 CHUNKS = [None, 1, 3]
-# the estimators' squared fields: None leaves the loader's choice,
-# "numpy" forces the NumPy reference
+# the estimators' squared fields and the CSV rows: None leaves the
+# loader's choice, "numpy" forces the NumPy and Python references,
+# whatever draws the increments
 FIELDS = [None, "numpy"]
 
 COEFFICIENTS = {
@@ -75,7 +78,7 @@ RUNS = {
 }
 # dt = 0.5 > dx = 0.25: the noise-driven paths grow until they overflow
 # at level 293, path 3 first; paths 0..2 overflow later.  Level 293 lies
-# in the second chunk of increments at the default chunk size
+# in the nineteenth window of increments
 BLOW_UP = {
     "grid": {"M": M, "N": 400, "T": 200.0},
     "coefficients": {"d": {"constant": 0.5}},
@@ -91,19 +94,21 @@ CASES = [
 ] + [pytest.param("stability", BLOW_UP, id="stability-blow-up")]
 
 
-def run(monkeypatch, capsys, tmp_path, subcommand, block, noise, chunk,
+def run(monkeypatch, capsys, tmp_path, subcommand, block, sampler, chunk,
         fields):
     """One in-process run of the config at tmp_path / cfg.json into
     tmp_path / out; its exit code, stdout, stderr and artifact digests."""
+    loaded = _native._choose()
+    chosen = loaded
+    if fields == "numpy":
+        chosen = _native.FALLBACK._replace(normals=loaded.normals)
+    if sampler == "generator":
+        chosen = chosen._replace(normals=_native.generator_normals)
     with monkeypatch.context() as m:
-        if fields == "numpy":
-            m.setattr(_native, "_chosen", _native.FALLBACK)
+        m.setattr(_native, "_chosen", chosen)
         if block is not None:
             m.setattr(solver, "_BLOCK_NODES", block * M)
             assert solver.block_paths(build_grid(M, 4, 1.0)) == block
-        if noise is not None:
-            m.setattr(solver, "_NOISE_LEVELS",
-                      noise * solver._WINDOW_LEVELS)
         if chunk is not None:
             m.setattr(estimators, "_CHUNK_NODES",
                       chunk * (solver._WINDOW_LEVELS + 2) * (M + 2))
@@ -122,10 +127,11 @@ def run(monkeypatch, capsys, tmp_path, subcommand, block, noise, chunk,
 def test_artifacts_independent_of_block_size(monkeypatch, capsys, tmp_path,
                                              subcommand, raw):
     (tmp_path / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
-    seen = {(block, noise, chunk, fields): run(monkeypatch, capsys,
-                                               tmp_path, subcommand, block,
-                                               noise, chunk, fields)
-            for block in BLOCKS for noise in NOISE for chunk in CHUNKS
+    seen = {(block, sampler, chunk, fields): run(monkeypatch, capsys,
+                                                 tmp_path, subcommand,
+                                                 block, sampler, chunk,
+                                                 fields)
+            for block in BLOCKS for sampler in SAMPLERS for chunk in CHUNKS
             for fields in FIELDS}
     code, out, err, digests = seen[None, None, None, None]
     if raw is BLOW_UP:

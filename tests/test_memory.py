@@ -3,8 +3,8 @@
 From the moment the stream starts, `stability`, `simulate` and
 `carleman` may hold only what is stepped and written: the stepped
 problem's interior fields g and f, one window with the window's Dx y
-and Dt Dx y fields, one chunk of a block's increments with its paths'
-noise generators, the window's rows of the six tables, path 0's kept
+and Dt Dx y fields and increments, its paths' noise streams, the
+window's rows of the six tables, path 0's kept
 levels (simulate), the weight factor stacks (carleman) and one block
 of the CSV writer.  The budget is that sum, computed from the config,
 times a fixed factor for the kernel's and the estimators'
@@ -74,9 +74,9 @@ def budget(subcommand, paths):
     # same forcing: f cancels and g is the one stepped field
     fields = (1 if subcommand == "stability" else 2) * M * N
     window = 3 * P * (L + 2) * (M + 2)
-    # one chunk of increments, and each path's generator between chunks
-    increments = P * (min(N, solver._NOISE_LEVELS) + 1)
-    generators = P * solver._GENERATOR_BYTES if N > solver._NOISE_LEVELS else 0
+    # one window's increments, and each path's noise stream
+    increments = P * (L + 1)
+    generators = P * solver._GENERATOR_BYTES
     rows = 6 * (L + 1) * (M + 2)
     kept = (N + 2) * (M + 2) if subcommand == "simulate" else 0
     # the L1, L2, L3, R3 factors over (space, time), R2 over time
@@ -189,7 +189,7 @@ def test_carleman_holds_one_window(tmp_path):
 
 
 def test_stream_peak_does_not_grow_with_n():
-    # 100 paths in one block, on 2 and on 32 chunks of increments; a
+    # 100 paths in one block, on 32 and on 512 windows of increments; a
     # random g and f are copied into each window's table rows
     def peak(N):
         grid = build_grid(15, N, 1.0)

@@ -1,8 +1,9 @@
 """The compiled library (stochwave._native): bit-for-bit parity of every
 field loop with the NumPy reference, the row writer's float text against
-repr, the fallback to NumPy and Python's rows and its reason, laziness,
-the packaged source, and a C file free of warnings and of sanitizer
-reports."""
+repr and the sampler against NumPy's Generator(Philox(key=seed)), the
+fallback to NumPy, Python's rows and per-path Generators and its reason,
+laziness, the packaged source, and a C file free of warnings and of
+sanitizer reports."""
 
 import ctypes
 import hashlib
@@ -227,6 +228,99 @@ def test_formatter_checks_its_argument(native, fmt):
 
 
 # ---------------------------------------------------------------------------
+# the sampler
+
+# the ziggurat's tail starts at r: a normal beyond it came from the tail
+ZIGGURAT_R = 3.6541528853610088
+
+
+@pytest.mark.parametrize("sampler", ["compiled", "reference"])
+def test_sampler_draws_each_stream_in_pieces_as_at_once(native, sampler):
+    normals = (native.normals if sampler == "compiled"
+               else _native.generator_normals)
+    seeds = [0, 2**64 - 1, 2**63, 12345]
+    pieces = [1, 2, 3, 4, 5, 6, 7, 0, 17, 16, 16, 5000]
+    wide = np.full((len(seeds), sum(pieces) + 5), 7.0)
+    out = wide[:, 2 : sum(pieces) + 2]
+    draw = normals(seeds, 0.25)
+    at = 0
+    for n in pieces:
+        draw(out[:, at : at + n])
+        at += n
+    for seed, row in zip(seeds, out):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        want = rng.standard_normal(out.shape[1]) * 0.25
+        assert np.array_equal(bits(want), bits(row)), seed
+    # nothing outside the rows is written
+    assert (wide[:, :2] == 7.0).all() and (wide[:, -3:] == 7.0).all()
+
+
+@pytest.mark.parametrize("sampler", ["compiled", "reference"])
+def test_sampler_checks_its_argument(native, sampler):
+    normals = (native.normals if sampler == "compiled"
+               else _native.generator_normals)
+    draw = normals([1, 2], 1.0)
+    for out in (np.empty((3, 4)), np.empty(4), np.empty((2, 4), np.float32),
+                np.empty((4, 2)).T, np.empty((2, 4))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be a writable"):
+            draw(out)
+    frozen = np.empty((2, 4))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be a writable"):
+        draw(frozen)
+
+
+def words_drawn(bitgen):
+    """The 64-bit words a fresh Philox bit generator has given."""
+    state = bitgen.state
+    return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+
+
+def test_parity_draws_cross_every_buffer_offset_the_tail_and_the_wedge():
+    # each normal reads one word on the ziggurat's fast path, two on an
+    # accepted wedge draw, and at least three in the tail, beyond r
+    for seed in _native._PARITY_SEEDS:
+        bitgen = np.random.Philox(key=seed)
+        rng = np.random.Generator(bitgen)
+        offsets = set()
+        for n in _native._PARITY_PIECES:
+            offsets.add(words_drawn(bitgen) % 4)
+            rng.standard_normal(n)
+        assert offsets == {0, 1, 2, 3}, seed
+        drawn = sum(_native._PARITY_PIECES)
+        wedge = tail = 0
+        before = words_drawn(bitgen)
+        for _ in range(_native._PARITY_NORMALS - drawn):
+            x = rng.standard_normal()
+            after = words_drawn(bitgen)
+            wedge += after - before == 2 and abs(x) < ZIGGURAT_R
+            tail += abs(x) > ZIGGURAT_R
+            before = after
+        assert wedge > 0 and tail > 0, (seed, wedge, tail)
+
+
+def test_wrong_normal_fill_falls_back_with_the_same_artifacts(native, reload,
+                                                              monkeypatch,
+                                                              tmp_path):
+    monkeypatch.setattr(_native, "_chosen", native)
+    compiled_digests = run_digests(tmp_path, "martingale")
+    # NumPy's exponential fill has the normal fill's signature
+    monkeypatch.setattr(_native, "_chosen", None)
+    monkeypatch.setattr(_native, "_FILL", "random_standard_exponential_fill")
+    assert run_digests(tmp_path, "martingale") == compiled_digests
+    assert _native._chosen is _native.FALLBACK
+    assert _native.reason == ("the sampler's normals of seed 0 differ from "
+                              "Generator(Philox(key=0)).standard_normal's")
+
+
+def test_missing_normal_fill_falls_back(compiled, reload, monkeypatch):
+    monkeypatch.setattr(_native, "_FILL", "random_no_such_fill")
+    assert _native.fields() is _native.NUMPY
+    assert _native.reason == ("the sampler finds no random_no_such_fill in "
+                              "NumPy's numpy.random._generator")
+
+
+# ---------------------------------------------------------------------------
 # fallback
 
 
@@ -251,6 +345,12 @@ CONFIGS = {
                  "g": {"random": {"seed": 21, "amplitude": 0.5}}},
         "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}}},
         "mc": {"paths": 6, "master_seed": 5},
+    },
+    "martingale": {
+        "grid": {"M": 3, "N": 40, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 21, "amplitude": 0.5}}},
+        "mc": {"paths": 100, "master_seed": 7},
     },
     "identities": {
         "grid": {"M": 6, "N": 9, "T": 1.0},
@@ -439,8 +539,7 @@ print(json.dumps(seen))
 """
 
 
-def test_loading_waits_for_the_first_float_block_or_estimator_window(
-        tmp_path):
+def test_loading_waits_for_the_first_draw_float_block_or_window(tmp_path):
     cfg = dict(CONFIGS["stability"], output_dir=str(tmp_path / "out"))
     cfg["mc"] = dict(cfg["mc"], paths=100)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -452,11 +551,29 @@ def test_loading_waits_for_the_first_float_block_or_estimator_window(
     # imported, loaded, library mapped
     assert json.loads(out.stdout.splitlines()[-1]) == [
         ["parse_config", False, False, False],
-        ["martingale", 0, False, False, False],
+        ["martingale", 0, True, True, has_cc],
         ["simulate", 0, True, True, has_cc],
         ["stability", 0, True, True, has_cc],
     ]
     assert (cache / "stochwave").exists() == has_cc
+
+
+def test_import_and_parse_config_leave_the_library_unloaded(tmp_path):
+    # bench/child.py's setup_s times exactly these two steps: neither may
+    # build, check or map the library
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS["martingale"]),
+                                       encoding="utf-8")
+    cache = tmp_path / "cache"
+    out = child("import sys\nimport stochwave.cli\n"
+                "stochwave.cli.parse_config(sys.argv[1])\n"
+                "from stochwave import _native\n"
+                "with open('/proc/self/maps') as f:\n"
+                "    mapped = '/native-' in f.read()\n"
+                "print(_native._chosen is None, mapped)\n",
+                dict(os.environ, XDG_CACHE_HOME=str(cache)),
+                str(tmp_path / "cfg.json"))
+    assert out.stdout.split() == ["True", "False"], out.stderr
+    assert not cache.exists()
 
 
 def test_minimal_environment_falls_back_without_a_traceback(tmp_path):
@@ -495,7 +612,11 @@ def test_source_compiles_without_warnings():
 # sw_rows writes whole words past a cell's end into slack the caller
 # sizes, so an undersized block or blob would corrupt the heap silently.
 # A small C driver runs the loops on heap buffers of exactly the sizes
-# _native.py computes, and any sanitizer report fails the test.
+# _native.py computes, and any sanitizer report fails the test.  It runs
+# sw_normals on exactly P Philox records and on rows of a stride larger
+# than the values drawn, through a stand-in for NumPy's normal fill that
+# returns the streams' words, so that the draws can be checked against
+# NumPy's Philox.
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
@@ -514,6 +635,16 @@ idx sw_rows(idx, idx, idx, const idx *, idx, const void *const *,
 typedef void field(const double *, idx, idx, idx, idx, idx, idx, double,
                    double, double *);
 field sw_y2, sw_dty2, sw_dxy2, sw_dtdx2;
+
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen;
+void sw_normals(void (*)(bitgen *, idx, double *), uint64_t *, idx, idx,
+                double, double *, idx);
 
 struct column {
     int is_text;
@@ -586,6 +717,39 @@ static int run_block(const struct block *b, const uint64_t *pow5,
     }
     free(out); free(shape); free(pos); free(stride); free(base);
     free(ntext); free(off); free(data); free(text); free(cells);
+    return bad;
+}
+
+/* a stand-in for NumPy's normal fill that reads both kinds of draw: a
+ * word's top 53 bits as an integer at even i, a uniform double at odd i */
+static void fill(bitgen *g, idx n, double *out)
+{
+    for (idx i = 0; i < n; i++)
+        out[i] = i % 2 ? g->next_double(g->state)
+                       : (double)(g->next_uint64(g->state) >> 11);
+}
+
+/* P streams from copies of their 11-word records in a heap buffer of
+ * exactly P records, drawn in pieces into rows stride doubles apart of
+ * a buffer that ends at the last row's last value */
+static int run_normals(const uint64_t *records, idx P, const idx *pieces,
+                       idx npieces, idx stride, double scale,
+                       const uint64_t *want)
+{
+    idx n = 0;
+    for (idx k = 0; k < npieces; k++)
+        n += pieces[k];
+    uint64_t *states = heap(records, P * 11 * sizeof *states);
+    double *out = malloc(((P - 1) * stride + n) * sizeof *out);
+    for (idx k = 0, at = 0; k < npieces; at += pieces[k++])
+        sw_normals(fill, states, P, pieces[k], scale, out + at, stride);
+    int bad = 0;
+    for (idx p = 0; p < P; p++)
+        bad |= memcmp(out + p * stride, want + p * n, n * 8) != 0;
+    if (bad)
+        fprintf(stderr, "sw_normals differs from NumPy's Philox words\n");
+    free(states);
+    free(out);
     return bad;
 }
 
@@ -692,6 +856,12 @@ EXTREME_TABLES = {
 }
 
 
+# (seed, counter) of each stream the driver draws, and the pieces it draws
+# them in: every offset of the 4-word buffer starts a piece
+NORMAL_STREAMS = [(0, 0), (2**64 - 1, 0), (7, 2**64 - 3)]
+NORMAL_PIECES = [1, 2, 3, 4, 5, 6, 7, 0, 16, 17, 9]
+
+
 def test_loops_run_clean_under_sanitizers(tmp_path):
     cc = shutil.which("cc")
     if cc is None:
@@ -741,6 +911,28 @@ def test_loops_run_clean_under_sanitizers(tmp_path):
             src.append(c_words(f"WANT_{name}", want))
             calls.append(f'bad |= run_field("{name}", sw_{name}, Y, '
                          f"{base.size}, DIMS, WANT_{name}, {want.size});")
+
+    # the sampler's streams: both ends of the key range, and a counter
+    # whose low word carries into the next while it is drawn
+    records, want = [], []
+    scale = _native._PARITY_SCALE
+    for seed, counter in NORMAL_STREAMS:
+        record = np.zeros(_native._PHILOX_WORDS, dtype=np.uint64)
+        record[[0, 4, 10]] = counter, seed, 4
+        records.append(record)
+        words = np.random.Philox(key=seed, counter=counter).random_raw(
+            sum(NORMAL_PIECES)) >> np.uint64(11)
+        for piece in np.split(words, np.cumsum(NORMAL_PIECES)[:-1]):
+            odd = np.arange(piece.size) % 2 == 1
+            want.append(np.where(odd, piece * 2.0**-53,
+                                 piece.astype(np.float64)) * scale)
+    src.append(c_words("RECORDS", np.concatenate(records)))
+    src.append(c_array("idx", "PIECES", NORMAL_PIECES))
+    src.append(c_words("WANT_NORMALS", np.concatenate(want)))
+    stride = sum(NORMAL_PIECES) + 3
+    calls.append(f"bad |= run_normals(RECORDS, {len(NORMAL_STREAMS)}, "
+                 f"PIECES, {len(NORMAL_PIECES)}, {stride}, {scale!r}, "
+                 "WANT_NORMALS);")
     src.append("int main(void)\n{\n    int bad = 0;\n"
                "    for (size_t b = 0; b < sizeof BLOCKS / sizeof *BLOCKS; "
                "b++)\n        bad |= run_block(BLOCKS + b, POW5, INV5);\n"

@@ -776,16 +776,20 @@ def test_run_ensemble_blow_up_past_the_first_window_is_the_scalar_report(
     grid, data, coeffs = spiked_problem()
     sample = solver._sample_block
 
-    def poisoned(master_seed, first, dB, N, dt):
-        # run_ensemble draws all N+1 increments of dB as one chunk
-        for chunk in sample(master_seed, first, dB, N, dt):
+    def poisoned(master_seed, first, paths, dt):
+        draw = sample(master_seed, first, paths, dt)
+
+        def draw_poisoned(dB):
+            # run_ensemble draws all N+1 increments of dB in one call
+            draw(dB)
             dB[2, 40] = dB[0, 50] = 1e300
-            yield chunk
+
+        return draw_poisoned
 
     monkeypatch.setattr(solver, "_sample_block", poisoned)
     with pytest.raises(BlowUpError) as exc:
         run_ensemble(data, coeffs, grid, 4, 5, first=first)
     dB = np.empty((4, grid.N + 1))
-    next(poisoned(5, first, dB, grid.N, grid.dt))
+    poisoned(5, first, 4, grid.dt)(dB)
     n, p, j = scalar_report(data, coeffs, grid, dB)
     assert (exc.value.n, exc.value.path, exc.value.j) == (n, first + p, j)

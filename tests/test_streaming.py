@@ -174,17 +174,18 @@ def test_memory_refusal_is_exit_3(monkeypatch, tmp_path):
 
 def test_memory_refusal_counts_noise_and_tables(monkeypatch, tmp_path):
     # the same 3-path block: its Y (1200 B) fits in 2000 B, but with dB
-    # (3 x 9 x 8 B = 216 B) and the six tables' rows (N = 8 is below one
-    # 16-level window, so its 9 rows are all of them: 6 x 9 x 5 x 8 B =
-    # 2160 B) it needs 3576 B
+    # (3 x 9 x 8 B = 216 B), the paths' noise streams (3 x 1024 B) and
+    # the six tables' rows (N = 8 is below one 16-level window, so its 9
+    # rows are all of them: 6 x 9 x 5 x 8 B = 2160 B) it needs 6648 B
     monkeypatch.setattr(solver, "_physical_bytes", lambda: 2000)
     set_block(monkeypatch, 3)
     refused_before_writing(monkeypatch, tmp_path)
     with pytest.raises(MemoryError, match="1200 bytes for its trajectories "
-                       "and 3576 bytes with its 9 increments per path and "
-                       "9 rows of the six"):
+                       "and 6648 bytes with one window's 9 of its 9 "
+                       "increments and a 1024-byte noise stream per path "
+                       "and 9 rows of the six"):
         run_cli("martingale", RUNS["martingale"], tmp_path / "again")
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 3576)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 6648)
     assert run_cli("martingale", RUNS["martingale"], tmp_path / "fits") in (0, 6)
 
 
@@ -197,7 +198,7 @@ def test_out_of_memory_in_a_capped_child_is_exit_3(tmp_path):
     # the random g, a 30 x 5000000 array of 8 B values (1.2 GB), passes
     # the physical-memory preflight but cannot be allocated under the
     # child's 1 GiB cap; the stream would fit (546-path blocks: a window
-    # of 546 * 18 * 32 * 8 B, 2.5 MB, and 257-level chunks of increments)
+    # of 546 * 18 * 32 * 8 B, 2.5 MB, and 17 levels of increments)
     raw = {
         "grid": {"M": 30, "N": 5_000_000, "T": 1.0},
         "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},

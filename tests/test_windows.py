@@ -155,11 +155,16 @@ def test_stream_levels_equal_run_ensemble(monkeypatch, N):
 @pytest.mark.parametrize("windows", [1, 2])
 @pytest.mark.parametrize("N", STEPS)
 def test_stream_in_noise_chunks_equals_run_ensemble(monkeypatch, N, windows):
-    # increments drawn `windows` windows at a time: on 37 steps, chunks
-    # of 16, 16 and 5 levels or of 32 and 5, each chunk's first column
-    # the previous chunk's last increment
+    # the block's sampler drawn `windows` windows at a time (on 37 steps,
+    # chunks of 16, 16 and 6 levels or of 32 and 6) gives run_ensemble's
+    # increments, which it draws at once, and the stream's, which it
+    # draws a window at a time, each window's first column the previous
+    # window's last increment
     grid, data, coeffs, ens = family(N)
-    monkeypatch.setattr(solver, "_NOISE_LEVELS", windows * L)
+    draw, dB = solver._sample_block(SEED, 0, P, grid.dt), np.empty((P, N + 1))
+    for c0 in range(0, N + 1, windows * L):
+        draw(dB[:, c0 : c0 + windows * L])
+    assert dB.tobytes() == ens.dB.tobytes()
     assert_stream_equals(monkeypatch, data, coeffs, grid, ens)
 
 
@@ -234,22 +239,28 @@ def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
     sample = solver._sample_block
     drawn = []
 
-    def poisoned(master_seed, first, noise, N, dt):
-        for c0, dB in sample(master_seed, first, noise, N, dt):
-            drawn.append((first, c0))
+    def poisoned(master_seed, first, paths, dt):
+        draw, at = sample(master_seed, first, paths, dt), 0
+
+        def draw_poisoned(out):
+            # out receives the increments at levels at .. at+n-1
+            nonlocal at
+            draw(out)
+            drawn.append((first, at))
             for path, level in ((7, 40), (1, 50)):
-                if (first <= path < first + dB.shape[0]
-                        and c0 <= level < c0 + dB.shape[1]):
-                    dB[path - first, level - c0] = np.inf
-            yield c0, dB
+                if (first <= path < first + paths
+                        and at <= level < at + out.shape[1]):
+                    out[path - first, level - at] = np.inf
+            at += out.shape[1]
+
+        return draw_poisoned
 
     monkeypatch.setattr(solver, "_sample_block", poisoned)
     with pytest.raises(BlowUpError) as whole:
         run_ensemble(data, coeffs, grid, paths, SEED)
-    monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * M)
     # increments drawn one window at a time: levels 40 and 50 lie in a
-    # block's third and fourth chunks
-    monkeypatch.setattr(solver, "_NOISE_LEVELS", L)
+    # block's third and fourth windows
+    monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * M)
     drawn.clear()
     with pytest.raises(BlowUpError) as streamed:
         for _ in stream_windows(data, coeffs, grid, paths, SEED):
@@ -257,14 +268,16 @@ def test_blow_up_in_a_later_window_names_its_global_level(monkeypatch):
     assert (streamed.value.n, streamed.value.path, streamed.value.j) == (
         41, 7, 1)
     assert str(streamed.value) == str(whole.value)
-    # the last block (path 9) draws no chunk past level 41's window
-    assert [c0 for first, c0 in drawn if first == 9] == [0, L, 2 * L]
+    # the last block (path 9) draws the first window's 17 increments and
+    # 16 for each later window, and none past level 41's window
+    assert [at for first, at in drawn if first == 9] == [0, L + 1, 2 * L + 1]
 
 
 def test_memory_budget_is_one_window_not_the_history(monkeypatch):
-    # 3 paths on 3 x 64: a window of 18 levels (2160 B), the increments
-    # (1560 B) and the window's 17 rows of the six tables (6 x 17 x 5 x
-    # 8 B = 4080 B) need 7800 B; the whole history would need
+    # 3 paths on 3 x 64: a window of 18 levels (2160 B), the window's
+    # increments (3 x 17 x 8 B = 408 B), the paths' noise streams
+    # (3 x 1024 B) and the window's 17 rows of the six tables (6 x 17 x
+    # 5 x 8 B = 4080 B) need 9720 B; the whole history would need
     # 3 * 66 * 5 * 8 = 7920 B for Y alone
     grid = build_grid(3, 64, 1.0)
     data = ProblemData(
@@ -273,12 +286,13 @@ def test_memory_budget_is_one_window_not_the_history(monkeypatch):
     )
     coeffs = SchemeCoefficients.constant(grid, d=0.5)
     monkeypatch.setattr(solver, "_BLOCK_NODES", 3 * 3)
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 7799)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 9719)
     with pytest.raises(MemoryError, match="needs 2160 bytes for its "
-                       "trajectories and 7800 bytes with its 65 increments "
+                       "trajectories and 9720 bytes with one window's 17 "
+                       "of its 65 increments and a 1024-byte noise stream "
                        "per path and 17 rows of the six"):
         next(stream_windows(data, coeffs, grid, 3, 1))
-    monkeypatch.setattr(solver, "_physical_bytes", lambda: 7800)
+    monkeypatch.setattr(solver, "_physical_bytes", lambda: 9720)
     assert sum(1 for _ in stream_windows(data, coeffs, grid, 3, 1)) == 4
     with pytest.raises(MemoryError, match="needs 7920 bytes"):
         run_ensemble(data, coeffs, grid, 3, 1)
