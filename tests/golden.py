@@ -123,6 +123,14 @@ CASES = {
         "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
                  "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
     }),
+    # 4100 flux rows, so flux.csv's integer column n crosses three
+    # 2048-row write blocks
+    "simulate-long-flux": ("simulate", {
+        "grid": {"M": 3, "N": 4100, "T": 1.0},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 11, "amplitude": 0.5}}},
+        "mc": {"paths": 2, "master_seed": 5},
+    }),
     "simulate-presets": ("simulate", {
         **SMALL,
         "coefficients": {"a": {"preset": "ramp_t"},
