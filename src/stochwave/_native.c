@@ -391,16 +391,17 @@ static inline char *text_one(char *o, const char *s, idx n)
  * written.  Nothing is allocated.
  *
  * The row at multi-index i reads, in column c, the cell at position
- * base[c] + sum_k i[k] * stride[c * ndim + k]; a broadcast axis has
- * stride 0.  sw_rows computes each column's position once per block,
- * into pos[c] (ncols entries of the caller's), and then steps it with
- * the row's multi-index: the axis that advances adds its stride, and
- * each axis that wraps to 0 takes back its (shape[k] - 1) strides.  A
- * float column (ntext[c] < 0) writes the repr text of
+ * sum_k i[k] * stride[c * ndim + k]; a broadcast axis has stride 0.
+ * sw_rows computes each column's position once per block, into pos[c]
+ * (ncols entries of the caller's), and then steps it with the row's
+ * multi-index: the axis that advances adds its stride, and each axis
+ * that wraps to 0 takes back its (shape[k] - 1) strides.  A column is
+ * one of two kinds.  A float column (ntext[c] < 0) holds a double for
+ * every row, and each block writes the repr text of
  * ((const double *)cells[c])[p].  A text column writes the bytes
  * text[c][off[p] .. off[p+1]), off = (const int64_t *)cells[c], of its
- * ntext[c] cells rendered once; a position outside 0 .. ntext[c]-1
- * stops the block and returns -1.
+ * ntext[c] cells, which the caller renders once for the whole table; a
+ * position outside 0 .. ntext[c]-1 stops the block and returns -1.
  *
  * The slack contract.  Every row has a reserved width: one byte per
  * column for its ',' or '\n', 24 bytes per float column (the longest
@@ -419,9 +420,8 @@ static inline char *text_one(char *o, const char *s, idx n)
 
 idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
             const void *const *cells, const char *const *text,
-            const idx *ntext, const idx *base, const idx *stride,
-            idx *restrict pos, const uint64_t *pow5, const uint64_t *inv5,
-            char *restrict out)
+            const idx *ntext, const idx *stride, idx *restrict pos,
+            const uint64_t *pow5, const uint64_t *inv5, char *restrict out)
 {
     idx at[SW_MAXDIMS];
     if (count <= 0)
@@ -433,7 +433,7 @@ idx sw_rows(idx start, idx count, idx ndim, const idx *shape, idx ncols,
         r /= shape[k];
     }
     for (idx c = 0; c < ncols; c++) {
-        idx p = base[c];
+        idx p = 0;
         for (idx k = 0; k < ndim; k++)
             p += at[k] * stride[c * ndim + k];
         pos[c] = p;

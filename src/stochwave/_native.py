@@ -17,23 +17,25 @@ square, with no fused multiply-add), so both give the same bits.
 
 A CSV table is given column by column; table() prepares it and writes
 its rows one block at a time.  The columns broadcast against each
-other, and the rows run over the broadcast shape in C order.  A float64
-column with a cell for every row is formatted as repr formats it, by
-the compiled writer: the shortest digits that read back as the same
-double (Ryu), laid out as repr lays them out, with power-of-five tables
-made here with exact integers when the library loads.  Every other
-column becomes text: a column that broadcasts, and every sequence
-column, is rendered once, as its cells' UTF-8 bytes and their offsets,
-and each row picks its cell through the column's strides (0 on a
-broadcast axis); another numeric column with a cell for every row is
-rendered one block at a time with repr or str.  The compiled writer
-assembles each block's rows, commas and newlines into one buffer,
-stepping each column's cell position with the rows.  It writes cells
-by whole-word stores that reach past a cell's end, and reads text
-cells by whole words, so each block's buffer has _SLACK bytes past its
-rows' reserved widths (_out_bytes) and each Text blob _PAD bytes past
-its last cell; python_rows, the reference, assembles the same bytes
-with str.join.
+other, and the rows run over the broadcast shape in C order.  Each
+column is one of two kinds.  An aligned float64 array with a cell for
+every row is formatted one block at a time as repr formats it, by the
+compiled writer: the shortest digits that read back as the same double
+(Ryu), laid out as repr lays them out, with power-of-five tables made
+here with exact integers when the library loads.  Every other column is
+text, rendered once for the whole table as its cells' UTF-8 bytes and
+their offsets, and each row picks its cell through the column's strides
+(0 on a broadcast axis).  Text cells come from one formatter,
+cell_text, except a broadcast float64 column's, which the row writer
+formats once per value.  So a float64 column's text is held one block
+at a time and a text column's for the whole table, which no table the
+CLI writes makes large.  The compiled writer assembles each block's
+rows, commas and newlines into one buffer, stepping each column's cell
+position with the rows.  It writes cells by whole-word stores that
+reach past a cell's end, and reads text cells by whole words, so each
+block's buffer has _SLACK bytes past its rows' reserved widths
+(_out_bytes) and each Text blob _PAD bytes past its last cell;
+python_rows, the reference, assembles the same bytes with str.join.
 
 normals(seeds, scale) draws standard normals from one Philox4x64-10
 stream per seed, keyed [seed, 0] as NumPy's Philox(key=seed) keys it,
@@ -136,24 +138,23 @@ _EXTRA = {"y2": 0, "dty2": 0, "dxy2": 1, "dtdx2": 1}
 class Text(NamedTuple):
     """A column of text cells, each rendered once, as the row writers
     read it: the row at multi-index i of the table reads the cell at
-    position base + sum(i * strides), whose UTF-8 bytes are
+    position sum(i * strides), whose UTF-8 bytes are
     blob[offsets[k] : offsets[k+1]], at most width of them.  The blob
     ends with _PAD zero bytes after its last cell."""
 
     cells: np.ndarray
     strides: tuple
-    base: int
     blob: np.ndarray
     offsets: np.ndarray
     width: int
 
 
-def _text(cells, strides, base=0) -> Text:
+def _text(cells, strides) -> Text:
     enc = [c.encode() for c in cells]
     offsets = np.fromiter(accumulate(map(len, enc), initial=0), np.int64,
                           len(enc) + 1)
     cells = np.array(cells, dtype=object)
-    return Text(cells, tuple(strides), base,
+    return Text(cells, tuple(strides),
                 np.frombuffer(b"".join(enc) + bytes(_PAD), np.uint8),
                 offsets, max(map(len, enc), default=0))
 
@@ -169,27 +170,35 @@ def _strides(col_shape, ndim) -> tuple:
 
 
 def _compiled_floats(col) -> bool:
-    """Whether sw_rows formats the numeric column col itself."""
-    return col.dtype == np.float64 and col.flags.aligned
+    """Whether sw_rows formats the column col itself: an aligned float64
+    array."""
+    return (isinstance(col, np.ndarray) and col.dtype == np.float64
+            and col.flags.aligned)
 
 
-def _numeric_cells(col, start, count) -> list:
-    """The text of the cells start .. start+count-1 of a numeric column
-    of the table's shape: repr of a float, str of an integer."""
-    fmt = repr if col.dtype.kind == "f" else str
-    return list(map(fmt, col.flat[start : start + count].tolist()))
+def cell_text(v) -> str:
+    """The text of one cell of a text column: true or false for a bool
+    (bool or np.bool_), repr of a float and str of anything else, an
+    integer (int or np.integer) included."""
+    if type(v) is int:  # an integer column's cells: skip the slower checks
+        return str(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
 
 
 def python_rows(shape, columns):
     """The reference row writer: block(start, count) assembles rows
-    start .. start+count-1 from repr and str in Python."""
+    start .. start+count-1 from repr and the text cells in Python."""
 
     def block(start, count):
         at = np.unravel_index(np.arange(start, start + count), shape)
         cells = [
-            c.cells[c.base + sum(i * s for i, s in zip(at, c.strides))]
-            .tolist() if isinstance(c, Text)
-            else _numeric_cells(c, start, count)
+            c.cells[sum(i * s for i, s in zip(at, c.strides))].tolist()
+            if isinstance(c, Text)
+            else list(map(repr, c.flat[start : start + count].tolist()))
             for c in columns
         ]
         rows = "\n".join(map(",".join, zip(*cells)))
@@ -238,28 +247,37 @@ def _prepare(write, columns):
     count = math.prod(shape)
     cols = []
     for col, col_shape in zip(columns, shapes):
-        if isinstance(col, np.ndarray):
-            if col.size == count:
-                cols.append(np.broadcast_to(col, shape))
-                continue
-            # a broadcast column: each value is formatted once
+        if not _compiled_floats(col):
+            if isinstance(col, np.ndarray):
+                col = col.ravel().tolist()
+            cells = list(map(cell_text, col))
+        elif col.size == count:
+            cols.append(np.broadcast_to(col, shape))
+            continue
+        else:
+            # a broadcast float column: the writer formats each value once
             flat = col.reshape(-1)
-            col = str(write(flat.shape, [flat])(0, flat.size),
-                      "utf-8").split("\n")[:-1]
-        cols.append(_text(col, _strides(col_shape, len(shape))))
+            cells = str(write(flat.shape, [flat])(0, flat.size),
+                        "utf-8").split("\n")[:-1]
+        cols.append(_text(cells, _strides(col_shape, len(shape))))
     return count, write(shape, cols)
 
 
 def table(columns):
-    """One CSV table, given column by column: each column is a float or
-    integer NumPy array, or a sequence of cell text.  The columns
-    broadcast against each other and the rows run over the broadcast
-    shape in C order, so a (J, 1) column beside a (K,) column repeats
-    each of its J values K times while formatting each once.  Returns
-    the row count and block(start, count), the UTF-8 bytes of rows
-    start .. start+count-1, each ended by a newline; only one block's
-    text is held at a time.  Loads the library as fields() does, and
-    writes through python_rows, with the same bytes, without it."""
+    """One CSV table, given column by column: each column is a NumPy
+    array or a sequence of cells.  The columns broadcast against each
+    other and the rows run over the broadcast shape in C order, so a
+    (J, 1) column beside a (K,) column repeats each of its J values K
+    times while rendering each once.  A column is one of two kinds: an
+    aligned float64 array with a cell for every row, which the row
+    writer formats as repr does, one block at a time; or text, rendered
+    once by cell_text (a broadcast float64 column by the row writer
+    itself) and picked through the column's strides.  Returns the row
+    count and block(start, count), the UTF-8 bytes of rows start ..
+    start+count-1, each ended by a newline.  The float64 columns' text
+    is held one block at a time, the text columns' for the whole table.
+    Loads the library as fields() does, and writes through python_rows,
+    with the same bytes, without it."""
     return _prepare(_choose().rows, columns)
 
 
@@ -367,21 +385,8 @@ _SLACK = 16
 _PAD = 16
 
 
-def _block_columns(shape, columns, start, count) -> list:
-    """The columns sw_rows reads for rows start .. start+count-1 of a
-    table prepared for it: a float64 column it formats and a Text as
-    they are, and each other numeric column as the Text of this block's
-    cells, picked in row order."""
-    return [
-        _text(_numeric_cells(c, start, count), _strides(shape, len(shape)),
-              -start)
-        if isinstance(c, np.ndarray) and not _compiled_floats(c) else c
-        for c in columns
-    ]
-
-
 def _out_bytes(count, columns) -> int:
-    """The bytes sw_rows may write for count rows of a block's columns:
+    """The bytes sw_rows may write for count rows of a table's columns:
     count times the rows' reserved width (a comma or the newline per
     column, _REPR_WIDTH per float64 column and the longest cell of each
     Text), and _SLACK."""
@@ -474,7 +479,7 @@ def _bind(lib) -> Native:
                       for name, extra in _EXTRA.items()))
     sw_rows = symbol("sw_rows", [ctypes.c_ssize_t] * 3
                      + [ctypes.c_void_p, ctypes.c_ssize_t]
-                     + [ctypes.c_void_p] * 9, ctypes.c_ssize_t)
+                     + [ctypes.c_void_p] * 8, ctypes.c_ssize_t)
     # pointers that keep their arrays alive, as every pointer held
     # across calls below does
     tables = [t.ctypes.data_as(ctypes.c_void_p) for t in _pow5_tables()]
@@ -485,31 +490,25 @@ def _bind(lib) -> Native:
         cells = np.zeros(ncols, dtype=np.uintp)
         text = np.zeros(ncols, dtype=np.uintp)
         ntext = np.full(ncols, -1, dtype=np.intp)
-        base = np.zeros(ncols, dtype=np.intp)
         stride = np.zeros((ncols, ndim), dtype=np.intp)
-
-        def put(c, col: Text):
-            cells[c], text[c] = col.offsets.ctypes.data, col.blob.ctypes.data
-            ntext[c], base[c], stride[c] = len(col.cells), col.base, col.strides
-
-        per_block = []
         for c, col in enumerate(columns):
             if isinstance(col, Text):
-                put(c, col)
-            elif col.shape != tuple(shape):
-                raise ValueError(f"a numeric column must have the table's "
-                                 f"shape {tuple(shape)}, got {col.shape}")
-            elif _compiled_floats(col):
+                cells[c] = col.offsets.ctypes.data
+                text[c] = col.blob.ctypes.data
+                ntext[c], stride[c] = len(col.cells), col.strides
+            elif col.shape != tuple(shape) or not _compiled_floats(col):
+                raise ValueError(f"an array column must have the table's "
+                                 f"shape {tuple(shape)} and be an aligned "
+                                 f"float64 array, got {col.dtype} "
+                                 f"{col.shape}, aligned: {col.flags.aligned}")
+            else:
                 cells[c] = col.ctypes.data
                 stride[c] = [s // 8 for s in col.strides]
-            else:
-                per_block.append(c)
-        # sw_rows' cell positions, one per column; like the per-block
-        # columns' entries above, shared by the table's block calls, which
-        # therefore must not overlap
+        # sw_rows' cell positions, one per column, shared by the table's
+        # block calls, which therefore must not overlap
         pos = np.empty(ncols, dtype=np.intp)
         held = [a.ctypes.data_as(ctypes.c_void_p)
-                for a in (cells, text, ntext, base, stride, pos)]
+                for a in (cells, text, ntext, stride, pos)]
         args = (ndim, dims.ctypes.data_as(ctypes.c_void_p), ncols, *held,
                 *tables)
 
@@ -517,12 +516,7 @@ def _bind(lib) -> Native:
             if not 0 <= start <= start + count <= total:
                 raise ValueError(f"rows {start} .. {start + count - 1} are "
                                  f"not rows of a table of {total}")
-            cols = columns
-            if per_block:
-                cols = _block_columns(shape, columns, start, count)
-                for c in per_block:
-                    put(c, cols[c])
-            out = np.empty(_out_bytes(count, cols), dtype=np.uint8)
+            out = np.empty(_out_bytes(count, columns), dtype=np.uint8)
             n = sw_rows(start, count, *args, out.ctypes.data)
             if n < 0:
                 raise ValueError("a text cell's position lies outside its "
@@ -575,9 +569,9 @@ def _parity_floats() -> np.ndarray:
 
 def _parity_columns() -> list:
     """A fixed 3 x 4 table for the row writer's check: a (3, 1) float
-    column and a (4,) column of non-ASCII text, each rendered once, a
-    float64 column read through a reversed transposed view, and an
-    int64 column rendered per block."""
+    column, a (4,) column of non-ASCII text and a (3, 4) int64 column,
+    each rendered once as text, and a float64 column read through a
+    reversed transposed view."""
     values = (np.arange(12.0).reshape(4, 3).T / 7.0)[::-1]
     return [np.array([[-0.0], [1e-5], [np.nan]]), ["é", "", "a b", "→ ∞"],
             values, np.arange(-6, 6, dtype=np.int64).reshape(3, 4)]

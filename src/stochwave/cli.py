@@ -471,20 +471,6 @@ def _make_problem(data_spec, cfg: RunConfig, grid) -> ProblemData:
 # deterministic writers
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _is_numeric(col) -> bool:
-    return isinstance(col, np.ndarray) and col.dtype.kind in "fiu"
-
-
 def _columns(rows, width):
     """The columns of a small table given as a list of row tuples."""
     return list(zip(*rows)) if rows else [()] * width
@@ -506,18 +492,19 @@ class ArtifactWriter:
 
     def csv(self, name: str, header, columns):
         """Write one table, given column by column: each entry of
-        `columns` is a float or integer NumPy array, or a sequence of
-        cells, which `_fmt` formats.  The columns broadcast against each
-        other and the rows run over the broadcast shape in C order, so a
-        (J, 1) column beside a (K,) column repeats each of its J values
-        K times while formatting each once (see _native.table).  The
-        rows are written _ROWS_PER_WRITE at a time, so the text held at
-        once is one block's whatever the table's length."""
+        `columns` is a NumPy array or a sequence of cells.  The columns
+        broadcast against each other and the rows run over the broadcast
+        shape in C order, so a (J, 1) column beside a (K,) column repeats
+        each of its J values K times while rendering each once.  A
+        float64 array with a cell for every row is formatted as repr
+        formats it, _ROWS_PER_WRITE rows at a time, so its text is held
+        one block at a time whatever the table's length.  Every other
+        column is text, rendered once for the whole table: true or false
+        for a bool, str of an integer, repr of a float (see
+        _native.table and _native.cell_text)."""
         from . import _native  # at the first table: importing costs setup
 
-        count, block = _native.table(
-            [c if _is_numeric(c) else [_fmt(v) for v in c] for c in columns]
-        )
+        count, block = _native.table(columns)
         with open(self.dir / name, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for i in range(0, count, _ROWS_PER_WRITE):

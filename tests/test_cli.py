@@ -1095,7 +1095,7 @@ def test_cfl_warning_on_stderr(tmp_path):
 
 
 def ref_cell(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -1153,6 +1153,19 @@ def test_writer_broadcast_rows(tmp_path):
     rows = [(j, x[j], n, t[n], vals[j, n]) for j in range(J) for n in range(K)]
     assert text == ref_csv(header, rows)
     assert entries[0]["rows"] == J * K
+
+
+def test_writer_bool_columns_write_true_and_false(tmp_path):
+    # a NumPy bool column writes its cells as bool cells of a sequence
+    # do, and as JSON writes a bool
+    flags = np.array([True, False])
+    text, entries = write_table(tmp_path, ("b", "c"), (flags, [True, False]))
+    assert text == b"b,c\ntrue,true\nfalse,false\n"
+    assert entries[0]["rows"] == 2
+    # and so does a broadcast one
+    text, _ = write_table(tmp_path, ("i", "b"), (flags[:, None], flags))
+    assert text == (b"i,b\ntrue,true\ntrue,false\n"
+                    b"false,true\nfalse,false\n")
 
 
 def test_writer_empty_table(tmp_path):

@@ -217,6 +217,12 @@ def test_formatter_checks_its_argument(native, fmt):
     assert fmt(np.empty(0)) == []
     with pytest.raises(ValueError, match="must have the table's shape"):
         native.rows((2, 3), [np.ones((3, 2))])
+    # columns whose bytes are not aligned doubles: text, never a pointer
+    misaligned = np.zeros(33, dtype=np.uint8)[1:].view(np.float64)
+    assert not misaligned.flags.aligned
+    for col in (np.arange(4), np.ones(4, dtype=np.float32), misaligned):
+        with pytest.raises(ValueError, match="be an aligned float64 array"):
+            native.rows((4,), [col])
     block = native.rows((4,), [np.ones(4)])
     for start, count in ((3, 2), (-1, 1), (5, 0)):
         with pytest.raises(ValueError, match="are not rows of a table of 4"):
@@ -630,8 +636,8 @@ DRIVER = r"""
 typedef ptrdiff_t idx;
 
 idx sw_rows(idx, idx, idx, const idx *, idx, const void *const *,
-            const char *const *, const idx *, const idx *, const idx *,
-            idx *, const uint64_t *, const uint64_t *, char *);
+            const char *const *, const idx *, const idx *, idx *,
+            const uint64_t *, const uint64_t *, char *);
 typedef void field(const double *, idx, idx, idx, idx, idx, idx, double,
                    double, double *);
 field sw_y2, sw_dty2, sw_dxy2, sw_dtdx2;
@@ -652,7 +658,7 @@ struct column {
     size_t bytes;
     idx first;          /* a float column's cell [0, .., 0] in its span */
     const int64_t *off; /* a text column's ntext + 1 offsets */
-    idx ntext, base;
+    idx ntext;
     const idx *stride;
 };
 
@@ -684,14 +690,13 @@ static int run_block(const struct block *b, const uint64_t *pow5,
     const void **cells = calloc(nc, sizeof *cells);
     const char **text = calloc(nc, sizeof *text);
     void **data = calloc(nc, sizeof *data), **off = calloc(nc, sizeof *off);
-    idx *ntext = calloc(nc, sizeof *ntext), *base = calloc(nc, sizeof *base);
+    idx *ntext = calloc(nc, sizeof *ntext);
     idx *stride = calloc(nc * nd, sizeof *stride);
     idx *pos = malloc(nc * sizeof *pos);
     idx *shape = heap(b->shape, nd * sizeof *shape);
     for (idx c = 0; c < nc; c++) {
         const struct column *col = b->cols + c;
         data[c] = heap(col->data, col->bytes);
-        base[c] = col->base;
         memcpy(stride + c * nd, col->stride, nd * sizeof *stride);
         if (col->is_text) {
             off[c] = heap(col->off, (col->ntext + 1) * sizeof(int64_t));
@@ -705,7 +710,7 @@ static int run_block(const struct block *b, const uint64_t *pow5,
     }
     char *out = malloc(b->out_bytes);
     idx n = sw_rows(b->start, b->count, nd, shape, nc, cells, text, ntext,
-                    base, stride, pos, pow5, inv5, out);
+                    stride, pos, pow5, inv5, out);
     int bad = n != (idx)b->want_len || memcmp(out, b->want, b->want_len);
     if (bad)
         fprintf(stderr, "%s: rows %td .. %td: %td bytes, not python_rows' "
@@ -715,8 +720,8 @@ static int run_block(const struct block *b, const uint64_t *pow5,
         free(data[c]);
         free(off[c]);
     }
-    free(out); free(shape); free(pos); free(stride); free(base);
-    free(ntext); free(off); free(data); free(text); free(cells);
+    free(out); free(shape); free(pos); free(stride); free(ntext);
+    free(off); free(data); free(text); free(cells);
     return bad;
 }
 
@@ -797,40 +802,38 @@ def c_blocks(name, columns, blocks):
     count) of blocks, with the buffer sizes _native.py computes."""
     count, prepared = _native._prepare(capture, columns)
     shape, cols = prepared.table
-    src, entries = [], []
+    src, structs, entries = [], [], []
     src.append(c_array("idx", f"{name}_shape", shape))
+    for c, col in enumerate(cols):
+        ctag = f"{name}_{c}"
+        if isinstance(col, _native.Text):
+            src.append(c_bytes(f"{ctag}_data", col.blob.tobytes()))
+            src.append(c_array("int64_t", f"{ctag}_off",
+                               col.offsets.tolist()))
+            src.append(c_array("idx", f"{ctag}_stride", col.strides))
+            structs.append(f"{{1, {ctag}_data, {col.blob.size}, 0, "
+                           f"{ctag}_off, {len(col.cells)}, {ctag}_stride}}")
+        else:
+            # the span of memory the strided view reaches
+            steps = [(k - 1) * st for k, st in zip(col.shape, col.strides)]
+            lo = sum(min(0, st) for st in steps)
+            hi = sum(max(0, st) for st in steps) + 8
+            span = np.frombuffer(ctypes.string_at(col.ctypes.data + lo,
+                                                  hi - lo), np.uint64)
+            src.append(c_words(f"{ctag}_data", span))
+            src.append(c_array("idx", f"{ctag}_stride",
+                               [st // 8 for st in col.strides]))
+            structs.append(f"{{0, {ctag}_data, {hi - lo}, {-lo // 8}, "
+                           f"0, 0, {ctag}_stride}}")
+    src.append(f"static const struct column {name}_cols[] = "
+               f"{{{', '.join(structs)}}};\n")
     for b, (start, n) in enumerate(blocks):
         tag = f"{name}_{b}"
-        block_cols, structs = _native._block_columns(shape, cols, start, n), []
-        for c, col in enumerate(block_cols):
-            ctag = f"{tag}_{c}"
-            if isinstance(col, _native.Text):
-                src.append(c_bytes(f"{ctag}_data", col.blob.tobytes()))
-                src.append(c_array("int64_t", f"{ctag}_off",
-                                   col.offsets.tolist()))
-                src.append(c_array("idx", f"{ctag}_stride", col.strides))
-                structs.append(f"{{1, {ctag}_data, {col.blob.size}, 0, "
-                               f"{ctag}_off, {len(col.cells)}, {col.base}, "
-                               f"{ctag}_stride}}")
-            else:
-                # the span of memory the strided view reaches
-                steps = [(k - 1) * st for k, st in zip(col.shape, col.strides)]
-                lo = sum(min(0, st) for st in steps)
-                hi = sum(max(0, st) for st in steps) + 8
-                span = np.frombuffer(ctypes.string_at(col.ctypes.data + lo,
-                                                      hi - lo), np.uint64)
-                src.append(c_words(f"{ctag}_data", span))
-                src.append(c_array("idx", f"{ctag}_stride",
-                                   [st // 8 for st in col.strides]))
-                structs.append(f"{{0, {ctag}_data, {hi - lo}, {-lo // 8}, "
-                               f"0, 0, 0, {ctag}_stride}}")
         want = _native.python_rows(shape, cols)(start, n)
-        src.append(f"static const struct column {tag}_cols[] = "
-                   f"{{{', '.join(structs)}}};\n")
         src.append(c_bytes(f"{tag}_want", want))
         entries.append(f'{{"{name}", {start}, {n}, {len(shape)}, '
-                       f"{len(cols)}, {name}_shape, {tag}_cols, "
-                       f"{_native._out_bytes(n, block_cols)}, {tag}_want, "
+                       f"{len(cols)}, {name}_shape, {name}_cols, "
+                       f"{_native._out_bytes(n, cols)}, {tag}_want, "
                        f"{len(want)}}}")
     return "".join(src), entries
 
@@ -853,6 +856,13 @@ EXTREME_TABLES = {
     # a 24-byte float, an empty and a 1-byte cell, and a 24-byte float
     "neighbours": [EXTREME_FLOATS, [""] * 10, ["a"] * 10,
                    EXTREME_FLOATS[::-1].copy()],
+    # text from numbers: a (J, 1) float column, formatted once by the
+    # writer, and a full-size int64 column, rendered once by cell_text,
+    # whose longest cell (20 bytes) ends rows 0 and 8
+    "numbers-as-text": [EXTREME_FLOATS[[0, 7]][:, None],
+                        np.array([-2**63, 7, 0, -1, 2**63 - 1,
+                                  10**18, -10**17, 42, -2**63, 5],
+                                 dtype=np.int64).reshape(2, 5)],
 }
 
 
