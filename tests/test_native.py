@@ -217,7 +217,8 @@ def test_formatter_checks_its_argument(native, fmt):
     assert fmt(np.empty(0)) == []
     with pytest.raises(ValueError, match="must have the table's shape"):
         native.rows((2, 3), [np.ones((3, 2))])
-    # columns whose bytes are not aligned doubles: text, never a pointer
+    # arrays whose bytes are not aligned doubles, which table() renders
+    # as text: refused before any pointer passes
     misaligned = np.zeros(33, dtype=np.uint8)[1:].view(np.float64)
     assert not misaligned.flags.aligned
     for col in (np.arange(4), np.ones(4, dtype=np.float32), misaligned):
