@@ -11,11 +11,10 @@ Exit codes, so CI can tell failure classes apart:
 \b
     0  success
     2  usage error (bad flags, unknown subcommand)
-    3  config or experiment-setup error (JSON syntax, validation, a
-       master_seed_b that differs from master_seed, module
-       preconditions, an output_dir that cannot be written, a data,
-       coefficient or path-0 array or a path block that does not fit
-       in memory); weight and sweep values and the grid's dt are
+    3  config or experiment-setup error (JSON syntax, validation,
+       module preconditions, an output_dir that cannot be written, a
+       data, coefficient or path-0 array or a path block that does not
+       fit in memory); weight and sweep values and the grid's dt are
        checked at parse, with their JSON pointers, by every
        subcommand, and a config refused there, or for its sweep or
        weight section, martingale's path count, weights-order's
@@ -71,16 +70,14 @@ from .fields import (
     sine_slice,
     zero_field,
 )
-from .grids import GridFunction, build_grid
+from .grids import build_grid
 from .identities import check_mesh, identity_residuals
 from .solver import (
-    BrownianPath,
     ProblemData,
     SchemeCoefficients,
-    Trajectory,
+    Window,
     check_array_memory,
     observe,
-    path_seed,
     stream_block,
     stream_windows,
 )
@@ -305,27 +302,10 @@ def _data_spec(node, ptr):
     return (kind, *values.values())
 
 
-def _check_common_noise(mc):
-    """master_seed_b may only repeat master_seed: the stability pair is
-    stepped as one difference system, which needs common noise."""
-    seed_b = mc["master_seed_b"]
-    if seed_b is not None and seed_b != mc["master_seed"]:
-        raise ConfigError(
-            "/mc/master_seed_b",
-            f"must equal master_seed ({mc['master_seed']}), got {seed_b} "
-            "(coupling error: the difference system needs common noise)",
-        )
-    return mc
-
-
 _MC = {
     "paths": (_count, 1),
     "master_seed": (_int(0), 0),
-    # null reads as absent
-    "master_seed_b": (lambda v, ptr: None if v is None else _as_int(v, ptr, 0),
-                      None),
 }
-_mc = _section(_MC)
 _data = _section({key: (_data_spec, "zero") for key in ("y0", "y1", "g", "f")})
 _coefficient = _one_of({"constant": _as_num, "preset": _str(COEFF_PRESETS)})
 
@@ -349,7 +329,7 @@ _CONFIG = _section({
     "data": (_data, {}),
     "data_b": (_data, None),
     "g_mode": (_str({"space_time", "space_only"}), "space_time"),
-    "mc": (lambda v, ptr: _check_common_noise(_mc(v, ptr)), {}),
+    "mc": (_section(_MC), {}),
     "sweep": (
         _section({
             "parameter": (_sweep_parameter, _REQUIRED),
@@ -674,40 +654,30 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
     observation and the CSV writer run without the problem data, and
     the writer formats _ROWS_PER_WRITE rows at a time."""
     grid = cfg.grid
-    paths, master_seed = cfg.mc["paths"], cfg.mc["master_seed"]
     head, dB = _step_path_zero(cfg, grid, out)
-    traj = Trajectory(
-        y=GridFunction(
-            grid, head.T, grid.space_axis("closure"), grid.time_axis("closure")
-        ),
-        path=BrownianPath(dB, path_seed(master_seed, 0)),
-        cfl_warning=grid.cfl_warning,
-    )
-    y = traj.y
-    vals = y.values
-    J, K = vals.shape
-    # one row per (j, n), space-major: the axes broadcast against vals
+    win = Window(grid, head[None], dB[None], 0)
+    x, J, K = grid.space_closure, grid.M + 2, grid.N + 2
+    # one row per (j, n), space-major: the axes broadcast against Y[0].T
     out.csv(
         "trajectory.csv",
         ("j", "x", "n", "t", "y"),
-        (np.arange(J)[:, None], y.x[:, None], np.arange(K), y.t, vals),
+        (np.arange(J)[:, None], x[:, None], np.arange(K), grid.time_closure,
+         win.Y[0].T),
     )
-    obs = observe(traj, grid)
-    fx = obs.flux
+    flux, (terminal_y, terminal_v) = observe(win, grid)
     out.csv(
         "flux.csv",
         ("n", "t", "flux"),
-        (np.arange(1, fx.values.shape[0] + 1), fx.t, fx.values),
+        (np.arange(1, grid.N + 1), grid.time_primal, flux[0]),
     )
-    ty, tv = obs.terminal_y, obs.terminal_v
     out.csv(
         "terminal.csv",
         ("j", "x", "terminal_y", "terminal_v"),
-        (np.arange(J), ty.x, ty.values, tv.values),
+        (np.arange(J), x, terminal_y[0], terminal_v[0]),
     )
     click.echo(
-        f"simulate: {paths} path(s), wrote trajectory of path 0, "
-        f"max |y| {np.max(np.abs(vals)):.6g}"
+        f"simulate: {cfg.mc['paths']} path(s), wrote trajectory of path 0, "
+        f"max |y| {np.max(np.abs(head)):.6g}"
     )
     return EXIT_OK
 
@@ -918,7 +888,6 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
         for key, value in (("paths", paths), ("master_seed", seed)):
             if value is not None:
                 cfg.mc[key] = _MC[key][0](value, f"/mc/{key}")
-        _check_common_noise(cfg.mc)
         return run(subcommand, cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

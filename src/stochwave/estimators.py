@@ -11,9 +11,9 @@ construction.
 
 Each estimator takes one Window, or an iterable of Windows: the window
 stream of solver.stream_windows (stochwave.cli streams every stepping
-subcommand this way), or whole Windows from run_ensemble, the
-consecutive path blocks of one path family.  Every term is a sum over
-time levels, so it is folded window by window into per-path
+subcommand this way), or whole Windows: run_ensemble's consecutive
+path blocks of one path family, or solve's one path.  Every term is a
+sum over time levels, so it is folded window by window into per-path
 accumulators, vectorized over the paths of a window; a whole Window is
 reduced through the same windows, as views of its history.  _fold is
 the one home of this block protocol: each estimator passes it a
@@ -25,8 +25,8 @@ _native.fields(): compiled loops or the NumPy reference they equal bit
 for bit, imported and loaded at the first window, so neither importing
 the package nor a run without these estimators pays for them.  Each
 writes into one buffer per window that the reducer reuses.  The
-boundary flux and the terminal pair come from solver.observe_window,
-which _fold calls once per window, and the reducer squares the flux
+boundary flux and the terminal pair come from solver.observe, which
+_fold calls once per window, and the reducer squares the flux
 in place; every row sum and every einsum stays in NumPy.  carleman
 reduces each squared field against its factors as soon as it is made,
 and stability reduces a window in path chunks of _CHUNK_NODES nodes,
@@ -57,8 +57,7 @@ import numpy as np
 from .errors import MeshMismatchError
 from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
-from .solver import ProblemData, Window, observe_window
-from .solver import observe  # noqa: F401  (bound for bench/tracer.py)
+from .solver import ProblemData, Window, observe
 from .weights import (
     WeightParams,
     check_admissible,
@@ -94,7 +93,7 @@ def _fold(ens, grid: Grid, reduce, observed: bool = True):
     on the last axis, over the stream windows of ens (one Window or an
     iterable of them; a whole Window is split by Window.windows()) and
     concatenate the path blocks in order.  With observed, each window's
-    observation is formed once, by solver.observe_window: reduce gets
+    observation is formed once, by solver.observe: reduce gets
     its flux rows, which it may overwrite, and the terminal pair of each
     block's last window gives the paths' XT norms.  Returns (sums, xts),
     xts None and flux None without observed."""
@@ -108,7 +107,7 @@ def _fold(ens, grid: Grid, reduce, observed: bool = True):
             if win.n0 == 0:
                 acc = 0.0  # +0.0: a block's sums are never -0.0
             if observed:
-                flux, terminal = observe_window(win, grid)
+                flux, terminal = observe(win, grid)
                 if terminal is not None:
                     xts.append(xt_norm_values(*terminal, grid.dx))
             acc = acc + reduce(win, flux)
@@ -280,7 +279,7 @@ def _carleman_window(win: Window, flux: np.ndarray, stacks: dict,
     """One window's (terms, K, P) sums of every path term against
     stacks[key]; each squared field is made in one reused buffer and
     reduced as soon as it is made, R2's by squaring the window's flux
-    rows (observe_window) in place."""
+    rows (observe) in place."""
     from . import _native  # at the first window: importing costs setup
 
     Y, P, L, M, n0 = win.Y, win.paths, win.levels, grid.M, win.n0
@@ -476,7 +475,7 @@ class StabilityReport:
 def _stability_window(Y: np.ndarray, flux: np.ndarray,
                       grid: Grid) -> np.ndarray:
     """(2, P) row sums of the squared boundary flux, from the window's
-    flux rows (observe_window) squared in place, and of (Dt Dx y)^2 of
+    flux rows (observe) squared in place, and of (Dt Dx y)^2 of
     its Y, reduced in path chunks of at most _CHUNK_NODES nodes (at
     least one path): one chunk's fields are held at a time, in one
     reused buffer.  Each path's sums read only its own rows, so the

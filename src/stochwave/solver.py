@@ -23,17 +23,17 @@ and evaluates each level as a weighted sum, equal to the update above
 up to rounding, which scheme_residual checks.  solve, run_ensemble and
 stream_windows all step through one loop, _step_blocks, in windows of
 _WINDOW_LEVELS levels.
-A family of paths is held as a Window of levels: stream_windows yields
-them one _WINDOW_LEVELS span at a time, and run_ensemble returns one
-whole Window that holds every level 0 .. N+1.
+Window is the one path type: stream_windows yields a family's levels
+one _WINDOW_LEVELS span at a time, and run_ensemble returns one whole
+Window that holds every level 0 .. N+1, as solve does for one path.
 dt > dx sets a CFL warning flag instead of failing, since the explicit
 scheme's stability limit is a modeling concern, not an API violation.
 
 The inverse problem's observation of a path is the left boundary flux
 (y_1^n - y_0^n) / dx at n = 1..N and the terminal pair y^N,
-(y^{N+1} - y^N) / dt.  observe_window forms it on one Window, and is
-the only code that does: the estimators read it window by window, and
-observe reads it on a trajectory viewed as a one-path whole Window.
+(y^{N+1} - y^N) / dt.  observe forms it on one Window, and is the only
+code that does: the estimators read it window by window, and the CLI's
+simulate on path 0's whole Window.
 
 Reproducibility: Brownian increments are the standard normals of
 NumPy's Generator(Philox(key=seed)), times sqrt(dt), and ensemble path
@@ -60,7 +60,6 @@ import numpy as np
 from ._stepper_np import step_paths
 from .errors import (
     BlowUpError,
-    IncompleteTrajectoryError,
     MeshMismatchError,
     SingularUpdateError,
 )
@@ -108,27 +107,6 @@ def path_seed(master_seed: int, path_index: int) -> int:
     return mix64((master_seed + (path_index + 1) * SEED_GAMMA) & _MASK64)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Increments dB[n] = B(t^{n+1}) - B(t^n) for n = 0..N.
-
-    The scheme consumes n = 1..N (entry 0 is a same-distribution guard
-    so the array aligns with time indexing); entry N reaches B(T+dt).
-    """
-
-    increments: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim != 1 or inc.shape[0] < 2:
-            raise ValueError(
-                f"increments must be 1-D of length N+1 >= 2, got shape "
-                f"{inc.shape}"
-            )
-        object.__setattr__(self, "increments", inc)
-
-
 def _sampler(seeds, dt: float):
     """draw(out): row k of out receives the next out.shape[1]
     increments of the Philox stream keyed by seeds[k], standard
@@ -138,19 +116,20 @@ def _sampler(seeds, dt: float):
     return _native.normals(seeds, math.sqrt(dt))
 
 
-def sample_brownian(N: int, dt: float, seed: int) -> BrownianPath:
-    """N+1 i.i.d. Normal(0, dt) increments from a Philox stream keyed
-    by seed.  Same (N, dt, seed) gives the same array bit for bit, and
-    the same array as row k of run_ensemble's dB for
-    seed = path_seed(master_seed, first + k)."""
+def sample_brownian(N: int, dt: float, seed: int) -> np.ndarray:
+    """The (N+1,) increments dB[n] = B(t^{n+1}) - B(t^n), n = 0..N:
+    i.i.d. Normal(0, dt) draws from a Philox stream keyed by seed.  The
+    scheme consumes n = 1..N (entry 0 aligns the array with time
+    indexing), and entry N reaches B(T+dt).  Same (N, dt, seed) gives
+    the same array bit for bit, and the same array as row k of
+    run_ensemble's dB for seed = path_seed(master_seed, first + k)."""
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError(f"N must be a positive integer, got {N!r}")
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    seed = int(seed) & _MASK64
     inc = np.empty((1, N + 1))
-    _sampler([seed], dt)(inc)
-    return BrownianPath(increments=inc[0], seed=seed)
+    _sampler([int(seed) & _MASK64], dt)(inc)
+    return inc[0]
 
 
 def _require(cond: bool, msg: str):
@@ -280,38 +259,6 @@ class SchemeCoefficients:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Solved path: y on closure x closure plus its driving noise."""
-
-    y: GridFunction
-    path: BrownianPath
-    cfl_warning: bool = False
-
-    def __post_init__(self):
-        _require(
-            self.y.space_tag == "closure" and self.y.time_tag == "closure",
-            "trajectory must live on closure x closure, got "
-            f"({self.y.space_tag}, {self.y.time_tag})",
-        )
-        v = self.y.values
-        if np.any(v[0] != 0.0) or np.any(v[-1] != 0.0):
-            raise ValueError("trajectory boundary rows must be exactly zero")
-
-    @property
-    def grid(self) -> Grid:
-        return self.y.grid
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Boundary flux over interior times plus the terminal pair."""
-
-    flux: GridFunction
-    terminal_y: GridFunction
-    terminal_v: GridFunction
-
-
-@dataclass(frozen=True)
 class Window:
     """Time levels n0 .. n0+L+1 of one block of paths.
 
@@ -321,7 +268,8 @@ class Window:
     reads its neighbours n-1 and n+1; the windows of a block start at
     n0 = 0, 16, 32, ... (_WINDOW_LEVELS apart), and the last one
     (n0 + L = N) also holds the terminal pair N, N+1.  A whole window
-    (n0 = 0, L = N) holds every level, as run_ensemble returns it; its
+    (n0 = 0, L = N) holds every level, as run_ensemble and solve return
+    it; path p's trajectory on closure x closure is Y[p].T.  Its
     boundary columns are checked to be exactly zero, and estimators
     reduce it through windows(), as views of its Y and dB."""
 
@@ -445,27 +393,24 @@ def _check_match(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid):
 def solve(
     data: ProblemData,
     coeffs: SchemeCoefficients,
-    path: BrownianPath,
+    dB: np.ndarray,
     grid: Grid,
-) -> Trajectory:
-    """Advance one path of the scheme; see the module docstring for the
-    update.  Raises BlowUpError, and MemoryError as run_ensemble does;
-    dt > dx only flags cfl_warning on the result."""
+) -> Window:
+    """Advance one path of the scheme, driven by its (N+1,) increments
+    dB (sample_brownian), and return it as a one-path whole Window:
+    Y (1, N+2, M+2), the path's trajectory on closure x closure being
+    Y[0].T.  See the module docstring for the update.  Raises
+    BlowUpError, and MemoryError as run_ensemble does; dt > dx is not
+    refused, only flagged by grid.cfl_warning."""
     _check_match(data, coeffs, grid)
-    if path.increments.shape[0] != grid.N + 1:
+    dB = np.asarray(dB, dtype=np.float64)
+    if dB.shape != (grid.N + 1,):
         raise ValueError(
-            f"path holds {path.increments.shape[0]} increments, "
-            f"need N+1 = {grid.N + 1}"
+            f"dB must hold the N+1 = {grid.N + 1} increments of one path, "
+            f"got shape {dB.shape}"
         )
     _check_memory(1, grid, history=True)
-    Y = _history(data, coeffs, grid, 0, path.increments[None, :])
-    return Trajectory(
-        y=GridFunction(
-            grid, Y[0].T, grid.space_axis("closure"), grid.time_axis("closure")
-        ),
-        path=path,
-        cfl_warning=grid.cfl_warning,
-    )
+    return Window(grid, _history(data, coeffs, grid, 0, dB[None]), dB[None], 0)
 
 
 def block_paths(grid: Grid) -> int:
@@ -691,7 +636,7 @@ def stream_windows(
 # observation and residual
 
 
-def observe_window(win: Window, grid: Grid):
+def observe(win: Window, grid: Grid):
     """The inverse problem's observation on one window, the one place it
     is formed: (flux, terminal).  flux (P, L) holds the left boundary
     flux (y_1 - y_0) / dx at the window's levels n0+1 .. n0+L.  On the
@@ -708,33 +653,12 @@ def observe_window(win: Window, grid: Grid):
     return flux, (Y[:, -2], velocity)
 
 
-def observe(traj: Trajectory, grid: Grid) -> Observation:
-    """observe_window on one trajectory, as GridFunctions: the left
-    boundary flux over the interior times 1..N, the terminal slice
-    y(T), and the forward terminal velocity (y^{N+1} - y^N)/dt."""
-    if traj.grid != grid:
-        raise MeshMismatchError("trajectory lives on a different grid")
-    y = traj.y
-    if y.time_axis != grid.time_axis("closure"):
-        raise IncompleteTrajectoryError(
-            "observation needs the full time closure through t^{N+1}"
-        )
-    win = Window(grid, y.values.T[None], traj.path.increments[None], 0)
-    flux, (terminal_y, terminal_v) = observe_window(win, grid)
-    sax = grid.space_axis("closure")
-    return Observation(
-        flux=GridFunction(grid, flux[0], None, grid.time_axis("primal")),
-        terminal_y=GridFunction(grid, terminal_y[0].copy(), sax, None),
-        terminal_v=GridFunction(grid, terminal_v[0], sax, None),
-    )
-
-
 def scheme_residual(
     y: GridFunction,
     coeffs: SchemeCoefficients,
     g: GridFunction,
     f: GridFunction,
-    path: BrownianPath,
+    dB: np.ndarray,
     grid: Grid,
 ) -> float:
     """Max interior defect of the update, normalized by max(1, |y|_inf).
@@ -764,7 +688,7 @@ def scheme_residual(
     d = coeffs.d.values[1 : M + 1, 1 : N + 1]
     gv = g.values if g is not None else 0.0
     fv = f.values if f is not None else 0.0
-    db = path.increments[1 : N + 1][None, :]
+    db = np.asarray(dB)[1 : N + 1][None, :]
     num = (
         2.0 * yc
         - ym

@@ -76,6 +76,8 @@ def test_traced_sweep_simulates_once(tracing, tmp_path):
     assert m["kernel.useful_ratio"] == 1.0
     # the CLI streams windows (solver.stream_windows), not run_ensemble
     assert m["solver.run_ensemble.calls"] == 0
+    # the estimators observe each window once, by the traced name
+    assert m["solver.observe.calls"] == 64 // 16
     assert m["estimators.carleman_terms.busy_s"] > 0.0
     assert m["cli.write.bytes"] > 0
     # uninstall restored every wrapped name
@@ -98,6 +100,8 @@ def test_traced_simulate_counts_written_rows_and_bytes(tracing, tmp_path):
     assert m["cli.write.rows"] == 9 * 34 + 32 + 9
     assert m["cli.write.bytes"] == sum(f.stat().st_size for f in out.iterdir())
     assert m["cli.write.busy_s"] > 0.0
+    # simulate observes path 0's whole window once
+    assert m["solver.observe.calls"] == 1
 
 
 def test_traced_martingale_counts_kernel_and_estimator(tracing, tmp_path):

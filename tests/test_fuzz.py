@@ -90,8 +90,6 @@ def configs(draw, subcommand):
         "paths": draw(st.integers(1, 3) | st.integers(100, 101)),
         "master_seed": seed,
     }
-    if draw(st.booleans()):
-        raw["mc"]["master_seed_b"] = draw(mostly(st.just(seed), SEEDS))
     raw["coefficients"] = draw(st.fixed_dictionaries(
         {}, optional={key: coefficient() for key in "abcd"}
     ))

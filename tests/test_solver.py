@@ -11,7 +11,6 @@ import oracles
 from stochwave import _stepper_np, solver
 from stochwave import (
     BlowUpError,
-    BrownianPath,
     GridFunction,
     ProblemData,
     SchemeCoefficients,
@@ -35,8 +34,15 @@ from stochwave import (
 )
 
 
-def zero_path(grid, seed=0):
-    return BrownianPath(np.zeros(grid.N + 1), seed)
+def zero_path(grid):
+    return np.zeros(grid.N + 1)
+
+
+def closure_values(win):
+    """Path 0 of a whole Window as a closure x closure GridFunction."""
+    grid = win.grid
+    return GridFunction(grid, win.Y[0].T, grid.space_axis("closure"),
+                        grid.time_axis("closure"))
 
 
 def wave_data(grid):
@@ -57,15 +63,15 @@ def test_path_seed_is_splitmix64():
 def test_sample_brownian_moments():
     grid = build_grid(3, 10_000, 100.0)      # dt = 0.01
     path = sample_brownian(grid.N, grid.dt, seed=2024)
-    assert path.increments.shape == (grid.N + 1,)
-    var = np.var(path.increments, ddof=1)
+    assert path.shape == (grid.N + 1,)
+    var = np.var(path, ddof=1)
     lo, hi = oracles.BROWNIAN_VAR_BAND_10K
     assert lo <= var <= hi
     # reproducible, and distinct seeds differ
     again = sample_brownian(grid.N, grid.dt, seed=2024)
-    np.testing.assert_array_equal(path.increments, again.increments)
+    np.testing.assert_array_equal(path, again)
     assert not np.array_equal(
-        path.increments, sample_brownian(grid.N, grid.dt, seed=2025).increments
+        path, sample_brownian(grid.N, grid.dt, seed=2025)
     )
 
 
@@ -102,9 +108,9 @@ def test_matches_reference_stepper_exactly():
         grid.M, grid.N, grid.T,
         data.y0.values, data.y1.values,
         co["a"], co["b"], co["c"], co["d"],
-        data.g.values, data.f.values, path.increments,
+        data.g.values, data.f.values, path,
     )
-    np.testing.assert_allclose(traj.y.values, Yref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.Y[0].T, Yref, rtol=0, atol=1e-13)
 
 
 def test_boundary_pinned_exactly():
@@ -116,8 +122,8 @@ def test_boundary_pinned_exactly():
     )
     coeffs = SchemeCoefficients.constant(grid, a=1.0, b=0.5, c=0.2, d=0.8)
     traj = solve(data, coeffs, sample_brownian(grid.N, grid.dt, 5), grid)
-    assert np.all(traj.y.values[0] == 0.0)
-    assert np.all(traj.y.values[-1] == 0.0)
+    assert np.all(traj.Y[0].T[0] == 0.0)
+    assert np.all(traj.Y[0].T[-1] == 0.0)
 
 
 def test_unit_cfl_standing_wave_exact_at_integer_times():
@@ -134,7 +140,7 @@ def test_unit_cfl_standing_wave_exact_at_integer_times():
             grid,
         )
         exact = np.array([oracles.dalembert(x, 1.0) for x in grid.space_closure])
-        err = np.max(np.abs(traj.y.values[:, N] - exact))
+        err = np.max(np.abs(traj.Y[0].T[:, N] - exact))
         assert err < 1e-12
 
 
@@ -146,9 +152,9 @@ def test_first_level_and_initial_slice():
         g=zero_field(grid, "primal", "primal"),
     )
     traj = solve(data, SchemeCoefficients.constant(grid), zero_path(grid), grid)
-    np.testing.assert_array_equal(traj.y.values[:, 0], data.y0.values)
+    np.testing.assert_array_equal(traj.Y[0].T[:, 0], data.y0.values)
     interior = data.y0.values[1:-1] + grid.dt * data.y1.values[1:-1]
-    np.testing.assert_array_equal(traj.y.values[1:-1, 1], interior)
+    np.testing.assert_array_equal(traj.Y[0].T[1:-1, 1], interior)
 
 
 def test_scheme_residual_of_solution_is_rounding():
@@ -162,7 +168,8 @@ def test_scheme_residual_of_solution_is_rounding():
     coeffs = SchemeCoefficients.constant(grid, a=0.4, b=-0.2, c=0.5, d=0.9)
     path = sample_brownian(grid.N, grid.dt, 99)
     traj = solve(data, coeffs, path, grid)
-    res = scheme_residual(traj.y, coeffs, data.g, data.f, path, grid)
+    res = scheme_residual(closure_values(traj), coeffs, data.g, data.f, path,
+                          grid)
     assert res < 1e-12
 
 
@@ -203,7 +210,8 @@ def test_scheme_residual_of_solution_is_rounding_on_random_grids(
     )
     path = sample_brownian(grid.N, grid.dt, seed)
     traj = solve(data, coeffs, path, grid)
-    assert scheme_residual(traj.y, coeffs, data.g, data.f, path, grid) < 1e-12
+    assert scheme_residual(closure_values(traj), coeffs, data.g, data.f, path,
+                           grid) < 1e-12
 
 
 def test_singular_update_detected_upfront():
@@ -231,10 +239,10 @@ def test_blow_up_reports_first_level():
 def test_cfl_warning_flag():
     g1 = build_grid(7, 64, 1.0)           # dt = 1/64 < dx = 1/8
     t1 = solve(wave_data(g1), SchemeCoefficients.constant(g1), zero_path(g1), g1)
-    assert not t1.cfl_warning
+    assert not t1.grid.cfl_warning
     g2 = build_grid(7, 4, 1.0)            # dt = 0.25 > dx
     t2 = solve(wave_data(g2), SchemeCoefficients.constant(g2), zero_path(g2), g2)
-    assert t2.cfl_warning
+    assert t2.grid.cfl_warning
 
 
 def test_run_ensemble_reproducible_and_decorrelated():
@@ -253,14 +261,14 @@ def test_run_ensemble_reproducible_and_decorrelated():
     seeds = [path_seed(13, k) for k in range(4)]
     assert len(set(seeds)) == 4
     for k, sd in enumerate(seeds):
-        inc = sample_brownian(grid.N, grid.dt, sd).increments
+        inc = sample_brownian(grid.N, grid.dt, sd)
         assert e1.dB[k].tobytes() == inc.tobytes()
     assert len({e1.dB[k].tobytes() for k in range(4)}) == 4
     # single-path ensemble equals a direct solve with the same path
     e3 = run_ensemble(data, coeffs, grid, paths=1, master_seed=13)
     direct = solve(data, coeffs, sample_brownian(grid.N, grid.dt, path_seed(13, 0)), grid)
-    np.testing.assert_array_equal(e3.Y[0].T, direct.y.values)
-    np.testing.assert_array_equal(e3.Y.mean(axis=0).T, direct.y.values)
+    np.testing.assert_array_equal(e3.Y[0].T, direct.Y[0].T)
+    np.testing.assert_array_equal(e3.Y.mean(axis=0).T, direct.Y[0].T)
 
 
 def fresh_philox_increments(N, dt, seed):
@@ -282,9 +290,8 @@ def test_reused_philox_sampler_matches_fresh_generators():
         assert ens.dB[k].tobytes() == expected.tobytes()
     for sd in (0, 2**63, 2**64 - 1):
         got = sample_brownian(grid.N, grid.dt, sd)
-        assert got.seed == sd
         expected = fresh_philox_increments(grid.N, grid.dt, sd)
-        assert got.increments.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_ensemble_views_equal_solve():
@@ -303,9 +310,9 @@ def test_ensemble_views_equal_solve():
     for k in range(ens.paths):
         path = sample_brownian(grid.N, grid.dt, path_seed(21, k))
         direct = solve(data, coeffs, path, grid)
-        np.testing.assert_array_equal(ens.Y[k].T, direct.y.values)
-        np.testing.assert_array_equal(ens.dB[k], path.increments)
-        assert grid.cfl_warning == direct.cfl_warning
+        np.testing.assert_array_equal(ens.Y[k].T, direct.Y[0].T)
+        np.testing.assert_array_equal(ens.dB[k], path)
+        assert grid.cfl_warning == direct.grid.cfl_warning
 
 
 def test_ensemble_validation():
@@ -356,18 +363,19 @@ def test_observe_flux_and_terminal():
         g=zero_field(grid, "primal", "primal"),
     )
     traj = solve(data, SchemeCoefficients.constant(grid), zero_path(grid), grid)
-    obs = observe(traj, grid)
+    flux, (terminal_y, terminal_v) = observe(traj, grid)
+    y = traj.Y[0].T
     N = grid.N
-    np.testing.assert_array_equal(obs.terminal_y.values, traj.y.values[:, N])
-    expected_v = (traj.y.values[:, N + 1] - traj.y.values[:, N]) / grid.dt
-    np.testing.assert_array_equal(obs.terminal_v.values, expected_v)
+    np.testing.assert_array_equal(terminal_y[0], y[:, N])
+    expected_v = (y[:, N + 1] - y[:, N]) / grid.dt
+    np.testing.assert_array_equal(terminal_v[0], expected_v)
     # flux = first difference across the left boundary at primal times
-    expected_flux = (traj.y.values[1, 1 : N + 1] - traj.y.values[0, 1 : N + 1]) / grid.dx
-    np.testing.assert_allclose(obs.flux.values, expected_flux, rtol=1e-15)
-    # trajectories must carry the full time closure to begin with
-    short = traj.y.restrict(time="primal")
-    with pytest.raises(ValueError):
-        type(traj)(y=short, path=traj.path, cfl_warning=False)
+    expected_flux = (y[1, 1 : N + 1] - y[0, 1 : N + 1]) / grid.dx
+    np.testing.assert_allclose(flux[0], expected_flux, rtol=1e-15)
+    # the terminal pair needs the full time closure through t^{N+1}: a
+    # window without level N+1 has none
+    part = Window(grid, traj.Y[:, : N + 1], traj.dB[:, :N], 0)
+    assert not part.whole and observe(part, grid)[1] is None
 
 
 def observation_problem():
@@ -391,7 +399,7 @@ def brute_observations(Y, grid):
 def test_observe_window_matches_the_scalar_oracle_on_a_whole_window():
     data, coeffs, grid = observation_problem()
     ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=11)
-    flux, (yT, vT) = solver.observe_window(ens, grid)
+    flux, (yT, vT) = observe(ens, grid)
     for got, want in zip((flux, yT, vT), brute_observations(ens.Y, grid)):
         np.testing.assert_array_equal(got, want)
 
@@ -408,7 +416,7 @@ def test_observe_window_on_stream_windows_matches_the_scalar_oracle(
         run_ensemble(data, coeffs, grid, paths=5, master_seed=11).Y, grid)
     flux, yT, vT, lasts = [], [], [], 0
     for win in stream_windows(data, coeffs, grid, 5, 11):
-        rows, terminal = solver.observe_window(win, grid)
+        rows, terminal = observe(win, grid)
         if win.n0 == 0:
             flux.append([])
         flux[-1].append(rows)
@@ -425,26 +433,26 @@ def test_observe_window_on_stream_windows_matches_the_scalar_oracle(
 
 def test_observe_of_path_0_is_observe_window_of_the_ensemble():
     """observe(solve(...)) of path 0 gives the oracle's observation and
-    row 0 of observe_window on the ensemble, wrapped as GridFunctions."""
+    row 0 of observe on the ensemble's whole window."""
     data, coeffs, grid = observation_problem()
     ens = run_ensemble(data, coeffs, grid, paths=5, master_seed=11)
     path = sample_brownian(grid.N, grid.dt, path_seed(11, 0))
-    obs = observe(solve(data, coeffs, path, grid), grid)
-    flux, (yT, vT) = solver.observe_window(ens, grid)
-    got = (obs.flux.values, obs.terminal_y.values, obs.terminal_v.values)
-    for g, w, r in zip(got, (flux[0], yT[0], vT[0]),
+    one, (one_yT, one_vT) = observe(solve(data, coeffs, path, grid), grid)
+    flux, (yT, vT) = observe(ens, grid)
+    got = (one, one_yT, one_vT)
+    for g, w, r in zip(got, (flux[:1], yT[:1], vT[:1]),
                        brute_observations(ens.Y[:1], grid)):
         np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(g, r[0])
-    assert obs.flux.time_tag == "primal" and obs.flux.space_axis is None
-    assert obs.terminal_y.space_tag == obs.terminal_v.space_tag == "closure"
+        np.testing.assert_array_equal(g[0], r[0])
 
 
 def test_brownian_path_validation():
-    with pytest.raises(ValueError):
-        BrownianPath(np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError):
-        BrownianPath(np.zeros(1), 0)
+    # solve takes one path's N+1 increments, nothing else
+    grid = build_grid(3, 4, 1.0)
+    for dB in (np.zeros((2, 2)), np.zeros(1), np.zeros((1, grid.N + 1))):
+        with pytest.raises(ValueError):
+            solve(wave_data(grid), SchemeCoefficients.constant(grid), dB,
+                  grid)
 
 
 # ---------------------------------------------------------------------------
@@ -761,10 +769,10 @@ def scalar_report(data, coeffs, grid, dB):
 
 def test_solve_blow_up_past_the_first_window_is_the_scalar_report():
     grid, data, coeffs = spiked_problem()
-    dB = sample_brownian(grid.N, grid.dt, 9).increments.copy()
+    dB = sample_brownian(grid.N, grid.dt, 9).copy()
     dB[40] = 1e300
     with pytest.raises(BlowUpError) as exc:
-        solve(data, coeffs, BrownianPath(dB, 9), grid)
+        solve(data, coeffs, dB, grid)
     got = (exc.value.n, exc.value.path, exc.value.j)
     assert got == scalar_report(data, coeffs, grid, dB[None, :])
 

@@ -83,7 +83,7 @@ def test_first_offset_gives_the_rows_of_the_whole_family():
     assert part.Y.tobytes() == whole.Y[4:].tobytes()
     assert part.dB.tobytes() == whole.dB[4:].tobytes()
     for k in (4, 5, 6):
-        inc = sample_brownian(grid.N, grid.dt, path_seed(11, k)).increments
+        inc = sample_brownian(grid.N, grid.dt, path_seed(11, k))
         assert part.dB[k - 4].tobytes() == inc.tobytes()
     with pytest.raises(ValueError):
         run_ensemble(data, coeffs, grid, 3, 11, first=-1)
@@ -95,7 +95,7 @@ def poisoned_kernel(monkeypatch, grid, master_seed, poison):
     block it is stepped in."""
     rows = {
         sample_brownian(grid.N, grid.dt, path_seed(master_seed, k))
-        .increments.tobytes(): level
+        .tobytes(): level
         for k, level in poison.items()
     }
     kernel = solver.step_paths

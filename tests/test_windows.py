@@ -25,10 +25,8 @@ from stochwave.fields import (
 )
 from stochwave.grids import GridFunction, build_grid
 from stochwave.solver import (
-    BrownianPath,
     ProblemData,
     SchemeCoefficients,
-    path_seed,
     run_ensemble,
     scheme_residual,
     solve,
@@ -442,9 +440,9 @@ def test_zero_stride_coefficients_step_like_dense_ones():
                                            SEED).Y.tobytes()
     y = GridFunction(grid, ens.Y[P - 1].T, grid.space_axis("closure"),
                      grid.time_axis("closure"))
-    path = BrownianPath(ens.dB[P - 1], path_seed(SEED, P - 1))
-    res = scheme_residual(y, views, data.g, data.f, path, grid)
-    assert res == scheme_residual(y, dense, data.g, data.f, path, grid)
+    dB = ens.dB[P - 1]
+    res = scheme_residual(y, views, data.g, data.f, dB, grid)
+    assert res == scheme_residual(y, dense, data.g, data.f, dB, grid)
     assert res < 1e-12
 
 
