@@ -50,7 +50,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import BlowUpError, DegenerateOrderError, SingularUpdateError
+from .errors import DegenerateOrderError, SingularUpdateError
 from .estimators import (
     MARTINGALE_MIN_PATHS,
     carleman_stack_shapes,

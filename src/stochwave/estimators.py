@@ -36,6 +36,13 @@ whose rounding can depend on the row count), and the statistics are
 taken once over all paths, so the results do not depend on the block
 or chunk size, nor on which field implementation ran.
 
+carleman's weight factors are evaluated before any path is stepped,
+by carleman_weights, straight into one time-major stack per term for
+all weight sets: each point set of a weight set (dual x primal, dual x
+dual, primal x primal, the two t = 0 slices, x = dx/2) evaluates
+varphi once, makes r^2 from it, writes its factors into the stack rows
+and frees its arrays before the next point set is evaluated.
+
 Every term must come out finite: a term that overflows raises
 FloatingPointError naming it, instead of reaching a report as inf or
 nan.
@@ -59,19 +66,19 @@ from .grids import Grid, GridFunction, integrate, norm, xt_norm_values
 from .operators import diff_x
 from .solver import ProblemData, Window, observe
 from .weights import (
+    _MAX_EXP,
     WeightParams,
     check_admissible,
     eval_varphi,
-    r_squared,
+    r_squared_of,
 )
-from .weights import eval_weights  # noqa: F401  (bound for bench/tracer.py)
+from .weights import eval_weights, r_squared  # noqa: F401  (bound for bench/tracer.py)
 
 # nodes of a window (paths x (L+2) x (M+2)) whose Dx y fields stability
 # holds at a time; fixed like solver._BLOCK_NODES, so the chunking
 # depends only on the mesh
 _CHUNK_NODES = 1 << 15
 
-_MAX_EXP = math.log(np.finfo(np.float64).max)
 _MAX_CUBE_ROOT = float(np.finfo(np.float64).max) ** (1 / 3)
 
 # the estimators report an overflow through their finite checks, as one
@@ -195,60 +202,69 @@ def _weight_gf(grid, factor, space_tag, time_tag) -> GridFunction:
     return GridFunction(grid, factor, sax, tax)
 
 
-def _weight_set(w: WeightParams, data: ProblemData, grid: Grid):
-    """Weight factors of the per-path terms L1, L2, L3, R2, R3, as
-    (space, time) arrays at the mesh points where each integrand lives,
-    and the data terms L4..L7, R1, which are equal on every path."""
+def _weight_set(w: WeightParams, data: ProblemData, grid: Grid,
+                rows: dict) -> dict:
+    """Write the weight factors of the per-path terms L1, L2, L3, R2, R3
+    into rows[key], each term's (time, space) row of its stack, at the
+    mesh points where the integrand lives, and return the data terms
+    L4..L7, R1, which are equal on every path.
+
+    Each point set's varphi is evaluated once and its r^2 made from it,
+    and the set's arrays are freed before the next set's are made."""
     s, lam = w.s, w.lam
     xp = grid.space_primal[:, None]
     xd = grid.space_dual[:, None]
     tp = grid.time_primal[None, :]
     td = grid.time_dual[None, :]
 
-    def w1(x, t):
-        return s * lam * eval_varphi(w, x, t)
+    def w1_r2(x, t):
+        """s*lam*varphi and r^2 at (x, t), from one varphi."""
+        w1 = eval_varphi(w, x, t)
+        r2 = r_squared_of(w, w1)
+        w1 *= s * lam
+        return w1, r2
 
-    # dual-space factors first: their evaluation temporaries are then
-    # freed before the primal ones are made, which keeps the peak low
-    f = {
-        "L3": w1(xd, tp) * r_squared(w, xd, tp),
-        # mixed factor, no r^2, following the printed term
-        "R3": s * lam * lam * eval_varphi(w, xd, td),
-    }
-    w1_pp = w1(xp, tp)
-    r2_pp = r_squared(w, xp, tp)
-    f["L1"] = w1_pp**3 * r2_pp
-    f["L2"] = w1_pp * r2_pp
+    w1, r2 = w1_r2(xd, tp)
+    np.multiply(w1, r2, out=rows["L3"].T)
+    del w1, r2
+    # mixed factor, no r^2, following the printed term
+    np.multiply(s * lam * lam, eval_varphi(w, xd, td), out=rows["R3"].T)
+
+    w1, r2 = w1_r2(xp, tp)
+    buf = np.multiply(w1, r2)
+    rows["L2"].T[...] = buf
+    # L4 and R1 are summed over C-ordered (space, time) products, not
+    # over the transposed stack rows, whose sums round differently
+    buf *= (data.g * data.g).values
+    L4 = integrate(_weight_gf(grid, buf, "primal", "primal"), "MxN")
+    np.multiply(np.power(w1, 3, out=buf), r2, out=rows["L1"].T)
+    del w1, buf
+    R1 = 0.0
+    if data.f is not None:
+        R1 = integrate(_weight_gf(grid, r2, "primal", "primal")
+                       * (data.f * data.f), "MxN")
+    del r2
+
     # initial-time factors
-    w1_p0 = w1(grid.space_primal, 0.0)
-    r2_p0 = r_squared(w, grid.space_primal, 0.0)
-    f_L5 = _weight_gf(grid, w1_p0**3 * r2_p0, "primal", None)
-    f_L7 = _weight_gf(grid, w1_p0 * r2_p0, "primal", None)
-    f_L6 = _weight_gf(
-        grid,
-        w1(grid.space_dual, 0.0) * r_squared(w, grid.space_dual, 0.0),
-        "dual",
-        None,
-    )
+    w1, r2 = w1_r2(grid.space_primal, 0.0)
+    f_L5 = _weight_gf(grid, w1**3 * r2, "primal", None)
+    f_L7 = _weight_gf(grid, w1 * r2, "primal", None)
+    w1, r2 = w1_r2(grid.space_dual, 0.0)
+    f_L6 = _weight_gf(grid, w1 * r2, "dual", None)
     # boundary factor (no r^2, following the printed term)
-    f["R2"] = w1(0.5 * grid.dx, tp).ravel()
+    np.multiply(s * lam, eval_varphi(w, 0.5 * grid.dx, tp).ravel(),
+                out=rows["R2"])
 
-    gp = data.g
     y0p = data.y0.restrict(space="primal")
     dxy0 = diff_x(data.y0)
     y1p = data.y1.restrict(space="primal")
-    f_L2 = _weight_gf(grid, f["L2"], "primal", "primal")
-    d = {
-        "L4": integrate(f_L2 * (gp * gp), "MxN"),
+    return {
+        "L4": L4,
         "L5": integrate(f_L5 * (y0p * y0p), "M"),
         "L6": integrate(f_L6 * (dxy0 * dxy0), "M*"),
         "L7": integrate(f_L7 * (y1p * y1p), "M"),
-        "R1": 0.0,
+        "R1": R1,
     }
-    if data.f is not None:
-        f_R1 = _weight_gf(grid, r2_pp, "primal", "primal")
-        d["R1"] = integrate(f_R1 * (data.f * data.f), "MxN")
-    return f, d
 
 
 _PATH_TERMS = ("L1", "L2", "L3", "R2", "R3")
@@ -341,11 +357,11 @@ def carleman_weights(w, data: ProblemData, grid: Grid,
     kappa) before any path is stepped, with the same errors: a factor
     or an R4 scale that overflows float64 raises here.
 
-    Each weight set's factors are moved into one time-major (K, N, ...)
-    stack per term as soon as the set is evaluated, so the stacks are
-    the only copy of the factors while the paths are stepped.  The
-    stacks are allocated once the first set's evaluation temporaries
-    are freed."""
+    The time-major (K, N, ...) stack of each term is allocated first,
+    and each weight set's factors are written straight into its rows,
+    so the stacks are the only copy of the factors.  A set is evaluated
+    one point set at a time, with one varphi each, and a point set's
+    arrays are freed before the next one's are made."""
     if data.grid != grid:
         raise MeshMismatchError("problem data lives on a different grid")
     single = isinstance(w, WeightParams)
@@ -356,16 +372,13 @@ def carleman_weights(w, data: ProblemData, grid: Grid,
             f"{len(kappas)} kappa values for {len(ws)} weight parameter sets"
         )
 
-    shapes = carleman_stack_shapes(grid, len(ws))
-    stacks, reps, data_terms, r4_scales = {}, [], [], []
+    stacks = {key: np.empty(shape) for key, shape
+              in carleman_stack_shapes(grid, len(ws)).items()}
+    reps, data_terms, r4_scales = [], [], []
     for k, (wk, kap) in enumerate(zip(ws, kappas)):
         reps.append(check_admissible(wk, grid))
-        f, d = _weight_set(wk, data, grid)
-        for key in _PATH_TERMS:
-            if k == 0:
-                stacks[key] = np.empty(shapes[key])
-            stacks[key][k] = f.pop(key).T
-        data_terms.append(d)
+        rows = {key: stack[k] for key, stack in stacks.items()}
+        data_terms.append(_weight_set(wk, data, grid, rows))
         if kap * wk.s > _MAX_EXP or wk.s > _MAX_CUBE_ROOT:
             raise FloatingPointError(
                 f"s^3 e^(kappa*s) overflows float64 for s = {wk.s}, "

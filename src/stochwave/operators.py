@@ -9,8 +9,6 @@ primal mesh there are not enough neighbours and the stencil check fails.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import MeshMismatchError, StencilRangeError
 from .grids import Axis, GridFunction
 

@@ -191,18 +191,27 @@ def eval_varphi(params: WeightParams, x, t):
     return _descalar(varphi)
 
 
-def r_squared(params: WeightParams, x, t):
-    """r^2 = exp(2 s varphi), guarded separately since it overflows at
-    half the exponent r itself tolerates."""
-    l = params.s * np.exp(_checked_exponent(params, _phi(params, x, t)))
-    peak = float(np.max(2.0 * l))
+def r_squared_of(params: WeightParams, varphi) -> np.ndarray:
+    """r^2 = exp(2 s varphi) from an evaluated varphi, made in one new
+    array, and guarded separately since it overflows at half the
+    exponent r itself tolerates."""
+    r2 = np.asarray(params.s * varphi, dtype=np.float64)
+    r2 *= 2.0
+    peak = float(np.max(r2))
     if peak > _MAX_EXP:
         raise WeightOverflowError(
             "2*s*varphi exceeds the float64 exponent range; r^2 terms "
             "need smaller s or lam",
             exponent=peak,
         )
-    return _descalar(np.exp(2.0 * l))
+    return np.exp(r2, out=r2)
+
+
+def r_squared(params: WeightParams, x, t):
+    """r^2 = exp(2 s varphi) at (x, t), with the lam*phi and 2*s*varphi
+    checks."""
+    varphi = np.exp(_checked_exponent(params, _phi(params, x, t)))
+    return _descalar(r_squared_of(params, varphi))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,14 @@ OVERFLOWING_WEIGHT = {"s": 0.7, "lambda": 800.0, "beta": 0.3, "xstar": 1.3,
         ("carleman", OVERFLOWING_WEIGHT,
          "numeric failure: lam*phi exceeds the float64 exponent range; "
          "reduce lam or mconst (exp argument 1064.5)\n"),
+        # lam*phi fits; s*varphi, and then 2*s*varphi for r^2, does not
+        ("carleman", dict(WEIGHT, s=800.0),
+         "numeric failure: s*varphi exceeds the float64 exponent range; "
+         "reduce s or lam (exp argument 2649.63)\n"),
+        # s*varphi fits, 2*s*varphi does not
+        ("carleman", dict(WEIGHT, s=150.0),
+         "numeric failure: 2*s*varphi exceeds the float64 exponent range; "
+         "r^2 terms need smaller s or lam (exp argument 993.61)\n"),
         ("weights-order", OVERFLOWING_WEIGHT,
          "numeric failure: lam*phi exceeds the float64 exponent range; "
          "reduce lam or mconst (exp argument 842)\n"),
@@ -230,7 +238,8 @@ OVERFLOWING_WEIGHT = {"s": 0.7, "lambda": 800.0, "beta": 0.3, "xstar": 1.3,
          "the coarsest level (residual 0.000e+00); no order is "
          "estimable\n"),
     ],
-    ids=["carleman-overflow", "weights-order-overflow", "weights-order-exact"],
+    ids=["carleman-overflow", "carleman-l-overflow", "carleman-r2-overflow",
+         "weights-order-overflow", "weights-order-exact"],
 )
 def test_weight_failures_come_before_stepping_or_writing(
         tmp_path, monkeypatch, subcommand, weight, message):

@@ -17,6 +17,12 @@ The estimators themselves may hold one window's temporaries at a time
 (one path chunk's for `stability`, one squared field besides Dx y for
 `carleman`): what they add to the peak of draining the same window
 stream alone stays within that.
+
+Before the stream, `carleman_weights` allocates the factor stacks and
+writes each weight set's factors straight into them, one point set at
+a time: its peak is the stacks and one point set's arrays (varphi,
+r^2, a product and a data term's temporary), within five arrays of
+(M+1) x N.
 """
 
 import collections
@@ -189,6 +195,24 @@ def test_carleman_holds_one_window(tmp_path):
     words = dx_words(paths, L)
     limit = 8 * (words + 4 * paths * (M + 2))
     assert excess <= limit, (excess, limit)
+
+
+def test_carleman_weights_hold_the_stacks_and_one_point_set(tmp_path):
+    cfg = config(tmp_path, "carleman", 64)
+    grid = cfg.grid
+    data = cli._make_problem(cfg.data, cfg, grid)
+    weights = [w for w, _ in cfg.weights]
+    tracemalloc.start()
+    try:
+        cw = estimators.carleman_weights(weights, data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacks = sum(stack.nbytes for stack in cw.stacks.values())
+    # besides the stacks, one point set's arrays: its varphi, its r^2,
+    # a product and a data term's g^2 (four of at most (M+1) x N)
+    limit = stacks + 5 * 8 * (M + 1) * N
+    assert peak <= limit, (peak - stacks) / (8 * (M + 1) * N)
 
 
 def test_stream_peak_does_not_grow_with_n():

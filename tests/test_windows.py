@@ -99,8 +99,9 @@ def test_window_spans_cover_every_level_once(N):
 def test_per_path_terms_match_full_history_fsum(N):
     grid, data, coeffs, ens = family(N)
     w = WeightParams(**WEIGHT, T=grid.T)
-    factors, _ = estimators._weight_set(w, data, grid)
-    stacks = {key: np.stack([factors[key].T]) for key in factors}
+    stacks = estimators.carleman_weights(w, data, grid).stacks
+    # the rows the stream reads, back in (space, time) order
+    factors = {key: stack[0].T for key, stack in stacks.items()}
     carleman, xts = estimators._carleman_sums(ens, stacks, grid)
     stability = estimators._stability_sums(ens, grid)
     for p in range(P):
