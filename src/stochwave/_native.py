@@ -43,9 +43,10 @@ and scales them.  Philox is counter-based, so a stream's whole state is
 an 88-byte record: counter, key, the last block of four words and the
 position in it.  sw_normals draws each path's next values from its
 record through NumPy's own exported random_standard_normal_fill (_FILL),
-the function Generator.standard_normal runs, resolved once from
-numpy.random._generator, so every ziggurat branch reads the same words
-and a stream gives the same bits drawn at once or in pieces.  One
+the function Generator.standard_normal runs, resolved once from the
+numpy.random._generator extension, opened by its path without importing
+numpy.random, so every ziggurat branch reads the same words and a
+stream gives the same bits drawn at once or in pieces.  One
 ctypes call draws a whole block's rows and scales them; it releases the
 GIL.  generator_normals, the reference, keeps one
 Generator(Philox(key=seed)) per path, about 700 bytes and 12 us to
@@ -58,13 +59,15 @@ the hash taken over the source and the flags, opens the library with
 ctypes and checks every field loop bit for bit against NUMPY on a small
 fixed window, the row writer against repr on fixed values and against
 python_rows on a fixed table with text columns, and the sampler against
-Generator(Philox(key=seed)).standard_normal (_parity_normals).  If any
+recorded SHA-256 digests of Generator(Philox(key=seed)).standard_normal
+(_parity_normals), so that no stepping run imports numpy.random.  If any
 step fails (no cc on PATH, a build error, no HOME or a HOME that is not
 a directory, a cache directory that cannot be written or is not
-private, a library that does not load, NumPy's fill not found, a
-parity mismatch), FALLBACK is chosen: fields() returns NUMPY, table()
-writes through python_rows, normals() draws through generator_normals,
-and `reason` says why; `reason` is None while the library is in use.
+private, a library that does not load, NumPy's _generator extension or
+its fill not found, a parity mismatch), FALLBACK is chosen: fields()
+returns NUMPY, table() writes through python_rows, normals() draws
+through generator_normals, and `reason` says why; `reason` is None
+while the library is in use.
 """
 
 from __future__ import annotations
@@ -424,13 +427,20 @@ _PHILOX_WORDS = 11
 
 def _normal_fill():
     """The address of NumPy's _FILL, from the numpy.random._generator
-    extension that Generator.standard_normal runs in."""
+    extension that Generator.standard_normal runs in.  The extension is
+    found by its path, next to NumPy's own files, and opened with ctypes
+    without importing numpy.random, which would cost about 2 MB of RSS."""
     import ctypes
+    from importlib.machinery import EXTENSION_SUFFIXES
 
-    from numpy.random import _generator
-
+    where = Path(np.__file__).parent / "random"
+    paths = (where / f"_generator{suffix}" for suffix in EXTENSION_SUFFIXES)
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise _Unavailable(f"the sampler finds no numpy.random._generator "
+                           f"extension in {where}")
     try:
-        fill = getattr(ctypes.CDLL(_generator.__file__), _FILL)
+        fill = getattr(ctypes.CDLL(str(path)), _FILL)
     except (AttributeError, OSError):
         raise _Unavailable(f"the sampler finds no {_FILL} in NumPy's "
                            f"numpy.random._generator") from None
@@ -620,12 +630,23 @@ _PARITY_SEEDS = (0, 2**64 - 1)
 _PARITY_PIECES = (1, 2, 3, 4, 5, 6, 7) * 4
 _PARITY_NORMALS = 4608
 _PARITY_SCALE = math.sqrt(0.03)
+# per seed, the SHA-256 of the little-endian float64 bytes of
+# Generator(Philox(key=seed)).standard_normal(_PARITY_NORMALS) *
+# _PARITY_SCALE, recorded so that the check builds no Generator
+_PARITY_SHA256 = {
+    0: "ef82254ab9b92a1311e4d640b0e2a54ff5a2491cb71f3bb2436ead4f99f2c8e0",
+    2**64 - 1:
+        "bbc39c6eb163875b7e8e77afce7b9486c28ed345bbfe0456d449345930d1a376",
+}
 
 
 def _parity_normals(normals):
     """Check the sampler against Generator(Philox(key=seed))
     .standard_normal times _PARITY_SCALE, on _PARITY_SEEDS drawn in
-    _PARITY_PIECES into rows of a wider buffer."""
+    _PARITY_PIECES into rows of a wider buffer: each seed's row must
+    have the recorded digest _PARITY_SHA256[seed]."""
+    import hashlib
+
     wide = np.zeros((len(_PARITY_SEEDS), _PARITY_NORMALS + 3))
     out = wide[:, 1 : _PARITY_NORMALS + 1]
     draw = normals(_PARITY_SEEDS, _PARITY_SCALE)
@@ -633,10 +654,8 @@ def _parity_normals(normals):
                            (*accumulate(_PARITY_PIECES), _PARITY_NORMALS)):
         draw(out[:, start:stop])
     for seed, row in zip(_PARITY_SEEDS, out):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        want = rng.standard_normal(_PARITY_NORMALS)
-        want *= _PARITY_SCALE
-        if not np.array_equal(want.view(np.int64), row.view(np.int64)):
+        got = hashlib.sha256(row.astype("<f8").tobytes()).hexdigest()
+        if got != _PARITY_SHA256[seed]:
             raise _Unavailable(
                 f"the sampler's normals of seed {seed} differ from "
                 f"Generator(Philox(key={seed})).standard_normal's")

@@ -861,7 +861,7 @@ def run(subcommand: str, cfg: RunConfig) -> int:
         # every stepping run draws its increments through _native, which
         # loads the library at the first draw.  Imported here, before the
         # run checks or builds anything, the module's compilation from
-        # source (no cached bytecode) frees about 1 MB that the run's
+        # source (no cached bytecode) frees about 0.1 MB that the run's
         # arrays then reuse; imported at the first draw, it adds to the
         # run's peak.
         from . import _native  # noqa: F401

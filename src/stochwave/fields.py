@@ -62,9 +62,41 @@ def sine_field(
     return GridFunction(grid, vals, sl.space_axis, tax)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _philox_words(seed, n: int) -> list:
+    """The first n 64-bit words of the Philox4x64-10 stream keyed
+    [np.uint64(seed), 0], as NumPy's Philox(key=seed).random_raw(n)
+    gives them: the 256-bit counter is incremented before each block of
+    four words, which takes 10 rounds with the constants of _native.c's
+    philox_next.  In Python integers, so that a random field does not
+    import numpy.random (about 2 MB of RSS)."""
+    key = int(np.uint64(seed))  # OverflowError outside 0 .. 2^64 - 1
+    words, ctr = [], 0
+    while len(words) < n:
+        ctr += 1
+        c0, c1, c2, c3 = (ctr >> s & _MASK64 for s in (0, 64, 128, 192))
+        k0, k1 = key, 0
+        for r in range(10):
+            if r:
+                k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+                k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+            p0 = 0xD2E7470EE14C6C93 * c0
+            p1 = 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64 ^ c1 ^ k0, p1 & _MASK64,
+                              p0 >> 64 ^ c3 ^ k1, p0 & _MASK64)
+        words += (c0, c1, c2, c3)
+    return words[:n]
+
+
 def _combo_coeffs(seed: int, n: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return rng.uniform(-1.0, 1.0, n)
+    """n coefficients in [-1, 1): the bits of
+    Generator(Philox(key=np.uint64(seed))).uniform(-1.0, 1.0, n), each
+    the top 53 bits of a _philox_words word times 2^-53, scaled by 2
+    and shifted by -1 as NumPy's uniform does."""
+    return np.array([-1.0 + 2.0 * ((w >> 11) * (1.0 / 9007199254740992.0))
+                     for w in _philox_words(seed, n)])
 
 
 def random_slice(

@@ -122,3 +122,34 @@ def test_presets_that_do_not_vary_in_x_are_zero_stride_along_x(
                        indexing="ij")
     full = MESHGRID_PRESETS[name](x, t)
     assert np.array(values).tobytes() == full.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the frozen Philox stream of the random fields' coefficients
+
+STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1, np.int64(7_654_321)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_philox_words_are_numpys_raw_words(seed, n):
+    want = np.random.Philox(key=seed).random_raw(n)
+    assert fields._philox_words(seed, n) == want.tolist()
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_combo_coeffs_are_numpys_uniforms(seed, n):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    want = rng.uniform(-1.0, 1.0, n)
+    got = fields._combo_coeffs(seed, n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_the_key_range_are_refused(seed):
+    with pytest.raises(OverflowError):
+        fields._combo_coeffs(seed, 4)
+    with pytest.raises(OverflowError):
+        random_field(build_grid(3, 4, 1.0), seed, 1.0)

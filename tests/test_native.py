@@ -7,6 +7,7 @@ sanitizer reports."""
 
 import ctypes
 import hashlib
+import importlib.machinery
 import json
 import os
 import shutil
@@ -306,6 +307,17 @@ def test_parity_draws_cross_every_buffer_offset_the_tail_and_the_wedge():
         assert wedge > 0 and tail > 0, (seed, wedge, tail)
 
 
+def test_recorded_parity_digests_are_numpys():
+    # the load check compares against these digests, not a Generator
+    assert tuple(_native._PARITY_SHA256) == _native._PARITY_SEEDS
+    for seed in _native._PARITY_SEEDS:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        want = rng.standard_normal(_native._PARITY_NORMALS)
+        want = (want * _native._PARITY_SCALE).astype("<f8").tobytes()
+        assert (hashlib.sha256(want).hexdigest()
+                == _native._PARITY_SHA256[seed]), seed
+
+
 def test_wrong_normal_fill_falls_back_with_the_same_artifacts(native, reload,
                                                               monkeypatch,
                                                               tmp_path):
@@ -325,6 +337,19 @@ def test_missing_normal_fill_falls_back(compiled, reload, monkeypatch):
     assert _native.fields() is _native.NUMPY
     assert _native.reason == ("the sampler finds no random_no_such_fill in "
                               "NumPy's numpy.random._generator")
+
+
+def test_missing_generator_extension_falls_back_with_the_same_artifacts(
+        native, reload, monkeypatch, tmp_path):
+    monkeypatch.setattr(_native, "_chosen", native)
+    compiled_digests = run_digests(tmp_path, "martingale")
+    monkeypatch.setattr(_native, "_chosen", None)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    assert run_digests(tmp_path, "martingale") == compiled_digests
+    assert _native._chosen is _native.FALLBACK
+    where = Path(np.__file__).parent / "random"
+    assert _native.reason == ("the sampler finds no numpy.random._generator "
+                              f"extension in {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +588,34 @@ def test_loading_waits_for_the_first_draw_float_block_or_window(tmp_path):
         ["stability", 0, True, True, has_cc],
     ]
     assert (cache / "stochwave").exists() == has_cc
+
+
+STEPPING_RUNS = """
+import json, sys
+from stochwave import _native, cli
+
+for sub, path in json.loads(sys.argv[1]).items():
+    assert cli.run(sub, cli.parse_config(path)) == 0, sub
+print(json.dumps([_native.reason, "numpy.random" in sys.modules]))
+"""
+
+
+def test_stepping_runs_leave_numpy_random_unimported(tmp_path):
+    # the compiled sampler opens NumPy's normal fill by path and the
+    # random fields draw their coefficients in Python: importing
+    # numpy.random would cost about 2 MB of RSS
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH: the fallback sampler imports it")
+    configs = {}
+    for sub in ("simulate", "carleman", "stability", "martingale"):
+        cfg = dict(CONFIGS[sub], output_dir=str(tmp_path / "out" / sub))
+        configs[sub] = str(tmp_path / f"{sub}.json")
+        Path(configs[sub]).write_text(json.dumps(cfg), encoding="utf-8")
+    out = child(STEPPING_RUNS,
+                dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache")),
+                json.dumps(configs))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [None, False]
 
 
 def test_import_and_parse_config_leave_the_library_unloaded(tmp_path):
