@@ -8,11 +8,12 @@ manifest.json carrying the sha256 of the raw config bytes.
 
 Exit codes, so CI can tell failure classes apart:
 
-\b
     0  success
-    2  usage error (bad flags, unknown subcommand)
+    2  usage error (unknown subcommand or flag, a missing --config,
+       a flag value that is not an integer)
     3  config or experiment-setup error (JSON syntax, validation,
-       module preconditions, an output_dir that cannot be written, a
+       --paths or --seed out of its config key's range, module
+       preconditions, an output_dir that cannot be written, a
        data, coefficient or path-0 array or a path block that does not
        fit in memory); weight and sweep values and the grid's dt are
        checked at parse, with their JSON pointers, by every
@@ -32,9 +33,10 @@ Exit codes, so CI can tell failure classes apart:
 Mesh admissibility conditions (s*dx and the dt bound) only warn: they
 are resolution knobs, not geometry, and the report records them.
 \f
-The report dataclasses are the artifact schema (the form feed above
-ends the --help text): _report_obj writes a report's fields as JSON,
-and _term_rows its lhs and then rhs terms as CSV rows.
+`stochwave --help` shows this docstring up to the form feed above,
+line for line.  The report dataclasses are the artifact schema:
+_report_obj writes a report's fields as JSON, and _term_rows its lhs
+and then rhs terms as CSV rows.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import reprlib
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .errors import DegenerateOrderError, SingularUpdateError
@@ -532,9 +533,9 @@ def _stream(cfg: RunConfig, out: ArtifactWriter, data, coeffs, grid):
     outside its stability limit, so the warning also precedes the
     blow-up it explains.  The artifacts do not record it."""
     if grid.cfl_warning:
-        click.echo(
+        print(
             f"{out.subcommand}: warning, dt > dx (explicit scheme unstable)",
-            err=True,
+            file=sys.stderr, flush=True,
         )
     return stream_windows(
         data, coeffs, grid, cfg.mc["paths"], cfg.mc["master_seed"]
@@ -577,7 +578,8 @@ def _run_identities(cfg: RunConfig, out: ArtifactWriter) -> int:
     ]
     out.csv("identities.csv", ("identity", "residual"), _columns(rows, 2))
     worst = table.max_residual()
-    click.echo(f"identities: max residual {worst:.3e} over {len(rows)} rows")
+    print(f"identities: max residual {worst:.3e} over {len(rows)} rows",
+          flush=True)
     return EXIT_OK if worst <= IDENTITY_GATE else EXIT_STATISTICAL
 
 
@@ -614,7 +616,7 @@ def _run_weights_order(cfg: RunConfig, out: ArtifactWriter, estimates) -> int:
         summary.append((expr, est.order, est.fit_residual))
         for dx, res in zip(est.dx, est.residuals):
             residual_rows.append((expr, dx, res))
-        click.echo(f"weights-order: {expr} order {est.order:.3f}")
+        print(f"weights-order: {expr} order {est.order:.3f}", flush=True)
     out.csv(
         "weights_order.csv",
         ("expression", "order", "fit_residual"),
@@ -675,9 +677,10 @@ def _run_simulate(cfg: RunConfig, out: ArtifactWriter) -> int:
         ("j", "x", "terminal_y", "terminal_v"),
         (np.arange(J), x, terminal_y[0], terminal_v[0]),
     )
-    click.echo(
+    print(
         f"simulate: {cfg.mc['paths']} path(s), wrote trajectory of path 0, "
-        f"max |y| {np.max(np.abs(head)):.6g}"
+        f"max |y| {np.max(np.abs(head)):.6g}",
+        flush=True,
     )
     return EXIT_OK
 
@@ -747,7 +750,8 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter, data, weights) -> int:
             _columns(_term_rows(rep), 3),
         )
         ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
-        click.echo(f"carleman: ratio {ratio}, admissible {rep.admissible}")
+        print(f"carleman: ratio {ratio}, admissible {rep.admissible}",
+              flush=True)
         return EXIT_ADMISSIBILITY if _hard_fail(rep) else EXIT_OK
     sweep_rows = []
     fail = False
@@ -757,8 +761,9 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter, data, weights) -> int:
             sweep_rows.append((value, term, mean, stderr))
         fail = fail or _hard_fail(rep)
         ratio = "undefined" if not rep.ratio_defined else f"{rep.ratio:.6g}"
-        click.echo(
-            f"carleman: {cfg.sweep['parameter']} = {value}: ratio {ratio}"
+        print(
+            f"carleman: {cfg.sweep['parameter']} = {value}: ratio {ratio}",
+            flush=True,
         )
     out.csv(
         "carleman_sweep.csv",
@@ -801,9 +806,9 @@ def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
         _columns(_term_rows(rep), 3),
     )
     if rep.ratio_unsquared_defined:
-        click.echo(f"stability: ratio {rep.ratio_unsquared:.6g}")
+        print(f"stability: ratio {rep.ratio_unsquared:.6g}", flush=True)
     else:
-        click.echo("stability: ratio undefined (all terms zero)")
+        print("stability: ratio undefined (all terms zero)", flush=True)
     return EXIT_OK
 
 
@@ -817,20 +822,40 @@ def _run_martingale(cfg: RunConfig, out: ArtifactWriter) -> int:
     out.json(
         "martingale.json", {**_report_obj(st), "bound_4se": bound, "pass": ok}
     )
-    click.echo(
+    print(
         f"martingale: mean {st.mean:+.3e}, stderr {st.stderr:.3e}, "
-        f"{'pass' if ok else 'FAIL'}"
+        f"{'pass' if ok else 'FAIL'}",
+        flush=True,
     )
     return EXIT_OK if ok else EXIT_STATISTICAL
 
 
+# each subcommand: its body and its --help line
 _SUBCOMMANDS = {
-    "identities": _run_identities,
-    "weights-order": _run_weights_order,
-    "simulate": _run_simulate,
-    "carleman": _run_carleman,
-    "stability": _run_stability,
-    "martingale": _run_martingale,
+    "identities": (
+        _run_identities,
+        "Summation-by-parts residual table on random data.",
+    ),
+    "weights-order": (
+        _run_weights_order,
+        "Mesh-refinement order of the discrete weight derivative residuals.",
+    ),
+    "simulate": (
+        _run_simulate,
+        "Solve the scheme and write trajectory/observation CSVs.",
+    ),
+    "carleman": (
+        _run_carleman,
+        "Monte Carlo weighted-energy terms and their ratio (supports sweep).",
+    ),
+    "stability": (
+        _run_stability,
+        "Data-difference vs observation-difference norms for a coupled pair.",
+    ),
+    "martingale": (
+        _run_martingale,
+        "Zero-mean test of the adapted Ito-sum statistic.",
+    ),
 }
 
 
@@ -875,7 +900,7 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     if subcommand == "identities":
         _at("/grid", check_mesh, cfg.grid)
     out = ArtifactWriter(cfg.output_dir, cfg.sha256, subcommand)
-    code = _SUBCOMMANDS[subcommand](cfg, out, *inputs)
+    code = _SUBCOMMANDS[subcommand][0](cfg, out, *inputs)
     out.finish()
     return code
 
@@ -890,81 +915,52 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
                 cfg.mc[key] = _MC[key][0](value, f"/mc/{key}")
         return run(subcommand, cfg)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr, flush=True)
         return EXIT_CONFIG
-    except (SingularUpdateError, DegenerateOrderError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+    except (SingularUpdateError, DegenerateOrderError,
+            FloatingPointError) as exc:  # BlowUpError, WeightOverflowError
+        print(f"numeric failure: {exc}", file=sys.stderr, flush=True)
         return EXIT_NUMERIC
     except ValueError as exc:
-        click.echo(f"invalid experiment: {exc}", err=True)
+        print(f"invalid experiment: {exc}", file=sys.stderr, flush=True)
         return EXIT_CONFIG
-    except FloatingPointError as exc:  # BlowUpError, WeightOverflowError
-        click.echo(f"numeric failure: {exc}", err=True)
-        return EXIT_NUMERIC
     except OSError as exc:
         # an unreadable config is a ConfigError: this failed writing output
         where = exc.filename or cfg.output_dir
         msg = exc.strerror or exc
-        click.echo(f"cannot write output: {where}: {msg}", err=True)
+        print(f"cannot write output: {where}: {msg}", file=sys.stderr,
+              flush=True)
         return EXIT_CONFIG
     except MemoryError as exc:
         # NumPy's message names the size of the array it could not make
-        click.echo(f"out of memory: {exc or 'an allocation failed'}", err=True)
+        print(f"out of memory: {exc or 'an allocation failed'}",
+              file=sys.stderr, flush=True)
         return EXIT_CONFIG
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--seed", type=click.IntRange(min=0), default=None,
-        help="Override mc.master_seed.",
-    )(fn)
-    fn = click.option(
-        "--paths", type=click.IntRange(min=1), default=None,
-        help="Override mc.paths.",
-    )(fn)
-    fn = click.option(
-        "--output-dir", type=click.Path(), default=None,
-        help="Override output_dir.",
-    )(fn)
-    fn = click.option(
-        "--config", "config_path", type=click.Path(), required=True,
-        help="Path to the JSON experiment config.",
-    )(fn)
-    return fn
+def main(argv=None):
+    """The `stochwave` command: run the subcommand that argv (default
+    sys.argv[1:]) names and exit with its code.  --paths and --seed
+    parse as integers; _execute checks them against their config keys."""
+    import argparse  # here: importing this module does not load it
 
-
-@click.group(
-    help=__doc__,
-    context_settings={"help_option_names": ["-h", "--help"]},
-)
-def main():
-    pass
-
-
-def _register(name, doc):
-    @main.command(name=name, help=doc)
-    @_common_options
-    def _cmd(config_path, output_dir, paths, seed, _name=name):
-        sys.exit(_execute(_name, config_path, output_dir, paths, seed))
-
-    return _cmd
-
-
-_register("identities", "Summation-by-parts residual table on random data.")
-_register(
-    "weights-order",
-    "Mesh-refinement order of the discrete weight derivative residuals.",
-)
-_register("simulate", "Solve the scheme and write trajectory/observation CSVs.")
-_register(
-    "carleman",
-    "Monte Carlo weighted-energy terms and their ratio (supports sweep).",
-)
-_register(
-    "stability",
-    "Data-difference vs observation-difference norms for a coupled pair.",
-)
-_register("martingale", "Zero-mean test of the adapted Ito-sum statistic.")
+    parser = argparse.ArgumentParser(
+        prog="stochwave", description=__doc__.split("\f")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False)
+    commands = parser.add_subparsers(dest="subcommand", required=True,
+                                     metavar="SUBCOMMAND")
+    for name, (_, doc) in _SUBCOMMANDS.items():
+        sub = commands.add_parser(name, help=doc, description=doc,
+                                  allow_abbrev=False)
+        sub.add_argument("--config", required=True,
+                         help="Path to the JSON experiment config.")
+        sub.add_argument("--output-dir", help="Override output_dir.")
+        sub.add_argument("--paths", type=int, help="Override mc.paths.")
+        sub.add_argument("--seed", type=int, help="Override mc.master_seed.")
+    args = parser.parse_args(argv)
+    sys.exit(_execute(args.subcommand, args.config, args.output_dir,
+                      args.paths, args.seed))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 runs them.
 
 Each case is one subcommand on one config, with optional extra flags,
-run in-process through click's CliRunner.  A config is either the name
+run in-process through run_cli.  A config is either the name
 of a benchmark workload, whose tiny config it runs (bench/workloads.py,
 `config(name, 0, tiny=True)`), or an inline config.  Its record holds
 the exit code, stdout, stderr, whether output_dir exists afterwards,
@@ -32,15 +32,17 @@ unless --replace is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
-from click.testing import CliRunner
 
 from stochwave.cli import main
 
@@ -249,6 +251,33 @@ def _workloads() -> ModuleType:
     return mod
 
 
+class CliResult(NamedTuple):
+    """One in-process run of the `stochwave` command."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args) -> CliResult:
+    """Run `stochwave ARGS` in this process, through cli.main, with
+    both streams captured.  The exit code is that of the SystemExit
+    main ends with; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0  # a process whose main returns exits 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
 def run_case(name: str, workdir: Path) -> dict:
     """Run case `name` with its config and output under workdir."""
     subcommand, config, *flags = CASES[name]
@@ -258,11 +287,8 @@ def run_case(name: str, workdir: Path) -> dict:
     cfg.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     out = workdir / "out"
-    res = CliRunner().invoke(main, [subcommand, "--config", str(cfg),
-                                    "--output-dir", str(out), *flags])
-    if res.exception is not None and not isinstance(res.exception,
-                                                    SystemExit):
-        raise res.exception
+    res = run_cli([subcommand, "--config", str(cfg), "--output-dir",
+                   str(out), *flags])
     files = sorted(out.iterdir()) if out.is_dir() else []
     record = {
         "exit_code": res.exit_code,

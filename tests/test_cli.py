@@ -11,12 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+
+from golden import run_cli as invoke
 
 import stochwave.cli as cli_mod
 import stochwave.solver as solver_mod
 from stochwave import _native
-from stochwave.cli import ArtifactWriter, ConfigError, main, parse_config
+from stochwave.cli import ArtifactWriter, ConfigError, parse_config
 from stochwave.fields import zero_field
 from stochwave.solver import (
     ProblemData,
@@ -48,10 +49,6 @@ def write_cfg(tmp_path, obj, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj), encoding="utf-8")
     return p
-
-
-def invoke(args):
-    return CliRunner().invoke(main, args)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +663,49 @@ def test_exit_usage_unknown_subcommand():
     assert invoke(["frobnicate", "--config", "x"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        # an integer out of range is refused as its config key is
+        (["identities", "--config", "CFG", "--paths", "0"], 3,
+         "config error: /mc/paths: must be >= 1, got 0"),
+        (["identities", "--config", "CFG", "--paths", "-3"], 3,
+         "config error: /mc/paths: must be >= 1, got -3"),
+        (["identities", "--config", "CFG", "--seed", "-1"], 3,
+         "config error: /mc/master_seed: must be >= 0, got -1"),
+        # usage errors: a value that is not an integer, no --config, no
+        # such subcommand, and a prefix of a flag
+        (["identities", "--config", "CFG", "--paths", "x"], 2,
+         "argument --paths: invalid int value: 'x'"),
+        (["identities", "--config", "CFG", "--seed", "1.5"], 2,
+         "argument --seed: invalid int value: '1.5'"),
+        (["identities", "--paths", "2"], 2, "required: --config"),
+        (["frobnicate", "--config", "CFG"], 2, "invalid choice: 'frobnicate'"),
+        (["identities", "--config", "CFG", "--path", "2"], 2,
+         "unrecognized arguments: --path 2"),
+        (["identities", "--conf", "CFG"], 2, "required: --config"),
+    ],
+    ids=["paths-0", "paths-negative", "seed-negative", "paths-x",
+         "seed-float", "no-config", "unknown-subcommand", "flag-prefix",
+         "config-prefix"],
+)
+def test_flag_values_exit_as_their_config_keys(tmp_path, args, code,
+                                               message):
+    # "CFG" stands for a valid config
+    cfg = str(write_cfg(tmp_path, {"grid": GRID}))
+    out = tmp_path / "o"
+    res = invoke([cfg if a == "CFG" else a for a in args]
+                 + ["--output-dir", str(out)])
+    assert res.exit_code == code, res.output
+    assert res.stdout == ""
+    if code == 3:
+        assert res.stderr == message + "\n"
+    else:
+        assert res.stderr.startswith("usage: stochwave")
+        assert message in res.stderr
+    assert not out.exists()
+
+
 def test_exit_config_unreadable(tmp_path):
     res = invoke(
         ["identities", "--config", str(tmp_path / "absent.json"),
@@ -889,7 +929,6 @@ RANDOM_SEED = {"y1": {"random": {"seed": 2**64, "amplitude": 1.0}}}
 def test_out_of_range_integers(tmp_path, subcommand, raw, pointer):
     res = invoke([subcommand, "--config", str(write_cfg(tmp_path, raw)),
                   "--output-dir", str(tmp_path / "o")])
-    assert not isinstance(res.exception, OverflowError)
     if pointer is None:
         assert res.exit_code == 0, res.output
     else:

@@ -620,19 +620,26 @@ def test_stepping_runs_leave_numpy_random_unimported(tmp_path):
 
 def test_import_and_parse_config_leave_the_library_unloaded(tmp_path):
     # bench/child.py's setup_s times exactly these two steps: neither may
-    # build, check or map the library
+    # build, check or map the library, import a package other than NumPy
+    # from outside the standard library (listed, or "-" for none), or
+    # import the command-line parser, argparse
     (tmp_path / "cfg.json").write_text(json.dumps(CONFIGS["martingale"]),
                                        encoding="utf-8")
     cache = tmp_path / "cache"
-    out = child("import sys\nimport stochwave.cli\n"
+    out = child("import sys\nold = set(sys.modules)\n"
+                "import stochwave.cli\n"
                 "stochwave.cli.parse_config(sys.argv[1])\n"
                 "from stochwave import _native\n"
                 "with open('/proc/self/maps') as f:\n"
                 "    mapped = '/native-' in f.read()\n"
-                "print(_native._chosen is None, mapped)\n",
+                "new = {m.partition('.')[0] for m in set(sys.modules) - old}\n"
+                "new -= {*sys.stdlib_module_names, 'numpy', 'stochwave'}\n"
+                "print(_native._chosen is None, mapped,\n"
+                "      ','.join(sorted(new)) or '-',\n"
+                "      'argparse' in sys.modules)\n",
                 dict(os.environ, XDG_CACHE_HOME=str(cache)),
                 str(tmp_path / "cfg.json"))
-    assert out.stdout.split() == ["True", "False"], out.stderr
+    assert out.stdout.split() == ["True", "False", "-", "False"], out.stderr
     assert not cache.exists()
 
 

@@ -5,9 +5,11 @@ package's __init__ uses each name it imports, unless the import line is
 marked `# noqa: F401` (a binding kept for a caller outside the module),
 so a name whose last use is deleted cannot linger as an import.  Only
 the fallback sampler, _native.generator_normals, names numpy.random, so
-that no stepping run pays for importing it."""
+that no stepping run pays for importing it.  The package imports only
+the standard library and its one declared dependency, NumPy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import stochwave
@@ -79,3 +81,22 @@ def test_only_the_fallback_sampler_names_numpy_random():
     uses = {u for p in sorted(package.glob("*.py"))
             for u in numpy_random_uses(p)}
     assert uses == {("_native.py", "generator_normals")}
+
+
+def absolute_import_roots(path: Path) -> set:
+    """The top-level package of each absolute import in path."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    package = Path(stochwave.__file__).parent
+    foreign = [(p.name, root) for p in sorted(package.glob("*.py"))
+               for root in sorted(absolute_import_roots(p))
+               if root not in sys.stdlib_module_names and root != "numpy"]
+    assert foreign == []
