@@ -61,7 +61,7 @@ j-stride 0 holds one value per level and is narrowed to (N+1, 1, 1)
 before the weights are formed.  The stride alone decides: each field
 that holds one value per level is a zero-stride view where it is built
 (constant_coefficient, the presets zero, one and ramp_t, and
-solver._table_rows' block for absent or zero data).  A weight formed
+solver._table_rows' block for zero data).  A weight formed
 only from narrowed tables is then one value per level, the same value
 at every node and so the same bits, and enters a level as a 0-d
 operand that broadcasts over the whole slab as one flat loop; any other

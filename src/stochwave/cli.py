@@ -13,8 +13,8 @@ Exit codes, so CI can tell failure classes apart:
        a flag value that is not an integer)
     3  config or experiment-setup error (JSON syntax, validation,
        --paths or --seed out of its config key's range, module
-       preconditions, an output_dir that cannot be written, a
-       data, coefficient or path-0 array or a path block that does not
+       preconditions, an output_dir that is empty or cannot be written,
+       a data, coefficient or path-0 array or a path block that does not
        fit in memory); weight and sweep values and the grid's dt are
        checked at parse, with their JSON pointers, by every
        subcommand, and a config refused there, or for its sweep or
@@ -185,6 +185,12 @@ def _str(choices=None):
 _count = _int(1, _MAX_COUNT)
 
 
+def _nonempty(v, ptr):
+    if not _as_str(v, ptr):
+        raise ConfigError(ptr, "must not be empty")
+    return v
+
+
 def _positive(v, ptr):
     v = _as_num(v, ptr)
     if v <= 0:
@@ -338,7 +344,7 @@ _CONFIG = _section({
         }),
         None,
     ),
-    "output_dir": (_str(), "out"),
+    "output_dir": (_nonempty, "out"),
 })
 
 
@@ -438,8 +444,7 @@ def _make_interior_field(spec, grid, space_only: bool):
 
 def _make_problem(data_spec, cfg: RunConfig, grid) -> ProblemData:
     space_only = cfg.g_mode == "space_only"
-    f_spec = data_spec["f"]
-    f = None if f_spec == ("zero",) else _make_interior_field(f_spec, grid, False)
+    f = _make_interior_field(data_spec["f"], grid, False)
     return ProblemData(
         y0=_make_slice(data_spec["y0"], grid),
         y1=_make_slice(data_spec["y1"], grid),
@@ -691,19 +696,19 @@ def _memory_preflight(cfg: RunConfig, subcommand: str):
     full-size array it builds, in the order it builds them (simulate's
     copy of path 0, the data's g or f, carleman's factor stacks and each
     preset coefficient that varies in x), then a block of its window
-    stream.  Zero data is a zero-stride view, so the data's (M, N) array
-    counts only where a non-zero g or f is configured, or where
-    stability is given data_b (the g difference is always a full
-    array); a preset that does not read x is one row of values
+    stream.  Zero data is a zero-stride view, and so is a difference of
+    two, so the data's (M, N) array counts only where a problem the run
+    steps (stability's are _stability_specs) has a non-zero g or f; a
+    preset that does not read x is one row of values
     (fields.preset_varies_in_x)."""
     grid = cfg.grid
     M, N = grid.M, grid.N
     arrays = []
     if subcommand == "simulate":
         arrays.append(("copy of path 0", (N + 2, M + 2)))
-    built = [key for key in ("g", "f") if cfg.data[key] != ("zero",)]
-    if subcommand == "stability" and cfg.data_b is not None:
-        built = ["g"]
+    specs = _stability_specs(cfg) if subcommand == "stability" else [cfg.data]
+    built = [key for key in ("g", "f")
+             if any(spec[key] != ("zero",) for spec in specs)]
     if built:
         arrays.append((f"data's {built[0]}", (M, N)))
     if subcommand == "carleman":
@@ -773,20 +778,23 @@ def _run_carleman(cfg: RunConfig, out: ArtifactWriter, data, weights) -> int:
     return EXIT_ADMISSIBILITY if fail else EXIT_OK
 
 
+def _stability_specs(cfg: RunConfig) -> list:
+    """The data specs of the problems stability builds: data and data_b
+    or, without data_b, only data with f cancelled: the default pair's
+    second problem is zero data under the same f, and x - (+0.0) is x
+    bit for bit."""
+    if cfg.data_b is None:
+        return [{**cfg.data, "f": ("zero",)}]
+    return [cfg.data, cfg.data_b]
+
+
 def _difference_system(cfg: RunConfig, grid):
     """The data and coefficients of the one family stability steps: the
-    difference system of the coupled pair, data minus data_b.  The two
+    difference system of the coupled pair (_stability_specs).  The two
     problems are dropped on return, so only the difference is resident
     while the paths are stepped."""
-    if cfg.data_b is not None:
-        data_a = _make_problem(cfg.data, cfg, grid)
-        diff = data_a.difference(_make_problem(cfg.data_b, cfg, grid))
-    else:
-        # the default comparison problem is zero data under the same
-        # forcing: x - (+0.0) is x bit for bit and the shared f cancels,
-        # so the difference is data's y0, y1 and g, and f is never built
-        diff = _make_problem({**cfg.data, "f": ("zero",)}, cfg, grid)
-    return diff, _make_coeffs(cfg, grid)
+    first, *rest = (_make_problem(s, cfg, grid) for s in _stability_specs(cfg))
+    return (first.difference(*rest) if rest else first), _make_coeffs(cfg, grid)
 
 
 def _run_stability(cfg: RunConfig, out: ArtifactWriter) -> int:
@@ -883,14 +891,6 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     # refused here, before anything is built or written; the weights
     # are evaluated here too, and handed to the subcommand
     if subcommand in _STEPPING:
-        # every stepping run draws its increments through _native, which
-        # loads the library at the first draw.  Imported here, before the
-        # run checks or builds anything, the module's compilation from
-        # source (no cached bytecode) frees about 0.1 MB that the run's
-        # arrays then reuse; imported at the first draw, it adds to the
-        # run's peak.
-        from . import _native  # noqa: F401
-
         _memory_preflight(cfg, subcommand)
     inputs = ()
     if subcommand == "weights-order":
@@ -909,7 +909,7 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
     try:
         cfg = parse_config(config_path)
         if output_dir is not None:
-            cfg.output_dir = output_dir
+            cfg.output_dir = _nonempty(output_dir, "/output_dir")
         for key, value in (("paths", paths), ("master_seed", seed)):
             if value is not None:
                 cfg.mc[key] = _MC[key][0](value, f"/mc/{key}")
@@ -941,7 +941,8 @@ def _execute(subcommand, config_path, output_dir, paths, seed) -> int:
 def main(argv=None):
     """The `stochwave` command: run the subcommand that argv (default
     sys.argv[1:]) names and exit with its code.  --paths and --seed
-    parse as integers; _execute checks them against their config keys."""
+    parse as integers; _execute checks them and --output-dir as their
+    config keys."""
     import argparse  # here: importing this module does not load it
 
     parser = argparse.ArgumentParser(

@@ -239,10 +239,8 @@ def _weight_set(w: WeightParams, data: ProblemData, grid: Grid,
     L4 = integrate(_weight_gf(grid, buf, "primal", "primal"), "MxN")
     np.multiply(np.power(w1, 3, out=buf), r2, out=rows["L1"].T)
     del w1, buf
-    R1 = 0.0
-    if data.f is not None:
-        R1 = integrate(_weight_gf(grid, r2, "primal", "primal")
-                       * (data.f * data.f), "MxN")
+    R1 = integrate(_weight_gf(grid, r2, "primal", "primal")
+                   * (data.f * data.f), "MxN")
     del r2
 
     # initial-time factors

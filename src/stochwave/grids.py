@@ -147,6 +147,14 @@ def build_grid(M: int, N: int, T: float) -> Grid:
     return Grid(M, N, T)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """values with every axis of stride 0 cut to length 1, a view: an
+    operation on it reads each repeated value once, and broadcasts back
+    to values' shape with the bits of the operation on values."""
+    return values[tuple(slice(None, 1 if s == 0 else None)
+                        for s in values.strides)]
+
+
 def _tag_name(axis, canonical: dict) -> str:
     if axis is None:
         return "slice"
@@ -270,15 +278,20 @@ class GridFunction:
                 f"({other.space_tag}, {other.time_tag})"
             )
 
+    def _like(self, vals) -> "GridFunction":
+        """vals broadcast, read-only, to this function's shape and meshes."""
+        return GridFunction(self.grid, np.broadcast_to(vals, self.values.shape),
+                            self.space_axis, self.time_axis)
+
     def _binary(self, other, op):
+        """op on the operands' distinct values: the result has stride 0
+        exactly where every operand has it, and the dense op's bits."""
         if isinstance(other, GridFunction):
             self._check_aligned(other)
-            vals = op(self.values, other.values)
-        elif np.isscalar(other):
-            vals = op(self.values, other)
-        else:
+            other = distinct(other.values)
+        elif not np.isscalar(other):
             return NotImplemented
-        return GridFunction(self.grid, vals, self.space_axis, self.time_axis)
+        return self._like(op(distinct(self.values), other))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -298,7 +311,7 @@ class GridFunction:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GridFunction(self.grid, -self.values, self.space_axis, self.time_axis)
+        return self._like(-distinct(self.values))
 
     def __repr__(self):
         return (

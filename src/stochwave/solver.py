@@ -63,7 +63,8 @@ from .errors import (
     MeshMismatchError,
     SingularUpdateError,
 )
-from .grids import Grid, GridFunction
+from .fields import zero_field
+from .grids import Grid, GridFunction, distinct
 
 # the name of step_paths, the one kernel; no setting selects another
 backend_name = "numpy"
@@ -138,12 +139,11 @@ def _require(cond: bool, msg: str):
 
 
 def _time_blocks(values: np.ndarray):
-    """The distinct values of a (space, time) array, each axis of stride
-    0 cut to length 1, in blocks of _WINDOW_LEVELS time columns: a check
-    walked over them keeps its temporaries one block in size, and reads
-    a constant coefficient's one value once."""
-    values = values[tuple(slice(None, 1 if s == 0 else None)
-                          for s in values.strides)]
+    """The distinct values of a (space, time) array (grids.distinct) in
+    blocks of _WINDOW_LEVELS time columns: a check walked over them
+    keeps its temporaries one block in size, and reads a constant
+    coefficient's one value once."""
+    values = distinct(values)
     return (
         values[:, n0 : n0 + _WINDOW_LEVELS]
         for n0 in range(0, values.shape[1], _WINDOW_LEVELS)
@@ -152,9 +152,9 @@ def _time_blocks(values: np.ndarray):
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Initial data and sources: y0, y1 on the space closure; g (and the
-    optional deterministic forcing f) on the interior M x N frame.  The
-    compatibility condition y0(0) = y0(1) = 0 is enforced exactly."""
+    """Initial data and sources: y0, y1 on the space closure; g and the
+    forcing f (None for the zero field) on the interior M x N frame.
+    The compatibility condition y0(0) = y0(1) = 0 is enforced exactly."""
 
     y0: GridFunction
     y1: GridFunction
@@ -163,10 +163,13 @@ class ProblemData:
 
     def __post_init__(self):
         grid = self.y0.grid
+        if self.f is None:
+            object.__setattr__(self, "f", zero_field(grid, "primal", "primal"))
         for name, u, stag, ttag in (
             ("y0", self.y0, "closure", None),
             ("y1", self.y1, "closure", None),
             ("g", self.g, "primal", "primal"),
+            ("f", self.f, "primal", "primal"),
         ):
             _require(u.grid == grid, f"{name} lives on a different grid")
             _require(
@@ -177,12 +180,6 @@ class ProblemData:
             _require(
                 u.time_tag == want_t,
                 f"{name} must carry time tag {want_t!r}, got {u.time_tag!r}",
-            )
-        if self.f is not None:
-            _require(self.f.grid == grid, "f lives on a different grid")
-            _require(
-                self.f.space_tag == "primal" and self.f.time_tag == "primal",
-                "f must live on the interior M x N frame",
             )
         if self.y0.values[0] != 0.0 or self.y0.values[-1] != 0.0:
             raise ValueError(
@@ -196,23 +193,16 @@ class ProblemData:
 
     def difference(self, other: ProblemData) -> ProblemData:
         """Data of the difference system y_self - y_other: every field
-        minus the other's, a missing f counting as zero (None when
-        neither side has one, or both hold the same f object, which
-        cancels exactly).  The scheme is linear in (y0, y1, g, f), so
-        under common noise and coefficients stepping this data gives the
-        path-wise difference of the two solutions, to rounding."""
+        minus the other's, zero-stride where both are, and a zero f where
+        both hold the same f object.  The scheme is linear in (y0, y1, g,
+        f), so under common noise and coefficients stepping this data
+        gives the path-wise difference of the two solutions, to rounding."""
         _require(other.grid == self.grid, "problem data live on different grids")
-        if self.f is other.f:
-            f = None
-        elif self.f is None:
-            f = -other.f
-        else:
-            f = self.f if other.f is None else self.f - other.f
         return ProblemData(
             y0=self.y0 - other.y0,
             y1=self.y1 - other.y1,
             g=self.g - other.g,
-            f=f,
+            f=None if self.f is other.f else self.f - other.f,
         )
 
 
@@ -349,8 +339,8 @@ def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
                 n0: int, L: int) -> tuple:
     """Rows n = n0 .. n0+L of the kernel's six tables A, B, C, D, G, F,
     each (L+1, M+2).  The coefficients at level n are views of their
-    values, so a constant one keeps its zero strides.  A g or f that is
-    None or holds one value (zero data) is a zero-stride block of that
+    values, so a constant one keeps its zero strides.  A g or f of
+    stride 0 on both axes (zero data) is a zero-stride block of its one
     value; any other is copied, padded onto the same (n, j) frame, zero
     at n = 0 and at the boundary nodes."""
     M = grid.M
@@ -358,9 +348,8 @@ def _table_rows(data: ProblemData, coeffs: SchemeCoefficients, grid: Grid,
     # g and f hold levels 1..N in columns 0..N-1
     lo = max(n0, 1)
     for u in (data.g, data.f):
-        if u is None or not any(u.values.strides):
-            one = 0.0 if u is None else u.values[0, 0]
-            table = np.broadcast_to(one, (L + 1, M + 2))
+        if not any(u.values.strides):
+            table = np.broadcast_to(u.values[0, 0], (L + 1, M + 2))
         else:
             table = np.zeros((L + 1, M + 2))
             table[lo - n0 :, 1 : M + 1] = u.values[:, lo - 1 : n0 + L].T
@@ -686,15 +675,13 @@ def scheme_residual(
     b = coeffs.b.values[1 : M + 1, 1 : N + 1]
     c = coeffs.c.values[1 : M + 1, 1 : N + 1]
     d = coeffs.d.values[1 : M + 1, 1 : N + 1]
-    gv = g.values if g is not None else 0.0
-    fv = f.values if f is not None else 0.0
     db = np.asarray(dB)[1 : N + 1][None, :]
     num = (
         2.0 * yc
         - ym
         + dt * dt * ((ypl - 2.0 * yc + ymn) / (dx * dx) + a * yc + b * (ypl - ymn) / (2.0 * dx))
         - (c * dt) * yc
-        + dt * ((d * yc + gv) * db + fv * dt)
+        + dt * ((d * yc + g.values) * db + f.values * dt)
     )
     defect = yp * (1.0 - c * dt) - num
     scale = max(1.0, float(np.max(np.abs(v))))

@@ -97,6 +97,23 @@ CASES = {
                    "y1": {"random": {"seed": 5, "amplitude": 0.2}}},
     }),
     "stability-space-only": ("stability", {**SMALL, "g_mode": "space_only"}),
+    # a forcing on one side of the pair only, and two zero g
+    "stability-data-b-f-only-in-b": ("stability", {
+        **SMALL,
+        "data_b": {"y0": {"sine": {"mode": 2, "amplitude": 0.5}},
+                   "f": {"random": {"seed": 9, "amplitude": 0.3}}},
+    }),
+    "stability-data-b-f-only-in-a": ("stability", {
+        **SMALL,
+        "data": {**SMALL["data"],
+                 "f": {"random": {"seed": 9, "amplitude": 0.3}}},
+        "data_b": {"y1": {"random": {"seed": 5, "amplitude": 0.2}}},
+    }),
+    "stability-data-b-zero-g": ("stability", {
+        **SMALL,
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}}},
+        "data_b": {"y1": {"random": {"seed": 5, "amplitude": 0.2}}},
+    }),
     # blocks of 81 and 19 paths on preset tables: a and d hold one value
     # per level (stride 0 along x), c = x widens every weight to one per
     # node
@@ -154,6 +171,16 @@ CASES = {
                  "f": {"random": {"seed": 22, "amplitude": 2.0}}},
         "mc": {"paths": 82},
     }),
+    # no forcing: R1 is exactly 0.0
+    "carleman-no-f": ("carleman", {
+        "grid": {"M": 20, "N": 80, "T": 3.5},
+        "weight": {"s": 2.0, "lambda": 0.05, "beta": 0.5, "xstar": 1.5,
+                   "mconst": 10.0, "epsilon": 0.5},
+        "coefficients": {"a": {"constant": -0.5}, "d": {"constant": 0.5}},
+        "data": {"y0": {"sine": {"mode": 1, "amplitude": 1.0}},
+                 "g": {"random": {"seed": 21, "amplitude": 0.5}}},
+        "mc": {"paths": 5},
+    }),
     "weights-order-small": ("weights-order", {
         "grid": {"M": 3, "N": 4, "T": 1.0}, "weight": WEIGHT}),
     # refused at parse (tests/test_cli.py::test_parse_pointer_errors)
@@ -182,6 +209,9 @@ CASES = {
         "grid": GRID, "weight": WEIGHT,
         "sweep": {"parameter": "weight.beta", "values": [0.5, 3.0]}}),
     "refused-dt-underflow": ("simulate", {"grid": {**GRID, "T": 5e-324}}),
+    # the flag comes after the harness's own --output-dir, so it wins
+    "refused-output-dir-empty": ("identities", {"grid": GRID},
+                                 "--output-dir", ""),
     # integers past their range (tests/test_cli.py::test_out_of_range_integers)
     "refused-big-M": ("identities", {"grid": {**GRID, "M": BIG}}),
     "refused-big-N": ("simulate", {"grid": {**GRID, "N": BIG}}),
@@ -227,7 +257,7 @@ CASES = {
 
 
 HOST_DISPATCH = ("carleman-carleman-sweep", "carleman-two-blocks",
-                 "weights-order-small")
+                 "carleman-no-f", "weights-order-small")
 # the NumPy loops whose float64 results differ between SIMD targets
 DISPATCHED = ("exp", "expm1", "log", "power")
 

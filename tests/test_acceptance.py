@@ -355,8 +355,9 @@ def test_criterion_9_difference_system_residual():
                 grid.space_axis("closure"),
                 grid.time_axis("closure"),
             )
-            res = scheme_residual(ydiff, coeffs, gdiff, None, ensA.dB[p],
-                                  grid)
+            res = scheme_residual(ydiff, coeffs, gdiff,
+                                  zero_field(grid, "primal", "primal"),
+                                  ensA.dB[p], grid)
             worst = max(worst, res)
     elapsed = time.perf_counter() - t0
     report(

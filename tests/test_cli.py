@@ -316,11 +316,14 @@ def test_arrays_larger_than_memory_are_refused_before_building(
         ("martingale", {"data": {"f": SINE_G["g"]}}, "data's f"),
         # stability's G norm reads a zero g difference once
         ("stability", {}, None),
-        # a difference of two problems is always a full array
-        ("stability", {"data_b": {}}, "data's g"),
+        # the difference of two zero g is a zero-stride view
+        ("stability", {"data_b": {}}, None),
+        # the default comparison problem cancels f
+        ("stability", {"data": {"f": SINE_G["g"]}}, None),
+        ("stability", {"data_b": SINE_G}, "data's g"),
     ],
     ids=["martingale", "carleman", "martingale-f", "stability",
-         "stability-data-b"],
+         "stability-data-b", "stability-f", "stability-data-b-g"],
 )
 def test_zero_data_is_not_budgeted_as_a_full_array(
         tmp_path, monkeypatch, subcommand, raw, refused):
@@ -706,6 +709,25 @@ def test_flag_values_exit_as_their_config_keys(tmp_path, args, code,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_empty_output_dir_is_refused_before_writing(tmp_path, monkeypatch,
+                                                    form):
+    """An empty output_dir, as the config key or as --output-dir, exits
+    3 and writes nothing, also not into the working directory."""
+    raw, flags = {"grid": GRID}, []
+    if form == "config":
+        raw["output_dir"] = ""
+    else:
+        flags = ["--output-dir", ""]
+    cfg = str(write_cfg(tmp_path, raw))
+    monkeypatch.chdir(tmp_path)
+    res = invoke(["identities", "--config", cfg, *flags])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == "config error: /output_dir: must not be empty\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_exit_config_unreadable(tmp_path):
     res = invoke(
         ["identities", "--config", str(tmp_path / "absent.json"),
@@ -853,7 +875,9 @@ def test_default_difference_system_is_data_minus_zero_problem(tmp_path, data):
         g=zero_field(grid, "primal", "primal"), f=data_a.f,
     )
     want = data_a.difference(zero)
-    assert diff.f is None and want.f is None
+    for f in (diff.f, want.f):   # one-value zero fields
+        assert f.values.strides == (0, 0)
+        assert f.values.tobytes() == bytes(f.values.nbytes)
     for name in ("y0", "y1", "g"):
         got, ref = getattr(diff, name), getattr(want, name)
         assert (got.space_tag, got.time_tag) == (ref.space_tag, ref.time_tag)
@@ -870,8 +894,8 @@ FORCED_B = {"g": {"sine": {"mode": 2, "amplitude": 0.4}},
 
 
 @pytest.mark.parametrize("data_b, built", [
-    # the default comparison problem cancels f: only g is built
-    (None, ["g"]),
+    # the default comparison problem cancels f: it is built as zero
+    (None, ["zero", "g"]),
     (FORCED_B, ["f", "g", "f_b", "g_b"]),
 ])
 def test_stability_builds_no_cancelled_forcing(tmp_path, monkeypatch,
@@ -882,18 +906,22 @@ def test_stability_builds_no_cancelled_forcing(tmp_path, monkeypatch,
         raw["data_b"] = data_b
     cfg = parse_config(write_cfg(tmp_path, raw))
     specs = {name: cfg.data[name] for name in ("f", "g")}
+    specs["zero"] = ("zero",)
     if data_b is not None:
         specs.update({f"{name}_b": cfg.data_b[name] for name in ("f", "g")})
     make = cli_mod._make_interior_field
     seen = []
 
     def spy(spec, grid, space_only):
-        seen.append(spec)
-        return make(spec, grid, space_only)
+        seen.append((spec, make(spec, grid, space_only)))
+        return seen[-1][1]
 
     monkeypatch.setattr(cli_mod, "_make_interior_field", spy)
     assert cli_mod.run("stability", cfg) == cli_mod.EXIT_OK
-    assert seen == [specs[name] for name in built]
+    assert [spec for spec, _ in seen] == [specs[name] for name in built]
+    # a cancelled f owns no (M, N) array
+    assert all(field.values.strides == (0, 0)
+               for spec, field in seen if spec == ("zero",))
 
 
 SINE_MODE = {"y0": {"sine": {"mode": 10**400, "amplitude": 1.0}}}

@@ -93,6 +93,51 @@ def test_arithmetic_alignment():
     assert np.all((u - u).values == 0.0)
 
 
+# (3, 5) operands by the axes along which they hold one value
+_FULL = (np.arange(15.0).reshape(3, 5) - 7.0) / 3.0
+_FULL[0, 0] = -0.0
+OPERANDS = {
+    "dense": _FULL,
+    "one-per-time": np.broadcast_to([[0.3, -0.0, 1.0 / 7.0, -2.5, 0.0]],
+                                    (3, 5)),
+    "one-per-space": np.broadcast_to([[-0.0], [0.1], [2.0 / 3.0]], (3, 5)),
+    "one-value": np.broadcast_to(-1.0 / 3.0, (3, 5)),
+}
+
+
+def _check_like_dense(result, dense, *operands):
+    """result holds the dense operation's bits, has stride 0 exactly
+    where every operand has it, and is read-only."""
+    assert result.values.shape == dense.shape
+    assert result.values.tobytes() == dense.tobytes()
+    assert [s == 0 for s in result.values.strides] == [
+        all(v.strides[k] == 0 for v in operands) for k in range(2)]
+    assert not result.values.flags.writeable
+
+
+@pytest.mark.parametrize("b", OPERANDS)
+@pytest.mark.parametrize("a", OPERANDS)
+def test_arithmetic_keeps_one_value_axes(a, b):
+    g = build_grid(3, 5, 1.0)
+    va, vb = OPERANDS[a], OPERANDS[b]
+    u, v = (GridFunction(g, x, g.space_axis("primal"), g.time_axis("primal"))
+            for x in (va, vb))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        _check_like_dense(op(u, v), op(np.array(va), np.array(vb)), va, vb)
+
+
+@pytest.mark.parametrize("a", OPERANDS)
+def test_scalar_arithmetic_and_negation_keep_one_value_axes(a):
+    g = build_grid(3, 5, 1.0)
+    va = OPERANDS[a]
+    u = GridFunction(g, va, g.space_axis("primal"), g.time_axis("primal"))
+    _check_like_dense(-u, -np.array(va), va)
+    for s in (0.1, -0.0, 2):
+        for op in (lambda x: x + s, lambda x: s + x, lambda x: x - s,
+                   lambda x: s - x, lambda x: x * s, lambda x: s * x):
+            _check_like_dense(op(u), op(np.array(va)), va)
+
+
 def test_intersect_common_window():
     g = build_grid(5, 5, 1.0)
     u = GridFunction(

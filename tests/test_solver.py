@@ -92,6 +92,31 @@ def test_problem_data_validation():
         )
 
 
+def test_absent_forcing_is_a_one_value_zero_field():
+    grid = build_grid(5, 7, 1.0)
+    f = wave_data(grid).f
+    assert (f.space_tag, f.time_tag) == ("primal", "primal")
+    assert f.values.shape == (5, 7) and f.values.strides == (0, 0)
+    assert f.values.tobytes() == bytes(f.values.nbytes)
+    # f is checked as g is
+    with pytest.raises(ValueError, match="^f must carry space tag 'primal'"):
+        ProblemData(y0=sine_slice(grid, 1, 1.0), y1=zero_field(grid),
+                    g=zero_field(grid, "primal", "primal"),
+                    f=zero_field(grid, "dual", "primal"))
+
+
+def test_difference_of_zero_sources_holds_no_full_array():
+    grid = build_grid(5, 7, 1.0)
+    a = wave_data(grid)
+    b = ProblemData(y0=sine_slice(grid, 2, 0.5), y1=sine_slice(grid, 1, 0.3),
+                    g=zero_field(grid, "primal", "primal"))
+    d = a.difference(b)
+    for u in (d.g, d.f):
+        assert u.values.shape == (5, 7) and u.values.strides == (0, 0)
+        assert u.values.tobytes() == bytes(u.values.nbytes)
+    assert np.array_equal(d.y0.values, a.y0.values - b.y0.values)
+
+
 def test_matches_reference_stepper_exactly():
     grid = build_grid(7, 9, 0.9)
     data = ProblemData(
